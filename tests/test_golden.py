@@ -1,0 +1,52 @@
+"""Behaviour lock: digests of the CLI outputs for every bundled scenario.
+
+Each (scenario, protocol) pair runs at seed 0 and is written through
+``cli._write_outputs``; the SHA-256 of ``trace.ndjson`` and
+``metrics.json`` must match the table below. A change that alters trace
+bytes on purpose bumps ``cli.TRACE_VERSION`` and updates this table.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from venuetrace.cli import _write_outputs
+from venuetrace.scenario import Scenario
+from venuetrace.sim import run
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+# (scenario stem, protocol) -> (sha256 of trace.ndjson, sha256 of metrics.json)
+GOLDEN = {
+    ("duty_cycle", "venue"): ("c8646f3fae4d19f4856eb0599ee59bc0a0e807cdd5ed1b3945bd180b492353b4", "912a777161e50bfc80cb7ac39712c1299aa7a169bd3ddbf90a7effbaf6f35462"),
+    ("duty_cycle", "dp3t"): ("6f78eb12fee80d15bdda8c25a891c03ea14fe0b3224d2d7aa1c07991b956efa2", "016dda263df8ed260b051f5afde1231b2946e9f1fc3c154e87a83fdffe04e1e8"),
+    ("duty_cycle", "tracetogether"): ("1216e527095ac682ca334456043b4faf34516c53a1fa92ca9030fc50cf090663", "4851e81e273bec109178d60ab1ff0917e3836bcc15e5ddff96e8f89d87fe3c32"),
+    ("population_small", "venue"): ("fee7da420c7a0aafa1f2ed467ea681f269cd498fc4d23da09a3428e09bdcefb3", "cb524bc38cc71f989ac71f28ac1a0c0aa3a16845543840f76cb1b648c8373a3e"),
+    ("population_small", "dp3t"): ("e3403146226745b03d33822d2d105e873756a24352f611b919b8f157b86e7f71", "efd7682876c367b8905b9309a894830e6f0dc2e6a02080d41bc090483bfd6ef3"),
+    ("population_small", "tracetogether"): ("7bf197321e246d46316f3ba82d215fdf5b5e81d21b0cac83fe01f3833e4d120e", "69fe075597496d2adc84d31c39e14224563e7610721ccae80e3bfd58f5e27731"),
+    ("relay_attack", "venue"): ("ff93288c49a69379eb59741d3fc649300b43b8fc7ed5f12fa5738180ccc48687", "5dcad84a952e0f29a00b1b5d667084d0d061347a7dc5cebb09e4c732f1976f8a"),
+    ("relay_attack", "dp3t"): ("40d0da9ea0fe7c21f3ace1500093db0c530d1f199959145b15d0281e7a5d9f45", "c76c9050bfe3bcfb2c18397021678c3c2d950b2ac5a6f2a247b61c8f7ec72406"),
+    ("relay_attack", "tracetogether"): ("512e1aa1d833091ac90f9da4c0537df53109ac3d435a50c37d280349b7d8dbd4", "6daa91b262f8ae3bc02ab41086da9c72519a2cfd116cec112fff31be85f138e4"),
+    ("relay_baseline", "venue"): ("93f7df4b7dee6ebff502a28df0cd5d57f54fb90129ea63ac06b9cdfc95db1f0a", "0c7e51042281e40bd0cc5470f325c0f9e2cb05b6dbae98b3f37fae979b0ff426"),
+    ("relay_baseline", "dp3t"): ("5725b44c3b55c8cf86915a8eb21306118169ba7978beb2357e27caee08386b9c", "76cf24e695ba9cd4024ea13444da04608d47e6d38343f9f39b091461145e9edf"),
+    ("relay_baseline", "tracetogether"): ("3004e4a792c1e7b937bd113f2e9b8ba489d335f1c4fce39f4b6e0e6765f55ebf", "2cca3de2929f7c7879c75b6e29a536ebef722512e78349a4cec08c9790fa7cfa"),
+    ("street_encounter", "venue"): ("25b8cb76cfcbed9153a99d721e8917f10df97f8281ac45d909ef6165b337414e", "9f6b02bbb49b71d76626273340b80a78df8d7fabc2913e6dbbd9964ebf95a1b0"),
+    ("street_encounter", "dp3t"): ("f90f30c7f8b3403a5a7f27fe0515b17c2ed2176f3566de670880a5f065d75e0f", "69f91bcce614190bf181da2e427c76a79713520fbf317103ac01cd53fae767cb"),
+    ("street_encounter", "tracetogether"): ("d3e565a90145d3a365c633b77a7c19b3be6e30ecd446eb2aa5b9b472033374f9", "b74b2dfcb97593bd328a1d8686edbf9666d8be36c7091bbfd1c24a84fe32f4b7"),
+}
+
+
+@pytest.mark.parametrize("stem,protocol", sorted(GOLDEN))
+def test_golden_digests(stem, protocol, tmp_path):
+    scenario = Scenario.from_json_file(SCENARIOS / f"{stem}.json")
+    _write_outputs(run(scenario, protocol, 0).data, tmp_path)
+    digests = tuple(
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("trace.ndjson", "metrics.json")
+    )
+    assert digests == GOLDEN[(stem, protocol)]
+
+
+def test_every_bundled_scenario_is_locked():
+    assert {stem for stem, _ in GOLDEN} == {p.stem for p in SCENARIOS.glob("*.json")}
