@@ -538,6 +538,8 @@ class BackendServer:
         # rid hex -> list of (venue_id, presence_start, presence_end); internal
         # collusion index, never published.
         self._presence_by_rid: dict[str, list[tuple[str, int, int]]] = {}
+        # visit nonce -> its published record, so a re-sent bundle publishes once
+        self._published: dict[int, BackendRecord] = {}
 
     def register_venue(self, venue: Venue) -> None:
         self.venue_policies[venue.venue_id] = venue.policy
@@ -559,7 +561,9 @@ class BackendServer:
         """Run the five verification steps in order; publish on success.
 
         Returns (record, None) on acceptance or (None, code) with the first
-        failing step's rejection code.
+        failing step's rejection code. A bundle whose visit nonce is already
+        published returns the existing record without publishing or
+        notifying again.
         """
         cert = bundle.certificate
         self.observed.append(
@@ -642,10 +646,13 @@ class BackendServer:
                 )
 
         # (d) publish, (e) notify the venue
+        if bundle.nonce_value in self._published:
+            return self._published[bundle.nonce_value], None
         record = BackendRecord(
             venue_id=bundle.venue_id, leave_time=receipt.leave_time, ephids=tuple(ephids)
         )
         self.records.append(record)
+        self._published[bundle.nonce_value] = record
         self._presence_by_rid.setdefault(rid_hex, []).append(
             (bundle.venue_id, presence_start, presence_end)
         )

@@ -115,7 +115,6 @@ class TTUserApp:
         self.pseudonym = moh.register(phone_number, rng)
         self.current_tid: TempId | None = None
         self.triples: list[ContactTriple] = []
-        self.notified: bool = False
 
     def receive_tid(self, tid: TempId) -> None:
         self.current_tid = tid

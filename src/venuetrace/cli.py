@@ -1,8 +1,8 @@
 """Command-line interface: run, validate, replay.
 
 Exit codes: 0 success, 1 scenario-validation failure, 2 runtime failure
-(including trace integrity errors). Flags mirror the scenario file's
-``params`` keys one-to-one; flags win on conflict. The default output
+(including trace integrity errors). The ``run`` flags in ``PARAM_FLAGS``
+set scenario ``params`` keys and win on conflict. The default output
 directory comes from $VENUETRACE_OUT (falling back to ./runs).
 """
 
@@ -77,22 +77,29 @@ def read_trace(path: Path) -> dict[str, Any]:
     return data
 
 
+# (params key, flag type, flag value -> key value scale). The flag is
+# --<key>, except that a key in seconds scaled by 60 takes minutes.
+PARAM_FLAGS: tuple[tuple[str, type, int], ...] = (
+    ("epoch_seconds", int, 1),
+    ("window_seconds", int, 1),
+    ("bloom_fpr", float, 1),
+    ("retention_days", int, 1),
+    ("exposure_seconds", int, 60),
+    ("proximity_meters", float, 1),
+    ("arrival_time_extension", bool, 1),
+)
+
+
+def _flag_dest(key: str, scale: int) -> str:
+    return key.replace("_seconds", "_minutes") if scale == 60 else key
+
+
 def _overrides_from_args(args: argparse.Namespace) -> dict[str, Any]:
     overrides: dict[str, Any] = {}
-    if args.epoch_seconds is not None:
-        overrides["epoch_seconds"] = args.epoch_seconds
-    if args.window_seconds is not None:
-        overrides["window_seconds"] = args.window_seconds
-    if args.bloom_fpr is not None:
-        overrides["bloom_fpr"] = args.bloom_fpr
-    if args.retention_days is not None:
-        overrides["retention_days"] = args.retention_days
-    if args.exposure_minutes is not None:
-        overrides["exposure_seconds"] = args.exposure_minutes * 60
-    if args.proximity_meters is not None:
-        overrides["proximity_meters"] = args.proximity_meters
-    if args.arrival_time_extension:
-        overrides["arrival_time_extension"] = True
+    for key, _, scale in PARAM_FLAGS:
+        value = getattr(args, _flag_dest(key, scale))
+        if value is not None and value is not False:
+            overrides[key] = value if scale == 1 else value * scale
     return overrides
 
 
@@ -242,13 +249,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="output directory (default $VENUETRACE_OUT or ./runs)",
     )
     p_run.add_argument("--jobs", type=int, default=1, help="parallel protocol runs")
-    p_run.add_argument("--epoch-seconds", type=int, default=None)
-    p_run.add_argument("--window-seconds", type=int, default=None)
-    p_run.add_argument("--bloom-fpr", type=float, default=None)
-    p_run.add_argument("--retention-days", type=int, default=None)
-    p_run.add_argument("--exposure-minutes", type=int, default=None)
-    p_run.add_argument("--proximity-meters", type=float, default=None)
-    p_run.add_argument("--arrival-time-extension", action="store_true")
+    for key, kind, scale in PARAM_FLAGS:
+        flag = "--" + _flag_dest(key, scale).replace("_", "-")
+        if kind is bool:
+            p_run.add_argument(flag, action="store_true")
+        else:
+            p_run.add_argument(flag, type=kind, default=None)
     p_run.set_defaults(func=cmd_run)
 
     p_val = sub.add_parser("validate", help="check a scenario file")

@@ -9,7 +9,7 @@ reporter's contagious period, lasting at least the duration threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 
@@ -110,29 +110,7 @@ class MetricsReport:
     extras: dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "protocol": self.protocol,
-            "seed": self.seed,
-            "horizon_seconds": self.horizon_seconds,
-            "recall": self.recall,
-            "precision": self.precision,
-            "ground_truth_pairs": self.ground_truth_pairs,
-            "notified_pairs": self.notified_pairs,
-            "false_negative_pairs": self.false_negative_pairs,
-            "false_positive_pairs": self.false_positive_pairs,
-            "at_risk_users": self.at_risk_users,
-            "leak_users": self.leak_users,
-            "data_minimisation_violations": self.data_minimisation_violations,
-            "duty_cycle": self.duty_cycle,
-            "mean_duty_cycle": self.mean_duty_cycle,
-            "accepted_reports": self.accepted_reports,
-            "rejections": self.rejections,
-            "venue_anomalies": self.venue_anomalies,
-            "adversary": self.adversary,
-            "info_exposure": self.info_exposure,
-            "deliveries": self.deliveries,
-            "extras": self.extras,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _linkage_scan(broadcasts: list[dict[str, Any]]) -> tuple[int, int]:

@@ -29,7 +29,7 @@ Event kinds and their fields:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from random import Random
 from typing import Any
@@ -146,6 +146,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     in_venue: dict[str, str] = {}
 
     policy_keys = {f.name for f in fields(VenuePolicy)}
+    diags.extend(_params_diagnostics(scenario.params))
     for v in scenario.venues:
         unknown = sorted(set(v.policy) - policy_keys)
         if unknown:
@@ -218,6 +219,42 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             for key in ("from_user", "to_user"):
                 if key in e.data and e.data[key] not in users:
                     diags.append(f"{where}: unknown user {e.data[key]!r} in {key}")
+    return diags
+
+
+def _positive_int(value: Any) -> bool:
+    return type(value) is int and value > 0
+
+
+def _params_diagnostics(params: Any) -> list[str]:
+    """Keys ``SimParams.build`` would drop, and lengths a run cannot divide by."""
+    from .channel import ChannelModel  # local imports: sim imports this module
+    from .sim import SimParams
+
+    if not isinstance(params, dict):
+        return ["params must be an object"]
+    diags: list[str] = []
+    # protocol and seed are set per run, never by the scenario file
+    unknown = sorted(set(params) - {f.name for f in fields(SimParams)} - {"protocol", "seed"})
+    if unknown:
+        diags.append(f"params: unknown keys {unknown}")
+    channel = params.get("channel", {})
+    if not isinstance(channel, dict):
+        diags.append("params: channel must be an object")
+    else:
+        unknown = sorted(set(channel) - {f.name for f in fields(ChannelModel)})
+        if unknown:
+            diags.append(f"params: unknown channel keys {unknown}")
+
+    merged = {**asdict(SimParams()), **params}
+    for key in ("epoch_seconds", "window_seconds", "tt_interval_seconds", "dp3t_epochs_per_day"):
+        if not _positive_int(merged[key]):
+            diags.append(f"params: {key} must be a positive integer, got {merged[key]!r}")
+    if _positive_int(merged["dp3t_epochs_per_day"]) and merged["dp3t_epochs_per_day"] > SECONDS_PER_DAY:
+        diags.append(f"params: dp3t_epochs_per_day exceeds {SECONDS_PER_DAY}, one per second")
+    epoch, window = merged["epoch_seconds"], merged["window_seconds"]
+    if _positive_int(epoch) and _positive_int(window) and window % epoch:
+        diags.append("params: window_seconds must be a multiple of epoch_seconds")
     return diags
 
 

@@ -20,7 +20,8 @@ import heapq
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from abc import ABC, abstractmethod
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Callable
 
 from . import crypto
@@ -70,54 +71,10 @@ class SimParams:
         cls, scenario: Scenario, protocol: str, seed: int, overrides: dict[str, Any] | None = None
     ) -> "SimParams":
         """Scenario params first, explicit overrides win."""
-        merged: dict[str, Any] = dict(scenario.params)
-        merged.update(overrides or {})
-        channel_cfg = merged.pop("channel", {})
-        known = {
-            k: merged[k]
-            for k in (
-                "epoch_seconds",
-                "window_seconds",
-                "bloom_fpr",
-                "retention_days",
-                "exposure_seconds",
-                "proximity_meters",
-                "arrival_time_extension",
-                "dp3t_epochs_per_day",
-                "tt_interval_seconds",
-            )
-            if k in merged
-        }
-        return cls(
-            protocol=protocol,
-            seed=seed,
-            channel=ChannelModel(**channel_cfg),
-            **known,
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        d = {
-            "protocol": self.protocol,
-            "seed": self.seed,
-            "epoch_seconds": self.epoch_seconds,
-            "window_seconds": self.window_seconds,
-            "bloom_fpr": self.bloom_fpr,
-            "retention_days": self.retention_days,
-            "exposure_seconds": self.exposure_seconds,
-            "proximity_meters": self.proximity_meters,
-            "arrival_time_extension": self.arrival_time_extension,
-            "dp3t_epochs_per_day": self.dp3t_epochs_per_day,
-            "tt_interval_seconds": self.tt_interval_seconds,
-            "channel": {
-                "max_range_m": self.channel.max_range_m,
-                "tx_dbm": self.channel.tx_dbm,
-                "path_loss_exponent": self.channel.path_loss_exponent,
-                "reference_loss_db": self.channel.reference_loss_db,
-                "noise_sigma_db": self.channel.noise_sigma_db,
-                "reception_prob": self.channel.reception_prob,
-            },
-        }
-        return d
+        merged: dict[str, Any] = {**scenario.params, **(overrides or {})}
+        known = {f.name: merged[f.name] for f in fields(cls) if f.name in merged}
+        known.update(protocol=protocol, seed=seed, channel=ChannelModel(**merged.get("channel", {})))
+        return cls(**known)
 
 
 @dataclass
@@ -156,13 +113,107 @@ def _record_key(ephids: tuple[bytes, ...]) -> str:
 # Protocol drivers
 # ---------------------------------------------------------------------------
 
-class _VenueDriver:
-    """Venue protocol: sessions, receipts, reports, trace queries."""
+class _Driver(ABC):
+    """One protocol as the simulation core sees it.
 
-    name = "venue"
+    The core calls only these methods. The defaults fit a phone-wide BLE
+    baseline: every user always listens, venues mean nothing, a positive
+    test just stores the contagious period, and a report without one is
+    skipped.
+    """
 
     def __init__(self, sim: "Simulation"):
         self.sim = sim
+        self.periods: dict[str, tuple[int, int]] = {}
+
+    @abstractmethod
+    def setup(self) -> None:
+        """Schedule the protocol's own recurring events."""
+
+    @abstractmethod
+    def current_payload(self, user: str) -> bytes | None:
+        """What ``user`` broadcasts right now, or None when silent."""
+
+    @abstractmethod
+    def deliver(self, user: str, payload: bytes, rx_dbm: float, now: int) -> None:
+        """``user``'s phone receives ``payload`` at ``rx_dbm``."""
+
+    @abstractmethod
+    def _report(self, user: str, data: dict[str, Any], credential: Any, now: int) -> None:
+        """Carry out a report backed by ``credential`` (see ``_credential``)."""
+
+    def listening(self, user: str) -> bool:
+        return True
+
+    def on_enter(self, user: str, venue_id: str, now: int) -> None:
+        """A consenting user enters a venue; the core has moved them already."""
+
+    def on_leave(self, user: str, venue_id: str, now: int) -> None:
+        """A user leaves a venue; the core moves them to the street after."""
+
+    def on_premise(self, venue_id: str, payload: bytes, tx_dbm: float, now: int) -> None:
+        """A broadcast on a venue's premises, once per emit, for venue equipment."""
+
+    def share_rid(self, from_user: str | None, to_user: str | None) -> None:
+        """Credential sharing: ``to_user`` takes over ``from_user``'s identity."""
+
+    def on_trace_query(self, user: str, now: int) -> None:
+        """A user asks whether they were exposed."""
+
+    def on_test_positive(self, user: str, period: tuple[int, int], now: int) -> None:
+        self.periods[user] = period
+
+    def _credential(self, user: str, data: dict[str, Any]) -> Any:
+        """What a report by ``user`` rests on, or None to skip it."""
+        return self.periods.get(user)
+
+    def on_report(self, user: str, data: dict[str, Any], now: int) -> None:
+        credential = self._credential(user, data)
+        if credential is None:
+            self.sim.log_event({"t": now, "kind": "report_skipped", "user": user})
+            return
+        self._report(user, data, credential, now)
+
+    def _report_outcome(
+        self, user: str, period: tuple[int, int], now: int,
+        venue: str | None = None, code: str | None = None,
+    ) -> dict[str, Any]:
+        """Record one upload's verdict; an accepted one makes ``user`` a reporter."""
+        if code is None:
+            self.sim.outcomes["reporters"].setdefault(user, list(period))
+        row = {"user": user, "venue": venue, "accepted": code is None, "code": code, "t": now}
+        self.sim.outcomes["reports"].append(row)
+        return row
+
+    def _assessment(
+        self, user: str, reporter: str | None, matched_epochs: int, exposure_seconds: int,
+        at_risk: bool, venue: str | None = None, record_key: str | None = None,
+        **extra: Any,
+    ) -> None:
+        self.sim.outcomes["assessments"].append(
+            {
+                "user": user,
+                "venue": venue,
+                "record_key": record_key,
+                "reporter": reporter,
+                "matched_epochs": matched_epochs,
+                "exposure_seconds": exposure_seconds,
+                "at_risk": at_risk,
+                **extra,
+            }
+        )
+
+    def finalize(self, horizon: int) -> None:
+        self.sim.outcomes["duty_seconds"] = {
+            u: float(horizon) for u in self.sim.scenario.users
+        }
+
+
+class _VenueDriver(_Driver):
+    """Venue protocol: sessions, receipts, reports, trace queries."""
+
+    def __init__(self, sim: "Simulation"):
+        super().__init__(sim)
         p = sim.params
         self.sched = SchedulingParams(p.epoch_seconds, p.window_seconds)
         self.ha = HealthAuthority(sim.rng, p.retention_days)
@@ -222,6 +273,14 @@ class _VenueDriver:
         if loc is not STREET:
             self.users[user].hear(loc, payload, rx_dbm, now)
 
+    def on_premise(self, venue_id: str, payload: bytes, tx_dbm: float, now: int) -> None:
+        self.venues[venue_id].record_broadcast(
+            payload, tx_dbm - self.sim.params.channel.reference_loss_db, now
+        )
+
+    def share_rid(self, from_user: str | None, to_user: str | None) -> None:
+        self.users[to_user].rid = self.users[from_user].rid
+
     def on_enter(self, user: str, venue_id: str, now: int) -> None:
         self.users[user].enter_venue(venue_id, now, self.sim.rng)
         self.visit_seq[user] += 1
@@ -262,36 +321,15 @@ class _VenueDriver:
         if mode == "forge_certificate":
             fake_keys = crypto.keygen("fake-lab", self.sim.rng)
             cert = bundle.certificate
-            forged = InfectionCertificate(
-                period_start=cert.period_start,
-                period_end=cert.period_end,
-                rid_value=cert.rid_value,
+            forged = replace(
+                cert,
                 signature=crypto.sign(cert.payload(), fake_keys.secret_key),
                 test_center_id="fake-lab",
             )
-            return ReportBundle(
-                certificate=forged,
-                nonce_value=bundle.nonce_value,
-                nonce_reveal=bundle.nonce_reveal,
-                leave_receipt=bundle.leave_receipt,
-                venue_id=bundle.venue_id,
-                last_window_epochs=bundle.last_window_epochs,
-                window_keys=bundle.window_keys,
-                arrival_time=bundle.arrival_time,
-            )
+            return replace(bundle, certificate=forged)
         if mode == "corrupt_opening":
             reveal = bundle.nonce_reveal
-            bad = type(reveal)(rid_bytes=reveal.rid_bytes, blinding=reveal.blinding + 1)
-            return ReportBundle(
-                certificate=bundle.certificate,
-                nonce_value=bundle.nonce_value,
-                nonce_reveal=bad,
-                leave_receipt=bundle.leave_receipt,
-                venue_id=bundle.venue_id,
-                last_window_epochs=bundle.last_window_epochs,
-                window_keys=bundle.window_keys,
-                arrival_time=bundle.arrival_time,
-            )
+            return replace(bundle, nonce_reveal=replace(reveal, blinding=reveal.blinding + 1))
         if mode == "swap_venue_keys":
             other = next(
                 (v for v in self.users[reporter].visits if v.venue_id != bundle.venue_id),
@@ -302,56 +340,27 @@ class _VenueDriver:
                 if other is not None
                 else [self.sim.rng.randbytes(32) for _ in bundle.window_keys]
             )
-            return ReportBundle(
-                certificate=bundle.certificate,
-                nonce_value=bundle.nonce_value,
-                nonce_reveal=bundle.nonce_reveal,
-                leave_receipt=bundle.leave_receipt,
-                venue_id=bundle.venue_id,
-                last_window_epochs=bundle.last_window_epochs,
-                window_keys=keys,
-                arrival_time=bundle.arrival_time,
-            )
+            return replace(bundle, window_keys=keys)
         raise ScenarioError([f"unknown tamper mode {mode!r}"])
 
-    def on_report(self, user: str, data: dict[str, Any], now: int) -> None:
-        cert_owner = data.get("use_certificate_of", user)
-        cert = self.certificates.get(cert_owner)
-        if cert is None:
-            self.sim.log_event({"t": now, "kind": "report_skipped", "user": user})
-            return
-        bundles = self.users[user].build_reports(cert)
+    def _credential(self, user: str, data: dict[str, Any]) -> InfectionCertificate | None:
+        return self.certificates.get(data.get("use_certificate_of", user))
+
+    def _report(
+        self, user: str, data: dict[str, Any], cert: InfectionCertificate, now: int
+    ) -> None:
         tamper = data.get("tamper")
-        for bundle in bundles:
+        for bundle in self.users[user].build_reports(cert):
             if tamper:
                 bundle = self._tamper(bundle, tamper, user)
             record, code = self.backend.process_report(bundle, now)
-            accepted = record is not None
-            if accepted:
-                key = _record_key(record.ephids)
-                self.sim.outcomes["record_reporters"][key] = user
-                self.sim.outcomes["reporters"].setdefault(
-                    user, [cert.period_start, cert.period_end]
-                )
-            self.sim.outcomes["reports"].append(
-                {
-                    "user": user,
-                    "venue": bundle.venue_id,
-                    "accepted": accepted,
-                    "code": None if code is None else code.value,
-                    "t": now,
-                }
+            if record is not None:
+                self.sim.outcomes["record_reporters"][_record_key(record.ephids)] = user
+            row = self._report_outcome(
+                user, (cert.period_start, cert.period_end), now, bundle.venue_id,
+                None if code is None else code.value,
             )
-            self.sim.log_event(
-                {
-                    "t": now,
-                    "kind": "report",
-                    "user": user,
-                    "venue": bundle.venue_id,
-                    "accepted": accepted,
-                    "code": None if code is None else code.value,
-                }
-            )
+            self.sim.log_event({"kind": "report", **row})
 
     def on_trace_query(self, user: str, now: int) -> None:
         app = self.users[user]
@@ -375,18 +384,10 @@ class _VenueDriver:
                 }
             )
             assessments = app.evaluate_risk(visit, lists, self.risk)
-            for assessment, key in zip(assessments, keys):
-                reporter = self.sim.outcomes["record_reporters"].get(key)
-                self.sim.outcomes["assessments"].append(
-                    {
-                        "user": user,
-                        "venue": visit.venue_id,
-                        "record_key": key,
-                        "reporter": reporter,
-                        "matched_epochs": assessment.matched_epochs,
-                        "exposure_seconds": assessment.exposure_seconds,
-                        "at_risk": assessment.at_risk,
-                    }
+            for a, key in zip(assessments, keys):
+                self._assessment(
+                    user, self.sim.outcomes["record_reporters"].get(key),
+                    a.matched_epochs, a.exposure_seconds, a.at_risk, visit.venue_id, key,
                 )
 
     def finalize(self, horizon: int) -> None:
@@ -413,13 +414,11 @@ class _VenueDriver:
         }
 
 
-class _Dp3tDriver:
+class _Dp3tDriver(_Driver):
     """DP-3T low-cost baseline: 24/7 broadcasting on a global epoch grid."""
 
-    name = "dp3t"
-
     def __init__(self, sim: "Simulation"):
-        self.sim = sim
+        super().__init__(sim)
         self.epoch_seconds = SECONDS_PER_DAY // sim.params.dp3t_epochs_per_day
         self.backend = Dp3tBackend()
         self.users = {
@@ -427,7 +426,6 @@ class _Dp3tDriver:
             for u in sim.scenario.users
         }
         self.risk_threshold_dbm = sim.params.channel.threshold_dbm(sim.params.proximity_meters)
-        self.periods: dict[str, tuple[int, int]] = {}
         self.publication_reporters: list[str] = []
 
     def setup(self) -> None:
@@ -451,9 +449,6 @@ class _Dp3tDriver:
         if nxt < self.sim.scenario.horizon_seconds:
             self.sim.schedule(nxt, lambda: self._global_tick(nxt))
 
-    def listening(self, user: str) -> bool:
-        return True
-
     def current_payload(self, user: str) -> bytes | None:
         return self.users[user].broadcast_id(self._epoch_in_day(self.sim.now))
 
@@ -462,27 +457,17 @@ class _Dp3tDriver:
             payload, rx_dbm, now // SECONDS_PER_DAY, self._epoch_in_day(now)
         )
 
-    def on_enter(self, user: str, venue_id: str, now: int) -> None:
-        pass  # no venue concept; positions handled by the core
+    def _credential(self, user: str, data: dict[str, Any]) -> tuple[int, int] | None:
+        # a report replaces the key chain, so a second one has no key to publish
+        if user in self.publication_reporters:
+            return None
+        return self.periods.get(user)
 
-    def on_leave(self, user: str, venue_id: str, now: int) -> None:
-        pass
-
-    def on_test_positive(self, user: str, period: tuple[int, int], now: int) -> None:
-        self.periods[user] = period
-
-    def on_report(self, user: str, data: dict[str, Any], now: int) -> None:
-        period = self.periods.get(user)
-        if period is None:
-            self.sim.log_event({"t": now, "kind": "report_skipped", "user": user})
-            return
+    def _report(self, user: str, data: dict[str, Any], period: tuple[int, int], now: int) -> None:
         first_day = period[0] // SECONDS_PER_DAY
         self.users[user].report(self.backend, first_day, now // SECONDS_PER_DAY, self.sim.rng)
         self.publication_reporters.append(user)
-        self.sim.outcomes["reporters"].setdefault(user, list(period))
-        self.sim.outcomes["reports"].append(
-            {"user": user, "venue": None, "accepted": True, "code": None, "t": now}
-        )
+        self._report_outcome(user, period, now)
         self.sim.log_event({"t": now, "kind": "report", "user": user, "day": first_day})
 
     def on_trace_query(self, user: str, now: int) -> None:
@@ -494,39 +479,26 @@ class _Dp3tDriver:
             proximity_threshold_dbm=self.risk_threshold_dbm,
             epoch_seconds=self.epoch_seconds,
         )
-        for assessment, reporter in zip(assessments, self.publication_reporters):
-            if reporter == user:
-                continue
-            self.sim.outcomes["assessments"].append(
-                {
-                    "user": user,
-                    "venue": None,
-                    "record_key": None,
-                    "reporter": reporter,
-                    "matched_epochs": assessment.matched_epochs,
-                    "exposure_seconds": assessment.exposure_seconds,
-                    "at_risk": assessment.at_risk,
-                    "leak": assessment.leak,
-                }
-            )
+        for a, reporter in zip(assessments, self.publication_reporters):
+            if reporter != user:
+                self._assessment(
+                    user, reporter, a.matched_epochs, a.exposure_seconds, a.at_risk,
+                    leak=a.leak,
+                )
 
     def finalize(self, horizon: int) -> None:
-        self.sim.outcomes["duty_seconds"] = {
-            u: float(horizon) for u in self.sim.scenario.users
-        }
+        super().finalize(horizon)
         self.sim.outcomes["published_keys"] = [
             {"day": p.day_index, "key": p.key.hex(), "reporter": r}
             for p, r in zip(self.backend.published, self.publication_reporters)
         ]
 
 
-class _TTDriver:
+class _TTDriver(_Driver):
     """TraceTogether baseline: MoH-issued tokens, centralised tracing."""
 
-    name = "tracetogether"
-
     def __init__(self, sim: "Simulation"):
-        self.sim = sim
+        super().__init__(sim)
         self.interval_seconds = sim.params.tt_interval_seconds
         self.moh = MoHServer(sim.rng)
         self.users: dict[str, TTUserApp] = {}
@@ -535,7 +507,6 @@ class _TTDriver:
             phone = f"555-{u}"
             self.users[u] = TTUserApp(phone, self.moh, sim.rng)
             self.phone_to_user[phone] = u
-        self.periods: dict[str, tuple[int, int]] = {}
         self._triple_intervals: dict[str, list[int]] = {u: [] for u in sim.scenario.users}
 
     def setup(self) -> None:
@@ -553,9 +524,6 @@ class _TTDriver:
         if nxt < self.sim.scenario.horizon_seconds:
             self.sim.schedule(nxt, lambda: self._interval_tick(nxt))
 
-    def listening(self, user: str) -> bool:
-        return True
-
     def current_payload(self, user: str) -> bytes | None:
         tid = self.users[user].current_tid
         return None if tid is None else tid.ciphertext
@@ -567,20 +535,7 @@ class _TTDriver:
         app.hear(payload, rx_dbm)
         self._triple_intervals[user].append(now // self.interval_seconds)
 
-    def on_enter(self, user: str, venue_id: str, now: int) -> None:
-        pass
-
-    def on_leave(self, user: str, venue_id: str, now: int) -> None:
-        pass
-
-    def on_test_positive(self, user: str, period: tuple[int, int], now: int) -> None:
-        self.periods[user] = period
-
-    def on_report(self, user: str, data: dict[str, Any], now: int) -> None:
-        period = self.periods.get(user)
-        if period is None:
-            self.sim.log_event({"t": now, "kind": "report_skipped", "user": user})
-            return
+    def _report(self, user: str, data: dict[str, Any], period: tuple[int, int], now: int) -> None:
         app = self.users[user]
         lo, hi = period[0] // self.interval_seconds, period[1] // self.interval_seconds
         relevant = [
@@ -589,32 +544,13 @@ class _TTDriver:
             if lo <= ivl <= hi
         ]
         contacts = self.moh.trace(app.phone_number, relevant)
-        self.sim.outcomes["reporters"].setdefault(user, list(period))
-        self.sim.outcomes["reports"].append(
-            {"user": user, "venue": None, "accepted": True, "code": None, "t": now}
-        )
+        self._report_outcome(user, period, now)
         for phone in contacts:
-            contact = self.phone_to_user[phone]
-            self.users[contact].notified = True
-            self.sim.outcomes["assessments"].append(
-                {
-                    "user": contact,
-                    "venue": None,
-                    "record_key": None,
-                    "reporter": user,
-                    "matched_epochs": 1,
-                    "exposure_seconds": self.interval_seconds,
-                    "at_risk": True,
-                }
-            )
-
-    def on_trace_query(self, user: str, now: int) -> None:
-        pass  # notification is pushed by MoH at report time
+            # notification is pushed by MoH at report time, not on trace queries
+            self._assessment(self.phone_to_user[phone], user, 1, self.interval_seconds, True)
 
     def finalize(self, horizon: int) -> None:
-        self.sim.outcomes["duty_seconds"] = {
-            u: float(horizon) for u in self.sim.scenario.users
-        }
+        super().finalize(horizon)
         self.sim.outcomes["moh_edges"] = [
             {"reporter": self.phone_to_user[a], "contact": self.phone_to_user[b]}
             for a, b in self.moh.traced_edges
@@ -658,21 +594,16 @@ class Simulation:
             "record_reporters": {},
             "adversary": {"injected": 0, "captured": 0, "eavesdropped": []},
         }
-        self._relays: list[dict[str, Any]] = []
-        self._replays: list[dict[str, Any]] = []
+        # capture rules (src venue, dst venue, pos, start, end, delay) by
+        # re-broadcast tag; all relays act before any replay
+        self._captures: dict[str, list[tuple]] = {"relay": [], "replay": []}
         self._suppress: list[dict[str, Any]] = []
         self._eavesdrop_venues: list[str] = []
         self.adversary_observed: list[str] = []
 
-        self._street_pos: dict[str, tuple[float, float]] = {}
-        for i, user in enumerate(scenario.users):
-            self.location[user] = STREET
-            self._street_pos[user] = (1.0e6 + 1000.0 * i, 0.0)
-            self.position[user] = self._street_pos[user]
-            self._open_segment[user] = {
-                "user": user, "start": 0, "location": STREET,
-                "x": self.position[user][0], "y": self.position[user][1],
-            }
+        self._street_pos = {u: (1.0e6 + 1000.0 * i, 0.0) for i, u in enumerate(scenario.users)}
+        for user in scenario.users:
+            self._set_position(user, STREET, self._street_pos[user], 0)
 
         self.driver = _DRIVERS[params.protocol](self)
         self.driver.setup()
@@ -693,8 +624,8 @@ class Simulation:
     # -- world state --------------------------------------------------------
 
     def _close_segment(self, user: str, now: int) -> None:
-        seg = self._open_segment[user]
-        if seg["start"] < now:
+        seg = self._open_segment.get(user)  # None before the user's first placement
+        if seg is not None and seg["start"] < now:
             self.presence.append({**seg, "end": now})
 
     def _set_position(
@@ -736,13 +667,14 @@ class Simulation:
             loc, pos = at
         else:
             loc, pos = self.location[emitter], self.position[emitter]
+        tx = self.params.channel.tx_dbm if tx_dbm is None else tx_dbm
         self.broadcasts.append(
             {
                 "t": now,
                 "emitter": emitter,
                 "location": loc,
                 "payload": payload.hex(),
-                "tx_dbm": self.params.channel.tx_dbm if tx_dbm is None else tx_dbm,
+                "tx_dbm": tx,
                 "injected": injected,
                 "tag": tag,
             }
@@ -763,13 +695,7 @@ class Simulation:
             self.driver.deliver(user, payload, rx, now)
 
         if loc is not STREET:
-            # venue infrastructure (venue protocol only) hears everything on premise
-            venue = getattr(self.driver, "venues", {}).get(loc)
-            if venue is not None:
-                tx = self.params.channel.tx_dbm if tx_dbm is None else tx_dbm
-                venue.record_broadcast(
-                    payload, tx - self.params.channel.reference_loss_db, now
-                )
+            self.driver.on_premise(loc, payload, tx, now)
             if loc in self._eavesdrop_venues:
                 self.adversary_observed.append(payload.hex())
                 self.outcomes["adversary"]["eavesdropped"].append(
@@ -779,29 +705,17 @@ class Simulation:
                 self._capture(loc, payload, now)
 
     def _capture(self, loc: str, payload: bytes, now: int) -> None:
-        for relay in self._relays:
-            if relay["src_venue"] == loc and relay["start"] <= now <= relay["end"]:
+        for tag, rules in self._captures.items():
+            for src, dst, pos, start, end, delay in rules:
+                if src != loc or not start <= now <= end:
+                    continue
                 self.adversary_observed.append(payload.hex())
                 self.outcomes["adversary"]["captured"] += 1
-                dst = relay["dst_venue"]
-                pos = tuple(relay["pos"])
-                t = now + relay["delay"]
+                t = now + delay
                 self.schedule(
                     t,
-                    lambda p=payload, d=dst, q=pos, tt=t: self.emit(
-                        "adversary", p, tt, tag="relay", injected=True, at=(d, q)
-                    ),
-                )
-        for replay in self._replays:
-            if replay["venue"] == loc and replay["start"] <= now <= replay["end"]:
-                self.adversary_observed.append(payload.hex())
-                self.outcomes["adversary"]["captured"] += 1
-                pos = tuple(replay["pos"])
-                t = now + replay["delay"]
-                self.schedule(
-                    t,
-                    lambda p=payload, d=loc, q=pos, tt=t: self.emit(
-                        "adversary", p, tt, tag="replay", injected=True, at=(d, q)
+                    lambda p=payload, g=tag, d=dst, q=pos, tt=t: self.emit(
+                        "adversary", p, tt, tag=g, injected=True, at=(d, q)
                     ),
                 )
 
@@ -830,7 +744,7 @@ class Simulation:
     def _handle_scenario_event(self, event: ScenarioEvent) -> None:
         self.now = event.time
         kind, data, now = event.kind, event.data, event.time
-        self.log_event({"t": now, "kind": kind, **{k: v for k, v in data.items()}})
+        self.log_event({"t": now, "kind": kind, **data})
 
         if kind == "enter":
             user, venue = data["user"], data["venue"]
@@ -864,26 +778,12 @@ class Simulation:
 
     def _handle_adversary(self, data: dict[str, Any], now: int) -> None:
         action = data["action"]
-        if action == "relay_cross_venue":
-            self._relays.append(
-                {
-                    "src_venue": data["src_venue"],
-                    "dst_venue": data["dst_venue"],
-                    "pos": data.get("pos", [0.0, 0.0]),
-                    "start": data["start"],
-                    "end": data["end"],
-                    "delay": data.get("delay", 1),
-                }
-            )
-        elif action == "replay_same_venue":
-            self._replays.append(
-                {
-                    "venue": data["venue"],
-                    "pos": data.get("pos", [0.0, 0.0]),
-                    "start": data["start"],
-                    "end": data["end"],
-                    "delay": data.get("delay", 1),
-                }
+        if action in ("relay_cross_venue", "replay_same_venue"):
+            relay = action == "relay_cross_venue"
+            src = data["src_venue"] if relay else data["venue"]
+            self._captures["relay" if relay else "replay"].append(
+                (src, data["dst_venue"] if relay else src, tuple(data.get("pos", (0.0, 0.0))),
+                 data["start"], data["end"], data.get("delay", 1))
             )
         elif action == "suppress_broadcasts":
             self._suppress.append(
@@ -913,9 +813,7 @@ class Simulation:
                     ],
                 )
         elif action == "share_rid":
-            if getattr(self.driver, "name", "") == "venue":
-                src = self.driver.users[data["from_user"]]
-                self.driver.users[data["to_user"]].rid = src.rid
+            self.driver.share_rid(data.get("from_user"), data.get("to_user"))
             self.log_event({"t": now, "kind": "share_rid_applied"})
         elif action == "linkage_eavesdrop":
             self._eavesdrop_venues.extend(data.get("venues", []))
@@ -940,7 +838,7 @@ class Simulation:
         )
         config = {
             "scenario": self.scenario.to_dict(),
-            "params": self.params.to_dict(),
+            "params": asdict(self.params),
         }
         return SimulationTrace(
             data={

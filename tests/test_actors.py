@@ -229,6 +229,15 @@ class TestBackendReportMatrix:
         assert record in world["backend"].records
         assert world["venues"]["cafe"].infection_notices
 
+    def test_identical_bundle_twice_publishes_once(self, world):
+        _, bundle = honest_bundle(world)
+        backend = world["backend"]
+        first, _ = backend.process_report(bundle, 2 * DAY)
+        again, code = backend.process_report(bundle, 2 * DAY + 60)
+        assert code is None and again is first
+        assert backend.records == [first]
+        assert len(world["venues"]["cafe"].infection_notices) == 1
+
     def test_bad_certificate(self, world):
         _, bundle = honest_bundle(world)
         rogue = crypto.keygen("rogue-lab", world["rng"])

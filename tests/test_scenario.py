@@ -94,6 +94,24 @@ def test_unknown_venue_policy_key_flagged():
     assert any("unknown policy keys" in d for d in validate_scenario(sc))
 
 
+@pytest.mark.parametrize(
+    "params,expected",
+    [
+        ({"epoch_second": 60}, "unknown keys ['epoch_second']"),
+        ({"channel": {"range_m": 5}}, "unknown channel keys ['range_m']"),
+        ({"epoch_seconds": 0}, "epoch_seconds must be a positive integer"),
+        ({"window_seconds": -7200}, "window_seconds must be a positive integer"),
+        ({"tt_interval_seconds": 0}, "tt_interval_seconds must be a positive integer"),
+        ({"dp3t_epochs_per_day": 0}, "dp3t_epochs_per_day must be a positive integer"),
+        ({"dp3t_epochs_per_day": 86401}, "dp3t_epochs_per_day exceeds 86400"),
+        ({"epoch_seconds": 7000}, "window_seconds must be a multiple of epoch_seconds"),
+    ],
+)
+def test_bad_params_flagged(params, expected):
+    sc = Scenario(name="t", horizon_seconds=DAY, users=["u00"], venues=[], events=[], params=params)
+    assert any(expected in d for d in validate_scenario(sc)), validate_scenario(sc)
+
+
 def test_unknown_time_condition_flagged():
     sc = Scenario(
         name="t",

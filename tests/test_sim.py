@@ -302,3 +302,25 @@ class TestCapabilityMatrix:
         assert "u01" in dp3t_leaks  # bystander can test the reporter's infection
         assert "u01" not in venue_leaks  # no shared venue, nothing retrievable
         assert "u02" in venue_leaks  # same-venue co-visitor is the intended audience
+
+
+class TestDoubleReports:
+    @staticmethod
+    def twice_reported():
+        sc = build_street_encounter_scenario()
+        sc.events.append(ScenarioEvent(124000, "report", {"user": "u00"}))
+        return sc
+
+    def test_dp3t_second_report_skipped(self):
+        trace = run(self.twice_reported(), "dp3t", seed=0)
+        skipped = [e for e in trace.events if e["kind"] == "report_skipped"]
+        assert skipped == [{"t": 124000, "kind": "report_skipped", "user": "u00"}]
+        assert len(trace.outcomes["published_keys"]) == 1
+        assert len(trace.outcomes["reports"]) == 1
+
+    def test_venue_second_report_publishes_once(self):
+        sim = Simulation(self.twice_reported(), SimParams.build(self.twice_reported(), "venue", 0))
+        trace = sim.run()
+        assert [r["accepted"] for r in trace.outcomes["reports"]] == [True, True]
+        assert len(sim.driver.backend.records) == 1
+        assert len(trace.outcomes["venue_notices"]["v0"]) == 1
