@@ -98,8 +98,9 @@ def _overrides_from_args(args: argparse.Namespace) -> dict[str, Any]:
     overrides: dict[str, Any] = {}
     for key, _, scale in PARAM_FLAGS:
         value = getattr(args, _flag_dest(key, scale))
-        if value is not None and value is not False:
-            overrides[key] = value if scale == 1 else value * scale
+        if value is None or value is False:  # flag not given
+            continue
+        overrides[key] = value if scale == 1 else value * scale  # True stays a bool
     return overrides
 
 

@@ -34,6 +34,8 @@ from pathlib import Path
 from random import Random
 from typing import Any
 
+from .channel import ChannelModel
+
 EVENT_KINDS = {
     "enter",
     "move",
@@ -228,8 +230,7 @@ def _positive_int(value: Any) -> bool:
 
 def _params_diagnostics(params: Any) -> list[str]:
     """Keys ``SimParams.build`` would drop, and lengths a run cannot divide by."""
-    from .channel import ChannelModel  # local imports: sim imports this module
-    from .sim import SimParams
+    from .sim import SimParams  # local import: sim imports this module
 
     if not isinstance(params, dict):
         return ["params must be an object"]
@@ -250,7 +251,8 @@ def _params_diagnostics(params: Any) -> list[str]:
     for key in ("epoch_seconds", "window_seconds", "tt_interval_seconds", "dp3t_epochs_per_day"):
         if not _positive_int(merged[key]):
             diags.append(f"params: {key} must be a positive integer, got {merged[key]!r}")
-    if _positive_int(merged["dp3t_epochs_per_day"]) and merged["dp3t_epochs_per_day"] > SECONDS_PER_DAY:
+    per_day = merged["dp3t_epochs_per_day"]
+    if _positive_int(per_day) and per_day > SECONDS_PER_DAY:
         diags.append(f"params: dp3t_epochs_per_day exceeds {SECONDS_PER_DAY}, one per second")
     epoch, window = merged["epoch_seconds"], merged["window_seconds"]
     if _positive_int(epoch) and _positive_int(window) and window % epoch:

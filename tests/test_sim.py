@@ -319,7 +319,8 @@ class TestDoubleReports:
         assert len(trace.outcomes["reports"]) == 1
 
     def test_venue_second_report_publishes_once(self):
-        sim = Simulation(self.twice_reported(), SimParams.build(self.twice_reported(), "venue", 0))
+        sc = self.twice_reported()
+        sim = Simulation(sc, SimParams.build(sc, "venue", 0))
         trace = sim.run()
         assert [r["accepted"] for r in trace.outcomes["reports"]] == [True, True]
         assert len(sim.driver.backend.records) == 1
