@@ -2,8 +2,12 @@
 
 Each (scenario, protocol) pair runs at seed 0 and is written through
 ``cli._write_outputs``; the SHA-256 of ``trace.ndjson`` and
-``metrics.json`` must match the table below. A change that alters trace
-bytes on purpose bumps ``cli.TRACE_VERSION`` and updates this table.
+``metrics.json`` must match the tables below. A change that alters trace
+bytes on purpose bumps ``cli.TRACE_VERSION`` and updates these tables.
+
+``NOISY_GOLDEN`` runs two scenarios over a lossy, noisy channel. No bundled
+scenario draws from the RNG per reception, so only these digests catch a
+change in the order of deliveries or channel draws.
 """
 
 import hashlib
@@ -36,16 +40,36 @@ GOLDEN = {
     ("street_encounter", "tracetogether"): ("d3e565a90145d3a365c633b77a7c19b3be6e30ecd446eb2aa5b9b472033374f9", "b74b2dfcb97593bd328a1d8686edbf9666d8be36c7091bbfd1c24a84fe32f4b7"),
 }
 
+NOISY_CHANNEL = {"noise_sigma_db": 4.0, "reception_prob": 0.7}
+NOISY_GOLDEN = {
+    ("population_small", "venue"): ("87975fc69a8d23843f3ddb40412d1408c893da25e709b10c269c74c94c730aa1", "129a1c3ccd1bc83b8201bbf3726b14ba0d5b7ab21c814a6fa8c1240a15e27bd6"),
+    ("population_small", "dp3t"): ("76ab7848739bdf2b7852e270314f5b974fc56c48999ab793e923c6f422c77535", "35426b508832267523d330d0067fb877f93798c9d92035d7b658484f2e92a81b"),
+    ("population_small", "tracetogether"): ("80afe42c8d2665823b7d97f4bb27bb45784cc6fc9cbdbee1c58bf8c37263c713", "69fe075597496d2adc84d31c39e14224563e7610721ccae80e3bfd58f5e27731"),
+    ("street_encounter", "venue"): ("8e454a7ba55e1d64ea97ea7bc2906a0275b4a41fcbf3b0328becfa69991d8b33", "9f6b02bbb49b71d76626273340b80a78df8d7fabc2913e6dbbd9964ebf95a1b0"),
+    ("street_encounter", "dp3t"): ("f5fb5b95311a3ccedb7423dadf57e2ef3fe8acfd4f2e2536147a5284568f1a02", "45ee2dacfe4a3922de900822f8c2bd7e7cc085e7820155fc5a4fe3ba22e73346"),
+    ("street_encounter", "tracetogether"): ("6915f83eaed5536b2a0214c02d834e80a0d8c40091ed921d147c248447de67e6", "b74b2dfcb97593bd328a1d8686edbf9666d8be36c7091bbfd1c24a84fe32f4b7"),
+}
+
+
+def _digests(scenario, protocol, out_dir):
+    _write_outputs(run(scenario, protocol, 0).data, out_dir)
+    return tuple(
+        hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+        for name in ("trace.ndjson", "metrics.json")
+    )
+
 
 @pytest.mark.parametrize("stem,protocol", sorted(GOLDEN))
 def test_golden_digests(stem, protocol, tmp_path):
     scenario = Scenario.from_json_file(SCENARIOS / f"{stem}.json")
-    _write_outputs(run(scenario, protocol, 0).data, tmp_path)
-    digests = tuple(
-        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in ("trace.ndjson", "metrics.json")
-    )
-    assert digests == GOLDEN[(stem, protocol)]
+    assert _digests(scenario, protocol, tmp_path) == GOLDEN[(stem, protocol)]
+
+
+@pytest.mark.parametrize("stem,protocol", sorted(NOISY_GOLDEN))
+def test_noisy_channel_digests(stem, protocol, tmp_path):
+    scenario = Scenario.from_json_file(SCENARIOS / f"{stem}.json")
+    scenario.params = {**scenario.params, "channel": NOISY_CHANNEL}
+    assert _digests(scenario, protocol, tmp_path) == NOISY_GOLDEN[(stem, protocol)]
 
 
 def test_every_bundled_scenario_is_locked():
