@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Any
 
 from .metrics import ExposurePolicy, MetricsReport, collect_metrics, comparison_rows
-from .scenario import Scenario, validate_scenario
+from .scenario import Scenario, _params_diagnostics, validate_scenario
 from .sim import PROTOCOLS, SimulationTrace
 from .sim import run as run_simulation
 
@@ -138,14 +138,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: cannot load scenario: {exc}", file=sys.stderr)
         return 1
-    diags = validate_scenario(scenario)
+    overrides = _overrides_from_args(args)
+    diags = validate_scenario(scenario) or _params_diagnostics({**scenario.params, **overrides})
     if diags:
         for d in diags:
             print(f"invalid: {d}", file=sys.stderr)
         return 1
 
     protocols = list(PROTOCOLS) if args.protocol == "all" else [args.protocol]
-    overrides = _overrides_from_args(args)
     out_root = Path(args.out)
 
     try:

@@ -9,7 +9,8 @@ and reproducible.
 
 Event kinds and their fields:
 
-* ``enter``  -- user, venue, pos [x, y], optional consent (default true)
+* ``enter``  -- user, venue, optional pos [x, y] (default [0, 0]), optional
+  consent (default true)
 * ``move``   -- user, pos [x, y]; applies to the current location (venue
   while inside one, the shared street space otherwise)
 * ``leave``  -- user (leaves the venue they are in)
@@ -17,18 +18,23 @@ Event kinds and their fields:
 * ``report`` -- user; optional tamper ("forge_certificate",
   "corrupt_opening", "swap_venue_keys") and use_certificate_of
 * ``trace_query`` -- user (queries every stored visit / published key)
-* ``adversary_action`` -- action plus action-specific fields:
-  - flood: venue, pos, start, end, per_minute, tx_dbm
-  - replay_same_venue: venue, pos, start, end, delay
-  - relay_cross_venue: src_venue, dst_venue, pos, start, end, delay
+* ``adversary_action`` -- action plus action-specific fields (the
+  required ones are in ``ACTION_FIELDS``):
+  - flood: venue, start, end; optional pos, per_minute, tx_dbm
+  - replay_same_venue: venue, start, end; optional pos, delay
+  - relay_cross_venue: src_venue, dst_venue, start, end; optional pos, delay
   - suppress_broadcasts: user, start, end
   - share_rid: from_user, to_user
-  - linkage_eavesdrop: venues
+  - linkage_eavesdrop: optional venues
+
+Coordinates and times are finite numbers; user ids are unique.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from random import Random
@@ -45,14 +51,16 @@ EVENT_KINDS = {
     "trace_query",
     "adversary_action",
 }
-ADVERSARY_ACTIONS = {
-    "flood",
-    "replay_same_venue",
-    "relay_cross_venue",
-    "suppress_broadcasts",
-    "share_rid",
-    "linkage_eavesdrop",
+# adversary action -> the fields it cannot run without
+ACTION_FIELDS: dict[str, tuple[str, ...]] = {
+    "flood": ("venue", "start", "end"),
+    "replay_same_venue": ("venue", "start", "end"),
+    "relay_cross_venue": ("src_venue", "dst_venue", "start", "end"),
+    "suppress_broadcasts": ("user", "start", "end"),
+    "share_rid": ("from_user", "to_user"),
+    "linkage_eavesdrop": (),
 }
+ADVERSARY_ACTIONS = set(ACTION_FIELDS)
 SECONDS_PER_DAY = 86_400
 
 
@@ -143,6 +151,9 @@ def validate_scenario(scenario: Scenario) -> list[str]:
 
     diags: list[str] = []
     users = set(scenario.users)
+    duplicates = sorted(u for u, n in Counter(scenario.users).items() if n > 1)
+    if duplicates:
+        diags.append(f"duplicate user ids {duplicates}")
     venues = {v.venue_id for v in scenario.venues}
     tested: set[str] = set()
     in_venue: dict[str, str] = {}
@@ -183,18 +194,19 @@ def validate_scenario(scenario: Scenario) -> list[str]:
                     f"{in_venue[subject]!r}"
                 )
             in_venue[subject] = venue
+            if "pos" in e.data and not _is_pair(e.data["pos"]):
+                diags.append(f"{where}: enter pos must be [x, y], two finite numbers")
         elif e.kind == "leave":
             if subject not in in_venue:
                 diags.append(f"{where}: user {subject} leaves but is in no venue")
             else:
                 del in_venue[subject]
         elif e.kind == "move":
-            pos = e.data.get("pos")
-            if not (isinstance(pos, (list, tuple)) and len(pos) == 2):
-                diags.append(f"{where}: move requires pos [x, y]")
+            if not _is_pair(e.data.get("pos")):
+                diags.append(f"{where}: move requires pos [x, y], two finite numbers")
         elif e.kind == "test_positive":
             period = e.data.get("period")
-            if not (isinstance(period, (list, tuple)) and len(period) == 2 and period[0] <= period[1]):
+            if not (_is_pair(period) and period[0] <= period[1]):
                 diags.append(f"{where}: test_positive requires period [start, end]")
             else:
                 tested.add(subject)
@@ -209,8 +221,12 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             if action not in ADVERSARY_ACTIONS:
                 diags.append(f"{where}: unknown adversary action {action!r}")
                 continue
+            missing = [k for k in ACTION_FIELDS[action] if k not in e.data]
+            if missing:
+                diags.append(f"{where}: {action} requires {missing}")
+            diags.extend(f"{where}: {msg}" for msg in _action_field_problems(e.data))
             start, end = e.data.get("start"), e.data.get("end")
-            if start is not None and end is not None:
+            if _is_number(start) and _is_number(end):
                 if end < start:
                     diags.append(f"{where}: adversary window ends before it starts")
                 elif start < 0 or end > scenario.horizon_seconds:
@@ -218,14 +234,41 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             for key in ("venue", "src_venue", "dst_venue"):
                 if key in e.data and e.data[key] not in venues:
                     diags.append(f"{where}: unknown venue {e.data[key]!r} in {key}")
-            for key in ("from_user", "to_user"):
+            for key in ("user", "from_user", "to_user"):
                 if key in e.data and e.data[key] not in users:
                     diags.append(f"{where}: unknown user {e.data[key]!r} in {key}")
+            eavesdropped = e.data.get("venues", [])
+            if not (isinstance(eavesdropped, list) and all(v in venues for v in eavesdropped)):
+                diags.append(f"{where}: venues must be a list of known venue ids")
     return diags
+
+
+def _action_field_problems(data: dict[str, Any]) -> list[str]:
+    """Optional and required adversary fields whose values a run cannot use."""
+    problems = [
+        f"{key} must be a finite number, got {data[key]!r}"
+        for key in ("start", "end", "delay", "tx_dbm")
+        if key in data and not _is_number(data[key])
+    ]
+    if "pos" in data and not _is_pair(data["pos"]):
+        problems.append("pos must be [x, y], two finite numbers")
+    if "per_minute" in data and not _positive_int(data["per_minute"]):
+        problems.append(f"per_minute must be a positive integer, got {data['per_minute']!r}")
+    return problems
 
 
 def _positive_int(value: Any) -> bool:
     return type(value) is int and value > 0
+
+
+def _is_number(value: Any) -> bool:
+    """A finite int or float; bools, strings and NaN are not."""
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+def _is_pair(value: Any) -> bool:
+    """Two finite numbers: a point [x, y] or a period [start, end]."""
+    return isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value))
 
 
 def _params_diagnostics(params: Any) -> list[str]:
@@ -246,6 +289,12 @@ def _params_diagnostics(params: Any) -> list[str]:
         unknown = sorted(set(channel) - {f.name for f in fields(ChannelModel)})
         if unknown:
             diags.append(f"params: unknown channel keys {unknown}")
+        for key, value in channel.items():
+            if key not in unknown and not _is_number(value):
+                diags.append(f"params: channel {key} must be a finite number, got {value!r}")
+        max_range = channel.get("max_range_m", ChannelModel.max_range_m)
+        if _is_number(max_range) and max_range <= 0:
+            diags.append(f"params: channel max_range_m must be positive, got {max_range!r}")
 
     merged = {**asdict(SimParams()), **params}
     for key in ("epoch_seconds", "window_seconds", "tt_interval_seconds", "dp3t_epochs_per_day"):

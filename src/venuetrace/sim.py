@@ -10,6 +10,8 @@ street space) with scripted coordinates. Broadcasts are delivered to
 co-located listeners in range at the broadcaster's epoch ticks, plus a
 catch-up delivery of current identifiers whenever two listeners become
 newly co-present, which stands in for within-epoch re-broadcasting.
+Listeners are found through a grid of ``max_range_m`` cells per location,
+so a broadcast costs work only for the users near it.
 Ground-truth presence segments are recorded independently of any protocol
 and feed the exposure oracle in :mod:`venuetrace.metrics`.
 """
@@ -27,6 +29,7 @@ from typing import Any, Callable
 from . import crypto
 from .actors import (
     BackendServer,
+    CertificationRefused,
     HealthAuthority,
     QueryRejected,
     RiskPolicy,
@@ -118,8 +121,8 @@ class _Driver(ABC):
 
     The core calls only these methods. The defaults fit a phone-wide BLE
     baseline: every user always listens, venues mean nothing, a positive
-    test just stores the contagious period, and a report without one is
-    skipped.
+    test just stores the contagious period, and a report without one, or
+    a user's second report, is skipped.
     """
 
     def __init__(self, sim: "Simulation"):
@@ -164,7 +167,14 @@ class _Driver(ABC):
         self.periods[user] = period
 
     def _credential(self, user: str, data: dict[str, Any]) -> Any:
-        """What a report by ``user`` rests on, or None to skip it."""
+        """What a report by ``user`` rests on, or None to skip it.
+
+        A baseline publishes a reporter once: DP-3T's report replaces the
+        key chain, and a repeat TraceTogether report would make the MoH
+        trace and notify the same contacts again.
+        """
+        if user in self.sim.outcomes["reporters"]:
+            return None
         return self.periods.get(user)
 
     def on_report(self, user: str, data: dict[str, Any], now: int) -> None:
@@ -314,7 +324,13 @@ class _VenueDriver(_Driver):
         )
 
     def on_test_positive(self, user: str, period: tuple[int, int], now: int) -> None:
-        cert = self.users[user].obtain_certificate(self.test_center, period[0], period[1])
+        try:
+            cert = self.users[user].obtain_certificate(self.test_center, period[0], period[1])
+        except CertificationRefused as exc:  # e.g. the user took over another's rid
+            self.sim.log_event(
+                {"t": now, "kind": "certification_refused", "user": user, "reason": str(exc)}
+            )
+            return
         self.certificates[user] = cert
 
     def _tamper(self, bundle: ReportBundle, mode: str, reporter: str) -> ReportBundle:
@@ -457,12 +473,6 @@ class _Dp3tDriver(_Driver):
             payload, rx_dbm, now // SECONDS_PER_DAY, self._epoch_in_day(now)
         )
 
-    def _credential(self, user: str, data: dict[str, Any]) -> tuple[int, int] | None:
-        # a report replaces the key chain, so a second one has no key to publish
-        if user in self.publication_reporters:
-            return None
-        return self.periods.get(user)
-
     def _report(self, user: str, data: dict[str, Any], period: tuple[int, int], now: int) -> None:
         first_day = period[0] // SECONDS_PER_DAY
         self.users[user].report(self.backend, first_day, now // SECONDS_PER_DAY, self.sim.rng)
@@ -597,10 +607,18 @@ class Simulation:
         # capture rules (src venue, dst venue, pos, start, end, delay) by
         # re-broadcast tag; all relays act before any replay
         self._captures: dict[str, list[tuple]] = {"relay": [], "replay": []}
-        self._suppress: list[dict[str, Any]] = []
+        self._suppress: dict[str, list[tuple[int, int]]] = {}
         self._eavesdrop_venues: list[str] = []
         self.adversary_observed: list[str] = []
 
+        # occupancy grid: (location, cell x, cell y) -> users there. Everyone
+        # in range of a point is in the 3x3 block of cells around it. A cell
+        # is max_range_m wide plus 2**-20 of it, so a pair whose distance
+        # rounds down to max_range_m still sits in adjacent cells.
+        self._cell_width = params.channel.max_range_m * (1 + 2**-20)
+        self._cells: dict[tuple[str | None, float, float], set[str]] = {}
+        self._cell_of: dict[str, tuple[str | None, float, float]] = {}
+        self._order = {u: i for i, u in enumerate(scenario.users)}
         self._street_pos = {u: (1.0e6 + 1000.0 * i, 0.0) for i, u in enumerate(scenario.users)}
         for user in scenario.users:
             self._set_position(user, STREET, self._street_pos[user], 0)
@@ -637,6 +655,30 @@ class Simulation:
         self._open_segment[user] = {
             "user": user, "start": now, "location": location, "x": pos[0], "y": pos[1],
         }
+        old, new = self._cell_of.get(user), self._cell(location, pos)
+        if old != new:
+            if old is not None:
+                self._cells[old].discard(user)
+            self._cells.setdefault(new, set()).add(user)
+            self._cell_of[user] = new
+
+    def _cell(
+        self, location: str | None, pos: tuple[float, float]
+    ) -> tuple[str | None, float, float]:
+        return location, pos[0] // self._cell_width, pos[1] // self._cell_width
+
+    def _nearby(self, location: str | None, pos: tuple[float, float], exclude: str) -> list[str]:
+        """Users at ``location`` within one grid cell of ``pos``, except
+        ``exclude``, in scenario order (the order of deliveries and draws)."""
+        _, cx, cy = self._cell(location, pos)
+        found = {
+            u
+            for dx in (-1, 0, 1)
+            for dy in (-1, 0, 1)
+            for u in self._cells.get((location, cx + dx, cy + dy), ())
+        }
+        found.discard(exclude)
+        return sorted(found, key=self._order.__getitem__)
 
     def _distance(self, a: str, b: str) -> float:
         ax, ay = self.position[a]
@@ -644,9 +686,7 @@ class Simulation:
         return math.hypot(ax - bx, ay - by)
 
     def _is_suppressed(self, user: str, now: int) -> bool:
-        return any(
-            s["user"] == user and s["start"] <= now <= s["end"] for s in self._suppress
-        )
+        return any(start <= now <= end for start, end in self._suppress.get(user, ()))
 
     # -- broadcasting -------------------------------------------------------
 
@@ -682,9 +722,7 @@ class Simulation:
         if injected:
             self.outcomes["adversary"]["injected"] += 1
 
-        for user in self.scenario.users:
-            if user == emitter or self.location[user] != loc:
-                continue
+        for user in self._nearby(loc, pos, emitter):
             if not self.driver.listening(user):
                 continue
             ux, uy = self.position[user]
@@ -721,10 +759,7 @@ class Simulation:
 
     def _exchange(self, user: str, now: int) -> None:
         """Catch-up delivery of current identifiers on new co-presence."""
-        loc = self.location[user]
-        for other in self.scenario.users:
-            if other == user or self.location[other] != loc:
-                continue
+        for other in self._nearby(self.location[user], self.position[user], user):
             d = self._distance(user, other)
             if d > self.params.channel.max_range_m:
                 continue
@@ -786,9 +821,7 @@ class Simulation:
                  data["start"], data["end"], data.get("delay", 1))
             )
         elif action == "suppress_broadcasts":
-            self._suppress.append(
-                {"user": data["user"], "start": data["start"], "end": data["end"]}
-            )
+            self._suppress.setdefault(data["user"], []).append((data["start"], data["end"]))
         elif action == "flood":
             venue = data["venue"]
             pos = tuple(data.get("pos", (0.0, 0.0)))

@@ -54,6 +54,15 @@ def test_run_malformed_scenario_exits_one(tmp_path):
     assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
 
 
+def test_run_flag_values_are_validated(scenario_file, tmp_path, capsys):
+    rc = main(["run", "--scenario", str(scenario_file), "--epoch-seconds", "0",
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "invalid: params: epoch_seconds must be a positive integer, got 0\n"
+    )
+
+
 def test_run_all_protocols_writes_comparison(scenario_file, tmp_path):
     out = tmp_path / "all"
     rc = main(

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from venuetrace.cli import main
 from venuetrace.scenario import (
     Scenario,
     ScenarioEvent,
@@ -179,3 +180,46 @@ def test_population_builder_deterministic():
     a = build_population_scenario(n_users=10, days=3, seed=5).to_dict()
     b = build_population_scenario(n_users=10, days=3, seed=5).to_dict()
     assert a == b
+
+
+def _event(**fields):
+    """A mutation that adds one event to a scenario dict."""
+    return lambda d: d["events"].append(fields)
+
+
+def _channel(**channel):
+    return lambda d: d["params"].update(channel=channel)
+
+
+@pytest.mark.parametrize(
+    "mutate,expected",
+    [
+        (lambda d: d["users"].append("u00"), "duplicate user ids ['u00']"),
+        (_channel(max_range_m="x"), "channel max_range_m must be a finite number"),
+        (_channel(max_range_m=float("nan")), "channel max_range_m must be a finite number"),
+        (_channel(max_range_m=0), "channel max_range_m must be positive"),
+        (_channel(noise_sigma_db=[4]), "channel noise_sigma_db must be a finite number"),
+        (lambda d: d["events"].extend([
+            {"time": 100, "kind": "enter", "user": "u00", "venue": "v0", "pos": "xy"},
+            {"time": 200, "kind": "leave", "user": "u00"},
+        ]), "enter pos must be"),
+        (_event(time=100, kind="move", user="u00", pos=["a", 1]), "move requires pos"),
+        (_event(time=100, kind="adversary_action", action="flood", venue="v0"),
+         "flood requires ['start', 'end']"),
+        (_event(time=100, kind="adversary_action", action="relay_cross_venue",
+                src_venue="v0", start=0, end=500), "relay_cross_venue requires ['dst_venue']"),
+        (_event(time=100, kind="adversary_action", action="share_rid"),
+         "share_rid requires ['from_user', 'to_user']"),
+        (_event(time=100, kind="adversary_action", action="suppress_broadcasts",
+                user="ghost", start=0, end=500), "unknown user 'ghost' in user"),
+    ],
+)
+def test_inputs_that_crashed_run_are_rejected(mutate, expected, tmp_path, capsys):
+    scenario = build_relay_scenario(with_attack=False).to_dict()
+    mutate(scenario)
+    found = validate_scenario(Scenario.from_dict(scenario))
+    assert len(found) == 1 and expected in found[0], found
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"invalid: {found[0]}\n"

@@ -1,7 +1,11 @@
+import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from venuetrace.channel import ChannelModel
 from venuetrace.scenario import (
     Scenario,
     ScenarioEvent,
@@ -10,6 +14,7 @@ from venuetrace.scenario import (
     build_population_scenario,
     build_relay_scenario,
     build_street_encounter_scenario,
+    validate_scenario,
 )
 from venuetrace.sim import SimParams, Simulation, run
 
@@ -325,3 +330,155 @@ class TestDoubleReports:
         assert [r["accepted"] for r in trace.outcomes["reports"]] == [True, True]
         assert len(sim.driver.backend.records) == 1
         assert len(trace.outcomes["venue_notices"]["v0"]) == 1
+
+    def test_tracetogether_second_report_skipped(self):
+        trace = run(self.twice_reported(), "tracetogether", seed=0)
+        skipped = [e for e in trace.events if e["kind"] == "report_skipped"]
+        assert skipped == [{"t": 124000, "kind": "report_skipped", "user": "u00"}]
+        assert len(trace.outcomes["moh_edges"]) == 2
+        assert len(trace.outcomes["assessments"]) == 2
+        assert len(trace.outcomes["reports"]) == 1
+
+
+def test_refused_certification_is_logged_and_skips_the_report():
+    sc = build_relay_scenario(with_attack=False)
+    t = 2 * DAY + 4500
+    sc.events += [
+        ScenarioEvent(
+            t, "adversary_action", {"action": "share_rid", "from_user": "u00", "to_user": "u01"}
+        ),
+        ScenarioEvent(t + 100, "test_positive", {"user": "u01", "period": [DAY, 2 * DAY]}),
+        ScenarioEvent(t + 200, "report", {"user": "u01"}),
+    ]
+    trace = run(sc, "venue", seed=0)
+    refused = [e for e in trace.events if e["kind"] == "certification_refused"]
+    assert refused == [
+        {"t": t + 100, "kind": "certification_refused", "user": "u01",
+         "reason": "opened identifier does not match tested person"}
+    ]
+    assert {"t": t + 200, "kind": "report_skipped", "user": "u01"} in trace.events
+    assert list(trace.outcomes["reporters"]) == ["u00"]
+
+
+# ---------------------------------------------------------------------------
+# Delivery through the occupancy grid
+# ---------------------------------------------------------------------------
+
+class FullScanSimulation(Simulation):
+    """The reference scan: every co-located user, in scenario order."""
+
+    def _nearby(self, location, pos, exclude):
+        return [u for u in self.scenario.users if u != exclude and self.location[u] == location]
+
+
+RANGES = (15.0, 16.0, 2.0, 0.5)
+
+
+@st.composite
+def grid_scenarios(draw):
+    """Random enter/move/leave scripts over a lossy, noisy channel.
+
+    Coordinates include negative ones, points on and one rounding step
+    beside cell borders, and points exactly ``max_range_m`` from another
+    user; one relay re-broadcasts v0 traffic into v1.
+    """
+    r = draw(st.sampled_from(RANGES))
+    users = [f"u{i}" for i in range(draw(st.integers(3, 6)))]
+    border = st.builds(lambda k, steps: _nudge(k * r, steps), st.integers(-1, 1), st.integers(-2, 2))
+    coordinate = st.one_of(border, st.floats(-r, r, allow_nan=False))
+    point = st.tuples(coordinate, coordinate)
+    offset = st.sampled_from([(r, 0.0), (-r, 0.0), (0.0, r), (0.0, -r), (r, r)])
+
+    horizon = 3 * 3600
+    street = {u: (1.0e6 + 1000.0 * i, 0.0) for i, u in enumerate(users)}
+    where = {u: None for u in users}
+    pos = dict(street)
+    events = []
+    t = 0
+    for _ in range(draw(st.integers(1, 30))):
+        t += draw(st.integers(0, 400))
+        if t > horizon:
+            break
+        user = draw(st.sampled_from(users))
+        if draw(st.booleans()):  # exactly max_range_m from another user
+            other = draw(st.sampled_from(users))
+            dx, dy = draw(offset)
+            target = (pos[other][0] + dx, pos[other][1] + dy)
+        else:
+            target = draw(point)
+        step = draw(st.sampled_from(["toggle", "move"]))
+        if step == "move":
+            events.append(ScenarioEvent(t, "move", {"user": user, "pos": list(target)}))
+            pos[user] = target
+        elif where[user] is None:
+            venue = draw(st.sampled_from(["v0", "v1"]))
+            events.append(
+                ScenarioEvent(t, "enter", {"user": user, "venue": venue, "pos": list(target)})
+            )
+            where[user], pos[user] = venue, target
+        else:
+            events.append(ScenarioEvent(t, "leave", {"user": user}))
+            where[user], pos[user] = None, street[user]
+    relay = {
+        "action": "relay_cross_venue", "src_venue": "v0", "dst_venue": "v1",
+        "pos": list(draw(point)), "start": 0, "end": horizon, "delay": 1,
+    }
+    events.append(ScenarioEvent(0, "adversary_action", relay))
+    channel = {"max_range_m": r, "noise_sigma_db": 4.0, "reception_prob": 0.7}
+    return Scenario(
+        "grid", horizon, users, [VenueSpec("v0"), VenueSpec("v1")], events,
+        params={"channel": channel},
+    )
+
+
+def _nudge(x, steps):
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(sc=grid_scenarios(), protocol=st.sampled_from(["venue", "dp3t", "tracetogether"]),
+       seed=st.integers(0, 3))
+def test_grid_delivers_like_the_full_scan(sc, protocol, seed):
+    assert validate_scenario(sc) == []
+    params = SimParams.build(sc, protocol, seed)
+    assert _run_logged(Simulation, sc, params) == _run_logged(FullScanSimulation, sc, params)
+
+
+def _run_logged(sim_class, sc, params):
+    """The canonical trace plus every delivery, in order, with its rx power."""
+    sim = sim_class(sc, params)
+    deliveries = []
+    deliver = sim.driver.deliver
+
+    def logged(user, payload, rx_dbm, now):
+        deliveries.append((user, payload, rx_dbm, now))
+        deliver(user, payload, rx_dbm, now)
+
+    sim.driver.deliver = logged
+    return sim.run().to_canonical_json(), deliveries
+
+
+def test_scan_grows_with_neighbours_not_population(monkeypatch):
+    counts = {"rx": 0, "emit": 0}
+    rx_dbm, emit = ChannelModel.rx_dbm, Simulation.emit
+
+    def counted_rx(self, *args, **kwargs):
+        counts["rx"] += 1
+        return rx_dbm(self, *args, **kwargs)
+
+    def counted_emit(self, *args, **kwargs):
+        counts["emit"] += 1
+        return emit(self, *args, **kwargs)
+
+    monkeypatch.setattr(ChannelModel, "rx_dbm", counted_rx)
+    monkeypatch.setattr(Simulation, "emit", counted_emit)
+    per_emit = {}
+    for n_users in (50, 200):
+        counts.update(rx=0, emit=0)
+        sc = build_population_scenario(n_users=n_users, n_venues=5, days=3, seed=9)
+        run(sc, "dp3t", seed=9)
+        per_emit[n_users] = counts["rx"] / counts["emit"]
+    # a scan of every co-located user grows about 4x from 50 to 200 users
+    assert per_emit[200] <= 1.5 * per_emit[50], per_emit
