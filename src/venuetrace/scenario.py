@@ -60,7 +60,6 @@ ACTION_FIELDS: dict[str, tuple[str, ...]] = {
     "share_rid": ("from_user", "to_user"),
     "linkage_eavesdrop": (),
 }
-ADVERSARY_ACTIONS = set(ACTION_FIELDS)
 SECONDS_PER_DAY = 86_400
 
 
@@ -218,7 +217,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
                 )
         elif e.kind == "adversary_action":
             action = e.data.get("action")
-            if action not in ADVERSARY_ACTIONS:
+            if action not in ACTION_FIELDS:
                 diags.append(f"{where}: unknown adversary action {action!r}")
                 continue
             missing = [k for k in ACTION_FIELDS[action] if k not in e.data]

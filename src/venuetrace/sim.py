@@ -617,7 +617,6 @@ class Simulation:
         # rounds down to max_range_m still sits in adjacent cells.
         self._cell_width = params.channel.max_range_m * (1 + 2**-20)
         self._cells: dict[tuple[str | None, float, float], set[str]] = {}
-        self._cell_of: dict[str, tuple[str | None, float, float]] = {}
         self._order = {u: i for i, u in enumerate(scenario.users)}
         self._street_pos = {u: (1.0e6 + 1000.0 * i, 0.0) for i, u in enumerate(scenario.users)}
         for user in scenario.users:
@@ -650,17 +649,14 @@ class Simulation:
         self, user: str, location: str | None, pos: tuple[float, float], now: int
     ) -> None:
         self._close_segment(user, now)
+        if user in self.location:
+            self._cells[self._cell(self.location[user], self.position[user])].discard(user)
         self.location[user] = location
         self.position[user] = pos
+        self._cells.setdefault(self._cell(location, pos), set()).add(user)
         self._open_segment[user] = {
             "user": user, "start": now, "location": location, "x": pos[0], "y": pos[1],
         }
-        old, new = self._cell_of.get(user), self._cell(location, pos)
-        if old != new:
-            if old is not None:
-                self._cells[old].discard(user)
-            self._cells.setdefault(new, set()).add(user)
-            self._cell_of[user] = new
 
     def _cell(
         self, location: str | None, pos: tuple[float, float]
