@@ -167,78 +167,73 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         if condition is not None and condition not in ("same_day", "within_hours"):
             diags.append(f"venue {v.venue_id!r}: unknown time condition {condition!r}")
 
-    def anchor(i: int, e: ScenarioEvent) -> str:
-        return f"event[{i}] t={e.time} {e.kind}"
+    def flag(message: str) -> None:  # anchored at the event the loop is on
+        diags.append(f"event[{i}] t={e.time} {e.kind}: {message}")
 
     for i, e in enumerate(scenario.sorted_events()):
-        where = anchor(i, e)
         if e.kind not in EVENT_KINDS:
-            diags.append(f"{where}: unknown event kind {e.kind!r}")
+            flag(f"unknown event kind {e.kind!r}")
             continue
         if e.time < 0 or e.time > scenario.horizon_seconds:
-            diags.append(f"{where}: time outside scenario horizon")
+            flag("time outside scenario horizon")
         subject = e.data.get("user")
         if e.kind != "adversary_action":
             if subject not in users:
-                diags.append(f"{where}: unknown user {subject!r}")
+                flag(f"unknown user {subject!r}")
                 continue
         if e.kind == "enter":
             venue = e.data.get("venue")
             if venue not in venues:
-                diags.append(f"{where}: unknown venue {venue!r}")
+                flag(f"unknown venue {venue!r}")
                 continue
             if subject in in_venue:
-                diags.append(
-                    f"{where}: user {subject} enters {venue!r} before leaving "
-                    f"{in_venue[subject]!r}"
-                )
+                flag(f"user {subject} enters {venue!r} before leaving {in_venue[subject]!r}")
             in_venue[subject] = venue
             if "pos" in e.data and not _is_pair(e.data["pos"]):
-                diags.append(f"{where}: enter pos must be [x, y], two finite numbers")
+                flag("enter pos must be [x, y], two finite numbers")
         elif e.kind == "leave":
             if subject not in in_venue:
-                diags.append(f"{where}: user {subject} leaves but is in no venue")
+                flag(f"user {subject} leaves but is in no venue")
             else:
                 del in_venue[subject]
         elif e.kind == "move":
             if not _is_pair(e.data.get("pos")):
-                diags.append(f"{where}: move requires pos [x, y], two finite numbers")
+                flag("move requires pos [x, y], two finite numbers")
         elif e.kind == "test_positive":
             period = e.data.get("period")
             if not (_is_pair(period) and period[0] <= period[1]):
-                diags.append(f"{where}: test_positive requires period [start, end]")
+                flag("test_positive requires period [start, end]")
             else:
                 tested.add(subject)
         elif e.kind == "report":
             credential_holder = e.data.get("use_certificate_of", subject)
             if credential_holder not in tested:
-                diags.append(
-                    f"{where}: user {subject} reports without a positive test"
-                )
+                flag(f"user {subject} reports without a positive test")
         elif e.kind == "adversary_action":
             action = e.data.get("action")
             if action not in ACTION_FIELDS:
-                diags.append(f"{where}: unknown adversary action {action!r}")
+                flag(f"unknown adversary action {action!r}")
                 continue
             missing = [k for k in ACTION_FIELDS[action] if k not in e.data]
             if missing:
-                diags.append(f"{where}: {action} requires {missing}")
-            diags.extend(f"{where}: {msg}" for msg in _action_field_problems(e.data))
+                flag(f"{action} requires {missing}")
+            for problem in _action_field_problems(e.data):
+                flag(problem)
             start, end = e.data.get("start"), e.data.get("end")
             if _is_number(start) and _is_number(end):
                 if end < start:
-                    diags.append(f"{where}: adversary window ends before it starts")
+                    flag("adversary window ends before it starts")
                 elif start < 0 or end > scenario.horizon_seconds:
-                    diags.append(f"{where}: adversary window outside scenario horizon")
+                    flag("adversary window outside scenario horizon")
             for key in ("venue", "src_venue", "dst_venue"):
                 if key in e.data and e.data[key] not in venues:
-                    diags.append(f"{where}: unknown venue {e.data[key]!r} in {key}")
+                    flag(f"unknown venue {e.data[key]!r} in {key}")
             for key in ("user", "from_user", "to_user"):
                 if key in e.data and e.data[key] not in users:
-                    diags.append(f"{where}: unknown user {e.data[key]!r} in {key}")
+                    flag(f"unknown user {e.data[key]!r} in {key}")
             eavesdropped = e.data.get("venues", [])
             if not (isinstance(eavesdropped, list) and all(v in venues for v in eavesdropped)):
-                diags.append(f"{where}: venues must be a list of known venue ids")
+                flag("venues must be a list of known venue ids")
     return diags
 
 
@@ -267,7 +262,11 @@ def _is_number(value: Any) -> bool:
 
 def _is_pair(value: Any) -> bool:
     """Two finite numbers: a point [x, y] or a period [start, end]."""
-    return isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value))
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        return False
+    x, y = value  # unrolled: this runs for every enter event
+    numbers = type(x) in (int, float) and type(y) in (int, float)
+    return numbers and math.isfinite(x) and math.isfinite(y)
 
 
 def _params_diagnostics(params: Any) -> list[str]:
