@@ -650,7 +650,10 @@ class Simulation:
     ) -> None:
         self._close_segment(user, now)
         if user in self.location:
-            self._cells[self._cell(self.location[user], self.position[user])].discard(user)
+            old = self._cell(self.location[user], self.position[user])
+            self._cells[old].discard(user)
+            if not self._cells[old]:
+                del self._cells[old]
         self.location[user] = location
         self.position[user] = pos
         self._cells.setdefault(self._cell(location, pos), set()).add(user)
