@@ -339,7 +339,6 @@ class UserApp:
         self.visits: list[CompletedVisit] = []
         self.discarded_visits: list[dict] = []
         self.assessments: list[RiskAssessment] = []
-        self.retrieved: list[dict] = []  # deliveries, for the minimisation audit
 
     # -- sensing -----------------------------------------------------------
 
@@ -524,12 +523,10 @@ class BackendServer:
         ha: HealthAuthority,
         params: SchedulingParams,
         retention_days: int = DEFAULT_RETENTION_DAYS,
-        overlap_tolerance: int = 0,
     ):
         self.ha = ha
         self.params = params
         self.retention_seconds = retention_days * SECONDS_PER_DAY
-        self.overlap_tolerance = overlap_tolerance
         self.records: list[BackendRecord] = []
         self.rejections: list[dict] = []
         self.observed: list[dict] = []
@@ -638,7 +635,7 @@ class BackendServer:
             if other_venue == bundle.venue_id:
                 continue
             overlap = min(end, presence_end) - max(start, presence_start)
-            if overlap > self.overlap_tolerance:
+            if overlap > 0:
                 return self._reject(
                     RejectionCode.OVERLAPPING_PRESENCE,
                     f"presence overlaps accepted report at {other_venue}",

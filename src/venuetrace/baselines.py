@@ -25,7 +25,6 @@ from .schedule import (
     dp3t_next_daily_key,
 )
 
-TT_INTERVAL_SECONDS = 900
 DP3T_EPOCHS_PER_DAY = 96
 DP3T_EPOCH_SECONDS = 900
 _TT_NONCE_LEN = 12

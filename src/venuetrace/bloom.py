@@ -9,13 +9,12 @@ positions use double hashing over a SHA-256 digest of the element.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from hashlib import sha256
 
 import numpy as np
 
-from .crypto import ParameterError, lp_decode, lp_encode
+from .crypto import ParameterError
 
 LN2 = 0.6931471805599453
 DEFAULT_TARGET_FPR = 1e-6
@@ -51,8 +50,6 @@ class BloomFilter:
     """
 
     def __init__(self, n_target: int, target_fpr: float = DEFAULT_TARGET_FPR):
-        self.n_target = n_target
-        self.target_fpr = target_fpr
         self.m_bits, self.k_hashes = _sizing(n_target, target_fpr)
         self.bits = np.zeros((self.m_bits + 7) // 8, dtype=np.uint8)
         self.count = 0
@@ -91,40 +88,6 @@ class BloomFilter:
         hit = (self.bits[idx >> 3] & (1 << (idx & 7)).astype(np.uint8)) != 0
         return [bool(x) for x in hit.all(axis=1)]
 
-    def to_bytes(self) -> bytes:
-        """Length-prefixed fields: big-endian (m, k, fpr) header, n_target,
-        then the raw bit array (byte i holds bits 8i..8i+7, LSB first)."""
-        header = struct.pack(">QId", self.m_bits, self.k_hashes, self.target_fpr)
-        return lp_encode(header, struct.pack(">Q", self.n_target), self.bits.tobytes())
-
-    @classmethod
-    def from_bytes(cls, buf: bytes) -> "BloomFilter":
-        header, n_target_raw, bit_raw = lp_decode(buf)
-        m_bits, k_hashes, target_fpr = struct.unpack(">QId", header)
-        bf = cls.__new__(cls)
-        bf.n_target = struct.unpack(">Q", n_target_raw)[0]
-        bf.target_fpr = target_fpr
-        bf.m_bits = m_bits
-        bf.k_hashes = k_hashes
-        bf.bits = np.frombuffer(bit_raw, dtype=np.uint8).copy()
-        bf.count = 0
-        return bf
-
-
-class _EmptyFilter(BloomFilter):
-    """Zero-capacity filter that rejects every query."""
-
-    def __init__(self, target_fpr: float):
-        self.n_target = 0
-        self.target_fpr = target_fpr
-        self.m_bits = 8
-        self.k_hashes = 1
-        self.bits = np.zeros(1, dtype=np.uint8)
-        self.count = 0
-
-    def add(self, element: bytes) -> None:  # pragma: no cover - not used
-        raise ParameterError("empty filter is immutable")
-
 
 def build_filter(
     ids: set[bytes] | list[bytes],
@@ -132,9 +95,7 @@ def build_filter(
 ) -> BloomFilter:
     """Encode a set of identifiers; an empty set yields a filter rejecting everything."""
     items = sorted(set(ids))
-    if not items:
-        return _EmptyFilter(target_fpr)
-    bf = BloomFilter(n_target=len(items), target_fpr=target_fpr)
+    bf = BloomFilter(n_target=max(len(items), 1), target_fpr=target_fpr)
     bf.add_many(items)
     return bf
 
@@ -147,25 +108,6 @@ class VenueBloomDigest:
     period_start: int
     period_end: int
     filter: BloomFilter = field(repr=False)
-
-    def to_bytes(self) -> bytes:
-        """Length-prefixed: venue id (utf-8), big-endian period, filter bytes."""
-        return lp_encode(
-            self.venue_id.encode("utf-8"),
-            struct.pack(">QQ", self.period_start, self.period_end),
-            self.filter.to_bytes(),
-        )
-
-    @classmethod
-    def from_bytes(cls, buf: bytes) -> "VenueBloomDigest":
-        vid, period_raw, filt = lp_decode(buf)
-        start, end = struct.unpack(">QQ", period_raw)
-        return cls(
-            venue_id=vid.decode("utf-8"),
-            period_start=start,
-            period_end=end,
-            filter=BloomFilter.from_bytes(filt),
-        )
 
 
 def match_batch(

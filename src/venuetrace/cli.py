@@ -132,11 +132,22 @@ def _write_outputs(trace_data: dict[str, Any], out_dir: Path) -> MetricsReport:
     return report
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def _load_scenario(path: str) -> Scenario | None:
+    """The scenario in ``path``, or None after saying why it cannot be loaded.
+
+    A file of the wrong shape (``users: 5``, a venue that is not an object,
+    a missing or non-numeric time) fails here, before validation.
+    """
     try:
-        scenario = Scenario.from_json_file(args.scenario)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+        return Scenario.from_json_file(path)
+    except (OSError, KeyError, ValueError, TypeError, OverflowError) as exc:
         print(f"error: cannot load scenario: {exc}", file=sys.stderr)
+        return None
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    scenario = _load_scenario(args.scenario)
+    if scenario is None:
         return 1
     overrides = _overrides_from_args(args)
     diags = validate_scenario(scenario) or _params_diagnostics({**scenario.params, **overrides})
@@ -188,10 +199,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        scenario = Scenario.from_json_file(args.scenario)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        print(f"error: cannot load scenario: {exc}", file=sys.stderr)
+    scenario = _load_scenario(args.scenario)
+    if scenario is None:
         return 1
     diags = validate_scenario(scenario)
     if diags:

@@ -105,12 +105,6 @@ def encode_u64(value: int) -> bytes:
     return struct.pack(">Q", value)
 
 
-def decode_u64(buf: bytes) -> int:
-    if len(buf) != 8:
-        raise ParameterError("u64 field must be 8 bytes")
-    return struct.unpack(">Q", buf)[0]
-
-
 # ---------------------------------------------------------------------------
 # Hash / PRF / PRG
 # ---------------------------------------------------------------------------
@@ -179,12 +173,6 @@ class Commitment:
 
 def encode_group_element(value: int) -> bytes:
     return value.to_bytes(GROUP_ELEMENT_LEN, "big")
-
-
-def decode_group_element(buf: bytes) -> int:
-    if len(buf) != GROUP_ELEMENT_LEN:
-        raise ParameterError("group element must be 64 bytes")
-    return int.from_bytes(buf, "big")
 
 
 def _message_scalar(message: bytes) -> int:
@@ -262,22 +250,6 @@ class Certificate:
     subject_public_key: bytes
     subject_id: str
     issuer_signature: bytes
-
-    def to_bytes(self) -> bytes:
-        return lp_encode(
-            self.subject_public_key,
-            self.subject_id.encode("utf-8"),
-            self.issuer_signature,
-        )
-
-    @classmethod
-    def from_bytes(cls, buf: bytes) -> "Certificate":
-        pk, sid, sig = lp_decode(buf)
-        return cls(
-            subject_public_key=pk,
-            subject_id=sid.decode("utf-8"),
-            issuer_signature=sig,
-        )
 
 
 def certificate_payload(subject_public_key: bytes, subject_id: str) -> bytes:

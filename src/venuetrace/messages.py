@@ -1,26 +1,17 @@
-"""Wire messages and records exchanged between protocol roles.
+"""Messages and records exchanged between protocol roles.
 
-Every signed payload is assembled with the length-prefixed encoding so the
-byte layout is reproducible bit-exactly; field orders are fixed here and
-nowhere else. Times are integer seconds on the simulation clock, encoded
-big-endian u64.
+Messages pass between actors as in-memory dataclasses. The only byte
+layouts are the signed payloads (leave receipt, infection certificate),
+assembled with the length-prefixed encoding so they are reproducible
+bit-exactly; their field orders are fixed here and nowhere else. Times are
+integer seconds on the simulation clock, encoded big-endian u64.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
-from .crypto import (
-    GROUP_ELEMENT_LEN,
-    decode_group_element,
-    encode_group_element,
-    encode_u64,
-    lp_decode,
-    lp_encode,
-)
-
-BLINDING_LEN = 32
+from .crypto import encode_group_element, encode_u64, lp_encode
 
 
 @dataclass(frozen=True)
@@ -77,29 +68,6 @@ class LeaveReceipt:
             self.nonce_value, self.leave_time, self.ephid_digest, self.arrival_time
         )
 
-    def to_bytes(self) -> bytes:
-        arrival = b"" if self.arrival_time is None else encode_u64(self.arrival_time)
-        return lp_encode(
-            encode_group_element(self.nonce_value),
-            encode_u64(self.leave_time),
-            self.ephid_digest,
-            self.venue_signature,
-            self.venue_id.encode("utf-8"),
-            arrival,
-        )
-
-    @classmethod
-    def from_bytes(cls, buf: bytes) -> "LeaveReceipt":
-        nonce, lt, digest, sig, vid, arrival = lp_decode(buf)
-        return cls(
-            nonce_value=decode_group_element(nonce),
-            leave_time=struct.unpack(">Q", lt)[0],
-            ephid_digest=digest,
-            venue_signature=sig,
-            venue_id=vid.decode("utf-8"),
-            arrival_time=None if not arrival else struct.unpack(">Q", arrival)[0],
-        )
-
 
 def infection_certificate_payload(
     period_start: int, period_end: int, rid_value: int
@@ -124,26 +92,6 @@ class InfectionCertificate:
             self.period_start, self.period_end, self.rid_value
         )
 
-    def to_bytes(self) -> bytes:
-        return lp_encode(
-            encode_u64(self.period_start),
-            encode_u64(self.period_end),
-            encode_group_element(self.rid_value),
-            self.signature,
-            self.test_center_id.encode("utf-8"),
-        )
-
-    @classmethod
-    def from_bytes(cls, buf: bytes) -> "InfectionCertificate":
-        start, end, rid, sig, tcid = lp_decode(buf)
-        return cls(
-            period_start=struct.unpack(">Q", start)[0],
-            period_end=struct.unpack(">Q", end)[0],
-            rid_value=decode_group_element(rid),
-            signature=sig,
-            test_center_id=tcid.decode("utf-8"),
-        )
-
 
 @dataclass(frozen=True)
 class NonceReveal:
@@ -151,14 +99,6 @@ class NonceReveal:
 
     rid_bytes: bytes
     blinding: int
-
-    def to_bytes(self) -> bytes:
-        return lp_encode(self.rid_bytes, self.blinding.to_bytes(BLINDING_LEN, "big"))
-
-    @classmethod
-    def from_bytes(cls, buf: bytes) -> "NonceReveal":
-        rid, blind = lp_decode(buf)
-        return cls(rid_bytes=rid, blinding=int.from_bytes(blind, "big"))
 
 
 @dataclass(frozen=True)
@@ -178,32 +118,6 @@ class ReportBundle:
     window_keys: list[bytes]
     arrival_time: int | None = None
 
-    def to_bytes(self) -> bytes:
-        return lp_encode(
-            self.certificate.to_bytes(),
-            encode_group_element(self.nonce_value),
-            self.nonce_reveal.to_bytes(),
-            self.leave_receipt.to_bytes(),
-            self.venue_id.encode("utf-8"),
-            encode_u64(self.last_window_epochs),
-            lp_encode(*self.window_keys),
-            b"" if self.arrival_time is None else encode_u64(self.arrival_time),
-        )
-
-    @classmethod
-    def from_bytes(cls, buf: bytes) -> "ReportBundle":
-        cert, nonce, reveal, receipt, vid, y, keys, arrival = lp_decode(buf)
-        return cls(
-            certificate=InfectionCertificate.from_bytes(cert),
-            nonce_value=decode_group_element(nonce),
-            nonce_reveal=NonceReveal.from_bytes(reveal),
-            leave_receipt=LeaveReceipt.from_bytes(receipt),
-            venue_id=vid.decode("utf-8"),
-            last_window_epochs=struct.unpack(">Q", y)[0],
-            window_keys=lp_decode(keys),
-            arrival_time=None if not arrival else struct.unpack(">Q", arrival)[0],
-        )
-
 
 @dataclass(frozen=True)
 class BackendRecord:
@@ -212,22 +126,6 @@ class BackendRecord:
     venue_id: str
     leave_time: int
     ephids: tuple[bytes, ...]
-
-    def to_bytes(self) -> bytes:
-        return lp_encode(
-            self.venue_id.encode("utf-8"),
-            encode_u64(self.leave_time),
-            lp_encode(*self.ephids),
-        )
-
-    @classmethod
-    def from_bytes(cls, buf: bytes) -> "BackendRecord":
-        vid, lt, ids = lp_decode(buf)
-        return cls(
-            venue_id=vid.decode("utf-8"),
-            leave_time=struct.unpack(">Q", lt)[0],
-            ephids=tuple(lp_decode(ids)),
-        )
 
 
 @dataclass(frozen=True)
@@ -245,28 +143,4 @@ class PresenceQuery:
     def receipt_payload(self) -> bytes:
         return receipt_payload(
             self.nonce_value, self.receipt_leave_time, self.ephid_digest, self.arrival_time
-        )
-
-    def to_bytes(self) -> bytes:
-        return lp_encode(
-            encode_group_element(self.nonce_value),
-            encode_u64(self.query_time),
-            self.ephid_digest,
-            self.venue_id.encode("utf-8"),
-            self.venue_signature,
-            encode_u64(self.receipt_leave_time),
-            b"" if self.arrival_time is None else encode_u64(self.arrival_time),
-        )
-
-    @classmethod
-    def from_bytes(cls, buf: bytes) -> "PresenceQuery":
-        nonce, qt, digest, vid, sig, lt, arrival = lp_decode(buf)
-        return cls(
-            nonce_value=decode_group_element(nonce),
-            query_time=struct.unpack(">Q", qt)[0],
-            ephid_digest=digest,
-            venue_id=vid.decode("utf-8"),
-            venue_signature=sig,
-            receipt_leave_time=struct.unpack(">Q", lt)[0],
-            arrival_time=None if not arrival else struct.unpack(">Q", arrival)[0],
         )

@@ -27,7 +27,8 @@ Event kinds and their fields:
   - share_rid: from_user, to_user
   - linkage_eavesdrop: optional venues
 
-Coordinates and times are finite numbers; user ids are unique.
+Coordinates and times are finite numbers; user and venue ids are unique
+strings.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from random import Random
-from typing import Any
+from typing import Any, Callable
 
 from .channel import ChannelModel
 
@@ -60,6 +61,7 @@ ACTION_FIELDS: dict[str, tuple[str, ...]] = {
     "share_rid": ("from_user", "to_user"),
     "linkage_eavesdrop": (),
 }
+TAMPER_MODES = ("forge_certificate", "corrupt_opening", "swap_venue_keys")
 SECONDS_PER_DAY = 86_400
 
 
@@ -133,7 +135,10 @@ class Scenario:
     @classmethod
     def from_json_file(cls, path: str | Path) -> "Scenario":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            document = json.load(fh)
+        if not isinstance(document, dict):
+            raise TypeError(f"a scenario is a JSON object, not {type(document).__name__}")
+        return cls.from_dict(document)
 
 
 class ScenarioError(ValueError):
@@ -148,24 +153,27 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     """Return a list of diagnostics (empty when the scenario is clean)."""
     from .actors import VenuePolicy  # local import: actors pulls in crypto
 
-    diags: list[str] = []
-    users = set(scenario.users)
-    duplicates = sorted(u for u, n in Counter(scenario.users).items() if n > 1)
-    if duplicates:
-        diags.append(f"duplicate user ids {duplicates}")
-    venues = {v.venue_id for v in scenario.venues}
+    diags = _id_diagnostics("user", scenario.users)
+    diags.extend(_id_diagnostics("venue", [v.venue_id for v in scenario.venues]))
+    # only strings: a reference of any other type is unknown, never hashed
+    users = {u for u in scenario.users if type(u) is str}
+    venues = {v.venue_id for v in scenario.venues if type(v.venue_id) is str}
     tested: set[str] = set()
     in_venue: dict[str, str] = {}
 
-    policy_keys = {f.name for f in fields(VenuePolicy)}
     diags.extend(_params_diagnostics(scenario.params))
     for v in scenario.venues:
-        unknown = sorted(set(v.policy) - policy_keys)
-        if unknown:
-            diags.append(f"venue {v.venue_id!r}: unknown policy keys {unknown}")
-        condition = v.policy.get("time_condition")
-        if condition is not None and condition not in ("same_day", "within_hours"):
-            diags.append(f"venue {v.venue_id!r}: unknown time condition {condition!r}")
+        where = f"venue {v.venue_id!r}: "
+        if not isinstance(v.policy, dict):
+            diags.append(f"{where}policy must be an object")
+            continue
+        diags.extend(_field_diagnostics(VenuePolicy, v.policy, where, "policy "))
+        condition = v.policy.get("time_condition", "same_day")
+        if type(condition) is str and condition not in ("same_day", "within_hours"):
+            diags.append(f"{where}unknown time condition {condition!r}")
+        tolerance = v.policy.get("clock_tolerance", 0)
+        if type(tolerance) is int and tolerance < 0:
+            diags.append(f"{where}policy clock_tolerance must not be negative, got {tolerance}")
 
     def flag(message: str) -> None:  # anchored at the event the loop is on
         diags.append(f"event[{i}] t={e.time} {e.kind}: {message}")
@@ -178,12 +186,12 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             flag("time outside scenario horizon")
         subject = e.data.get("user")
         if e.kind != "adversary_action":
-            if subject not in users:
+            if type(subject) is not str or subject not in users:
                 flag(f"unknown user {subject!r}")
                 continue
         if e.kind == "enter":
             venue = e.data.get("venue")
-            if venue not in venues:
+            if not _known(venue, venues):
                 flag(f"unknown venue {venue!r}")
                 continue
             if subject in in_venue:
@@ -191,6 +199,8 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             in_venue[subject] = venue
             if "pos" in e.data and not _is_pair(e.data["pos"]):
                 flag("enter pos must be [x, y], two finite numbers")
+            if type(e.data.get("consent", True)) is not bool:
+                flag(f"enter consent must be true or false, got {e.data['consent']!r}")
         elif e.kind == "leave":
             if subject not in in_venue:
                 flag(f"user {subject} leaves but is in no venue")
@@ -201,17 +211,22 @@ def validate_scenario(scenario: Scenario) -> list[str]:
                 flag("move requires pos [x, y], two finite numbers")
         elif e.kind == "test_positive":
             period = e.data.get("period")
-            if not (_is_pair(period) and period[0] <= period[1]):
-                flag("test_positive requires period [start, end]")
+            if not (_is_pair(period) and 0 <= period[0] <= period[1]):
+                flag("test_positive requires period [start, end] with 0 <= start <= end")
             else:
                 tested.add(subject)
         elif e.kind == "report":
-            credential_holder = e.data.get("use_certificate_of", subject)
-            if credential_holder not in tested:
+            holder = e.data.get("use_certificate_of", subject)
+            if not _known(holder, users):
+                flag(f"unknown user {holder!r} in use_certificate_of")
+            elif holder not in tested:
                 flag(f"user {subject} reports without a positive test")
+            tamper = e.data.get("tamper")
+            if tamper is not None and tamper not in TAMPER_MODES:
+                flag(f"unknown tamper mode {tamper!r}, expected one of {list(TAMPER_MODES)}")
         elif e.kind == "adversary_action":
             action = e.data.get("action")
-            if action not in ACTION_FIELDS:
+            if not _known(action, ACTION_FIELDS):
                 flag(f"unknown adversary action {action!r}")
                 continue
             missing = [k for k in ACTION_FIELDS[action] if k not in e.data]
@@ -226,13 +241,13 @@ def validate_scenario(scenario: Scenario) -> list[str]:
                 elif start < 0 or end > scenario.horizon_seconds:
                     flag("adversary window outside scenario horizon")
             for key in ("venue", "src_venue", "dst_venue"):
-                if key in e.data and e.data[key] not in venues:
+                if key in e.data and not _known(e.data[key], venues):
                     flag(f"unknown venue {e.data[key]!r} in {key}")
             for key in ("user", "from_user", "to_user"):
-                if key in e.data and e.data[key] not in users:
+                if key in e.data and not _known(e.data[key], users):
                     flag(f"unknown user {e.data[key]!r} in {key}")
             eavesdropped = e.data.get("venues", [])
-            if not (isinstance(eavesdropped, list) and all(v in venues for v in eavesdropped)):
+            if not (isinstance(eavesdropped, list) and all(_known(v, venues) for v in eavesdropped)):
                 flag("venues must be a list of known venue ids")
     return diags
 
@@ -249,6 +264,24 @@ def _action_field_problems(data: dict[str, Any]) -> list[str]:
     if "per_minute" in data and not _positive_int(data["per_minute"]):
         problems.append(f"per_minute must be a positive integer, got {data['per_minute']!r}")
     return problems
+
+
+def _known(value: Any, ids: Any) -> bool:
+    """``value`` is one of ``ids`` (string keys); unhashable values are not."""
+    return type(value) is str and value in ids
+
+
+def _id_diagnostics(kind: str, ids: list[Any]) -> list[str]:
+    """Ids that are not strings, and ids given more than once."""
+    diags = []
+    wrong = [i for i in ids if type(i) is not str]
+    if wrong:
+        diags.append(f"{kind} ids must be strings, got {wrong}")
+    counts = Counter(i for i in ids if type(i) is str)
+    duplicates = sorted(i for i, n in counts.items() if n > 1)
+    if duplicates:
+        diags.append(f"duplicate {kind} ids {duplicates}")
+    return diags
 
 
 def _positive_int(value: Any) -> bool:
@@ -269,35 +302,55 @@ def _is_pair(value: Any) -> bool:
     return numbers and math.isfinite(x) and math.isfinite(y)
 
 
+# dataclass field annotation -> (accepts a value, what a diagnostic asks for)
+_FIELD_TYPES: dict[str, tuple[Callable[[Any], bool], str]] = {
+    "int": (lambda v: type(v) is int, "an integer"),
+    "float": (_is_number, "a finite number"),
+    "bool": (lambda v: type(v) is bool, "true or false"),
+    "str": (lambda v: type(v) is str, "a string"),
+}
+
+
+def _field_diagnostics(
+    cls: type, values: dict[str, Any], where: str, section: str = "", skip: tuple[str, ...] = ()
+) -> list[str]:
+    """Keys that are not fields of ``cls``, and values that do not have the
+    type the field is annotated with; ``section`` names the block."""
+    types = {f.name: f.type for f in fields(cls) if f.name not in skip}
+    unknown = sorted(set(values) - set(types))
+    diags = [f"{where}unknown {section}keys {unknown}"] if unknown else []
+    for key, value in values.items():
+        accepts, expected = _FIELD_TYPES.get(types.get(key), (None, ""))
+        if accepts and not accepts(value):
+            diags.append(f"{where}{section}{key} must be {expected}, got {value!r}")
+    return diags
+
+
 def _params_diagnostics(params: Any) -> list[str]:
-    """Keys ``SimParams.build`` would drop, and lengths a run cannot divide by."""
+    """Keys ``SimParams.build`` would drop, values of the wrong type, and
+    values a run cannot use."""
     from .sim import SimParams  # local import: sim imports this module
 
     if not isinstance(params, dict):
         return ["params must be an object"]
-    diags: list[str] = []
     # protocol and seed are set per run, never by the scenario file
-    unknown = sorted(set(params) - {f.name for f in fields(SimParams)} - {"protocol", "seed"})
-    if unknown:
-        diags.append(f"params: unknown keys {unknown}")
+    diags = _field_diagnostics(SimParams, params, "params: ", skip=("protocol", "seed"))
     channel = params.get("channel", {})
     if not isinstance(channel, dict):
         diags.append("params: channel must be an object")
     else:
-        unknown = sorted(set(channel) - {f.name for f in fields(ChannelModel)})
-        if unknown:
-            diags.append(f"params: unknown channel keys {unknown}")
-        for key, value in channel.items():
-            if key not in unknown and not _is_number(value):
-                diags.append(f"params: channel {key} must be a finite number, got {value!r}")
+        diags.extend(_field_diagnostics(ChannelModel, channel, "params: ", "channel "))
         max_range = channel.get("max_range_m", ChannelModel.max_range_m)
         if _is_number(max_range) and max_range <= 0:
             diags.append(f"params: channel max_range_m must be positive, got {max_range!r}")
 
     merged = {**asdict(SimParams()), **params}
     for key in ("epoch_seconds", "window_seconds", "tt_interval_seconds", "dp3t_epochs_per_day"):
-        if not _positive_int(merged[key]):
+        if type(merged[key]) is int and merged[key] <= 0:
             diags.append(f"params: {key} must be a positive integer, got {merged[key]!r}")
+    fpr = merged["bloom_fpr"]
+    if _is_number(fpr) and not 0 < fpr < 1:
+        diags.append(f"params: bloom_fpr must be in (0, 1), got {fpr!r}")
     per_day = merged["dp3t_epochs_per_day"]
     if _positive_int(per_day) and per_day > SECONDS_PER_DAY:
         diags.append(f"params: dp3t_epochs_per_day exceeds {SECONDS_PER_DAY}, one per second")

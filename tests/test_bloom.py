@@ -39,6 +39,7 @@ class TestBloomFilter:
         bf = build_filter([], target_fpr=1e-4)
         rng = random.Random(2)
         assert not any(bf.contains_many(_random_ids(rng, 1000)))
+        assert bf.count == 0
 
     def test_absent_then_inserted_flips(self):
         bf = BloomFilter(n_target=10, target_fpr=1e-4)
@@ -59,31 +60,6 @@ class TestBloomFilter:
             BloomFilter(n_target=10, target_fpr=0.0)
         with pytest.raises(ParameterError):
             BloomFilter(n_target=10, target_fpr=1.0)
-
-    def test_serialization_round_trip(self):
-        rng = random.Random(3)
-        ids = _random_ids(rng, 500)
-        bf = build_filter(ids, target_fpr=1e-4)
-        again = BloomFilter.from_bytes(bf.to_bytes())
-        assert again.m_bits == bf.m_bits
-        assert again.k_hashes == bf.k_hashes
-        assert (again.bits == bf.bits).all()
-        assert all(i in again for i in ids)
-
-
-class TestVenueDigest:
-    def test_serialization_round_trip(self):
-        rng = random.Random(4)
-        digest = VenueBloomDigest(
-            venue_id="cafe",
-            period_start=0,
-            period_end=86400,
-            filter=build_filter(_random_ids(rng, 100), 1e-4),
-        )
-        again = VenueBloomDigest.from_bytes(digest.to_bytes())
-        assert again.venue_id == "cafe"
-        assert (again.period_start, again.period_end) == (0, 86400)
-        assert (again.filter.bits == digest.filter.bits).all()
 
 
 class TestMatchBatch:

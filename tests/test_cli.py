@@ -54,6 +54,30 @@ def test_run_malformed_scenario_exits_one(tmp_path):
     assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
 
 
+RELAY = build_relay_scenario().to_dict()
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {**RELAY, "users": 5},
+        {**RELAY, "venues": [*RELAY["venues"], 5]},
+        {**RELAY, "venues": {v["id"]: v for v in RELAY["venues"]}},
+        {**RELAY, "horizon_seconds": None},
+        {**RELAY, "horizon_seconds": float("inf")},
+        {**RELAY, "events": [*RELAY["events"], {"time": [1], "kind": "leave", "user": "u00"}]},
+        [],
+        "scenario",
+    ],
+)
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_scenario_of_wrong_shape_cannot_load(document, command, tmp_path, capsys):
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    assert main([command, "--scenario", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot load scenario: ")
+
+
 def test_run_flag_values_are_validated(scenario_file, tmp_path, capsys):
     rc = main(["run", "--scenario", str(scenario_file), "--epoch-seconds", "0",
                "--out", str(tmp_path / "o")])

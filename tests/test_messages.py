@@ -1,52 +1,9 @@
 import random
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from venuetrace.messages import (
-    BackendRecord,
-    InfectionCertificate,
-    LeaveReceipt,
-    NonceReveal,
-    PresenceQuery,
-    ReportBundle,
-    receipt_payload,
-)
+from venuetrace.messages import receipt_payload
 
 RNG = random.Random(0)
 NONCE = int.from_bytes(RNG.randbytes(63), "big")
-RID = int.from_bytes(RNG.randbytes(63), "big")
-
-
-def _receipt(arrival=None):
-    return LeaveReceipt(
-        nonce_value=NONCE,
-        leave_time=123456,
-        ephid_digest=RNG.randbytes(32),
-        venue_signature=RNG.randbytes(64),
-        venue_id="cafe",
-        arrival_time=arrival,
-    )
-
-
-def _certificate():
-    return InfectionCertificate(
-        period_start=86400,
-        period_end=604800,
-        rid_value=RID,
-        signature=RNG.randbytes(64),
-        test_center_id="lab0",
-    )
-
-
-def test_leave_receipt_round_trip():
-    r = _receipt()
-    assert LeaveReceipt.from_bytes(r.to_bytes()) == r
-
-
-def test_leave_receipt_with_arrival_round_trip():
-    r = _receipt(arrival=120000)
-    assert LeaveReceipt.from_bytes(r.to_bytes()) == r
 
 
 def test_receipt_payload_field_order_stable():
@@ -55,64 +12,3 @@ def test_receipt_payload_field_order_stable():
     b = receipt_payload(NONCE, 10, b"\x01" * 32)
     assert a == b
     assert receipt_payload(NONCE, 10, b"\x01" * 32, arrival_time=5) != a
-
-
-def test_infection_certificate_round_trip():
-    c = _certificate()
-    assert InfectionCertificate.from_bytes(c.to_bytes()) == c
-
-
-def test_nonce_reveal_round_trip():
-    r = NonceReveal(rid_bytes=RNG.randbytes(64), blinding=int.from_bytes(RNG.randbytes(31), "big"))
-    assert NonceReveal.from_bytes(r.to_bytes()) == r
-
-
-def test_backend_record_round_trip():
-    rec = BackendRecord(
-        venue_id="gym",
-        leave_time=999,
-        ephids=tuple(RNG.randbytes(16) for _ in range(41)),
-    )
-    assert BackendRecord.from_bytes(rec.to_bytes()) == rec
-
-
-def test_presence_query_round_trip():
-    q = PresenceQuery(
-        nonce_value=NONCE,
-        query_time=5000,
-        ephid_digest=RNG.randbytes(32),
-        venue_id="cafe",
-        venue_signature=RNG.randbytes(64),
-        receipt_leave_time=4000,
-    )
-    assert PresenceQuery.from_bytes(q.to_bytes()) == q
-
-
-def test_report_bundle_round_trip():
-    bundle = ReportBundle(
-        certificate=_certificate(),
-        nonce_value=NONCE,
-        nonce_reveal=NonceReveal(rid_bytes=RNG.randbytes(64), blinding=12345),
-        leave_receipt=_receipt(),
-        venue_id="cafe",
-        last_window_epochs=7,
-        window_keys=[RNG.randbytes(32) for _ in range(3)],
-    )
-    assert ReportBundle.from_bytes(bundle.to_bytes()) == bundle
-
-
-@given(
-    leave=st.integers(min_value=0, max_value=2**40),
-    digest=st.binary(min_size=32, max_size=32),
-    vid=st.text(min_size=1, max_size=16),
-)
-@settings(max_examples=100)
-def test_receipt_round_trip_property(leave, digest, vid):
-    r = LeaveReceipt(
-        nonce_value=NONCE,
-        leave_time=leave,
-        ephid_digest=digest,
-        venue_signature=b"sig",
-        venue_id=vid,
-    )
-    assert LeaveReceipt.from_bytes(r.to_bytes()) == r

@@ -191,6 +191,19 @@ def _channel(**channel):
     return lambda d: d["params"].update(channel=channel)
 
 
+def _params(**params):
+    return lambda d: d["params"].update(params)
+
+
+def _policy(policy):
+    return lambda d: d["venues"][0].update(policy=policy)
+
+
+def _edit(kind, **fields):
+    """A mutation that sets fields on the first event of ``kind``."""
+    return lambda d: next(e for e in d["events"] if e["kind"] == kind).update(fields)
+
+
 @pytest.mark.parametrize(
     "mutate,expected",
     [
@@ -212,6 +225,55 @@ def _channel(**channel):
          "share_rid requires ['from_user', 'to_user']"),
         (_event(time=100, kind="adversary_action", action="suppress_broadcasts",
                 user="ghost", start=0, end=500), "unknown user 'ghost' in user"),
+        # ids that are not strings, and duplicate venues
+        (lambda d: d["users"].append(["x"]), "user ids must be strings, got [['x']]"),
+        (lambda d: d["users"].append(7), "user ids must be strings, got [7]"),
+        (lambda d: d["venues"].append({"id": ["x"]}), "venue ids must be strings, got [['x']]"),
+        (lambda d: d["venues"].append({"id": 7}), "venue ids must be strings, got [7]"),
+        (lambda d: d["venues"].append({"id": "v0"}), "duplicate venue ids ['v0']"),
+        # event fields a run cannot use
+        (_edit("report", tamper="bogus"), "unknown tamper mode 'bogus'"),
+        (_edit("enter", consent="no"), "enter consent must be true or false, got 'no'"),
+        # user and venue references that are not strings
+        (_event(time=100, kind="move", user=["u00"], pos=[0, 0]), "unknown user ['u00']"),
+        (_event(time=100, kind="enter", user="u00", venue=["v0"]), "unknown venue ['v0']"),
+        (_edit("report", use_certificate_of=["u00"]),
+         "unknown user ['u00'] in use_certificate_of"),
+        (_event(time=100, kind="adversary_action", action="relay_cross_venue",
+                src_venue=["v0"], dst_venue="v1", start=0, end=500),
+         "unknown venue ['v0'] in src_venue"),
+        (_event(time=100, kind="adversary_action", action="relay_cross_venue",
+                src_venue="v0", dst_venue=["v1"], start=0, end=500),
+         "unknown venue ['v1'] in dst_venue"),
+        (_event(time=100, kind="adversary_action", action="flood",
+                venue=["v0"], start=0, end=500), "unknown venue ['v0'] in venue"),
+        (_event(time=100, kind="adversary_action", action="suppress_broadcasts",
+                user=["u00"], start=0, end=500), "unknown user ['u00'] in user"),
+        (_event(time=100, kind="adversary_action", action="share_rid",
+                from_user=["u00"], to_user="u01"), "unknown user ['u00'] in from_user"),
+        (_event(time=100, kind="adversary_action", action="share_rid",
+                from_user="u00", to_user=["u01"]), "unknown user ['u01'] in to_user"),
+        (_event(time=100, kind="adversary_action", action="linkage_eavesdrop",
+                venues=[["v0"]]), "venues must be a list of known venue ids"),
+        # params and venue policy values of the wrong type or range
+        (_params(bloom_fpr=2), "params: bloom_fpr must be in (0, 1), got 2"),
+        (_params(bloom_fpr="x"), "params: bloom_fpr must be a finite number, got 'x'"),
+        (_params(retention_days="x"), "params: retention_days must be an integer, got 'x'"),
+        (_params(exposure_seconds="x"), "params: exposure_seconds must be an integer"),
+        (_params(proximity_meters="x"), "params: proximity_meters must be a finite number"),
+        (_params(arrival_time_extension="yes"),
+         "params: arrival_time_extension must be true or false, got 'yes'"),
+        (_policy({"max_rx_dbm": "x"}),
+         "venue 'v0': policy max_rx_dbm must be a finite number, got 'x'"),
+        (_policy({"clock_tolerance": None}),
+         "venue 'v0': policy clock_tolerance must be an integer, got None"),
+        (_policy({"max_broadcasts_per_minute": "5"}),
+         "policy max_broadcasts_per_minute must be an integer, got '5'"),
+        (_policy({"within_hours": "x"}), "policy within_hours must be an integer, got 'x'"),
+        (_policy(5), "venue 'v0': policy must be an object"),
+        (_policy({"clock_tolerance": -5}), "policy clock_tolerance must not be negative"),
+        (_event(time=100, kind="test_positive", user="u01", period=[-500, -100]),
+         "test_positive requires period [start, end] with 0 <= start <= end"),
     ],
 )
 def test_inputs_that_crashed_run_are_rejected(mutate, expected, tmp_path, capsys):
@@ -223,3 +285,5 @@ def test_inputs_that_crashed_run_are_rejected(mutate, expected, tmp_path, capsys
     path.write_text(json.dumps(scenario), encoding="utf-8")
     assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"invalid: {found[0]}\n"
+    assert main(["validate", "--scenario", str(path)]) == 1
+    assert capsys.readouterr().out == f"{found[0]}\n"
