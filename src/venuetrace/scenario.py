@@ -186,7 +186,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             flag("time outside scenario horizon")
         subject = e.data.get("user")
         if e.kind != "adversary_action":
-            if type(subject) is not str or subject not in users:
+            if not _known(subject, users):
                 flag(f"unknown user {subject!r}")
                 continue
         if e.kind == "enter":
