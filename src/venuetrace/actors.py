@@ -96,6 +96,20 @@ class VenuePolicy:
         raise crypto.ParameterError(f"unknown time condition {self.time_condition!r}")
 
 
+def _certificate_ok(verified: set[Certificate], cert: Certificate, issuer_key: bytes) -> bool:
+    """Check ``cert`` under the issuer key unless it is already in ``verified``.
+
+    A certificate is immutable, so each holder checks each one once. The set
+    holds whole certificates: a forgery that names a known subject under a
+    different signature is a different key, and is checked in full.
+    """
+    if cert not in verified:
+        if not crypto.verify_certificate(cert, issuer_key):
+            return False
+        verified.add(cert)
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Health authority
 # ---------------------------------------------------------------------------
@@ -132,18 +146,21 @@ class HealthAuthority:
                 "period": [digest.period_start, digest.period_end],
             }
         )
-        kept = [
-            d
-            for d in self.digests.get(digest.venue_id, [])
-            if d.period_end >= now - self.retention_seconds
-        ]
-        kept.append(digest)
-        self.digests[digest.venue_id] = kept
+        self._evict(digest.venue_id, now)
+        self.digests.setdefault(digest.venue_id, []).append(digest)
 
-    def match(self, venue_id: str, ids: list[bytes]) -> list[bool]:
+    def _evict(self, venue_id: str, now: int) -> None:
+        """Drop the venue's digests whose period ended before the retention window."""
+        if venue_id in self.digests:
+            cutoff = now - self.retention_seconds
+            self.digests[venue_id] = [d for d in self.digests[venue_id] if d.period_end >= cutoff]
+
+    def match(self, venue_id: str, ids: list[bytes], now: int) -> list[bool]:
+        """Match against the venue's digests still retained at ``now``."""
         self.observed.append(
             {"kind": "match", "venue_id": venue_id, "ids": [i.hex() for i in ids]}
         )
+        self._evict(venue_id, now)
         return match_batch(self.digests, venue_id, ids)
 
 
@@ -334,6 +351,7 @@ class UserApp:
         self.true_id = true_id
         self.params = params
         self.ha_public_key = ha_public_key
+        self._verified_certs: set[Certificate] = set()
         self.rid: Commitment = crypto.commit(true_id.encode("utf-8"), rng)
         self.sessions: dict[str, VenueSession] = {}
         self.visits: list[CompletedVisit] = []
@@ -401,7 +419,7 @@ class UserApp:
         arrival = session.entry_time if arrival_time_extension else None
         receipt = venue.issue_receipt(session.nonce.value, now, digest, now, arrival)
 
-        cert_ok = crypto.verify_certificate(venue.certificate, self.ha_public_key)
+        cert_ok = _certificate_ok(self._verified_certs, venue.certificate, self.ha_public_key)
         sig_ok = crypto.verify(
             receipt.payload(), receipt.venue_signature, venue.certificate.subject_public_key
         )
@@ -537,6 +555,7 @@ class BackendServer:
         self._presence_by_rid: dict[str, list[tuple[str, int, int]]] = {}
         # visit nonce -> its published record, so a re-sent bundle publishes once
         self._published: dict[int, BackendRecord] = {}
+        self._verified_certs: set[Certificate] = set()
 
     def register_venue(self, venue: Venue) -> None:
         self.venue_policies[venue.venue_id] = venue.policy
@@ -544,7 +563,7 @@ class BackendServer:
 
     def _verified_subject_key(self, subject_id: str) -> bytes | None:
         cert = self.ha.certificate_for(subject_id)
-        if cert is None or not crypto.verify_certificate(cert, self.ha.public_key):
+        if cert is None or not _certificate_ok(self._verified_certs, cert, self.ha.public_key):
             return None
         return cert.subject_public_key
 
@@ -610,7 +629,7 @@ class BackendServer:
 
         # (c) two-party matching with HA: were these identifiers heard at the venue?
         try:
-            matches = self.ha.match(bundle.venue_id, ephids)
+            matches = self.ha.match(bundle.venue_id, ephids, now)
         except UnknownVenuePeriodError:
             return self._reject(
                 RejectionCode.UNMATCHED_IDENTIFIERS, "no digest for venue period", now

@@ -35,13 +35,6 @@ def _sizing(n_target: int, target_fpr: float) -> tuple[int, int]:
     return m, k
 
 
-def _element_pair(element: bytes) -> tuple[int, int]:
-    d = sha256(element).digest()
-    h1 = int.from_bytes(d[0:8], "big")
-    h2 = int.from_bytes(d[8:16], "big") | 1
-    return h1, h2
-
-
 class BloomFilter:
     """Fixed-size bit array with k double-hashed positions per element.
 
@@ -54,39 +47,36 @@ class BloomFilter:
         self.bits = np.zeros((self.m_bits + 7) // 8, dtype=np.uint8)
         self.count = 0
 
-    def _positions(self, element: bytes) -> np.ndarray:
-        h1, h2 = _element_pair(element)
-        return (h1 + np.arange(self.k_hashes, dtype=np.uint64) * np.uint64(h2)) % np.uint64(
-            self.m_bits
-        )
+    def _positions(self, elements: list[bytes]) -> np.ndarray:
+        """Bit positions, one row of k per element: (h1 + i * h2) mod m, with
+        h1 and h2 the first two big-endian 64-bit words of SHA-256(element)
+        (h2 made odd). All digests are hashed into one buffer and read at once."""
+        words = np.frombuffer(b"".join(sha256(e).digest() for e in elements), dtype=">u8")
+        words = words.reshape(-1, 4).astype(np.uint64)
+        h1, h2 = words[:, 0:1], words[:, 1:2] | np.uint64(1)
+        ks = np.arange(self.k_hashes, dtype=np.uint64)
+        return (h1 + ks[None, :] * h2) % np.uint64(self.m_bits)
 
     def add(self, element: bytes) -> None:
-        idx = self._positions(element)
-        np.bitwise_or.at(self.bits, idx >> 3, (1 << (idx & 7)).astype(np.uint8))
-        self.count += 1
+        self.add_many([element])
 
     def add_many(self, elements: list[bytes]) -> None:
         if not elements:
             return
-        pairs = np.array([_element_pair(e) for e in elements], dtype=np.uint64)
-        ks = np.arange(self.k_hashes, dtype=np.uint64)
-        idx = (pairs[:, 0:1] + ks[None, :] * pairs[:, 1:2]) % np.uint64(self.m_bits)
-        idx = idx.ravel()
-        np.bitwise_or.at(self.bits, idx >> 3, (1 << (idx & 7)).astype(np.uint8))
+        hit = np.zeros(self.bits.size * 8, dtype=bool)
+        hit[self._positions(elements).ravel()] = True
+        self.bits |= np.packbits(hit, bitorder="little")
         self.count += len(elements)
 
     def __contains__(self, element: bytes) -> bool:
-        idx = self._positions(element)
-        return bool(np.all(self.bits[idx >> 3] & (1 << (idx & 7)).astype(np.uint8)))
+        return self.contains_many([element])[0]
 
     def contains_many(self, elements: list[bytes]) -> list[bool]:
         if not elements:
             return []
-        pairs = np.array([_element_pair(e) for e in elements], dtype=np.uint64)
-        ks = np.arange(self.k_hashes, dtype=np.uint64)
-        idx = (pairs[:, 0:1] + ks[None, :] * pairs[:, 1:2]) % np.uint64(self.m_bits)
+        idx = self._positions(elements)
         hit = (self.bits[idx >> 3] & (1 << (idx & 7)).astype(np.uint8)) != 0
-        return [bool(x) for x in hit.all(axis=1)]
+        return hit.all(axis=1).tolist()
 
 
 def build_filter(
@@ -94,7 +84,7 @@ def build_filter(
     target_fpr: float = DEFAULT_TARGET_FPR,
 ) -> BloomFilter:
     """Encode a set of identifiers; an empty set yields a filter rejecting everything."""
-    items = sorted(set(ids))
+    items = list(set(ids))  # bits do not depend on insertion order
     bf = BloomFilter(n_target=max(len(items), 1), target_fpr=target_fpr)
     bf.add_many(items)
     return bf

@@ -389,8 +389,11 @@ def build_population_scenario(
     ``days - 2``), report once digests for those days exist, and every user
     runs a trace query before the horizon. Every same-table pairing lasts at
     least ``min_epochs`` epochs within 1.3 m, so each group containing an
-    infected user yields ground-truth exposures.
+    infected user yields ground-truth exposures. ``days`` must be at least 2,
+    or the contagious period would end before it starts.
     """
+    if days < 2:
+        raise ValueError(f"days must be at least 2, got {days}")
     rng = Random(seed)
     users = [f"u{i:02d}" for i in range(n_users)]
     venues = [VenueSpec(venue_id=f"v{i}") for i in range(n_venues)]

@@ -17,6 +17,7 @@ from venuetrace.actors import (
     Venue,
     VenuePolicy,
 )
+from venuetrace.bloom import UnknownVenuePeriodError
 from venuetrace.messages import HeardPing, ReportBundle
 from venuetrace.schedule import SchedulingParams, WindowKey, derive_window_ephids
 
@@ -54,6 +55,12 @@ def run_visit(world, app, venue_name, t0, epochs, broadcast=True):
         if broadcast:
             venue.record_broadcast(ephid, -40.0, t0 + k * L)
     return app.leave_venue(venue, t0 + epochs * L)
+
+
+def forge_certificate(world, cert):
+    """Same subject and key as ``cert``, signed by a key the HA never held."""
+    rogue = crypto.keygen("rogue-ha", world["rng"])
+    return crypto.issue_certificate(cert.subject_public_key, cert.subject_id, rogue.secret_key)
 
 
 def publish_digests(world, day_end):
@@ -137,6 +144,15 @@ class TestLeaveReceipts:
         app.epoch_tick("cafe2", 0, rng)
         assert app.leave_venue(bad_venue, L) is None
         assert app.discarded_visits and not app.visits
+
+    def test_forged_venue_certificate_after_good_visit_discarded(self, world):
+        app = new_user(world)
+        cafe = world["venues"]["cafe"]
+        assert run_visit(world, app, "cafe", 0, 6) is not None
+        cafe.certificate = forge_certificate(world, cafe.certificate)
+        assert run_visit(world, app, "cafe", 10_000, 6) is None
+        assert len(app.visits) == 1
+        assert app.discarded_visits == [{"venue_id": "cafe", "t": 10_000 + 6 * L}]
 
     def test_backdated_time_refused(self, world):
         venue = world["venues"]["cafe"]
@@ -260,6 +276,26 @@ class TestBackendReportMatrix:
         record, code = world["backend"].process_report(bad, 2 * DAY)
         assert record is None and code == RejectionCode.BAD_CERTIFICATE
         assert not world["backend"].records
+
+    def test_forged_test_center_certificate_after_good_report(self, world):
+        _, bundle = honest_bundle(world)
+        _, code = world["backend"].process_report(bundle, 2 * DAY)
+        assert code is None
+        registry = world["ha"].registry
+        registry["lab0"] = forge_certificate(world, registry["lab0"])
+        _, second = honest_bundle(world, new_user(world, "bob"), t0=DAY + 5000)
+        record, code = world["backend"].process_report(second, 2 * DAY)
+        assert record is None and code == RejectionCode.BAD_CERTIFICATE
+
+    def test_forged_venue_certificate_after_good_report(self, world):
+        _, bundle = honest_bundle(world)
+        _, code = world["backend"].process_report(bundle, 2 * DAY)
+        assert code is None
+        registry = world["ha"].registry
+        registry["cafe"] = forge_certificate(world, registry["cafe"])
+        _, second = honest_bundle(world, new_user(world, "bob"), t0=DAY + 5000)
+        record, code = world["backend"].process_report(second, 2 * DAY)
+        assert record is None and code == RejectionCode.BAD_RECEIPT
 
     def test_bad_opening(self, world):
         _, bundle = honest_bundle(world)
@@ -388,6 +424,17 @@ class TestTraceQueries:
         assert world["backend"].answer_trace(visitor.presence_query(near, 2 * DAY), 2 * DAY)
         assert not world["backend"].answer_trace(visitor.presence_query(far, 2 * DAY), 2 * DAY)
 
+    def test_forged_venue_certificate_after_good_query(self, world):
+        self._accepted_record(world)
+        visitor = new_user(world, "bob")
+        visit = run_visit(world, visitor, "cafe", DAY + 3000, 6)
+        query = visitor.presence_query(visit, 2 * DAY)
+        assert world["backend"].answer_trace(query, 2 * DAY)
+        registry = world["ha"].registry
+        registry["cafe"] = forge_certificate(world, registry["cafe"])
+        with pytest.raises(QueryRejected):
+            world["backend"].answer_trace(query, 2 * DAY)
+
     def test_self_signed_receipt_rejected(self, world):
         self._accepted_record(world)
         visitor = new_user(world, "bob")
@@ -482,6 +529,20 @@ class TestVenueMonitoring:
         assert old_id not in digest_today.filter
         # the 15-day-old identifier was evicted from the heard log entirely
         assert all(e[0] != old_id for e in venue.heard_log)
+
+    def test_match_evicts_digests_past_retention(self, world):
+        # a venue that stops uploading: only match can evict its digests
+        ha = world["ha"]
+        heard = b"h" * 16
+        cafe = world["venues"]["cafe"]
+        cafe.record_broadcast(heard, -40.0, DAY + 60)
+        ha.store_digest(cafe.emit_digest(DAY, 2 * DAY, 2 * DAY, 1e-6), 2 * DAY)
+        boundary = 2 * DAY + ha.retention_seconds
+        assert ha.match("cafe", [heard], boundary) == [True]
+        assert len(ha.digests["cafe"]) == 1
+        with pytest.raises(UnknownVenuePeriodError):
+            ha.match("cafe", [heard], boundary + 1)
+        assert ha.digests["cafe"] == []
 
     def test_flood_rate_anomaly(self, world):
         rng = world["rng"]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -15,6 +16,15 @@ from venuetrace.crypto import ParameterError
 
 def _random_ids(rng, n):
     return [rng.randbytes(16) for _ in range(n)]
+
+
+def _reference_positions(element, k, m):
+    """Double hashing one element at a time: (h1 + i*h2) mod 2**64 mod m, with
+    h1, h2 the first two big-endian words of SHA-256(element), h2 made odd."""
+    d = hashlib.sha256(element).digest()
+    h1 = int.from_bytes(d[0:8], "big")
+    h2 = int.from_bytes(d[8:16], "big") | 1
+    return [(h1 + i * h2) % 2**64 % m for i in range(k)]
 
 
 class TestBloomFilter:
@@ -54,6 +64,25 @@ class TestBloomFilter:
         assert bf.m_bits == expected_m
         assert bf.k_hashes == max(1, round(bf.m_bits / 1000 * math.log(2)))
         assert bf.k_hashes >= 1
+
+    def test_bits_match_per_element_reference(self):
+        rng = random.Random(8)
+        for n in (1, 2, 17, 300, 2000):
+            ids = _random_ids(rng, n)
+            ids += ids[:1] * 3  # duplicates count once
+            bf = build_filter(ids, target_fpr=rng.choice([1e-2, 1e-4, 1e-6]))
+            ref = bytearray(len(bf.bits))
+            for e in ids:
+                for pos in _reference_positions(e, bf.k_hashes, bf.m_bits):
+                    ref[pos >> 3] |= 1 << (pos & 7)
+            assert bf.bits.tobytes() == bytes(ref)
+            assert bf.count == n
+            probes = ids[:20] + _random_ids(rng, 200)
+            assert bf.contains_many(probes) == [
+                all(ref[pos >> 3] >> (pos & 7) & 1
+                    for pos in _reference_positions(e, bf.k_hashes, bf.m_bits))
+                for e in probes
+            ]
 
     def test_invalid_fpr_rejected(self):
         with pytest.raises(ParameterError):

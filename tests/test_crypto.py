@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from venuetrace import crypto
@@ -148,6 +148,18 @@ class TestCommitment:
     def test_empty_message_rejected(self):
         with pytest.raises(ParameterError):
             commit(b"", random.Random(11))
+
+    @pytest.mark.parametrize("base", [crypto.GROUP_G, crypto.GROUP_H], ids=["g", "h"])
+    @given(exponent=st.integers(min_value=0, max_value=2**256 - 1))
+    @example(exponent=0)
+    @example(exponent=1)
+    @example(exponent=255)
+    @example(exponent=256)
+    @example(exponent=crypto.GROUP_Q - 1)
+    @example(exponent=2**255)
+    @settings(max_examples=200)
+    def test_fixed_base_pow_equals_pow(self, base, exponent):
+        assert crypto._fixed_base_pow(base, exponent) == pow(base, exponent, crypto.GROUP_P)
 
     def test_group_parameters(self):
         # q is the order of the subgroup containing g and h

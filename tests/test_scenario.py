@@ -167,6 +167,7 @@ def test_events_sorted_stably():
         build_relay_scenario,
         lambda: build_relay_scenario(with_attack=False),
         build_duty_cycle_scenario,
+        lambda: build_population_scenario(n_users=4, days=2),  # fewest days allowed
     ],
 )
 def test_builders_produce_valid_scenarios(builder):
@@ -174,6 +175,13 @@ def test_builders_produce_valid_scenarios(builder):
     assert validate_scenario(sc) == []
     # and they serialize cleanly
     json.loads(sc.to_json())
+
+
+@pytest.mark.parametrize("days", [-1, 0, 1])
+def test_population_builder_rejects_too_few_days(days):
+    # with days < 2 the contagious period would end before it starts
+    with pytest.raises(ValueError, match="days must be at least 2"):
+        build_population_scenario(n_users=4, days=days)
 
 
 def test_population_builder_deterministic():
