@@ -20,11 +20,11 @@ from typing import Any
 
 from .metrics import ExposurePolicy, MetricsReport, collect_metrics, comparison_rows
 from .scenario import Scenario, _params_diagnostics, validate_scenario
-from .sim import PROTOCOLS, SimulationTrace
+from .sim import BROADCAST_KEYS, PROTOCOLS, SimulationTrace
 from .sim import run as run_simulation
 
 TRACE_FORMAT = "venuetrace-trace"
-TRACE_VERSION = 1
+TRACE_VERSION = 2  # 2: broadcasts as columns; 1 (one dict per broadcast) still loads
 _SECTIONS = ("config", "presence", "broadcasts", "events", "outcomes")
 
 
@@ -37,43 +37,65 @@ def _canonical(obj: Any) -> str:
 
 
 def write_trace(trace: SimulationTrace, path: Path) -> None:
-    """Newline-delimited sections followed by a SHA-256 trailer line."""
-    lines = [_canonical({"format": TRACE_FORMAT, "version": TRACE_VERSION})]
-    for section in _SECTIONS:
-        lines.append(_canonical({"section": section, "data": trace.data[section]}))
-    body = ("\n".join(lines) + "\n").encode("utf-8")
-    trailer = _canonical({"sha256": hashlib.sha256(body).hexdigest()})
+    """Newline-delimited sections followed by a SHA-256 trailer line; each
+    line is hashed and written as soon as it is encoded."""
+    digest = hashlib.sha256()
+    header = {"format": TRACE_FORMAT, "version": TRACE_VERSION}
+    sections = ({"section": name, "data": trace.data[name]} for name in _SECTIONS)
     with open(path, "wb") as fh:
-        fh.write(body)
-        fh.write(trailer.encode("utf-8"))
-        fh.write(b"\n")
+        for obj in (header, *sections):
+            line = (_canonical(obj) + "\n").encode("utf-8")
+            digest.update(line)
+            fh.write(line)
+        fh.write((_canonical({"sha256": digest.hexdigest()}) + "\n").encode("utf-8"))
+
+
+def _v1_broadcasts(rows: list[dict[str, Any]]) -> dict[str, list[Any]]:
+    """Version-1 broadcasts, one dict each, as the version-2 columns."""
+    columns: dict[str, list[Any]] = {key: [row[key] for row in rows] for key in BROADCAST_KEYS}
+    index: dict[str, int] = {}
+    columns["emitter"] = [index.setdefault(e, len(index)) for e in columns["emitter"]]
+    columns["emitters"] = list(index)
+    return columns
 
 
 def read_trace(path: Path) -> dict[str, Any]:
-    """Parse and integrity-check a trace file; raises IntegrityError."""
+    """Parse and integrity-check a trace file; raises IntegrityError.
+
+    The trailer hashes the exact bytes before it, so a file whose line ends
+    were rewritten fails the check. Versions 1 and 2 load; version-1
+    broadcasts are converted to columns.
+    """
     raw = Path(path).read_bytes()
-    lines = raw.decode("utf-8").splitlines()
-    if len(lines) < 2:
+    body_end = raw.rfind(b"\n", 0, -1) + 1  # where the trailer line starts
+    if body_end == 0:
         raise IntegrityError("trace file too short")
     try:
-        trailer = json.loads(lines[-1])
-    except json.JSONDecodeError as exc:
+        trailer = json.loads(raw[body_end:])
+    except ValueError as exc:
         raise IntegrityError(f"trailer is not valid JSON: {exc}") from exc
     if "sha256" not in trailer:
         raise IntegrityError("trace file has no integrity trailer (truncated?)")
-    body = ("\n".join(lines[:-1]) + "\n").encode("utf-8")
-    if hashlib.sha256(body).hexdigest() != trailer["sha256"]:
+    if hashlib.sha256(memoryview(raw)[:body_end]).hexdigest() != trailer["sha256"]:
         raise IntegrityError("trace integrity hash mismatch")
-    header = json.loads(lines[0])
+    start = raw.index(b"\n") + 1
+    header = json.loads(raw[:start])
     if header.get("format") != TRACE_FORMAT:
         raise IntegrityError(f"unknown trace format {header.get('format')!r}")
+    version = header.get("version")
+    if version not in (1, TRACE_VERSION):
+        raise IntegrityError(f"unsupported trace version {version!r}")
     data: dict[str, Any] = {}
-    for line in lines[1:-1]:
-        section = json.loads(line)
+    while start < body_end:
+        end = raw.index(b"\n", start) + 1
+        section = json.loads(raw[start:end])
         data[section["section"]] = section["data"]
+        start = end
     missing = [s for s in _SECTIONS if s not in data]
     if missing:
         raise IntegrityError(f"trace is missing sections: {missing}")
+    if version == 1:
+        data["broadcasts"] = _v1_broadcasts(data["broadcasts"])
     return data
 
 

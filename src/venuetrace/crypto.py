@@ -255,16 +255,22 @@ class SigningKeyPair:
     holder_id: str
 
 
+@functools.lru_cache(maxsize=1024)
+def _private_key(seed: bytes) -> Ed25519PrivateKey:
+    """The parsed key of a 32-byte seed; parsing costs about as much as a
+    signature, and a run signs with a few dozen keys."""
+    return Ed25519PrivateKey.from_private_bytes(seed)
+
+
 def keygen(holder_id: str, rng: random.Random | None = None) -> SigningKeyPair:
     """Generate a keypair; with an ``rng`` the key is a pure function of it."""
     seed = rng.randbytes(32) if rng is not None else os.urandom(32)
-    sk = Ed25519PrivateKey.from_private_bytes(seed)
-    pk = sk.public_key().public_bytes_raw()
+    pk = _private_key(seed).public_key().public_bytes_raw()
     return SigningKeyPair(public_key=pk, secret_key=seed, holder_id=holder_id)
 
 
 def sign(message: bytes, secret_key: bytes) -> bytes:
-    return Ed25519PrivateKey.from_private_bytes(secret_key).sign(message)
+    return _private_key(secret_key).sign(message)
 
 
 def verify(message: bytes, signature: bytes, public_key: bytes) -> bool:

@@ -113,20 +113,24 @@ class MetricsReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _linkage_scan(broadcasts: list[dict[str, Any]]) -> tuple[int, int]:
-    """(cross-venue matches, cross-visit matches) over honest broadcasts."""
-    seen: dict[str, set[tuple[str, str, str]]] = {}
-    for b in broadcasts:
-        if b["injected"] or b["location"] is None:
+def _linkage_scan(broadcasts: dict[str, list[Any]]) -> tuple[int, int]:
+    """(cross-venue matches, cross-visit matches) over honest broadcasts,
+    read from the trace's broadcast columns (emitters stay interned)."""
+    seen: dict[str, set[tuple[int, str, str]]] = {}
+    for emitter, loc, payload, injected, tag in zip(
+        broadcasts["emitter"], broadcasts["location"], broadcasts["payload"],
+        broadcasts["injected"], broadcasts["tag"],
+    ):
+        if injected or loc is None:
             continue
-        seen.setdefault(b["payload"], set()).add((b["emitter"], b["location"], b["tag"]))
+        seen.setdefault(payload, set()).add((emitter, loc, tag))
     cross_venue = 0
     cross_visit = 0
     for spots in seen.values():
         venues = {loc for (_, loc, _) in spots}
         if len(venues) > 1:
             cross_venue += 1
-        by_emitter_venue: dict[tuple[str, str], set[str]] = {}
+        by_emitter_venue: dict[tuple[int, str], set[str]] = {}
         for emitter, loc, tag in spots:
             by_emitter_venue.setdefault((emitter, loc), set()).add(tag)
         if any(len(tags) > 1 for tags in by_emitter_venue.values()):

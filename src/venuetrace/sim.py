@@ -52,6 +52,9 @@ from .schedule import SECONDS_PER_DAY, SchedulingParams
 
 PROTOCOLS = ("venue", "dp3t", "tracetogether")
 STREET = None  # location key for the shared off-premise space
+# one column per key in the trace's broadcasts section; the ``emitter``
+# column holds indexes into the section's ``emitters`` list
+BROADCAST_KEYS = ("t", "emitter", "location", "payload", "tx_dbm", "injected", "tag")
 
 
 @dataclass
@@ -94,7 +97,14 @@ class SimulationTrace:
 
     @property
     def broadcasts(self) -> list[dict[str, Any]]:
-        return self.data["broadcasts"]
+        """One new dict per broadcast, built from the columns; editing it
+        leaves the trace unchanged."""
+        columns = self.data["broadcasts"]
+        emitters = columns["emitters"]
+        return [
+            {**dict(zip(BROADCAST_KEYS, row)), "emitter": emitters[row[1]]}
+            for row in zip(*(columns[key] for key in BROADCAST_KEYS))
+        ]
 
     @property
     def presence(self) -> list[dict[str, Any]]:
@@ -592,7 +602,8 @@ class Simulation:
         self.position: dict[str, tuple[float, float]] = {}
         self._open_segment: dict[str, dict[str, Any]] = {}
         self.presence: list[dict[str, Any]] = []
-        self.broadcasts: list[dict[str, Any]] = []
+        self.broadcasts: dict[str, list[Any]] = {k: [] for k in ("emitters", *BROADCAST_KEYS)}
+        self._emitter_index: dict[str, int] = {}
         self.events_log: list[dict[str, Any]] = []
         self.outcomes: dict[str, Any] = {
             "reporters": {},
@@ -707,17 +718,18 @@ class Simulation:
         else:
             loc, pos = self.location[emitter], self.position[emitter]
         tx = self.params.channel.tx_dbm if tx_dbm is None else tx_dbm
-        self.broadcasts.append(
-            {
-                "t": now,
-                "emitter": emitter,
-                "location": loc,
-                "payload": payload.hex(),
-                "tx_dbm": tx,
-                "injected": injected,
-                "tag": tag,
-            }
-        )
+        columns = self.broadcasts
+        index = self._emitter_index.get(emitter)
+        if index is None:
+            index = self._emitter_index[emitter] = len(columns["emitters"])
+            columns["emitters"].append(emitter)
+        columns["t"].append(now)
+        columns["emitter"].append(index)
+        columns["location"].append(loc)
+        columns["payload"].append(payload.hex())
+        columns["tx_dbm"].append(tx)
+        columns["injected"].append(injected)
+        columns["tag"].append(tag)
         if injected:
             self.outcomes["adversary"]["injected"] += 1
 
@@ -864,7 +876,7 @@ class Simulation:
         for user in self.scenario.users:
             self._close_segment(user, horizon)
         self.driver.finalize(horizon)
-        logged = {b["payload"] for b in self.broadcasts}
+        logged = set(self.broadcasts["payload"])
         self.outcomes["adversary"]["observed_only_broadcast_bytes"] = all(
             p in logged for p in self.adversary_observed
         )

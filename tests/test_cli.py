@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -164,6 +165,32 @@ class TestTraceIO:
         with pytest.raises(IntegrityError):
             read_trace(tmp_path / "bad.ndjson")
 
+    def test_rewritten_line_ends_rejected(self, tmp_path):
+        """The trailer hashes the exact bytes: CRLF line ends fail the check."""
+        trace = run(build_relay_scenario(), "venue", seed=1)
+        path = tmp_path / "t.ndjson"
+        write_trace(trace, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        with pytest.raises(IntegrityError, match="hash mismatch"):
+            read_trace(path)
+
+
+def _with_version(path, version: bytes) -> None:
+    """Rewrite the header's version and sign the body with a fresh trailer."""
+    raw = path.read_bytes()
+    body = raw[: raw.rfind(b"\n", 0, -1) + 1].replace(b'"version":2', b'"version":' + version, 1)
+    trailer = json.dumps({"sha256": hashlib.sha256(body).hexdigest()})
+    path.write_bytes(body + trailer.encode() + b"\n")
+
+
+@pytest.mark.parametrize("version", [b"0", b"3", b'"2"', b"null"])
+def test_unsupported_trace_version_rejected(version, tmp_path):
+    path = tmp_path / "t.ndjson"
+    write_trace(run(build_relay_scenario(), "venue", seed=1), path)
+    _with_version(path, version)
+    with pytest.raises(IntegrityError, match="unsupported trace version"):
+        read_trace(path)
+
 
 class TestReplay:
     def test_replay_reproduces_metrics_exactly(self, scenario_file, tmp_path):
@@ -194,3 +221,11 @@ class TestReplay:
         broken = tmp_path / "broken.ndjson"
         broken.write_bytes(b"".join(raw[:-1]))
         assert main(["replay", "--trace", str(broken)]) == 2
+
+    def test_replay_unsupported_version_exits_two(self, scenario_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        main(["run", "--scenario", str(scenario_file), "--seed", "4", "--out", str(out)])
+        _with_version(out / "trace.ndjson", b"3")
+        capsys.readouterr()
+        assert main(["replay", "--trace", str(out / "trace.ndjson")]) == 2
+        assert "unsupported trace version 3" in capsys.readouterr().err

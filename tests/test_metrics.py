@@ -5,7 +5,7 @@ from venuetrace.metrics import (
     ground_truth_exposures,
 )
 from venuetrace.scenario import build_population_scenario
-from venuetrace.sim import run
+from venuetrace.sim import BROADCAST_KEYS, run
 
 DAY = 86400
 
@@ -135,8 +135,9 @@ class TestCollectMetrics:
         assert report.adversary["cross_visit_ephid_matches"] == 0
         # corrupt the log: pretend one payload showed up at a second venue
         doctored = dict(trace.data)
-        payload = trace.broadcasts[0]["payload"]
-        doctored["broadcasts"] = trace.broadcasts + [
-            {**trace.broadcasts[0], "location": "elsewhere", "payload": payload}
-        ]
+        columns = dict(trace.data["broadcasts"])
+        for key in BROADCAST_KEYS:
+            columns[key] = columns[key] + [columns[key][0]]
+        columns["location"][-1] = "elsewhere"
+        doctored["broadcasts"] = columns
         assert collect_metrics(doctored).adversary["cross_venue_ephid_matches"] == 1
