@@ -155,13 +155,21 @@ class HealthAuthority:
             cutoff = now - self.retention_seconds
             self.digests[venue_id] = [d for d in self.digests[venue_id] if d.period_end >= cutoff]
 
-    def match(self, venue_id: str, ids: list[bytes], now: int) -> list[bool]:
-        """Match against the venue's digests still retained at ``now``."""
+    def match(
+        self, venue_id: str, ids: list[bytes], presence: tuple[int, int], now: int
+    ) -> list[bool]:
+        """Match against the venue's digests still retained at ``now`` whose
+        period [start, end) overlaps the ``presence`` interval [start, end]."""
         self.observed.append(
             {"kind": "match", "venue_id": venue_id, "ids": [i.hex() for i in ids]}
         )
         self._evict(venue_id, now)
-        return match_batch(self.digests, venue_id, ids)
+        start, end = presence
+        digests = [
+            d for d in self.digests.get(venue_id, ())
+            if d.period_start <= end and start < d.period_end
+        ]
+        return match_batch({venue_id: digests}, venue_id, ids)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +320,6 @@ class VenueSession:
     window_keys: list[WindowKey] = field(default_factory=list)
     records: list[EpochRecord] = field(default_factory=list)
     window_ephids: list[list[bytes]] = field(default_factory=list)
-    active: bool = True
 
 
 @dataclass
@@ -356,7 +363,6 @@ class UserApp:
         self.sessions: dict[str, VenueSession] = {}
         self.visits: list[CompletedVisit] = []
         self.discarded_visits: list[dict] = []
-        self.assessments: list[RiskAssessment] = []
 
     # -- sensing -----------------------------------------------------------
 
@@ -372,7 +378,7 @@ class UserApp:
         """Advance to the epoch starting at ``now``; returns the identifier to
         broadcast. Generates a fresh window key on window rollover."""
         session = self.sessions.get(venue_id)
-        if session is None or not session.active:
+        if session is None:
             raise ProtocolStateError("epoch tick outside an active session")
         window, epoch = epoch_of(now - session.entry_time, self.params)
         if window == len(session.window_keys) + 1:
@@ -387,13 +393,13 @@ class UserApp:
 
     def current_ephid(self, venue_id: str) -> bytes | None:
         session = self.sessions.get(venue_id)
-        if session is None or not session.active or not session.records:
+        if session is None or not session.records:
             return None
         return session.records[-1].own_ephid
 
     def hear(self, venue_id: str, ephid: bytes, rx_dbm: float, now: int) -> None:
         session = self.sessions.get(venue_id)
-        if session is None or not session.active or not session.records:
+        if session is None or not session.records:
             return
         session.records[-1].heard.append(HeardPing(ephid=ephid, signal_dbm=rx_dbm, time=now))
 
@@ -408,11 +414,9 @@ class UserApp:
         Returns None (visit discarded) when the receipt does not verify under
         the venue's certified key.
         """
-        session = self.sessions.get(venue.venue_id)
-        if session is None or not session.active:
+        session = self.sessions.pop(venue.venue_id, None)
+        if session is None:
             raise ProtocolStateError(f"no active session at {venue.venue_id}")
-        session.active = False
-        del self.sessions[venue.venue_id]
 
         own_ids = [r.own_ephid for r in session.records]
         digest = crypto.hash_bytes(b"".join(own_ids))
@@ -521,12 +525,7 @@ class UserApp:
                 at_risk=exposure >= policy.exposure_seconds,
             )
             out.append(assessment)
-            self.assessments.append(assessment)
         return out
-
-    @property
-    def at_risk(self) -> bool:
-        return any(a.at_risk for a in self.assessments)
 
 
 # ---------------------------------------------------------------------------
@@ -627,9 +626,19 @@ class BackendServer:
         if venue_key is None or not crypto.verify(payload, receipt.venue_signature, venue_key):
             return self._reject(RejectionCode.BAD_RECEIPT, "venue signature", now)
 
-        # (c) two-party matching with HA: were these identifiers heard at the venue?
+        # the stay the receipt proves: from arrival, or from the first epoch
+        if bundle.arrival_time is not None:
+            presence_start = bundle.arrival_time
+        else:
+            presence_start = receipt.leave_time - (
+                (x - 1) * self.params.window_seconds + y * self.params.epoch_seconds
+            )
+        presence_end = receipt.leave_time
+
+        # (c) two-party matching with HA: were these identifiers heard at the
+        # venue during that stay?
         try:
-            matches = self.ha.match(bundle.venue_id, ephids, now)
+            matches = self.ha.match(bundle.venue_id, ephids, (presence_start, presence_end), now)
         except UnknownVenuePeriodError:
             return self._reject(
                 RejectionCode.UNMATCHED_IDENTIFIERS, "no digest for venue period", now
@@ -642,13 +651,6 @@ class BackendServer:
             )
 
         # same rid cannot be present at two venues at overlapping times
-        if bundle.arrival_time is not None:
-            presence_start = bundle.arrival_time
-        else:
-            presence_start = receipt.leave_time - (
-                (x - 1) * self.params.window_seconds + y * self.params.epoch_seconds
-            )
-        presence_end = receipt.leave_time
         rid_hex = rid_bytes.hex()
         for other_venue, start, end in self._presence_by_rid.get(rid_hex, []):
             if other_venue == bundle.venue_id:

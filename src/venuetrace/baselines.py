@@ -56,13 +56,11 @@ class MoHServer:
         self._key = rng.randbytes(32)
         self._aead = AESGCM(self._key)
         self.registry: dict[bytes, str] = {}  # pseudonym -> phone number
-        self.observed: list[dict] = []
         self.traced_edges: list[tuple[str, str]] = []  # (reporter phone, contact phone)
 
     def register(self, phone_number: str, rng: random.Random) -> bytes:
         pseudonym = rng.randbytes(16)
         self.registry[pseudonym] = phone_number
-        self.observed.append({"kind": "register", "phone": phone_number})
         return pseudonym
 
     def issue_tid(self, pseudonym: bytes, interval_index: int, rng: random.Random) -> TempId:
@@ -88,9 +86,6 @@ class MoHServer:
 
     def trace(self, reporter_phone: str, triples: list[ContactTriple]) -> list[str]:
         """Decrypt reported peer tokens and look up their phone numbers."""
-        self.observed.append(
-            {"kind": "trace", "reporter": reporter_phone, "triples": len(triples)}
-        )
         contacts: list[str] = []
         for triple in triples:
             decrypted = self.decrypt_tid(triple.peer_tid)

@@ -105,11 +105,12 @@ def match_batch(
     venue_id: str,
     ids: list[bytes],
 ) -> list[bool]:
-    """Per-identifier membership against all retained digests of one venue.
+    """Per-identifier membership against the digests ``ha_filters`` holds
+    for one venue (the HA passes those of the reported stay's period).
 
-    An identifier matches if any retained digest for the venue contains it.
-    Raises UnknownVenuePeriodError when the venue has no retained digest, in
-    which case the caller must reject the report.
+    An identifier matches if any of those digests contains it. Raises
+    UnknownVenuePeriodError when there is none, in which case the caller
+    must reject the report.
     """
     digests = ha_filters.get(venue_id)
     if not digests:

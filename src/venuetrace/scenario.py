@@ -7,28 +7,15 @@ core. Builders below generate populations, encounters, and attack setups
 as plain event lists, so everything the simulator consumes stays explicit
 and reproducible.
 
-Event kinds and their fields:
-
-* ``enter``  -- user, venue, optional pos [x, y] (default [0, 0]), optional
-  consent (default true)
-* ``move``   -- user, pos [x, y]; applies to the current location (venue
-  while inside one, the shared street space otherwise)
-* ``leave``  -- user (leaves the venue they are in)
-* ``test_positive`` -- user, period [start, end]
-* ``report`` -- user; optional tamper ("forge_certificate",
-  "corrupt_opening", "swap_venue_keys") and use_certificate_of
-* ``trace_query`` -- user (queries every stored visit / published key)
-* ``adversary_action`` -- action plus action-specific fields (the
-  required ones are in ``ACTION_FIELDS``):
-  - flood: venue, start, end; optional pos, per_minute, tx_dbm
-  - replay_same_venue: venue, start, end; optional pos, delay
-  - relay_cross_venue: src_venue, dst_venue, start, end; optional pos, delay
-  - suppress_broadcasts: user, start, end
-  - share_rid: from_user, to_user
-  - linkage_eavesdrop: optional venues
-
-Coordinates and times are finite numbers; user and venue ids are unique
-strings.
+Each event has a ``time``, a ``kind``, and the fields ``EVENT_FIELDS``
+lists for its kind: those it cannot run without and those it may carry.
+An ``adversary_action`` names an ``action``; ``ACTION_FIELDS`` lists the
+fields each action cannot run without. A field name has one rule
+wherever it appears (``_event_rules``): a user or venue field names a
+declared id, times and powers are finite numbers (a delay not negative),
+``pos`` is [x, y] and ``period`` is [start, end] with 0 <= start <= end.
+Fields a kind does not list are ignored. ``move`` applies to the current
+location: the venue while inside one, the shared street space otherwise.
 """
 
 from __future__ import annotations
@@ -43,14 +30,20 @@ from typing import Any, Callable
 
 from .channel import ChannelModel
 
-EVENT_KINDS = {
-    "enter",
-    "move",
-    "leave",
-    "test_positive",
-    "report",
-    "trace_query",
-    "adversary_action",
+# event kind -> (fields it cannot run without, fields it may carry)
+EVENT_FIELDS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
+    "enter": (("user", "venue"), ("pos", "consent")),
+    "move": (("user", "pos"), ()),
+    "leave": (("user",), ()),
+    "test_positive": (("user", "period"), ()),
+    "report": (("user",), ("use_certificate_of", "tamper")),
+    "trace_query": (("user",), ()),
+    # ACTION_FIELDS says which of these each action requires
+    "adversary_action": (
+        ("action",),
+        ("venue", "src_venue", "dst_venue", "user", "from_user", "to_user",
+         "start", "end", "delay", "tx_dbm", "pos", "per_minute", "venues"),
+    ),
 }
 # adversary action -> the fields it cannot run without
 ACTION_FIELDS: dict[str, tuple[str, ...]] = {
@@ -153,11 +146,14 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     """Return a list of diagnostics (empty when the scenario is clean)."""
     from .actors import VenuePolicy  # local import: actors pulls in crypto
 
-    diags = _id_diagnostics("user", scenario.users)
+    horizon = scenario.horizon_seconds
+    diags = [] if horizon > 0 else [f"horizon_seconds must be positive, got {horizon!r}"]
+    diags.extend(_id_diagnostics("user", scenario.users))
     diags.extend(_id_diagnostics("venue", [v.venue_id for v in scenario.venues]))
     # only strings: a reference of any other type is unknown, never hashed
     users = {u for u in scenario.users if type(u) is str}
     venues = {v.venue_id for v in scenario.venues if type(v.venue_id) is str}
+    rules = _event_rules(users, venues)
     tested: set[str] = set()
     in_venue: dict[str, str] = {}
 
@@ -179,96 +175,97 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         diags.append(f"event[{i}] t={e.time} {e.kind}: {message}")
 
     for i, e in enumerate(scenario.sorted_events()):
-        if e.kind not in EVENT_KINDS:
+        if e.kind not in rules:
             flag(f"unknown event kind {e.kind!r}")
             continue
-        if e.time < 0 or e.time > scenario.horizon_seconds:
+        if e.time < 0 or e.time > horizon:
             flag("time outside scenario horizon")
-        subject = e.data.get("user")
-        if e.kind != "adversary_action":
-            if not _known(subject, users):
-                flag(f"unknown user {subject!r}")
-                continue
+        data = e.data
+        missing = []
+        counts = True  # toward the bookkeeping below
+        for key, accepts, needed, blocks, message in rules[e.kind]:
+            if key not in data:
+                if needed:
+                    missing.append(key)
+            elif not accepts(data[key]):
+                flag(message.format(data[key]))
+                counts = counts and not blocks
+        if missing:
+            flag(f"{e.kind} requires {missing}")
+        if missing or not counts:
+            continue
+        user = data.get("user")
         if e.kind == "enter":
-            venue = e.data.get("venue")
-            if not _known(venue, venues):
-                flag(f"unknown venue {venue!r}")
-                continue
-            if subject in in_venue:
-                flag(f"user {subject} enters {venue!r} before leaving {in_venue[subject]!r}")
-            in_venue[subject] = venue
-            if "pos" in e.data and not _is_pair(e.data["pos"]):
-                flag("enter pos must be [x, y], two finite numbers")
-            if type(e.data.get("consent", True)) is not bool:
-                flag(f"enter consent must be true or false, got {e.data['consent']!r}")
+            if user in in_venue:
+                flag(f"user {user} enters {data['venue']!r} before leaving {in_venue[user]!r}")
+            in_venue[user] = data["venue"]
         elif e.kind == "leave":
-            if subject not in in_venue:
-                flag(f"user {subject} leaves but is in no venue")
-            else:
-                del in_venue[subject]
-        elif e.kind == "move":
-            if not _is_pair(e.data.get("pos")):
-                flag("move requires pos [x, y], two finite numbers")
+            if in_venue.pop(user, None) is None:
+                flag(f"user {user} leaves but is in no venue")
         elif e.kind == "test_positive":
-            period = e.data.get("period")
-            if not (_is_pair(period) and 0 <= period[0] <= period[1]):
-                flag("test_positive requires period [start, end] with 0 <= start <= end")
-            else:
-                tested.add(subject)
-        elif e.kind == "report":
-            holder = e.data.get("use_certificate_of", subject)
-            if not _known(holder, users):
-                flag(f"unknown user {holder!r} in use_certificate_of")
-            elif holder not in tested:
-                flag(f"user {subject} reports without a positive test")
-            tamper = e.data.get("tamper")
-            if tamper is not None and tamper not in TAMPER_MODES:
-                flag(f"unknown tamper mode {tamper!r}, expected one of {list(TAMPER_MODES)}")
+            tested.add(user)
+        elif e.kind == "report" and data.get("use_certificate_of", user) not in tested:
+            flag(f"user {user} reports without a positive test")
         elif e.kind == "adversary_action":
-            action = e.data.get("action")
-            if not _known(action, ACTION_FIELDS):
-                flag(f"unknown adversary action {action!r}")
-                continue
-            missing = [k for k in ACTION_FIELDS[action] if k not in e.data]
+            missing = [key for key in ACTION_FIELDS[data["action"]] if key not in data]
             if missing:
-                flag(f"{action} requires {missing}")
-            for problem in _action_field_problems(e.data):
-                flag(problem)
-            start, end = e.data.get("start"), e.data.get("end")
+                flag(f"{data['action']} requires {missing}")
+            start, end = data.get("start"), data.get("end")
             if _is_number(start) and _is_number(end):
                 if end < start:
                     flag("adversary window ends before it starts")
-                elif start < 0 or end > scenario.horizon_seconds:
+                elif start < 0 or end > horizon:
                     flag("adversary window outside scenario horizon")
-            for key in ("venue", "src_venue", "dst_venue"):
-                if key in e.data and not _known(e.data[key], venues):
-                    flag(f"unknown venue {e.data[key]!r} in {key}")
-            for key in ("user", "from_user", "to_user"):
-                if key in e.data and not _known(e.data[key], users):
-                    flag(f"unknown user {e.data[key]!r} in {key}")
-            eavesdropped = e.data.get("venues", [])
-            if not (isinstance(eavesdropped, list) and all(_known(v, venues) for v in eavesdropped)):
-                flag("venues must be a list of known venue ids")
     return diags
 
 
-def _action_field_problems(data: dict[str, Any]) -> list[str]:
-    """Optional and required adversary fields whose values a run cannot use."""
-    problems = [
-        f"{key} must be a finite number, got {data[key]!r}"
-        for key in ("start", "end", "delay", "tx_dbm")
-        if key in data and not _is_number(data[key])
-    ]
-    if "pos" in data and not _is_pair(data["pos"]):
-        problems.append("pos must be [x, y], two finite numbers")
-    if "per_minute" in data and not _positive_int(data["per_minute"]):
-        problems.append(f"per_minute must be a positive integer, got {data['per_minute']!r}")
-    return problems
+def _event_rules(users: set[str], venues: set[str]) -> dict[str, list[tuple]]:
+    """Event kind -> a check per field ``EVENT_FIELDS`` lists for it: (field,
+    accepts a value, required, whether a bad value keeps the event out of
+    the bookkeeping, diagnostic with ``{!r}`` for the value). Each field
+    name has one rule for every kind that lists it.
+    """
+    # field -> (accepts a value, the noun of "unknown <noun> <value> in <field>")
+    references = {
+        **dict.fromkeys(("user", "from_user", "to_user", "use_certificate_of"),
+                        (_known(users), "user")),
+        **dict.fromkeys(("venue", "src_venue", "dst_venue"), (_known(venues), "venue")),
+        "action": (_known(ACTION_FIELDS), "adversary action"),
+        # a run reads a null tamper as no tampering
+        "tamper": (lambda value: value is None or value in TAMPER_MODES, "tamper mode"),
+    }
+    # field -> (accepts a value, the shape a diagnostic asks for)
+    shapes = {
+        **dict.fromkeys(("start", "end", "tx_dbm"), (_is_number, "a finite number")),
+        "delay": (lambda value: _is_number(value) and value >= 0, "a non-negative finite number"),
+        "pos": (_is_pair, "[x, y], two finite numbers"),
+        "period": (lambda value: _is_pair(value) and 0 <= value[0] <= value[1],
+                   "[start, end] with 0 <= start <= end"),
+        "consent": (lambda value: type(value) is bool, "true or false"),
+        "per_minute": (_positive_int, "a positive integer"),
+        "venues": (lambda value: isinstance(value, list) and all(map(_known(venues), value)),
+                   "a list of known venue ids"),
+    }
+    rules: dict[str, list[tuple]] = {}
+    for kind, (required, optional) in EVENT_FIELDS.items():
+        rules[kind] = checks = []
+        for key in (*required, *optional):
+            needed = key in required
+            if key in references:
+                accepts, noun = references[key]
+                message = f"unknown {noun} {{!r}} in {key}"
+            else:
+                accepts, shape = shapes[key]
+                verb = f"requires {key} {shape}" if needed else f"{key} must be {shape}"
+                message = f"{kind} {verb}, got {{!r}}"
+            checks.append((key, accepts, needed, needed or key in references, message))
+    return rules
 
 
-def _known(value: Any, ids: Any) -> bool:
-    """``value`` is one of ``ids`` (string keys); unhashable values are not."""
-    return type(value) is str and value in ids
+def _known(ids: Any) -> Callable[[Any], bool]:
+    """Accepts one of ``ids`` (string keys); a value of another type,
+    unhashable ones included, is unknown."""
+    return lambda value: type(value) is str and value in ids
 
 
 def _id_diagnostics(kind: str, ids: list[Any]) -> list[str]:

@@ -868,8 +868,6 @@ class Simulation:
         horizon = self.scenario.horizon_seconds
         while self._heap:
             time, _, fn = heapq.heappop(self._heap)
-            if time > horizon:
-                break
             self.now = time
             fn()
         self.now = horizon

@@ -343,6 +343,20 @@ class TestBackendReportMatrix:
         record, code = world["backend"].process_report(bundle, 2 * DAY)
         assert record is None and code == RejectionCode.UNMATCHED_IDENTIFIERS
 
+    def test_identifiers_heard_only_in_an_earlier_period_unmatched(self, world):
+        # the venue heard the identifiers on day 1, but the receipt proves a
+        # stay on day 3: only day 3's digest may vouch for them
+        app = new_user(world)
+        visit = run_visit(world, app, "cafe", 3 * DAY, 6, broadcast=False)
+        for record in visit.records:
+            world["venues"]["cafe"].record_broadcast(record.own_ephid, -40.0, DAY + 60)
+        publish_digests(world, 2 * DAY)
+        publish_digests(world, 4 * DAY)
+        cert = app.obtain_certificate(world["tc"], DAY, 4 * DAY)
+        bundle = app.build_reports(cert)[0]
+        record, code = world["backend"].process_report(bundle, 4 * DAY)
+        assert record is None and code == RejectionCode.UNMATCHED_IDENTIFIERS
+
     def test_unmatched_identifiers_without_any_digest(self, world):
         app, bundle = honest_bundle(world)
         world["ha"].digests.clear()
@@ -538,10 +552,11 @@ class TestVenueMonitoring:
         cafe.record_broadcast(heard, -40.0, DAY + 60)
         ha.store_digest(cafe.emit_digest(DAY, 2 * DAY, 2 * DAY, 1e-6), 2 * DAY)
         boundary = 2 * DAY + ha.retention_seconds
-        assert ha.match("cafe", [heard], boundary) == [True]
+        stay = (DAY + 60, DAY + 60 + L)
+        assert ha.match("cafe", [heard], stay, boundary) == [True]
         assert len(ha.digests["cafe"]) == 1
         with pytest.raises(UnknownVenuePeriodError):
-            ha.match("cafe", [heard], boundary + 1)
+            ha.match("cafe", [heard], stay, boundary + 1)
         assert ha.digests["cafe"] == []
 
     def test_flood_rate_anomaly(self, world):

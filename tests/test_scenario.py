@@ -1,9 +1,16 @@
+import copy
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from venuetrace.cli import main
 from venuetrace.scenario import (
+    ACTION_FIELDS,
+    EVENT_FIELDS,
+    TAMPER_MODES,
     Scenario,
     ScenarioEvent,
     VenueSpec,
@@ -137,6 +144,17 @@ def test_report_with_shared_certificate_allowed():
 def test_event_time_outside_horizon_flagged():
     sc = minimal([ScenarioEvent(5 * DAY, "trace_query", {"user": "u00"})])
     assert any("outside scenario horizon" in d for d in validate_scenario(sc))
+
+
+@pytest.mark.parametrize("horizon", [0, -DAY])
+def test_horizon_must_be_positive(horizon, tmp_path, capsys):
+    # a zero horizon divided by zero in the duty cycle; a negative one ran
+    sc = Scenario(name="t", horizon_seconds=horizon, users=["u00"], venues=[], events=[])
+    assert validate_scenario(sc) == [f"horizon_seconds must be positive, got {horizon}"]
+    path = tmp_path / "s.json"
+    path.write_text(sc.to_json(), encoding="utf-8")
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"invalid: horizon_seconds must be positive, got {horizon}\n"
 
 
 def test_json_round_trip(tmp_path):
@@ -282,6 +300,10 @@ def _edit(kind, **fields):
         (_policy({"clock_tolerance": -5}), "policy clock_tolerance must not be negative"),
         (_event(time=100, kind="test_positive", user="u01", period=[-500, -100]),
          "test_positive requires period [start, end] with 0 <= start <= end"),
+        # a negative delay schedules relayed broadcasts in the past
+        (_event(time=100, kind="adversary_action", action="relay_cross_venue",
+                src_venue="v0", dst_venue="v1", start=100, end=500, delay=-5),
+         "adversary_action delay must be a non-negative finite number, got -5"),
     ],
 )
 def test_inputs_that_crashed_run_are_rejected(mutate, expected, tmp_path, capsys):
@@ -295,3 +317,59 @@ def test_inputs_that_crashed_run_are_rejected(mutate, expected, tmp_path, capsys
     assert capsys.readouterr().err == f"invalid: {found[0]}\n"
     assert main(["validate", "--scenario", str(path)]) == 1
     assert capsys.readouterr().out == f"{found[0]}\n"
+
+
+BUNDLED = {
+    path.name: json.loads(path.read_text(encoding="utf-8"))
+    for path in sorted((Path(__file__).parents[1] / "scenarios").glob("*.json"))
+}
+FIELDS = sorted({"time", "kind", *(k for req, opt in EVENT_FIELDS.values() for k in (*req, *opt))})
+ODD_VALUES = [None, True, 0, 1, -1, 2.5, float("nan"), float("inf"), "", "x", [], [1], [0, 0],
+              ["v0"], {}]
+SHIFTS = [-2 * DAY, -3600, -1, 1, 3600, 2 * DAY]
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A bundled scenario after one to three mutations: drop, retype or
+    duplicate a field, shift a time, or swap a name for another."""
+    document = copy.deepcopy(BUNDLED[draw(st.sampled_from(sorted(BUNDLED)))])
+    events = document["events"]
+    names = [*document["users"], *(v["id"] for v in document["venues"]), "ghost",
+             *EVENT_FIELDS, *ACTION_FIELDS, *TAMPER_MODES]
+    for _ in range(draw(st.integers(1, 3))):
+        event = draw(st.sampled_from(events))
+        how = draw(st.sampled_from(["drop", "retype", "duplicate", "shift", "swap"]))
+        if how == "drop":
+            event.pop(draw(st.sampled_from(sorted(event))))
+        elif how == "retype":
+            event[draw(st.sampled_from(FIELDS))] = draw(st.sampled_from(ODD_VALUES))
+        elif how == "duplicate" and draw(st.booleans()):
+            events.append(copy.deepcopy(event))
+        elif how == "duplicate":
+            key = draw(st.sampled_from(sorted(event)))
+            draw(st.sampled_from(events))[key] = copy.deepcopy(event[key])
+        elif how == "shift":
+            times = sorted(k for k in ("time", "start", "end", "delay") if k in event)
+            key = draw(st.sampled_from([*times, "horizon_seconds"]))
+            owner = document if key == "horizon_seconds" else event
+            if type(owner[key]) in (int, float):
+                owner[key] += draw(st.sampled_from(SHIFTS))
+        else:
+            texts = sorted(k for k, v in event.items() if type(v) is str)
+            if texts:
+                event[draw(st.sampled_from(texts))] = draw(st.sampled_from(names))
+    return document
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(document=mutated_scenarios(), protocol=st.sampled_from(["venue", "dp3t", "tracetogether"]))
+def test_mutated_scenarios_fail_validation_or_run(document, protocol, tmp_path, capsys):
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    checked = main(["validate", "--scenario", str(path)])
+    ran = main(["run", "--scenario", str(path), "--protocol", protocol,
+                "--out", str(tmp_path / "out")])
+    output = capsys.readouterr()
+    assert checked in (0, 1) and ran in (0, 1), output.err
+    assert ran == checked, output  # a clean validate implies a clean run
