@@ -19,15 +19,13 @@ from enum import Enum
 
 from . import crypto
 from .bloom import UnknownVenuePeriodError, VenueBloomDigest, build_filter, match_batch
-from .crypto import Certificate, Commitment, SigningKeyPair
+from .crypto import Certificate, Commitment, Opening, SigningKeyPair
 from .messages import (
     BackendRecord,
     EpochRecord,
     HeardPing,
     InfectionCertificate,
     LeaveReceipt,
-    NonceReveal,
-    PresenceQuery,
     ReportBundle,
     infection_certificate_payload,
     receipt_payload,
@@ -192,8 +190,7 @@ class TestCenter:
     def certify_infection(
         self,
         rid_value: int,
-        opening_message: bytes,
-        opening_blinding: int,
+        opening: Opening,
         observed_true_id: str,
         period_start: int,
         period_end: int,
@@ -205,9 +202,9 @@ class TestCenter:
                 "rid": crypto.encode_group_element(rid_value).hex(),
             }
         )
-        if opening_message != observed_true_id.encode("utf-8"):
+        if opening.message != observed_true_id.encode("utf-8"):
             raise CertificationRefused("opened identifier does not match tested person")
-        if not crypto.verify_opening(rid_value, opening_message, opening_blinding):
+        if not crypto.verify_opening(rid_value, opening.message, opening.blinding):
             raise CertificationRefused("rid does not open to the claimed identifier")
         payload = infection_certificate_payload(period_start, period_end, rid_value)
         return InfectionCertificate(
@@ -248,7 +245,6 @@ class Venue:
 
     def record_broadcast(self, ephid: bytes, rx_dbm: float, now: int) -> None:
         self.heard_log.append((ephid, now, rx_dbm))
-        self.observed.append({"kind": "broadcast", "ephid": ephid.hex(), "t": now})
         if rx_dbm > self.policy.max_rx_dbm:
             self.anomalies.append({"kind": "signal_too_strong", "t": now, "rx_dbm": rx_dbm})
         if self.policy.max_broadcasts_per_minute > 0:
@@ -326,7 +322,6 @@ class VenueSession:
 class CompletedVisit:
     venue_id: str
     entry_time: int
-    leave_time: int
     nonce: Commitment
     window_keys: list[WindowKey]
     records: list[EpochRecord]
@@ -436,7 +431,6 @@ class UserApp:
         visit = CompletedVisit(
             venue_id=venue.venue_id,
             entry_time=session.entry_time,
-            leave_time=now,
             nonce=session.nonce,
             window_keys=session.window_keys,
             records=session.records,
@@ -453,8 +447,7 @@ class UserApp:
     ) -> InfectionCertificate:
         return test_center.certify_infection(
             rid_value=self.rid.value,
-            opening_message=self.rid.opening.message,
-            opening_blinding=self.rid.opening.blinding,
+            opening=self.rid.opening,
             observed_true_id=self.true_id,
             period_start=period_start,
             period_end=period_end,
@@ -462,39 +455,19 @@ class UserApp:
 
     def build_reports(self, certificate: InfectionCertificate) -> list[ReportBundle]:
         """One bundle per stored visit whose leave time falls in the period."""
-        bundles = []
-        for visit in self.visits:
-            if not (certificate.period_start <= visit.leave_time <= certificate.period_end):
-                continue
-            bundles.append(
-                ReportBundle(
-                    certificate=certificate,
-                    nonce_value=visit.nonce.value,
-                    nonce_reveal=NonceReveal(
-                        rid_bytes=visit.nonce.opening.message,
-                        blinding=visit.nonce.opening.blinding,
-                    ),
-                    leave_receipt=visit.receipt,
-                    venue_id=visit.venue_id,
-                    last_window_epochs=visit.last_window_epochs,
-                    window_keys=[wk.key for wk in visit.window_keys],
-                    arrival_time=visit.receipt.arrival_time,
-                )
+        return [
+            ReportBundle(
+                certificate=certificate,
+                nonce_reveal=visit.nonce.opening,
+                leave_receipt=visit.receipt,
+                last_window_epochs=visit.last_window_epochs,
+                window_keys=[wk.key for wk in visit.window_keys],
             )
-        return bundles
+            for visit in self.visits
+            if certificate.period_start <= visit.receipt.leave_time <= certificate.period_end
+        ]
 
     # -- tracing -----------------------------------------------------------
-
-    def presence_query(self, visit: CompletedVisit, now: int) -> PresenceQuery:
-        return PresenceQuery(
-            nonce_value=visit.receipt.nonce_value,
-            query_time=now,
-            ephid_digest=visit.receipt.ephid_digest,
-            venue_id=visit.venue_id,
-            venue_signature=visit.receipt.venue_signature,
-            receipt_leave_time=visit.receipt.leave_time,
-            arrival_time=visit.receipt.arrival_time,
-        )
 
     def evaluate_risk(
         self,
@@ -581,12 +554,14 @@ class BackendServer:
         notifying again.
         """
         cert = bundle.certificate
+        receipt = bundle.leave_receipt
+        venue_id = receipt.venue_id
         self.observed.append(
             {
                 "kind": "report",
-                "venue_id": bundle.venue_id,
+                "venue_id": venue_id,
                 "rid": crypto.encode_group_element(cert.rid_value).hex(),
-                "nonce": crypto.encode_group_element(bundle.nonce_value).hex(),
+                "nonce": crypto.encode_group_element(receipt.nonce_value).hex(),
                 "t": now,
             }
         )
@@ -596,13 +571,10 @@ class BackendServer:
         if tc_key is None or not crypto.verify(cert.payload(), cert.signature, tc_key):
             return self._reject(RejectionCode.BAD_CERTIFICATE, "certificate chain", now)
         rid_bytes = crypto.encode_group_element(cert.rid_value)
-        if bundle.nonce_reveal.rid_bytes != rid_bytes:
+        reveal = bundle.nonce_reveal
+        if reveal.message != rid_bytes:
             return self._reject(RejectionCode.BAD_OPENING, "reveal names a different rid", now)
-        if bundle.nonce_value != bundle.leave_receipt.nonce_value:
-            return self._reject(RejectionCode.BAD_OPENING, "nonce differs from receipt", now)
-        if not crypto.verify_opening(
-            bundle.nonce_value, bundle.nonce_reveal.rid_bytes, bundle.nonce_reveal.blinding
-        ):
+        if not crypto.verify_opening(receipt.nonce_value, reveal.message, reveal.blinding):
             return self._reject(RejectionCode.BAD_OPENING, "opening does not verify", now)
 
         # (b) reconstruct the identifiers and verify the venue's receipt signature
@@ -614,21 +586,18 @@ class BackendServer:
         ephids: list[bytes] = []
         for w, key in enumerate(bundle.window_keys, start=1):
             ids = derive_window_ephids(
-                WindowKey(key=key, window_index=w, venue_id=bundle.venue_id), self.params
+                WindowKey(key=key, window_index=w, venue_id=venue_id), self.params
             )
             ephids.extend(ids if w < x else ids[:y])
         digest = crypto.hash_bytes(b"".join(ephids))
-        receipt = bundle.leave_receipt
-        venue_key = self._verified_subject_key(bundle.venue_id)
-        payload = receipt_payload(
-            bundle.nonce_value, receipt.leave_time, digest, bundle.arrival_time
-        )
+        venue_key = self._verified_subject_key(venue_id)
+        payload = receipt_payload(receipt.nonce_value, receipt.leave_time, digest, receipt.arrival_time)
         if venue_key is None or not crypto.verify(payload, receipt.venue_signature, venue_key):
             return self._reject(RejectionCode.BAD_RECEIPT, "venue signature", now)
 
         # the stay the receipt proves: from arrival, or from the first epoch
-        if bundle.arrival_time is not None:
-            presence_start = bundle.arrival_time
+        if receipt.arrival_time is not None:
+            presence_start = receipt.arrival_time
         else:
             presence_start = receipt.leave_time - (
                 (x - 1) * self.params.window_seconds + y * self.params.epoch_seconds
@@ -638,7 +607,7 @@ class BackendServer:
         # (c) two-party matching with HA: were these identifiers heard at the
         # venue during that stay?
         try:
-            matches = self.ha.match(bundle.venue_id, ephids, (presence_start, presence_end), now)
+            matches = self.ha.match(venue_id, ephids, (presence_start, presence_end), now)
         except UnknownVenuePeriodError:
             return self._reject(
                 RejectionCode.UNMATCHED_IDENTIFIERS, "no digest for venue period", now
@@ -653,7 +622,7 @@ class BackendServer:
         # same rid cannot be present at two venues at overlapping times
         rid_hex = rid_bytes.hex()
         for other_venue, start, end in self._presence_by_rid.get(rid_hex, []):
-            if other_venue == bundle.venue_id:
+            if other_venue == venue_id:
                 continue
             overlap = min(end, presence_end) - max(start, presence_start)
             if overlap > 0:
@@ -664,40 +633,39 @@ class BackendServer:
                 )
 
         # (d) publish, (e) notify the venue
-        if bundle.nonce_value in self._published:
-            return self._published[bundle.nonce_value], None
-        record = BackendRecord(
-            venue_id=bundle.venue_id, leave_time=receipt.leave_time, ephids=tuple(ephids)
-        )
+        if receipt.nonce_value in self._published:
+            return self._published[receipt.nonce_value], None
+        record = BackendRecord(venue_id=venue_id, leave_time=receipt.leave_time, ephids=tuple(ephids))
         self.records.append(record)
-        self._published[bundle.nonce_value] = record
+        self._published[receipt.nonce_value] = record
         self._presence_by_rid.setdefault(rid_hex, []).append(
-            (bundle.venue_id, presence_start, presence_end)
+            (venue_id, presence_start, presence_end)
         )
-        venue = self._venue_notify.get(bundle.venue_id)
+        venue = self._venue_notify.get(venue_id)
         if venue is not None:
             venue.notify_infection(receipt.leave_time)
         return record, None
 
-    def answer_trace(self, query: PresenceQuery, now: int) -> list[tuple[bytes, ...]]:
-        """Verify the presence proof, then serve matching records' identifiers."""
+    def answer_trace(self, receipt: LeaveReceipt, now: int) -> list[tuple[bytes, ...]]:
+        """Verify the leave receipt as proof of presence, then serve the
+        identifiers of the records its venue policy admits."""
         self.observed.append(
             {
                 "kind": "trace_query",
-                "venue_id": query.venue_id,
-                "nonce": crypto.encode_group_element(query.nonce_value).hex(),
+                "venue_id": receipt.venue_id,
+                "nonce": crypto.encode_group_element(receipt.nonce_value).hex(),
                 "t": now,
             }
         )
-        venue_key = self._verified_subject_key(query.venue_id)
+        venue_key = self._verified_subject_key(receipt.venue_id)
         if venue_key is None:
-            raise QueryRejected(f"venue {query.venue_id} is not certified")
-        if not crypto.verify(query.receipt_payload(), query.venue_signature, venue_key):
+            raise QueryRejected(f"venue {receipt.venue_id} is not certified")
+        if not crypto.verify(receipt.payload(), receipt.venue_signature, venue_key):
             raise QueryRejected("presence proof signature invalid")
 
-        policy = self.venue_policies.get(query.venue_id, VenuePolicy())
-        if query.arrival_time is not None and policy.min_stay_seconds > 0:
-            if query.receipt_leave_time - query.arrival_time < policy.min_stay_seconds:
+        policy = self.venue_policies.get(receipt.venue_id, VenuePolicy())
+        if receipt.arrival_time is not None and policy.min_stay_seconds > 0:
+            if receipt.leave_time - receipt.arrival_time < policy.min_stay_seconds:
                 return []
 
         cutoff = now - self.retention_seconds
@@ -705,6 +673,5 @@ class BackendServer:
         return [
             r.ephids
             for r in self.records
-            if r.venue_id == query.venue_id
-            and policy.admits(r.leave_time, query.receipt_leave_time)
+            if r.venue_id == receipt.venue_id and policy.admits(r.leave_time, receipt.leave_time)
         ]

@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import hmac as _hmac
-import os
 import random
 import struct
 from dataclasses import dataclass
@@ -164,7 +163,7 @@ class Commitment:
     """A Pedersen commitment value together with its retained opening.
 
     Only ``value`` is ever transmitted; ``opening`` leaves the committer
-    exclusively as part of a Reveal.
+    only to be checked against it (a report bundle's ``nonce_reveal``).
     """
 
     value: int
@@ -215,14 +214,11 @@ def _pedersen(message: bytes, blinding: int) -> int:
     return _fixed_base_pow(GROUP_G, m) * _fixed_base_pow(GROUP_H, blinding) % GROUP_P
 
 
-def commit(message: bytes, rng: random.Random | None = None) -> Commitment:
-    """Commit to ``message`` with a fresh uniform blinding scalar."""
+def commit(message: bytes, rng: random.Random) -> Commitment:
+    """Commit to ``message`` with a fresh uniform nonzero blinding scalar."""
     if not message:
         raise ParameterError("cannot commit to an empty message")
-    if rng is None:
-        blinding = int.from_bytes(os.urandom(32), "big") % GROUP_Q
-    else:
-        blinding = rng.randrange(1, GROUP_Q)
+    blinding = rng.randrange(1, GROUP_Q)
     value = _pedersen(message, blinding)
     return Commitment(value=value, opening=Opening(message=message, blinding=blinding))
 
@@ -262,9 +258,9 @@ def _private_key(seed: bytes) -> Ed25519PrivateKey:
     return Ed25519PrivateKey.from_private_bytes(seed)
 
 
-def keygen(holder_id: str, rng: random.Random | None = None) -> SigningKeyPair:
-    """Generate a keypair; with an ``rng`` the key is a pure function of it."""
-    seed = rng.randbytes(32) if rng is not None else os.urandom(32)
+def keygen(holder_id: str, rng: random.Random) -> SigningKeyPair:
+    """Generate a keypair; the key is a pure function of ``rng``'s state."""
+    seed = rng.randbytes(32)
     pk = _private_key(seed).public_key().public_bytes_raw()
     return SigningKeyPair(public_key=pk, secret_key=seed, holder_id=holder_id)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .crypto import encode_group_element, encode_u64, lp_encode
+from .crypto import Opening, encode_group_element, encode_u64, lp_encode
 
 
 @dataclass(frozen=True)
@@ -94,29 +94,19 @@ class InfectionCertificate:
 
 
 @dataclass(frozen=True)
-class NonceReveal:
-    """Opening of a visit nonce: the committed rid bytes plus blinding scalar."""
-
-    rid_bytes: bytes
-    blinding: int
-
-
-@dataclass(frozen=True)
 class ReportBundle:
     """Everything an infected user uploads for one visited venue.
 
-    Mirrors the four report lines: certificate; nonce with its reveal; the
-    venue's leave receipt; and (venue id, epoch count y, window keys 1..x).
+    Mirrors the four report lines: certificate; the opening of the visit
+    nonce; the venue's leave receipt, which carries the nonce, venue id,
+    leave time and any arrival time; and (epoch count y, window keys 1..x).
     """
 
     certificate: InfectionCertificate
-    nonce_value: int
-    nonce_reveal: NonceReveal
+    nonce_reveal: Opening
     leave_receipt: LeaveReceipt
-    venue_id: str
     last_window_epochs: int
     window_keys: list[bytes]
-    arrival_time: int | None = None
 
 
 @dataclass(frozen=True)
@@ -126,21 +116,3 @@ class BackendRecord:
     venue_id: str
     leave_time: int
     ephids: tuple[bytes, ...]
-
-
-@dataclass(frozen=True)
-class PresenceQuery:
-    """Trace-phase presence proof: the receipt fields re-presented to the back-end."""
-
-    nonce_value: int
-    query_time: int
-    ephid_digest: bytes
-    venue_id: str
-    venue_signature: bytes
-    receipt_leave_time: int
-    arrival_time: int | None = None
-
-    def receipt_payload(self) -> bytes:
-        return receipt_payload(
-            self.nonce_value, self.receipt_leave_time, self.ephid_digest, self.arrival_time
-        )

@@ -70,7 +70,7 @@ class ScenarioEvent:
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "ScenarioEvent":
         d = dict(d)
-        return cls(time=int(d.pop("time")), kind=str(d.pop("kind")), data=d)
+        return cls(time=_json_int(d.pop("time"), "event time"), kind=str(d.pop("kind")), data=d)
 
 
 @dataclass
@@ -115,7 +115,7 @@ class Scenario:
     def from_dict(cls, d: dict[str, Any]) -> "Scenario":
         return cls(
             name=d.get("name", "scenario"),
-            horizon_seconds=int(d["horizon_seconds"]),
+            horizon_seconds=_json_int(d["horizon_seconds"], "horizon_seconds"),
             users=list(d["users"]),
             venues=[VenueSpec.from_dict(v) for v in d.get("venues", [])],
             events=[ScenarioEvent.from_dict(e) for e in d.get("events", [])],
@@ -132,6 +132,14 @@ class Scenario:
         if not isinstance(document, dict):
             raise TypeError(f"a scenario is a JSON object, not {type(document).__name__}")
         return cls.from_dict(document)
+
+
+def _json_int(value: Any, name: str) -> int:
+    """``value`` if it is a JSON integer; a float, bool or string is refused
+    rather than truncated."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 class ScenarioError(ValueError):
@@ -167,9 +175,10 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         condition = v.policy.get("time_condition", "same_day")
         if type(condition) is str and condition not in ("same_day", "within_hours"):
             diags.append(f"{where}unknown time condition {condition!r}")
-        tolerance = v.policy.get("clock_tolerance", 0)
-        if type(tolerance) is int and tolerance < 0:
-            diags.append(f"{where}policy clock_tolerance must not be negative, got {tolerance}")
+        for key in ("clock_tolerance", "within_hours"):
+            value = v.policy.get(key, 0)
+            if type(value) is int and value < 0:
+                diags.append(f"{where}policy {key} must not be negative, got {value}")
 
     def flag(message: str) -> None:  # anchored at the event the loop is on
         diags.append(f"event[{i}] t={e.time} {e.kind}: {message}")
@@ -345,6 +354,9 @@ def _params_diagnostics(params: Any) -> list[str]:
     for key in ("epoch_seconds", "window_seconds", "tt_interval_seconds", "dp3t_epochs_per_day"):
         if type(merged[key]) is int and merged[key] <= 0:
             diags.append(f"params: {key} must be a positive integer, got {merged[key]!r}")
+    retention = merged["retention_days"]
+    if type(retention) is int and retention < 0:
+        diags.append(f"params: retention_days must not be negative, got {retention}")
     fpr = merged["bloom_fpr"]
     if _is_number(fpr) and not 0 < fpr < 1:
         diags.append(f"params: bloom_fpr must be in (0, 1), got {fpr!r}")

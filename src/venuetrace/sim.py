@@ -357,10 +357,8 @@ class _VenueDriver(_Driver):
             reveal = bundle.nonce_reveal
             return replace(bundle, nonce_reveal=replace(reveal, blinding=reveal.blinding + 1))
         if mode == "swap_venue_keys":
-            other = next(
-                (v for v in self.users[reporter].visits if v.venue_id != bundle.venue_id),
-                None,
-            )
+            venue_id = bundle.leave_receipt.venue_id
+            other = next((v for v in self.users[reporter].visits if v.venue_id != venue_id), None)
             keys = (
                 [wk.key for wk in other.window_keys]
                 if other is not None
@@ -383,7 +381,7 @@ class _VenueDriver(_Driver):
             if record is not None:
                 self.sim.outcomes["record_reporters"][_record_key(record.ephids)] = user
             row = self._report_outcome(
-                user, (cert.period_start, cert.period_end), now, bundle.venue_id,
+                user, (cert.period_start, cert.period_end), now, bundle.leave_receipt.venue_id,
                 None if code is None else code.value,
             )
             self.sim.log_event({"kind": "report", **row})
@@ -391,9 +389,8 @@ class _VenueDriver(_Driver):
     def on_trace_query(self, user: str, now: int) -> None:
         app = self.users[user]
         for visit in app.visits:
-            query = app.presence_query(visit, now)
             try:
-                lists = self.backend.answer_trace(query, now)
+                lists = self.backend.answer_trace(visit.receipt, now)
             except QueryRejected as exc:
                 self.sim.outcomes["rejected_queries"].append(
                     {"user": user, "venue": visit.venue_id, "reason": str(exc), "t": now}
@@ -433,10 +430,7 @@ class _VenueDriver(_Driver):
             "backend": list(self.backend.observed),
             "ha": list(self.ha.observed),
             "test_center": list(self.test_center.observed),
-            "venues": {
-                vid: [e for e in self.venues[vid].observed if e["kind"] == "leave"]
-                for vid in sorted(self.venues)
-            },
+            "venues": {vid: list(self.venues[vid].observed) for vid in sorted(self.venues)},
         }
 
 
@@ -841,6 +835,8 @@ class Simulation:
             per_second = max(1, per_minute // 60) if per_minute >= 60 else 1
             step = 1 if per_minute >= 60 else max(1, 60 // per_minute)
             for t in range(int(data["start"]), int(data["end"]) + 1, step):
+                if t < now:
+                    continue  # the grid's steps before the event cannot be sent
                 self.schedule(
                     t,
                     lambda tt=t, v=venue, q=pos, x=tx, k=per_second: [

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -18,7 +19,7 @@ from venuetrace.actors import (
     VenuePolicy,
 )
 from venuetrace.bloom import UnknownVenuePeriodError
-from venuetrace.messages import HeardPing, ReportBundle
+from venuetrace.messages import HeardPing
 from venuetrace.schedule import SchedulingParams, WindowKey, derive_window_ephids
 
 PARAMS = SchedulingParams()
@@ -183,8 +184,7 @@ class TestCertification:
         with pytest.raises(CertificationRefused):
             world["tc"].certify_infection(
                 rid_value=alice.rid.value,
-                opening_message=mallory.rid.opening.message,
-                opening_blinding=mallory.rid.opening.blinding,
+                opening=mallory.rid.opening,
                 observed_true_id="mallory",
                 period_start=0,
                 period_end=DAY,
@@ -195,8 +195,7 @@ class TestCertification:
         with pytest.raises(CertificationRefused):
             world["tc"].certify_infection(
                 rid_value=alice.rid.value,
-                opening_message=alice.rid.opening.message,
-                opening_blinding=alice.rid.opening.blinding,
+                opening=alice.rid.opening,
                 observed_true_id="someone-else",
                 period_start=0,
                 period_end=DAY,
@@ -212,7 +211,7 @@ class TestReportBuilding:
         cert = app.obtain_certificate(world["tc"], DAY, 2 * DAY)
         bundles = app.build_reports(cert)
         assert len(bundles) == 2
-        assert {b.venue_id for b in bundles} == {"cafe", "gym"}
+        assert {b.leave_receipt.venue_id for b in bundles} == {"cafe", "gym"}
 
     def test_bundle_reconstructs_broadcast_list(self, world):
         app = new_user(world)
@@ -257,22 +256,12 @@ class TestBackendReportMatrix:
     def test_bad_certificate(self, world):
         _, bundle = honest_bundle(world)
         rogue = crypto.keygen("rogue-lab", world["rng"])
-        forged_cert = type(bundle.certificate)(
-            period_start=bundle.certificate.period_start,
-            period_end=bundle.certificate.period_end,
-            rid_value=bundle.certificate.rid_value,
+        forged_cert = replace(
+            bundle.certificate,
             signature=crypto.sign(bundle.certificate.payload(), rogue.secret_key),
             test_center_id="rogue-lab",
         )
-        bad = ReportBundle(
-            certificate=forged_cert,
-            nonce_value=bundle.nonce_value,
-            nonce_reveal=bundle.nonce_reveal,
-            leave_receipt=bundle.leave_receipt,
-            venue_id=bundle.venue_id,
-            last_window_epochs=bundle.last_window_epochs,
-            window_keys=bundle.window_keys,
-        )
+        bad = replace(bundle, certificate=forged_cert)
         record, code = world["backend"].process_report(bad, 2 * DAY)
         assert record is None and code == RejectionCode.BAD_CERTIFICATE
         assert not world["backend"].records
@@ -299,19 +288,8 @@ class TestBackendReportMatrix:
 
     def test_bad_opening(self, world):
         _, bundle = honest_bundle(world)
-        bad_reveal = type(bundle.nonce_reveal)(
-            rid_bytes=bundle.nonce_reveal.rid_bytes,
-            blinding=bundle.nonce_reveal.blinding + 1,
-        )
-        bad = ReportBundle(
-            certificate=bundle.certificate,
-            nonce_value=bundle.nonce_value,
-            nonce_reveal=bad_reveal,
-            leave_receipt=bundle.leave_receipt,
-            venue_id=bundle.venue_id,
-            last_window_epochs=bundle.last_window_epochs,
-            window_keys=bundle.window_keys,
-        )
+        bad_reveal = replace(bundle.nonce_reveal, blinding=bundle.nonce_reveal.blinding + 1)
+        bad = replace(bundle, nonce_reveal=bad_reveal)
         record, code = world["backend"].process_report(bad, 2 * DAY)
         assert record is None and code == RejectionCode.BAD_OPENING
 
@@ -322,15 +300,7 @@ class TestBackendReportMatrix:
         publish_digests(world, 2 * DAY)
         cert = app.obtain_certificate(world["tc"], DAY, 2 * DAY)
         cafe_bundle, gym_bundle = app.build_reports(cert)
-        mixed = ReportBundle(
-            certificate=cafe_bundle.certificate,
-            nonce_value=cafe_bundle.nonce_value,
-            nonce_reveal=cafe_bundle.nonce_reveal,
-            leave_receipt=cafe_bundle.leave_receipt,
-            venue_id=cafe_bundle.venue_id,
-            last_window_epochs=cafe_bundle.last_window_epochs,
-            window_keys=gym_bundle.window_keys,  # venue binding broken
-        )
+        mixed = replace(cafe_bundle, window_keys=gym_bundle.window_keys)  # venue binding broken
         record, code = world["backend"].process_report(mixed, 2 * DAY)
         assert record is None and code == RejectionCode.BAD_RECEIPT
 
@@ -389,19 +359,11 @@ class TestBackendReportMatrix:
             assert code is None
 
     def test_nonce_mismatch_with_receipt_rejected(self, world):
+        # the reveal opens another commitment to the same rid, not the
+        # receipt's nonce
         app, bundle = honest_bundle(world)
         other = crypto.commit(app.rid.value_bytes(), world["rng"])
-        bad = ReportBundle(
-            certificate=bundle.certificate,
-            nonce_value=other.value,
-            nonce_reveal=type(bundle.nonce_reveal)(
-                rid_bytes=other.opening.message, blinding=other.opening.blinding
-            ),
-            leave_receipt=bundle.leave_receipt,
-            venue_id=bundle.venue_id,
-            last_window_epochs=bundle.last_window_epochs,
-            window_keys=bundle.window_keys,
-        )
+        bad = replace(bundle, nonce_reveal=other.opening)
         record, code = world["backend"].process_report(bad, 2 * DAY)
         assert record is None and code == RejectionCode.BAD_OPENING
 
@@ -417,14 +379,14 @@ class TestTraceQueries:
         _, record = self._accepted_record(world)
         visitor = new_user(world, "bob")
         visit = run_visit(world, visitor, "cafe", DAY + 3000, 6)
-        lists = world["backend"].answer_trace(visitor.presence_query(visit, 2 * DAY), 2 * DAY)
+        lists = world["backend"].answer_trace(visit.receipt, 2 * DAY)
         assert lists == [record.ephids]
 
     def test_next_day_visit_empty_under_same_day_policy(self, world):
         self._accepted_record(world)
         visitor = new_user(world, "bob")
         visit = run_visit(world, visitor, "cafe", 2 * DAY + 3000, 6)
-        lists = world["backend"].answer_trace(visitor.presence_query(visit, 3 * DAY), 3 * DAY)
+        lists = world["backend"].answer_trace(visit.receipt, 3 * DAY)
         assert lists == []
 
     def test_within_hours_policy(self, world):
@@ -435,33 +397,27 @@ class TestTraceQueries:
         visitor = new_user(world, "bob")
         near = run_visit(world, visitor, "cafe", DAY + 3000, 6)
         far = run_visit(world, visitor, "cafe", DAY + 30_000, 6)
-        assert world["backend"].answer_trace(visitor.presence_query(near, 2 * DAY), 2 * DAY)
-        assert not world["backend"].answer_trace(visitor.presence_query(far, 2 * DAY), 2 * DAY)
+        assert world["backend"].answer_trace(near.receipt, 2 * DAY)
+        assert not world["backend"].answer_trace(far.receipt, 2 * DAY)
 
     def test_forged_venue_certificate_after_good_query(self, world):
         self._accepted_record(world)
         visitor = new_user(world, "bob")
         visit = run_visit(world, visitor, "cafe", DAY + 3000, 6)
-        query = visitor.presence_query(visit, 2 * DAY)
-        assert world["backend"].answer_trace(query, 2 * DAY)
+        assert world["backend"].answer_trace(visit.receipt, 2 * DAY)
         registry = world["ha"].registry
         registry["cafe"] = forge_certificate(world, registry["cafe"])
         with pytest.raises(QueryRejected):
-            world["backend"].answer_trace(query, 2 * DAY)
+            world["backend"].answer_trace(visit.receipt, 2 * DAY)
 
     def test_self_signed_receipt_rejected(self, world):
         self._accepted_record(world)
         visitor = new_user(world, "bob")
         visit = run_visit(world, visitor, "cafe", DAY + 3000, 6)
-        query = visitor.presence_query(visit, 2 * DAY)
         forged_key = crypto.keygen("cafe", world["rng"])  # not HA-certified
-        forged = type(query)(
-            nonce_value=query.nonce_value,
-            query_time=query.query_time,
-            ephid_digest=query.ephid_digest,
-            venue_id=query.venue_id,
-            venue_signature=crypto.sign(query.receipt_payload(), forged_key.secret_key),
-            receipt_leave_time=query.receipt_leave_time,
+        receipt = visit.receipt
+        forged = replace(
+            receipt, venue_signature=crypto.sign(receipt.payload(), forged_key.secret_key)
         )
         with pytest.raises(QueryRejected):
             world["backend"].answer_trace(forged, 2 * DAY)
@@ -470,30 +426,14 @@ class TestTraceQueries:
         self._accepted_record(world)
         visitor = new_user(world, "bob")
         visit = run_visit(world, visitor, "cafe", DAY + 3000, 6)
-        query = visitor.presence_query(visit, 2 * DAY)
-        cross = type(query)(
-            nonce_value=query.nonce_value,
-            query_time=query.query_time,
-            ephid_digest=query.ephid_digest,
-            venue_id="gym",  # cafe receipt presented against gym records
-            venue_signature=query.venue_signature,
-            receipt_leave_time=query.receipt_leave_time,
-        )
+        cross = replace(visit.receipt, venue_id="gym")  # cafe receipt against gym records
         with pytest.raises(QueryRejected):
             world["backend"].answer_trace(cross, 2 * DAY)
 
     def test_uncertified_venue_rejected(self, world):
         visitor = new_user(world, "bob")
         visit = run_visit(world, visitor, "cafe", DAY + 3000, 6)
-        query = visitor.presence_query(visit, 2 * DAY)
-        rogue = type(query)(
-            nonce_value=query.nonce_value,
-            query_time=query.query_time,
-            ephid_digest=query.ephid_digest,
-            venue_id="pop-up",  # never certified by HA
-            venue_signature=query.venue_signature,
-            receipt_leave_time=query.receipt_leave_time,
-        )
+        rogue = replace(visit.receipt, venue_id="pop-up")  # never certified by HA
         with pytest.raises(QueryRejected):
             world["backend"].answer_trace(rogue, 2 * DAY)
 

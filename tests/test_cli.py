@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +58,16 @@ def test_run_malformed_scenario_exits_one(tmp_path):
 
 
 RELAY = build_relay_scenario().to_dict()
+BASELINE = json.loads(
+    (Path(__file__).parents[1] / "scenarios" / "relay_baseline.json").read_text(encoding="utf-8")
+)
+
+
+def _first(kind, **fields):
+    """The bundled relay baseline with fields set on its first ``kind`` event."""
+    document = copy.deepcopy(BASELINE)
+    next(e for e in document["events"] if e["kind"] == kind).update(fields)
+    return document
 
 
 @pytest.mark.parametrize(
@@ -69,6 +81,11 @@ RELAY = build_relay_scenario().to_dict()
         {**RELAY, "events": [*RELAY["events"], {"time": [1], "kind": "leave", "user": "u00"}]},
         [],
         "scenario",
+        # times are JSON integers; truncating would run these at 122400 and t=1
+        _first("enter", time=122400.9),
+        _first("trace_query", time=True),
+        _first("leave", time="123480"),
+        {**BASELINE, "horizon_seconds": 259200.0},
     ],
 )
 @pytest.mark.parametrize("command", ["run", "validate"])

@@ -298,6 +298,10 @@ def _edit(kind, **fields):
         (_policy({"within_hours": "x"}), "policy within_hours must be an integer, got 'x'"),
         (_policy(5), "venue 'v0': policy must be an object"),
         (_policy({"clock_tolerance": -5}), "policy clock_tolerance must not be negative"),
+        # negative settings leave every report unmatched or every query empty
+        (_params(retention_days=-1), "params: retention_days must not be negative, got -1"),
+        (_policy({"time_condition": "within_hours", "within_hours": -1}),
+         "venue 'v0': policy within_hours must not be negative, got -1"),
         (_event(time=100, kind="test_positive", user="u01", period=[-500, -100]),
          "test_positive requires period [start, end] with 0 <= start <= end"),
         # a negative delay schedules relayed broadcasts in the past
@@ -317,6 +321,13 @@ def test_inputs_that_crashed_run_are_rejected(mutate, expected, tmp_path, capsys
     assert capsys.readouterr().err == f"invalid: {found[0]}\n"
     assert main(["validate", "--scenario", str(path)]) == 1
     assert capsys.readouterr().out == f"{found[0]}\n"
+
+
+def test_zero_retention_and_window_stay_valid():
+    scenario = build_relay_scenario(with_attack=False)
+    scenario.params["retention_days"] = 0
+    scenario.venues[0].policy = {"time_condition": "within_hours", "within_hours": 0}
+    assert validate_scenario(scenario) == []
 
 
 BUNDLED = {

@@ -233,6 +233,22 @@ class TestAdversaries:
         assert "broadcast_flood" in kinds
         assert "signal_too_strong" in kinds
 
+    @pytest.mark.parametrize("start,per_minute", [(122400, 60), (122401, 20)])
+    def test_flood_sends_nothing_before_its_event(self, start, per_minute):
+        sc = build_relay_scenario(with_attack=False)
+        sc.events.append(ScenarioEvent(123000, "adversary_action", {
+            "action": "flood", "venue": "v0", "start": start, "end": 124200,
+            "per_minute": per_minute,
+        }))
+        assert validate_scenario(sc) == []
+        trace = run(sc, "venue", seed=0)
+        times = trace.data["broadcasts"]["t"]
+        assert times == sorted(times)
+        flood = [b["t"] for b in trace.broadcasts if b["tag"] == "flood"]
+        step = 60 // per_minute
+        assert flood and min(flood) >= 123000 and min(flood) - 123000 < step
+        assert all((t - start) % step == 0 for t in flood)  # the grid of the window
+
     def test_suppressed_user_never_on_air(self):
         sc = small_scenario(
             extra_events=[
