@@ -520,8 +520,7 @@ class BackendServer:
         self.records: list[BackendRecord] = []
         self.rejections: list[dict] = []
         self.observed: list[dict] = []
-        self.venue_policies: dict[str, VenuePolicy] = {}
-        self._venue_notify: dict[str, Venue] = {}
+        self.venues: dict[str, Venue] = {}
         # rid hex -> list of (venue_id, presence_start, presence_end); internal
         # collusion index, never published.
         self._presence_by_rid: dict[str, list[tuple[str, int, int]]] = {}
@@ -530,8 +529,7 @@ class BackendServer:
         self._verified_certs: set[Certificate] = set()
 
     def register_venue(self, venue: Venue) -> None:
-        self.venue_policies[venue.venue_id] = venue.policy
-        self._venue_notify[venue.venue_id] = venue
+        self.venues[venue.venue_id] = venue
 
     def _verified_subject_key(self, subject_id: str) -> bytes | None:
         cert = self.ha.certificate_for(subject_id)
@@ -641,7 +639,7 @@ class BackendServer:
         self._presence_by_rid.setdefault(rid_hex, []).append(
             (venue_id, presence_start, presence_end)
         )
-        venue = self._venue_notify.get(venue_id)
+        venue = self.venues.get(venue_id)
         if venue is not None:
             venue.notify_infection(receipt.leave_time)
         return record, None
@@ -663,7 +661,8 @@ class BackendServer:
         if not crypto.verify(receipt.payload(), receipt.venue_signature, venue_key):
             raise QueryRejected("presence proof signature invalid")
 
-        policy = self.venue_policies.get(receipt.venue_id, VenuePolicy())
+        venue = self.venues.get(receipt.venue_id)
+        policy = venue.policy if venue is not None else VenuePolicy()
         if receipt.arrival_time is not None and policy.min_stay_seconds > 0:
             if receipt.leave_time - receipt.arrival_time < policy.min_stay_seconds:
                 return []

@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 from typing import Any
 
@@ -242,14 +243,11 @@ def cmd_replay(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: cannot read trace: {exc}", file=sys.stderr)
         return 2
-    policy = None
-    if args.gt_distance_meters is not None or args.gt_duration_minutes is not None:
-        policy = ExposurePolicy(
-            distance_m=args.gt_distance_meters if args.gt_distance_meters is not None else 2.0,
-            duration_seconds=(
-                args.gt_duration_minutes * 60 if args.gt_duration_minutes is not None else 900
-            ),
-        )
+    policy = ExposurePolicy()
+    if args.gt_distance_meters is not None:
+        policy = replace(policy, distance_m=args.gt_distance_meters)
+    if args.gt_duration_minutes is not None:
+        policy = replace(policy, duration_seconds=args.gt_duration_minutes * 60)
     exposure_seconds = (
         args.exposure_minutes * 60 if args.exposure_minutes is not None else None
     )

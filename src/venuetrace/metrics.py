@@ -3,8 +3,12 @@
 The oracle works purely on the trace's presence segments (true scripted
 positions), never on protocol state, so it can judge any protocol's
 notifications. Exposure is evaluated over maximal contiguous co-location
-intervals: same venue, within the distance threshold, clipped to the
+intervals: same location, within the distance threshold, clipped to the
 reporter's contagious period, lasting at least the duration threshold.
+One sweep per location, by segment start, meets each pair of segments that
+overlap in time. Only pairs with a reporter can expose anyone, so it keeps
+two open lists: all segments, for an arriving reporter to meet, and the
+reporters' alone, for any other arriving segment to meet.
 """
 
 from __future__ import annotations
@@ -19,17 +23,6 @@ class ExposurePolicy:
     duration_seconds: int = 900
 
 
-def _segments_by_user(
-    presence: list[dict[str, Any]], street: bool
-) -> dict[str, list[dict[str, Any]]]:
-    by_user: dict[str, list[dict[str, Any]]] = {}
-    for seg in presence:
-        if (seg["location"] is None) != street:
-            continue
-        by_user.setdefault(seg["user"], []).append(seg)
-    return by_user
-
-
 def _merge_intervals(pieces: list[tuple[int, int]]) -> list[tuple[int, int]]:
     merged: list[tuple[int, int]] = []
     for start, end in sorted(pieces):
@@ -41,48 +34,55 @@ def _merge_intervals(pieces: list[tuple[int, int]]) -> list[tuple[int, int]]:
 
 
 def ground_truth_exposures(
-    trace_data: dict[str, Any],
-    policy: ExposurePolicy | None = None,
-    street: bool = False,
-) -> set[tuple[str, str, str]]:
-    """All (user, location, reporter) triples exposed per the physical oracle.
-
-    Computed from true positions and the reporters' contagious periods only;
-    independent of every protocol's bookkeeping. With ``street=True`` the
-    scan covers off-premise co-location instead of venues, quantifying the
-    exposures a geo-selective protocol gives up by design.
+    trace_data: dict[str, Any], policy: ExposurePolicy | None = None
+) -> tuple[set[tuple[str, str, str]], set[tuple[str, str, str]]]:
+    """(venue exposures, street exposures): the (user, location, reporter)
+    triples exposed per the physical oracle, from true positions and the
+    reporters' contagious periods only, independent of every protocol's
+    bookkeeping. Street triples name the location ``"street"``: exposures a
+    geo-selective protocol gives up by design.
     """
     policy = policy or ExposurePolicy()
-    presence = trace_data["presence"]
     reporters: dict[str, list[int]] = trace_data["outcomes"]["reporters"]
-    segments = _segments_by_user(presence, street)
+    by_location: dict[str | None, list[dict[str, Any]]] = {}
+    for seg in sorted(trace_data["presence"], key=lambda s: s["start"]):
+        by_location.setdefault(seg["location"], []).append(seg)
 
-    exposures: set[tuple[str, str, str]] = set()
-    for reporter, period in reporters.items():
-        rsegs = segments.get(reporter, [])
-        for user, usegs in segments.items():
-            if user == reporter:
-                continue
-            pieces: dict[str, list[tuple[int, int]]] = {}
-            for rs in rsegs:
-                for us in usegs:
-                    if us["location"] != rs["location"]:
-                        continue
-                    start = max(rs["start"], us["start"], period[0])
-                    end = min(rs["end"], us["end"], period[1])
-                    if end <= start:
-                        continue
-                    dx, dy = rs["x"] - us["x"], rs["y"] - us["y"]
-                    if (dx * dx + dy * dy) ** 0.5 > policy.distance_m:
-                        continue
-                    key = rs["location"] if rs["location"] is not None else "street"
-                    pieces.setdefault(key, []).append((start, end))
-            for venue, intervals in pieces.items():
-                for start, end in _merge_intervals(intervals):
-                    if end - start >= policy.duration_seconds:
-                        exposures.add((user, venue, reporter))
-                        break
-    return exposures
+    # (user, location, reporter) -> co-location pieces within the period
+    pieces: dict[tuple[str, str | None, str], list[tuple[int, int]]] = {}
+
+    def meet(rs: dict[str, Any], us: dict[str, Any]) -> None:
+        reporter, user = rs["user"], us["user"]
+        period = reporters[reporter]
+        start = max(rs["start"], us["start"], period[0])
+        end = min(rs["end"], us["end"], period[1])
+        dx, dy = rs["x"] - us["x"], rs["y"] - us["y"]
+        if user != reporter and start < end and (dx * dx + dy * dy) ** 0.5 <= policy.distance_m:
+            pieces.setdefault((user, rs["location"], reporter), []).append((start, end))
+
+    for segments in by_location.values():
+        open_segs: list[dict[str, Any]] = []
+        open_reporters: list[dict[str, Any]] = []
+        for seg in segments:
+            now = seg["start"]
+            open_segs = [s for s in open_segs if s["end"] > now]
+            open_reporters = [s for s in open_reporters if s["end"] > now]
+            for rs in open_reporters:
+                meet(rs, seg)
+            if seg["user"] in reporters:  # the reporter arrives second
+                for us in open_segs:
+                    meet(seg, us)
+                open_reporters.append(seg)
+            open_segs.append(seg)
+
+    exposed = {
+        key
+        for key, intervals in pieces.items()
+        if any(end - start >= policy.duration_seconds for start, end in _merge_intervals(intervals))
+    }
+    venue = {key for key in exposed if key[1] is not None}
+    street = {(user, "street", reporter) for user, location, reporter in exposed if location is None}
+    return venue, street
 
 
 @dataclass
@@ -192,7 +192,9 @@ def collect_metrics(
     outcomes = trace_data["outcomes"]
     horizon = config["scenario"]["horizon_seconds"]
 
-    gt = ground_truth_exposures(trace_data, exposure_policy)
+    # street exposures happen off-premise: outside geo-selective coverage,
+    # so they are unreachable for the venue protocol by design
+    gt, street_exposures = ground_truth_exposures(trace_data, exposure_policy)
     gt_pairs_ui = {(u, i) for (u, _, i) in gt}
 
     threshold = params["exposure_seconds"] if exposure_seconds is None else exposure_seconds
@@ -245,10 +247,6 @@ def collect_metrics(
     adversary = dict(outcomes["adversary"])
     adversary["cross_venue_ephid_matches"] = cross_venue
     adversary["cross_visit_ephid_matches"] = cross_visit
-
-    # exposures happening off-premise: outside geo-selective coverage, so
-    # they are unreachable for the venue protocol by design
-    street_exposures = ground_truth_exposures(trace_data, exposure_policy, street=True)
 
     venue_anomalies = {
         vid: len(flags) for vid, flags in outcomes.get("venue_anomalies", {}).items()

@@ -12,7 +12,8 @@ lists for its kind: those it cannot run without and those it may carry.
 An ``adversary_action`` names an ``action``; ``ACTION_FIELDS`` lists the
 fields each action cannot run without. A field name has one rule
 wherever it appears (``_event_rules``): a user or venue field names a
-declared id, times and powers are finite numbers (a delay not negative),
+declared id, an adversary window's ``start`` and ``end`` are integers,
+powers and delays finite numbers (a delay not negative),
 ``pos`` is [x, y] and ``period`` is [start, end] with 0 <= start <= end.
 Fields a kind does not list are ignored. ``move`` applies to the current
 location: the venue while inside one, the shared street space otherwise.
@@ -245,7 +246,8 @@ def _event_rules(users: set[str], venues: set[str]) -> dict[str, list[tuple]]:
     }
     # field -> (accepts a value, the shape a diagnostic asks for)
     shapes = {
-        **dict.fromkeys(("start", "end", "tx_dbm"), (_is_number, "a finite number")),
+        **dict.fromkeys(("start", "end"), (lambda value: type(value) is int, "an integer")),
+        "tx_dbm": (_is_number, "a finite number"),
         "delay": (lambda value: _is_number(value) and value >= 0, "a non-negative finite number"),
         "pos": (_is_pair, "[x, y], two finite numbers"),
         "period": (lambda value: _is_pair(value) and 0 <= value[0] <= value[1],

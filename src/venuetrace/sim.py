@@ -830,27 +830,26 @@ class Simulation:
         elif action == "flood":
             venue = data["venue"]
             pos = tuple(data.get("pos", (0.0, 0.0)))
-            per_minute = int(data.get("per_minute", 60))
+            per_minute = data.get("per_minute", 60)
             tx = float(data.get("tx_dbm", 10.0))
-            per_second = max(1, per_minute // 60) if per_minute >= 60 else 1
-            step = 1 if per_minute >= 60 else max(1, 60 // per_minute)
-            for t in range(int(data["start"]), int(data["end"]) + 1, step):
+            start, end = data["start"], data["end"]
+            # broadcast i goes at start + 60*i // per_minute, for every i that
+            # lands in [start, end]: ceil((end - start + 1) * per_minute / 60)
+            for i in range(((end - start + 1) * per_minute + 59) // 60):
+                t = start + 60 * i // per_minute
                 if t < now:
-                    continue  # the grid's steps before the event cannot be sent
+                    continue  # broadcasts due before the event cannot be sent
                 self.schedule(
                     t,
-                    lambda tt=t, v=venue, q=pos, x=tx, k=per_second: [
-                        self.emit(
-                            "adversary",
-                            self.rng.randbytes(16),
-                            tt,
-                            tag="flood",
-                            tx_dbm=x,
-                            injected=True,
-                            at=(v, q),
-                        )
-                        for _ in range(k)
-                    ],
+                    lambda tt=t, v=venue, q=pos, x=tx: self.emit(
+                        "adversary",
+                        self.rng.randbytes(16),
+                        tt,
+                        tag="flood",
+                        tx_dbm=x,
+                        injected=True,
+                        at=(v, q),
+                    ),
                 )
         elif action == "share_rid":
             self.driver.share_rid(data.get("from_user"), data.get("to_user"))

@@ -390,7 +390,7 @@ class TestTraceQueries:
         assert lists == []
 
     def test_within_hours_policy(self, world):
-        world["backend"].venue_policies["cafe"] = VenuePolicy(
+        world["backend"].venues["cafe"].policy = VenuePolicy(
             time_condition="within_hours", within_hours=2
         )
         _, record = self._accepted_record(world)

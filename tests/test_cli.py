@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from venuetrace.cli import IntegrityError, main, read_trace, write_trace
+from venuetrace.metrics import ExposurePolicy, collect_metrics
 from venuetrace.scenario import build_relay_scenario
 from venuetrace.sim import run
 
@@ -230,6 +231,24 @@ class TestReplay:
         assert rc == 0
         recomputed = json.loads(capsys.readouterr().out)
         assert recomputed["at_risk_users"] == []
+
+    def test_replay_ground_truth_flags(self, tmp_path, capsys):
+        # u00 (the reporter) and u02 sit 0.9 m apart in v0 for 30 minutes
+        scenario = Path(__file__).parents[1] / "scenarios" / "street_encounter.json"
+        out = tmp_path / "out"
+        main(["run", "--scenario", str(scenario), "--out", str(out)])
+        trace = out / "trace.ndjson"
+        for flags, policy, pairs in [
+            ([], ExposurePolicy(), [["u02", "v0", "u00"]]),
+            (["--gt-distance-meters", "0.5"], ExposurePolicy(distance_m=0.5), []),
+            (["--gt-duration-minutes", "40"], ExposurePolicy(duration_seconds=2400), []),
+        ]:
+            capsys.readouterr()
+            assert main(["replay", "--trace", str(trace), *flags]) == 0
+            replayed = json.loads(capsys.readouterr().out)
+            assert replayed["ground_truth_pairs"] == pairs
+            expected = collect_metrics(read_trace(trace), policy).to_dict()
+            assert replayed == json.loads(json.dumps(expected))
 
     def test_replay_truncated_exits_two(self, scenario_file, tmp_path):
         out = tmp_path / "out"

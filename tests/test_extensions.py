@@ -125,14 +125,12 @@ class TestStructuralInvariants:
             (e["reporter"], e["contact"]) for e in trace.outcomes["moh_edges"]
         }
         # MoH's derived graph equals true co-presence (any duration, within
-        # radio range) of its reporters: the mass-surveillance exposure
-        expected = {
-            (r, u)
-            for (u, _, r) in ground_truth_exposures(
-                trace.data,
-                ExposurePolicy(distance_m=max_range, duration_seconds=1),
-            )
-        }
+        # radio range, in a venue or on the street) of its reporters: the
+        # mass-surveillance exposure
+        venue, street = ground_truth_exposures(
+            trace.data, ExposurePolicy(distance_m=max_range, duration_seconds=1)
+        )
+        expected = {(r, u) for (u, _, r) in venue | street}
         assert edges == expected
 
     def test_street_exposures_reported_as_geo_selective_tradeoff(self):

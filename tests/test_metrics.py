@@ -1,3 +1,6 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from venuetrace.metrics import (
     ExposurePolicy,
     collect_metrics,
@@ -27,7 +30,7 @@ class TestGroundTruthOracle:
             ],
             {"sick": [0, DAY]},
         )
-        assert ground_truth_exposures(trace) == {("bob", "v0", "sick")}
+        assert ground_truth_exposures(trace)[0] == {("bob", "v0", "sick")}
 
     def test_ten_second_street_encounter_not_exposed(self):
         trace = synthetic_trace(
@@ -37,7 +40,7 @@ class TestGroundTruthOracle:
             ],
             {"sick": [0, DAY]},
         )
-        assert ground_truth_exposures(trace) == set()
+        assert ground_truth_exposures(trace) == (set(), set())
 
     def test_twenty_minutes_at_five_meters_not_exposed(self):
         trace = synthetic_trace(
@@ -47,7 +50,7 @@ class TestGroundTruthOracle:
             ],
             {"sick": [0, DAY]},
         )
-        assert ground_truth_exposures(trace) == set()
+        assert ground_truth_exposures(trace)[0] == set()
 
     def test_exactly_fifteen_minutes_exposed(self):
         trace = synthetic_trace(
@@ -57,7 +60,7 @@ class TestGroundTruthOracle:
             ],
             {"sick": [0, DAY]},
         )
-        assert ground_truth_exposures(trace) == {("bob", "v0", "sick")}
+        assert ground_truth_exposures(trace)[0] == {("bob", "v0", "sick")}
 
     def test_contiguous_pieces_merge(self):
         # bob shifts seat mid-contact; both positions stay within 2 m
@@ -69,7 +72,7 @@ class TestGroundTruthOracle:
             ],
             {"sick": [0, DAY]},
         )
-        assert ground_truth_exposures(trace) == {("bob", "v0", "sick")}
+        assert ground_truth_exposures(trace)[0] == {("bob", "v0", "sick")}
 
     def test_contact_outside_contagious_period_ignored(self):
         trace = synthetic_trace(
@@ -79,7 +82,7 @@ class TestGroundTruthOracle:
             ],
             {"sick": [DAY, 2 * DAY]},
         )
-        assert ground_truth_exposures(trace) == set()
+        assert ground_truth_exposures(trace)[0] == set()
 
     def test_policy_overrides(self):
         trace = synthetic_trace(
@@ -90,8 +93,69 @@ class TestGroundTruthOracle:
             {"sick": [0, DAY]},
         )
         relaxed = ExposurePolicy(distance_m=4.0, duration_seconds=300)
-        assert ground_truth_exposures(trace, relaxed) == {("bob", "v0", "sick")}
-        assert ground_truth_exposures(trace) == set()
+        assert ground_truth_exposures(trace, relaxed)[0] == {("bob", "v0", "sick")}
+        assert ground_truth_exposures(trace)[0] == set()
+
+
+HORIZON = 120  # seconds each drawn user's segments cover, back to back
+
+
+@st.composite
+def small_worlds(draw):
+    """2-5 users with back-to-back segments over [0, HORIZON) at a venue or
+    the street on a small integer grid, some of them reporters, a policy."""
+    presence, reporters = [], {}
+    for i in range(draw(st.integers(2, 5))):
+        user = f"u{i}"
+        cuts = draw(st.lists(st.integers(1, HORIZON - 1), max_size=4, unique=True))
+        bounds = [0, *sorted(cuts), HORIZON]
+        for start, end in zip(bounds, bounds[1:]):
+            location = draw(st.sampled_from(["v0", "v1", None]))
+            x, y = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+            presence.append(seg(user, start, end, location, float(x), float(y)))
+        if draw(st.booleans()):
+            reporters[user] = sorted(draw(st.lists(st.integers(0, HORIZON), min_size=2, max_size=2)))
+    policy = ExposurePolicy(
+        distance_m=draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0])),
+        duration_seconds=draw(st.integers(1, 60)),
+    )
+    return draw(st.permutations(presence)), reporters, policy
+
+
+def per_second_exposures(presence, reporters, policy):
+    """Reference oracle: a (user, location, reporter) triple is exposed when
+    a run of at least ``duration_seconds`` consecutive seconds has both at
+    the location, within ``distance_m``, inside the period [p0, p1)."""
+    where = {}  # (user, second) -> (location, x, y)
+    for s in presence:
+        for t in range(s["start"], s["end"]):
+            where[s["user"], t] = (s["location"], s["x"], s["y"])
+    users = {s["user"] for s in presence}
+    exposed = set()
+    for reporter, (p0, p1) in reporters.items():
+        for user in users - {reporter}:
+            run_location, run = None, 0
+            for t in range(HORIZON):
+                (loc_r, xr, yr), (loc_u, xu, yu) = where[reporter, t], where[user, t]
+                close = (xr - xu) ** 2 + (yr - yu) ** 2 <= policy.distance_m ** 2
+                if loc_r == loc_u and close and p0 <= t < p1:
+                    run = run + 1 if run and run_location == loc_r else 1
+                    run_location = loc_r
+                    if run >= policy.duration_seconds:
+                        exposed.add((user, run_location or "street", reporter))
+                else:
+                    run = 0
+    return exposed
+
+
+@settings(max_examples=150, deadline=None)
+@given(world=small_worlds())
+def test_oracle_matches_per_second_reference(world):
+    presence, reporters, policy = world
+    venue, street = ground_truth_exposures(synthetic_trace(presence, reporters), policy)
+    expected = per_second_exposures(presence, reporters, policy)
+    assert venue == {e for e in expected if e[1] != "street"}
+    assert street == {e for e in expected if e[1] == "street"}
 
 
 class TestCollectMetrics:

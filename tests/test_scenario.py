@@ -308,6 +308,13 @@ def _edit(kind, **fields):
         (_event(time=100, kind="adversary_action", action="relay_cross_venue",
                 src_venue="v0", dst_venue="v1", start=100, end=500, delay=-5),
          "adversary_action delay must be a non-negative finite number, got -5"),
+        # a truncated window start sent the flood before its window opened
+        (_event(time=123000, kind="adversary_action", action="flood", venue="v0",
+                start=123000.9, end=123010),
+         "adversary_action start must be an integer, got 123000.9"),
+        (_event(time=123000, kind="adversary_action", action="flood", venue="v0",
+                start=123000, end=True),
+         "adversary_action end must be an integer, got True"),
     ],
 )
 def test_inputs_that_crashed_run_are_rejected(mutate, expected, tmp_path, capsys):

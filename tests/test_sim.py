@@ -249,6 +249,21 @@ class TestAdversaries:
         assert flood and min(flood) >= 123000 and min(flood) - 123000 < step
         assert all((t - start) % step == 0 for t in flood)  # the grid of the window
 
+    @pytest.mark.parametrize(
+        "per_minute,expected", [(7, 70), (45, 450), (60, 600), (90, 900), (120, 1200)]
+    )
+    def test_flood_sends_its_rate(self, per_minute, expected):
+        sc = build_relay_scenario(with_attack=False)
+        sc.events.append(ScenarioEvent(123000, "adversary_action", {
+            "action": "flood", "venue": "v0", "start": 123000, "end": 123599,
+            "per_minute": per_minute,
+        }))
+        assert validate_scenario(sc) == []
+        trace = run(sc, "venue", seed=0)
+        flood = [b["t"] for b in trace.broadcasts if b["tag"] == "flood"]
+        assert len(flood) == expected
+        assert flood == sorted(flood) and 123000 <= flood[0] and flood[-1] <= 123599
+
     def test_suppressed_user_never_on_air(self):
         sc = small_scenario(
             extra_events=[
