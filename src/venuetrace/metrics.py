@@ -8,7 +8,8 @@ reporter's contagious period, lasting at least the duration threshold.
 One sweep per location, by segment start, meets each pair of segments that
 overlap in time. Only pairs with a reporter can expose anyone, so it keeps
 two open lists: all segments, for an arriving reporter to meet, and the
-reporters' alone, for any other arriving segment to meet.
+reporters' alone, for any other arriving segment to meet. The first is
+pruned only when a reporter arrives, the one time it is read.
 """
 
 from __future__ import annotations
@@ -65,11 +66,11 @@ def ground_truth_exposures(
         open_reporters: list[dict[str, Any]] = []
         for seg in segments:
             now = seg["start"]
-            open_segs = [s for s in open_segs if s["end"] > now]
             open_reporters = [s for s in open_reporters if s["end"] > now]
             for rs in open_reporters:
                 meet(rs, seg)
             if seg["user"] in reporters:  # the reporter arrives second
+                open_segs = [s for s in open_segs if s["end"] > now]
                 for us in open_segs:
                     meet(seg, us)
                 open_reporters.append(seg)
