@@ -355,29 +355,33 @@ class UserApp:
         self.ha_public_key = ha_public_key
         self._verified_certs: set[Certificate] = set()
         self.rid: Commitment = crypto.commit(true_id.encode("utf-8"), rng)
-        self.sessions: dict[str, VenueSession] = {}
+        self.session: VenueSession | None = None  # one venue at a time
         self.visits: list[CompletedVisit] = []
         self.discarded_visits: list[dict] = []
 
     # -- sensing -----------------------------------------------------------
 
-    def enter_venue(self, venue_id: str, now: int, rng: random.Random) -> VenueSession:
-        if venue_id in self.sessions:
-            raise ProtocolStateError(f"already in a session at {venue_id}")
-        nonce = crypto.commit(self.rid.value_bytes(), rng)
-        session = VenueSession(venue_id=venue_id, entry_time=now, nonce=nonce)
-        self.sessions[venue_id] = session
-        return session
+    @property
+    def listening(self) -> bool:
+        """A phone hears broadcasts only inside a venue it consented to."""
+        return self.session is not None
 
-    def epoch_tick(self, venue_id: str, now: int, rng: random.Random) -> bytes:
+    def enter_venue(self, venue_id: str, now: int, rng: random.Random) -> VenueSession:
+        if self.session is not None:
+            raise ProtocolStateError(f"already in a session at {self.session.venue_id}")
+        nonce = crypto.commit(self.rid.value_bytes(), rng)
+        self.session = VenueSession(venue_id=venue_id, entry_time=now, nonce=nonce)
+        return self.session
+
+    def epoch_tick(self, now: int, rng: random.Random) -> bytes:
         """Advance to the epoch starting at ``now``; returns the identifier to
         broadcast. Generates a fresh window key on window rollover."""
-        session = self.sessions.get(venue_id)
+        session = self.session
         if session is None:
             raise ProtocolStateError("epoch tick outside an active session")
         window, epoch = epoch_of(now - session.entry_time, self.params)
         if window == len(session.window_keys) + 1:
-            wk = new_window_key(venue_id, window, rng)
+            wk = new_window_key(session.venue_id, window, rng)
             session.window_keys.append(wk)
             session.window_ephids.append(derive_window_ephids(wk, self.params))
         elif window != len(session.window_keys):
@@ -386,17 +390,16 @@ class UserApp:
         session.records.append(EpochRecord(window=window, epoch=epoch, own_ephid=own))
         return own
 
-    def current_ephid(self, venue_id: str) -> bytes | None:
-        session = self.sessions.get(venue_id)
-        if session is None or not session.records:
+    def payload(self, now: int) -> bytes | None:
+        """The identifier of the current epoch, None outside a session."""
+        if self.session is None or not self.session.records:
             return None
-        return session.records[-1].own_ephid
+        return self.session.records[-1].own_ephid
 
-    def hear(self, venue_id: str, ephid: bytes, rx_dbm: float, now: int) -> None:
-        session = self.sessions.get(venue_id)
-        if session is None or not session.records:
+    def hear(self, ephid: bytes, rx_dbm: float, now: int) -> None:
+        if self.session is None or not self.session.records:
             return
-        session.records[-1].heard.append(HeardPing(ephid=ephid, signal_dbm=rx_dbm, time=now))
+        self.session.records[-1].heard.append(HeardPing(ephid=ephid, signal_dbm=rx_dbm, time=now))
 
     def leave_venue(
         self,
@@ -409,9 +412,10 @@ class UserApp:
         Returns None (visit discarded) when the receipt does not verify under
         the venue's certified key.
         """
-        session = self.sessions.pop(venue.venue_id, None)
-        if session is None:
+        session = self.session
+        if session is None or session.venue_id != venue.venue_id:
             raise ProtocolStateError(f"no active session at {venue.venue_id}")
+        self.session = None
 
         own_ids = [r.own_ephid for r in session.records]
         digest = crypto.hash_bytes(b"".join(own_ids))

@@ -19,6 +19,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .crypto import ParameterError, encode_u64, lp_decode, lp_encode
 from .schedule import (
+    SECONDS_PER_DAY,
     DailyKey,
     dp3t_derive_ephids,
     dp3t_initial_daily_key,
@@ -26,7 +27,6 @@ from .schedule import (
 )
 
 DP3T_EPOCHS_PER_DAY = 96
-DP3T_EPOCH_SECONDS = 900
 _TT_NONCE_LEN = 12
 
 
@@ -44,9 +44,9 @@ class TempId:
 
 @dataclass(frozen=True)
 class ContactTriple:
-    own_tid: bytes
     peer_tid: bytes
     signal_dbm: float
+    time: int
 
 
 class MoHServer:
@@ -104,6 +104,8 @@ class MoHServer:
 class TTUserApp:
     """Phone-side TraceTogether state: current token plus stored triples."""
 
+    listening = True  # TraceTogether phones listen everywhere
+
     def __init__(self, phone_number: str, moh: MoHServer, rng: random.Random):
         self.phone_number = phone_number
         self.pseudonym = moh.register(phone_number, rng)
@@ -113,16 +115,13 @@ class TTUserApp:
     def receive_tid(self, tid: TempId) -> None:
         self.current_tid = tid
 
-    def hear(self, peer_payload: bytes, signal_dbm: float) -> None:
+    def payload(self, now: int) -> bytes | None:
+        return None if self.current_tid is None else self.current_tid.ciphertext
+
+    def hear(self, peer_payload: bytes, signal_dbm: float, now: int) -> None:
         if self.current_tid is None:
             return
-        self.triples.append(
-            ContactTriple(
-                own_tid=self.current_tid.ciphertext,
-                peer_tid=peer_payload,
-                signal_dbm=signal_dbm,
-            )
-        )
+        self.triples.append(ContactTriple(peer_payload, signal_dbm, now))
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +155,12 @@ class Dp3tBackend:
 class Dp3tUserApp:
     """Daily-key chain, per-day shuffled broadcast order, local matching."""
 
+    listening = True  # DP-3T phones listen everywhere
+
     def __init__(self, user_id: str, rng: random.Random, epochs_per_day: int = DP3T_EPOCHS_PER_DAY):
         self.user_id = user_id
         self.epochs_per_day = epochs_per_day
+        self.epoch_seconds = SECONDS_PER_DAY // epochs_per_day
         self.daily_keys: list[DailyKey] = [dp3t_initial_daily_key(rng, day_index=0)]
         self._day_ids: list[bytes] = []
         self._day_order: list[int] = []
@@ -178,11 +180,12 @@ class Dp3tUserApp:
     def start_day(self, day_index: int, rng: random.Random) -> None:
         self._prepare_day(day_index, rng)
 
-    def broadcast_id(self, epoch_in_day: int) -> bytes:
-        return self._day_ids[self._day_order[epoch_in_day]]
+    def payload(self, now: int) -> bytes:
+        return self._day_ids[self._day_order[now % SECONDS_PER_DAY // self.epoch_seconds]]
 
-    def hear(self, ephid: bytes, signal_dbm: float, day: int, epoch: int) -> None:
-        self.heard.append(Dp3tHeard(ephid=ephid, signal_dbm=signal_dbm, day=day, epoch=epoch))
+    def hear(self, ephid: bytes, signal_dbm: float, now: int) -> None:
+        day, second = divmod(now, SECONDS_PER_DAY)
+        self.heard.append(Dp3tHeard(ephid, signal_dbm, day, second // self.epoch_seconds))
 
     def key_for_day(self, day_index: int) -> DailyKey:
         for k in self.daily_keys:
@@ -223,7 +226,6 @@ def dp3t_match(
     through_day: int,
     exposure_seconds: int = 900,
     proximity_threshold_dbm: float = -60.0,
-    epoch_seconds: int = DP3T_EPOCH_SECONDS,
 ) -> list[Dp3tAssessment]:
     """Local matching of the heard store against every published key chain."""
     out: list[Dp3tAssessment] = []
@@ -238,7 +240,7 @@ def dp3t_match(
             leak = True
             if h.signal_dbm >= proximity_threshold_dbm:
                 slots.add((h.day, h.epoch))
-        exposure = len(slots) * epoch_seconds
+        exposure = len(slots) * app.epoch_seconds
         out.append(
             Dp3tAssessment(
                 matched_epochs=len(slots),

@@ -14,7 +14,8 @@ fields each action cannot run without. A field name has one rule
 wherever it appears (``_event_rules``): a user or venue field names a
 declared id, an adversary window's ``start`` and ``end`` are integers,
 powers and delays finite numbers (a delay not negative),
-``pos`` is [x, y] and ``period`` is [start, end] with 0 <= start <= end.
+``pos`` is [x, y] and ``period`` is [start, end], two integers with
+0 <= start <= end.
 Fields a kind does not list are ignored. ``move`` applies to the current
 location: the venue while inside one, the shared street space otherwise.
 """
@@ -117,7 +118,7 @@ class Scenario:
         return cls(
             name=d.get("name", "scenario"),
             horizon_seconds=_json_int(d["horizon_seconds"], "horizon_seconds"),
-            users=list(d["users"]),
+            users=_json_array(d["users"], "users"),
             venues=[VenueSpec.from_dict(v) for v in d.get("venues", [])],
             events=[ScenarioEvent.from_dict(e) for e in d.get("events", [])],
             params=d.get("params", {}),
@@ -141,6 +142,14 @@ def _json_int(value: Any, name: str) -> int:
     if type(value) is not int:
         raise TypeError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def _json_array(value: Any, name: str) -> list[Any]:
+    """A copy of ``value`` if it is a JSON array; a string or an object is
+    refused rather than read as its characters or keys."""
+    if not isinstance(value, list):
+        raise TypeError(f"{name} must be an array, got {value!r}")
+    return list(value)
 
 
 class ScenarioError(ValueError):
@@ -250,8 +259,7 @@ def _event_rules(users: set[str], venues: set[str]) -> dict[str, list[tuple]]:
         "tx_dbm": (_is_number, "a finite number"),
         "delay": (lambda value: _is_number(value) and value >= 0, "a non-negative finite number"),
         "pos": (_is_pair, "[x, y], two finite numbers"),
-        "period": (lambda value: _is_pair(value) and 0 <= value[0] <= value[1],
-                   "[start, end] with 0 <= start <= end"),
+        "period": (_is_period, "[start, end] with 0 <= start <= end, two integers"),
         "consent": (lambda value: type(value) is bool, "true or false"),
         "per_minute": (_positive_int, "a positive integer"),
         "venues": (lambda value: isinstance(value, list) and all(map(_known(venues), value)),
@@ -302,12 +310,20 @@ def _is_number(value: Any) -> bool:
 
 
 def _is_pair(value: Any) -> bool:
-    """Two finite numbers: a point [x, y] or a period [start, end]."""
+    """Two finite numbers: a point [x, y]."""
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         return False
     x, y = value  # unrolled: this runs for every enter event
     numbers = type(x) in (int, float) and type(y) in (int, float)
     return numbers and math.isfinite(x) and math.isfinite(y)
+
+
+def _is_period(value: Any) -> bool:
+    """[start, end]: two integers, bools excluded, with 0 <= start <= end."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        return False
+    start, end = value
+    return type(start) is int and type(end) is int and 0 <= start <= end
 
 
 # dataclass field annotation -> (accepts a value, what a diagnostic asks for)

@@ -129,11 +129,15 @@ def _record_key(ephids: tuple[bytes, ...]) -> str:
 class _Driver(ABC):
     """One protocol as the simulation core sees it.
 
-    The core calls only these methods. The defaults fit a phone-wide BLE
-    baseline: every user always listens, venues mean nothing, a positive
+    The core calls only these methods, plus the radio interface of each
+    phone app in ``users``: ``listening``, ``payload(now)`` (what the phone
+    broadcasts now, or None) and ``hear(payload, rx_dbm, now)``. The
+    defaults fit a phone-wide BLE baseline: venues mean nothing, a positive
     test just stores the contagious period, and a report without one, or
     a user's second report, is skipped.
     """
+
+    users: dict[str, Any]  # user -> phone app
 
     def __init__(self, sim: "Simulation"):
         self.sim = sim
@@ -144,19 +148,8 @@ class _Driver(ABC):
         """Schedule the protocol's own recurring events."""
 
     @abstractmethod
-    def current_payload(self, user: str) -> bytes | None:
-        """What ``user`` broadcasts right now, or None when silent."""
-
-    @abstractmethod
-    def deliver(self, user: str, payload: bytes, rx_dbm: float, now: int) -> None:
-        """``user``'s phone receives ``payload`` at ``rx_dbm``."""
-
-    @abstractmethod
     def _report(self, user: str, data: dict[str, Any], credential: Any, now: int) -> None:
         """Carry out a report backed by ``credential`` (see ``_credential``)."""
-
-    def listening(self, user: str) -> bool:
-        return True
 
     def on_enter(self, user: str, venue_id: str, now: int) -> None:
         """A consenting user enters a venue; the core has moved them already."""
@@ -257,7 +250,6 @@ class _VenueDriver(_Driver):
         self.certificates: dict[str, InfectionCertificate] = {}
         self.visit_seq: dict[str, int] = {u: 0 for u in sim.scenario.users}
         self.duty_seconds: dict[str, int] = {u: 0 for u in sim.scenario.users}
-        self._entry_time: dict[str, int] = {}
 
     def setup(self) -> None:
         hz = self.sim.scenario.horizon_seconds
@@ -278,21 +270,6 @@ class _VenueDriver(_Driver):
                  "period": [period_start, period_end], "size": digest.filter.count}
             )
 
-    def listening(self, user: str) -> bool:
-        loc = self.sim.location[user]
-        return loc is not STREET and loc in self.users[user].sessions
-
-    def current_payload(self, user: str) -> bytes | None:
-        loc = self.sim.location[user]
-        if loc is STREET:
-            return None
-        return self.users[user].current_ephid(loc)
-
-    def deliver(self, user: str, payload: bytes, rx_dbm: float, now: int) -> None:
-        loc = self.sim.location[user]
-        if loc is not STREET:
-            self.users[user].hear(loc, payload, rx_dbm, now)
-
     def on_premise(self, venue_id: str, payload: bytes, tx_dbm: float, now: int) -> None:
         self.venues[venue_id].record_broadcast(
             payload, tx_dbm - self.sim.params.channel.reference_loss_db, now
@@ -304,25 +281,23 @@ class _VenueDriver(_Driver):
     def on_enter(self, user: str, venue_id: str, now: int) -> None:
         self.users[user].enter_venue(venue_id, now, self.sim.rng)
         self.visit_seq[user] += 1
-        self._entry_time[user] = now
-        self._tick(user, venue_id, self.visit_seq[user], now)
+        self._tick(user, self.visit_seq[user], now)
 
-    def _tick(self, user: str, venue_id: str, seq: int, now: int) -> None:
+    def _tick(self, user: str, seq: int, now: int) -> None:
         app = self.users[user]
-        if seq != self.visit_seq[user] or venue_id not in app.sessions:
+        if seq != self.visit_seq[user] or app.session is None:
             return  # session ended (or superseded) before this tick fired
-        ephid = app.epoch_tick(venue_id, now, self.sim.rng)
+        ephid = app.epoch_tick(now, self.sim.rng)
         self.sim.emit(user, ephid, now, tag=f"visit{seq}")
         nxt = now + self.sched.epoch_seconds
-        self.sim.schedule(nxt, lambda: self._tick(user, venue_id, seq, nxt))
+        self.sim.schedule(nxt, lambda: self._tick(user, seq, nxt))
 
     def on_leave(self, user: str, venue_id: str, now: int) -> None:
         app = self.users[user]
-        if venue_id not in app.sessions:
+        if app.session is None:
             return  # consent withheld at entry; no protocol state to close
-        venue = self.venues[venue_id]
-        visit = app.leave_venue(venue, now, self.sim.params.arrival_time_extension)
-        self.duty_seconds[user] += now - self._entry_time.pop(user)
+        self.duty_seconds[user] += now - app.session.entry_time
+        visit = app.leave_venue(self.venues[venue_id], now, self.sim.params.arrival_time_extension)
         self.sim.outcomes["visits"].append(
             {
                 "user": user,
@@ -414,8 +389,9 @@ class _VenueDriver(_Driver):
                 )
 
     def finalize(self, horizon: int) -> None:
-        for user, entry in sorted(self._entry_time.items()):
-            self.duty_seconds[user] += horizon - entry
+        for user, app in self.users.items():
+            if app.session is not None:
+                self.duty_seconds[user] += horizon - app.session.entry_time
         self.sim.outcomes["duty_seconds"] = {
             u: float(self.duty_seconds[u]) for u in self.sim.scenario.users
         }
@@ -458,24 +434,12 @@ class _Dp3tDriver(_Driver):
         for u in self.sim.scenario.users:
             self.users[u].start_day(day, self.sim.rng)
 
-    def _epoch_in_day(self, now: int) -> int:
-        return (now % SECONDS_PER_DAY) // self.epoch_seconds
-
     def _global_tick(self, now: int) -> None:
-        epoch = self._epoch_in_day(now)
         for u in self.sim.scenario.users:
-            self.sim.emit(u, self.users[u].broadcast_id(epoch), now, tag=f"day{now // SECONDS_PER_DAY}")
+            self.sim.emit(u, self.users[u].payload(now), now, tag=f"day{now // SECONDS_PER_DAY}")
         nxt = now + self.epoch_seconds
         if nxt < self.sim.scenario.horizon_seconds:
             self.sim.schedule(nxt, lambda: self._global_tick(nxt))
-
-    def current_payload(self, user: str) -> bytes | None:
-        return self.users[user].broadcast_id(self._epoch_in_day(self.sim.now))
-
-    def deliver(self, user: str, payload: bytes, rx_dbm: float, now: int) -> None:
-        self.users[user].hear(
-            payload, rx_dbm, now // SECONDS_PER_DAY, self._epoch_in_day(now)
-        )
 
     def _report(self, user: str, data: dict[str, Any], period: tuple[int, int], now: int) -> None:
         first_day = period[0] // SECONDS_PER_DAY
@@ -491,7 +455,6 @@ class _Dp3tDriver(_Driver):
             through_day=now // SECONDS_PER_DAY,
             exposure_seconds=self.sim.params.exposure_seconds,
             proximity_threshold_dbm=self.risk_threshold_dbm,
-            epoch_seconds=self.epoch_seconds,
         )
         for a, reporter in zip(assessments, self.publication_reporters):
             if reporter != user:
@@ -521,7 +484,6 @@ class _TTDriver(_Driver):
             phone = f"555-{u}"
             self.users[u] = TTUserApp(phone, self.moh, sim.rng)
             self.phone_to_user[phone] = u
-        self._triple_intervals: dict[str, list[int]] = {u: [] for u in sim.scenario.users}
 
     def setup(self) -> None:
         self.sim.schedule(0, lambda: self._interval_tick(0))
@@ -538,25 +500,10 @@ class _TTDriver(_Driver):
         if nxt < self.sim.scenario.horizon_seconds:
             self.sim.schedule(nxt, lambda: self._interval_tick(nxt))
 
-    def current_payload(self, user: str) -> bytes | None:
-        tid = self.users[user].current_tid
-        return None if tid is None else tid.ciphertext
-
-    def deliver(self, user: str, payload: bytes, rx_dbm: float, now: int) -> None:
-        app = self.users[user]
-        if app.current_tid is None:
-            return
-        app.hear(payload, rx_dbm)
-        self._triple_intervals[user].append(now // self.interval_seconds)
-
     def _report(self, user: str, data: dict[str, Any], period: tuple[int, int], now: int) -> None:
         app = self.users[user]
         lo, hi = period[0] // self.interval_seconds, period[1] // self.interval_seconds
-        relevant = [
-            t
-            for t, ivl in zip(app.triples, self._triple_intervals[user])
-            if lo <= ivl <= hi
-        ]
+        relevant = [t for t in app.triples if lo <= t.time // self.interval_seconds <= hi]
         contacts = self.moh.trace(app.phone_number, relevant)
         self._report_outcome(user, period, now)
         for phone in contacts:
@@ -588,7 +535,6 @@ class Simulation:
         self.scenario = scenario
         self.params = params
         self.rng = random.Random(params.seed)
-        self.now = 0
         self._heap: list[tuple[int, int, Callable[[], None]]] = []
         self._seq = 0
 
@@ -628,6 +574,7 @@ class Simulation:
             self._set_position(user, STREET, self._street_pos[user], 0)
 
         self.driver = _DRIVERS[params.protocol](self)
+        self.phones = self.driver.users
         self.driver.setup()
         for event in scenario.sorted_events():
             self.schedule(event.time, lambda e=event: self._handle_scenario_event(e))
@@ -684,11 +631,6 @@ class Simulation:
         found.discard(exclude)
         return sorted(found, key=self._order.__getitem__)
 
-    def _distance(self, a: str, b: str) -> float:
-        ax, ay = self.position[a]
-        bx, by = self.position[b]
-        return math.hypot(ax - bx, ay - by)
-
     def _is_suppressed(self, user: str, now: int) -> bool:
         return any(start <= now <= end for start, end in self._suppress.get(user, ()))
 
@@ -728,14 +670,8 @@ class Simulation:
             self.outcomes["adversary"]["injected"] += 1
 
         for user in self._nearby(loc, pos, emitter):
-            if not self.driver.listening(user):
-                continue
-            ux, uy = self.position[user]
-            d = math.hypot(ux - pos[0], uy - pos[1])
-            rx = self.params.channel.rx_dbm(d, self.rng, tx_dbm)
-            if rx is None:
-                continue
-            self.driver.deliver(user, payload, rx, now)
+            if self.phones[user].listening:
+                self._receive(user, payload, math.dist(pos, self.position[user]), now, tx_dbm)
 
         if loc is not STREET:
             self.driver.on_premise(loc, payload, tx, now)
@@ -762,27 +698,31 @@ class Simulation:
                     ),
                 )
 
+    def _receive(
+        self, user: str, payload: bytes, distance: float, now: int, tx_dbm: float | None = None
+    ) -> None:
+        """One channel draw; ``user``'s phone hears what gets through."""
+        rx = self.params.channel.rx_dbm(distance, self.rng, tx_dbm)
+        if rx is not None:
+            self.phones[user].hear(payload, rx, now)
+
     def _exchange(self, user: str, now: int) -> None:
-        """Catch-up delivery of current identifiers on new co-presence."""
-        for other in self._nearby(self.location[user], self.position[user], user):
-            d = self._distance(user, other)
+        """Catch-up delivery of current identifiers on new co-presence:
+        theirs to ``user``, then ``user``'s to them, per neighbour."""
+        pos = self.position[user]
+        for other in self._nearby(self.location[user], pos, user):
+            d = math.dist(pos, self.position[other])
             if d > self.params.channel.max_range_m:
                 continue
-            their = self.driver.current_payload(other)
-            if their is not None and self.driver.listening(user) and not self._is_suppressed(other, now):
-                rx = self.params.channel.rx_dbm(d, self.rng)
-                if rx is not None:
-                    self.driver.deliver(user, their, rx, now)
-            mine = self.driver.current_payload(user)
-            if mine is not None and self.driver.listening(other) and not self._is_suppressed(user, now):
-                rx = self.params.channel.rx_dbm(d, self.rng)
-                if rx is not None:
-                    self.driver.deliver(other, mine, rx, now)
+            for sender, receiver in ((other, user), (user, other)):
+                payload = self.phones[sender].payload(now)
+                if (payload is not None and self.phones[receiver].listening
+                        and not self._is_suppressed(sender, now)):
+                    self._receive(receiver, payload, d, now)
 
     # -- scenario event handling ---------------------------------------------
 
     def _handle_scenario_event(self, event: ScenarioEvent) -> None:
-        self.now = event.time
         kind, data, now = event.kind, event.data, event.time
         self.log_event({"t": now, "kind": kind, **data})
 
@@ -806,9 +746,7 @@ class Simulation:
             self._set_position(user, STREET, self._street_pos[user], now)
             self._exchange(user, now)
         elif kind == "test_positive":
-            self.driver.on_test_positive(
-                data["user"], (int(data["period"][0]), int(data["period"][1])), now
-            )
+            self.driver.on_test_positive(data["user"], tuple(data["period"]), now)
         elif kind == "report":
             self.driver.on_report(data["user"], data, now)
         elif kind == "trace_query":
@@ -862,10 +800,8 @@ class Simulation:
     def run(self) -> SimulationTrace:
         horizon = self.scenario.horizon_seconds
         while self._heap:
-            time, _, fn = heapq.heappop(self._heap)
-            self.now = time
+            _, _, fn = heapq.heappop(self._heap)
             fn()
-        self.now = horizon
         for user in self.scenario.users:
             self._close_segment(user, horizon)
         self.driver.finalize(horizon)

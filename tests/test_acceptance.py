@@ -241,8 +241,8 @@ def test_criterion_6_digest_reconstruction():
         app.enter_venue(venue_id, 0, rng)
         epochs = (x - 1) * n + y
         for k in range(epochs):
-            app.epoch_tick(venue_id, k * params.epoch_seconds, rng)
-        session = app.sessions[venue_id]
+            app.epoch_tick(k * params.epoch_seconds, rng)
+        session = app.session
         user_digest = crypto.hash_bytes(b"".join(r.own_ephid for r in session.records))
 
         # server side: closed-form reconstruction from the raw key bytes

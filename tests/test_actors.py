@@ -52,7 +52,7 @@ def run_visit(world, app, venue_name, t0, epochs, broadcast=True):
     rng = world["rng"]
     app.enter_venue(venue_name, t0, rng)
     for k in range(epochs):
-        ephid = app.epoch_tick(venue_name, t0 + k * L, rng)
+        ephid = app.epoch_tick(t0 + k * L, rng)
         if broadcast:
             venue.record_broadcast(ephid, -40.0, t0 + k * L)
     return app.leave_venue(venue, t0 + epochs * L)
@@ -74,8 +74,8 @@ class TestUserSessions:
     def test_enter_starts_window_one_epoch_one(self, world):
         app = new_user(world)
         app.enter_venue("cafe", 0, world["rng"])
-        app.epoch_tick("cafe", 0, world["rng"])
-        rec = app.sessions["cafe"].records[0]
+        app.epoch_tick(0, world["rng"])
+        rec = app.session.records[0]
         assert (rec.window, rec.epoch) == (1, 1)
 
     def test_double_entry_rejected(self, world):
@@ -83,6 +83,21 @@ class TestUserSessions:
         app.enter_venue("cafe", 0, world["rng"])
         with pytest.raises(ProtocolStateError):
             app.enter_venue("cafe", 10, world["rng"])
+
+    def test_entry_elsewhere_during_a_session_rejected(self, world):
+        app = new_user(world)
+        app.enter_venue("cafe", 0, world["rng"])
+        with pytest.raises(ProtocolStateError):
+            app.enter_venue("cafe2", 10, world["rng"])
+        assert app.session.venue_id == "cafe"
+
+    def test_leave_at_another_venue_rejected(self, world):
+        app = new_user(world)
+        session = app.enter_venue("cafe", 0, world["rng"])
+        app.epoch_tick(0, world["rng"])
+        with pytest.raises(ProtocolStateError):
+            app.leave_venue(world["venues"]["gym"], L)
+        assert app.session is session and not app.visits
 
     def test_sequential_visits_fresh_nonces(self, world):
         app = new_user(world)
@@ -94,14 +109,14 @@ class TestUserSessions:
         app = new_user(world)
         run_visit(world, app, "cafe", 0, 6)
         with pytest.raises(ProtocolStateError):
-            app.epoch_tick("cafe", 2000, world["rng"])
+            app.epoch_tick(2000, world["rng"])
 
     def test_window_rollover_on_41st_epoch(self, world):
         app = new_user(world)
         app.enter_venue("cafe", 0, world["rng"])
         for k in range(41):
-            app.epoch_tick("cafe", k * L, world["rng"])
-        session = app.sessions["cafe"]
+            app.epoch_tick(k * L, world["rng"])
+        session = app.session
         assert len(session.window_keys) == 2
         assert session.records[-1].window == 2
         assert session.records[-1].epoch == 1
@@ -114,9 +129,9 @@ class TestUserSessions:
     def test_hearing_recorded_with_signal(self, world):
         app = new_user(world)
         app.enter_venue("cafe", 0, world["rng"])
-        app.epoch_tick("cafe", 0, world["rng"])
-        app.hear("cafe", b"x" * 16, -47.5, 30)
-        ping = app.sessions["cafe"].records[0].heard[0]
+        app.epoch_tick(0, world["rng"])
+        app.hear(b"x" * 16, -47.5, 30)
+        ping = app.session.records[0].heard[0]
         assert ping.ephid == b"x" * 16 and ping.signal_dbm == -47.5
 
 
@@ -142,7 +157,7 @@ class TestLeaveReceipts:
         bad_venue = TamperingVenue("cafe2", world["ha"], rng)
         app = new_user(world)
         app.enter_venue("cafe2", 0, rng)
-        app.epoch_tick("cafe2", 0, rng)
+        app.epoch_tick(0, rng)
         assert app.leave_venue(bad_venue, L) is None
         assert app.discarded_visits and not app.visits
 
@@ -444,9 +459,9 @@ class TestRiskEvaluation:
         infected_ids = [bytes([i]) * 16 for i in range(10)]
         app.enter_venue("cafe", 0, world["rng"])
         for k in range(8):
-            app.epoch_tick("cafe", k * L, world["rng"])
+            app.epoch_tick(k * L, world["rng"])
             if k < matched_epochs:
-                app.hear("cafe", infected_ids[k], signal_dbm, k * L + 5)
+                app.hear(infected_ids[k], signal_dbm, k * L + 5)
         visit = app.leave_venue(world["venues"]["cafe"], 8 * L)
         return app, visit, tuple(infected_ids)
 

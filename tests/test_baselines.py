@@ -45,8 +45,8 @@ class TestTraceTogether:
         bob = TTUserApp("555-bob", moh, rng)
         alice.receive_tid(moh.issue_tid(alice.pseudonym, 0, rng))
         bob.receive_tid(moh.issue_tid(bob.pseudonym, 0, rng))
-        alice.hear(bob.current_tid.ciphertext, -45.0)
-        bob.hear(alice.current_tid.ciphertext, -45.0)
+        alice.hear(bob.current_tid.ciphertext, -45.0, 0)
+        bob.hear(alice.current_tid.ciphertext, -45.0, 0)
         assert moh.trace("555-alice", alice.triples) == ["555-bob"]
 
     def test_forged_triple_skipped(self):
@@ -54,11 +54,7 @@ class TestTraceTogether:
         moh = MoHServer(rng)
         alice = TTUserApp("555-alice", moh, rng)
         alice.receive_tid(moh.issue_tid(alice.pseudonym, 0, rng))
-        forged = ContactTriple(
-            own_tid=alice.current_tid.ciphertext,
-            peer_tid=rng.randbytes(44),
-            signal_dbm=-40.0,
-        )
+        forged = ContactTriple(peer_tid=rng.randbytes(44), signal_dbm=-40.0, time=0)
         assert moh.trace("555-alice", [forged]) == []
 
     def test_moh_learns_reporter_contact_graph(self):
@@ -67,8 +63,8 @@ class TestTraceTogether:
         apps = {n: TTUserApp(f"555-{n}", moh, rng) for n in ("a", "b", "c")}
         for app in apps.values():
             app.receive_tid(moh.issue_tid(app.pseudonym, 0, rng))
-        apps["a"].hear(apps["b"].current_tid.ciphertext, -45.0)
-        apps["a"].hear(apps["c"].current_tid.ciphertext, -45.0)
+        apps["a"].hear(apps["b"].current_tid.ciphertext, -45.0, 0)
+        apps["a"].hear(apps["c"].current_tid.ciphertext, -45.0, 0)
         moh.trace("555-a", apps["a"].triples)
         assert set(moh.traced_edges) == {("555-a", "555-b"), ("555-a", "555-c")}
 
@@ -77,7 +73,7 @@ class TestDp3t:
     def test_broadcast_order_is_permutation_of_day_set(self):
         rng = random.Random(6)
         app = Dp3tUserApp("u", rng, epochs_per_day=96)
-        day_ids = {app.broadcast_id(e) for e in range(96)}
+        day_ids = {app.payload(e * 900) for e in range(96)}
         expected = set(dp3t_derive_ephids(app.daily_keys[0], 96))
         assert day_ids == expected
 
@@ -106,7 +102,7 @@ class TestDp3t:
         assert fresh != old_key_day1
         # identifiers broadcast after rotation are outside the published chain
         sets = dp3t_expand_published(backend.published[0], through_day=1)
-        post = {app.broadcast_id(e) for e in range(96)}
+        post = {app.payload(e * 900) for e in range(96)}
         assert not post & sets[1]
 
     def test_match_counts_and_leak_flag(self):
@@ -114,8 +110,8 @@ class TestDp3t:
         alice = Dp3tUserApp("alice", rng, epochs_per_day=96)
         bob = Dp3tUserApp("bob", rng, epochs_per_day=96)
         for e in range(3):
-            bob.hear(alice.broadcast_id(e), -45.0, day=0, epoch=e)
-        bob.hear(alice.broadcast_id(3), -70.0, day=0, epoch=3)  # too far
+            bob.hear(alice.payload(e * 900), -45.0, e * 900)
+        bob.hear(alice.payload(3 * 900), -70.0, 3 * 900)  # too far
         backend = Dp3tBackend()
         alice.report(backend, first_infectious_day=0, current_day=0, rng=rng)
         (result,) = dp3t_match(

@@ -97,6 +97,20 @@ def test_scenario_of_wrong_shape_cannot_load(document, command, tmp_path, capsys
     assert capsys.readouterr().err.startswith("error: cannot load scenario: ")
 
 
+@pytest.mark.parametrize("users", ["ab", {"a": 1, "b": 2}])
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_users_that_are_not_an_array_cannot_load(users, command, tmp_path, capsys, monkeypatch):
+    # read as its characters or keys, either one loaded as users a and b
+    document = {"horizon_seconds": 86400, "users": users,
+                "events": [{"time": 0, "kind": "trace_query", "user": "a"}]}
+    monkeypatch.chdir(tmp_path)  # a run that loads writes ./runs
+    Path("users.json").write_text(json.dumps(document), encoding="utf-8")
+    assert main([command, "--scenario", "users.json"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot load scenario: users must be an array, got {users!r}\n"
+    )
+
+
 def test_run_flag_values_are_validated(scenario_file, tmp_path, capsys):
     rc = main(["run", "--scenario", str(scenario_file), "--epoch-seconds", "0",
                "--out", str(tmp_path / "o")])

@@ -304,6 +304,11 @@ def _edit(kind, **fields):
          "venue 'v0': policy within_hours must not be negative, got -1"),
         (_event(time=100, kind="test_positive", user="u01", period=[-500, -100]),
          "test_positive requires period [start, end] with 0 <= start <= end"),
+        # a truncated period made the run judge a period the file does not state
+        (_event(time=100, kind="test_positive", user="u01", period=[86400.9, 172799.9]),
+         "test_positive requires period [start, end] with 0 <= start <= end"),
+        (_event(time=100, kind="test_positive", user="u01", period=[True, 172800]),
+         "test_positive requires period [start, end] with 0 <= start <= end"),
         # a negative delay schedules relayed broadcasts in the past
         (_event(time=100, kind="adversary_action", action="relay_cross_venue",
                 src_venue="v0", dst_venue="v1", start=100, end=500, delay=-5),

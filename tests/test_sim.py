@@ -481,13 +481,15 @@ def _run_logged(sim_class, sc, params):
     """The canonical trace plus every delivery, in order, with its rx power."""
     sim = sim_class(sc, params)
     deliveries = []
-    deliver = sim.driver.deliver
 
-    def logged(user, payload, rx_dbm, now):
-        deliveries.append((user, payload, rx_dbm, now))
-        deliver(user, payload, rx_dbm, now)
+    def logged(user, hear):
+        def hear_logged(payload, rx_dbm, now):
+            deliveries.append((user, payload, rx_dbm, now))
+            hear(payload, rx_dbm, now)
+        return hear_logged
 
-    sim.driver.deliver = logged
+    for user, phone in sim.driver.users.items():
+        phone.hear = logged(user, phone.hear)
     return sim.run().to_canonical_json(), deliveries
 
 
