@@ -143,13 +143,32 @@ class PublishedKey:
 
 
 class Dp3tBackend:
-    """Publication board for infected users' daily keys."""
+    """Publication board for infected users' daily keys.
 
-    def __init__(self) -> None:
+    Every phone that downloads the board computes the same public identifier
+    sets, so the board expands each published (key, day) once, as the first
+    query that reaches that day asks for it.
+    """
+
+    def __init__(self, epochs_per_day: int = DP3T_EPOCHS_PER_DAY) -> None:
+        self.epochs_per_day = epochs_per_day
         self.published: list[PublishedKey] = []
+        # per published key: the key of the next day to expand, and the sets so far
+        self._chains: list[tuple[DailyKey, dict[int, set[bytes]]]] = []
 
     def publish(self, key: bytes, day_index: int) -> None:
         self.published.append(PublishedKey(key=key, day_index=day_index))
+        self._chains.append((DailyKey(key=key, day_index=day_index), {}))
+
+    def day_sets(self, through_day: int) -> list[dict[int, set[bytes]]]:
+        """Per published key, in publication order, its identifier sets by
+        day, from its own day through at least ``through_day``."""
+        for i, (key, sets) in enumerate(self._chains):
+            while key.day_index <= through_day:
+                sets[key.day_index] = set(dp3t_derive_ephids(key, self.epochs_per_day))
+                key = dp3t_next_daily_key(key)
+            self._chains[i] = (key, sets)
+        return [sets for _, sets in self._chains]
 
 
 class Dp3tUserApp:
@@ -204,12 +223,9 @@ def dp3t_expand_published(
     published: PublishedKey, through_day: int, epochs_per_day: int = DP3T_EPOCHS_PER_DAY
 ) -> dict[int, set[bytes]]:
     """Recompute identifier sets for day x, x+1, ... from a published key."""
-    sets: dict[int, set[bytes]] = {}
-    key = DailyKey(key=published.key, day_index=published.day_index)
-    while key.day_index <= through_day:
-        sets[key.day_index] = set(dp3t_derive_ephids(key, epochs_per_day))
-        key = dp3t_next_daily_key(key)
-    return sets
+    board = Dp3tBackend(epochs_per_day)
+    board.publish(published.key, published.day_index)
+    return board.day_sets(through_day)[0]
 
 
 @dataclass
@@ -222,19 +238,19 @@ class Dp3tAssessment:
 
 def dp3t_match(
     app: Dp3tUserApp,
-    published: list[PublishedKey],
+    backend: Dp3tBackend,
     through_day: int,
     exposure_seconds: int = 900,
     proximity_threshold_dbm: float = -60.0,
 ) -> list[Dp3tAssessment]:
-    """Local matching of the heard store against every published key chain."""
+    """Local matching of the heard store against every published key chain,
+    in publication order, over the days through ``through_day``."""
     out: list[Dp3tAssessment] = []
-    for pub in published:
-        day_sets = dp3t_expand_published(pub, through_day, app.epochs_per_day)
+    for day_sets in backend.day_sets(through_day):
         slots: set[tuple[int, int]] = set()
         leak = False
         for h in app.heard:
-            ids = day_sets.get(h.day)
+            ids = day_sets.get(h.day) if h.day <= through_day else None
             if ids is None or h.ephid not in ids:
                 continue
             leak = True

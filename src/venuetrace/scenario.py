@@ -305,8 +305,12 @@ def _positive_int(value: Any) -> bool:
 
 
 def _is_number(value: Any) -> bool:
-    """A finite int or float; bools, strings and NaN are not."""
-    return type(value) in (int, float) and math.isfinite(value)
+    """A finite int or float; bools, strings, NaN and integers too large
+    for a float are not."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _is_pair(value: Any) -> bool:
@@ -315,7 +319,10 @@ def _is_pair(value: Any) -> bool:
         return False
     x, y = value  # unrolled: this runs for every enter event
     numbers = type(x) in (int, float) and type(y) in (int, float)
-    return numbers and math.isfinite(x) and math.isfinite(y)
+    try:
+        return numbers and math.isfinite(x) and math.isfinite(y)
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 def _is_period(value: Any) -> bool:
@@ -381,6 +388,9 @@ def _params_diagnostics(params: Any) -> list[str]:
     per_day = merged["dp3t_epochs_per_day"]
     if _positive_int(per_day) and per_day > SECONDS_PER_DAY:
         diags.append(f"params: dp3t_epochs_per_day exceeds {SECONDS_PER_DAY}, one per second")
+    elif _positive_int(per_day) and SECONDS_PER_DAY % per_day:
+        # the last epoch of each day would fall outside the day's broadcast order
+        diags.append(f"params: dp3t_epochs_per_day must divide {SECONDS_PER_DAY}, got {per_day}")
     epoch, window = merged["epoch_seconds"], merged["window_seconds"]
     if _positive_int(epoch) and _positive_int(window) and window % epoch:
         diags.append("params: window_seconds must be a multiple of epoch_seconds")

@@ -10,8 +10,9 @@ street space) with scripted coordinates. Broadcasts are delivered to
 co-located listeners in range at the broadcaster's epoch ticks, plus a
 catch-up delivery of current identifiers whenever two listeners become
 newly co-present, which stands in for within-epoch re-broadcasting.
-Listeners are found through a grid of ``max_range_m`` cells per location,
-so a broadcast costs work only for the users near it.
+Listeners are found through a map from each ``max_range_m`` cell to the
+users in the 3x3 block around it, so a broadcast costs one lookup plus work
+for the users near it; a baseline's epoch tick is one batched ``emit``.
 Ground-truth presence segments are recorded independently of any protocol
 and feed the exposure oracle in :mod:`venuetrace.metrics`.
 """
@@ -287,8 +288,7 @@ class _VenueDriver(_Driver):
         app = self.users[user]
         if seq != self.visit_seq[user] or app.session is None:
             return  # session ended (or superseded) before this tick fired
-        ephid = app.epoch_tick(now, self.sim.rng)
-        self.sim.emit(user, ephid, now, tag=f"visit{seq}")
+        self.sim.emit([(user, app.epoch_tick(now, self.sim.rng))], now, tag=f"visit{seq}")
         nxt = now + self.sched.epoch_seconds
         self.sim.schedule(nxt, lambda: self._tick(user, seq, nxt))
 
@@ -416,7 +416,7 @@ class _Dp3tDriver(_Driver):
     def __init__(self, sim: "Simulation"):
         super().__init__(sim)
         self.epoch_seconds = SECONDS_PER_DAY // sim.params.dp3t_epochs_per_day
-        self.backend = Dp3tBackend()
+        self.backend = Dp3tBackend(sim.params.dp3t_epochs_per_day)
         self.users = {
             u: Dp3tUserApp(u, sim.rng, sim.params.dp3t_epochs_per_day)
             for u in sim.scenario.users
@@ -435,8 +435,8 @@ class _Dp3tDriver(_Driver):
             self.users[u].start_day(day, self.sim.rng)
 
     def _global_tick(self, now: int) -> None:
-        for u in self.sim.scenario.users:
-            self.sim.emit(u, self.users[u].payload(now), now, tag=f"day{now // SECONDS_PER_DAY}")
+        sends = [(u, self.users[u].payload(now)) for u in self.sim.scenario.users]
+        self.sim.emit(sends, now, tag=f"day{now // SECONDS_PER_DAY}")
         nxt = now + self.epoch_seconds
         if nxt < self.sim.scenario.horizon_seconds:
             self.sim.schedule(nxt, lambda: self._global_tick(nxt))
@@ -451,7 +451,7 @@ class _Dp3tDriver(_Driver):
     def on_trace_query(self, user: str, now: int) -> None:
         assessments = dp3t_match(
             self.users[user],
-            self.backend.published,
+            self.backend,
             through_day=now // SECONDS_PER_DAY,
             exposure_seconds=self.sim.params.exposure_seconds,
             proximity_threshold_dbm=self.risk_threshold_dbm,
@@ -493,9 +493,8 @@ class _TTDriver(_Driver):
         for u in self.sim.scenario.users:
             app = self.users[u]
             app.receive_tid(self.moh.issue_tid(app.pseudonym, interval, self.sim.rng))
-        for u in self.sim.scenario.users:
-            app = self.users[u]
-            self.sim.emit(u, app.current_tid.ciphertext, now, tag=f"ivl{interval}")
+        sends = [(u, self.users[u].current_tid.ciphertext) for u in self.sim.scenario.users]
+        self.sim.emit(sends, now, tag=f"ivl{interval}")
         nxt = now + self.interval_seconds
         if nxt < self.sim.scenario.horizon_seconds:
             self.sim.schedule(nxt, lambda: self._interval_tick(nxt))
@@ -542,8 +541,8 @@ class Simulation:
         self.position: dict[str, tuple[float, float]] = {}
         self._open_segment: dict[str, dict[str, Any]] = {}
         self.presence: list[dict[str, Any]] = []
-        self.broadcasts: dict[str, list[Any]] = {k: [] for k in ("emitters", *BROADCAST_KEYS)}
-        self._emitter_index: dict[str, int] = {}
+        self.broadcasts: dict[str, list[Any]] = {k: [] for k in BROADCAST_KEYS}
+        self._emitter_index: dict[str, int] = {}  # emitter -> index, in order of first broadcast
         self.events_log: list[dict[str, Any]] = []
         self.outcomes: dict[str, Any] = {
             "reporters": {},
@@ -562,12 +561,12 @@ class Simulation:
         self._eavesdrop_venues: list[str] = []
         self.adversary_observed: list[str] = []
 
-        # occupancy grid: (location, cell x, cell y) -> users there. Everyone
-        # in range of a point is in the 3x3 block of cells around it. A cell
-        # is max_range_m wide plus 2**-20 of it, so a pair whose distance
-        # rounds down to max_range_m still sits in adjacent cells.
+        # block map: (location, cell x, cell y) -> the users whose cell is in
+        # the 3x3 block around it, so everyone in range of a point in the cell.
+        # A cell is max_range_m wide plus 2**-20 of it, so a pair whose
+        # distance rounds down to max_range_m still sits in adjacent cells.
         self._cell_width = params.channel.max_range_m * (1 + 2**-20)
-        self._cells: dict[tuple[str | None, float, float], set[str]] = {}
+        self._blocks: dict[tuple[str | None, float, float], set[str]] = {}
         self._order = {u: i for i, u in enumerate(scenario.users)}
         self._street_pos = {u: (1.0e6 + 1000.0 * i, 0.0) for i, u in enumerate(scenario.users)}
         for user in scenario.users:
@@ -601,35 +600,41 @@ class Simulation:
         self, user: str, location: str | None, pos: tuple[float, float], now: int
     ) -> None:
         self._close_segment(user, now)
+        blocks = self._blocks
         if user in self.location:
-            old = self._cell(self.location[user], self.position[user])
-            self._cells[old].discard(user)
-            if not self._cells[old]:
-                del self._cells[old]
+            for key in self._block(self.location[user], self.position[user]):
+                if len(blocks[key]) == 1:
+                    del blocks[key]  # the user was the last one there
+                else:
+                    blocks[key].discard(user)
         self.location[user] = location
         self.position[user] = pos
-        self._cells.setdefault(self._cell(location, pos), set()).add(user)
+        for key in self._block(location, pos):
+            blocks.setdefault(key, set()).add(user)
         self._open_segment[user] = {
             "user": user, "start": now, "location": location, "x": pos[0], "y": pos[1],
         }
 
-    def _cell(
+    def _block(
         self, location: str | None, pos: tuple[float, float]
-    ) -> tuple[str | None, float, float]:
-        return location, pos[0] // self._cell_width, pos[1] // self._cell_width
+    ) -> set[tuple[str | None, float, float]]:
+        """The keys of the 3x3 block of cells around ``pos`` (fewer where
+        coordinates are too large for ``cell + 1`` to differ)."""
+        x, y = pos[0] // self._cell_width, pos[1] // self._cell_width
+        x0, x2, y0, y2 = x - 1, x + 1, y - 1, y + 1  # unrolled: every move builds two
+        return {(location, x0, y0), (location, x0, y), (location, x0, y2),
+                (location, x, y0), (location, x, y), (location, x, y2),
+                (location, x2, y0), (location, x2, y), (location, x2, y2)}
 
     def _nearby(self, location: str | None, pos: tuple[float, float], exclude: str) -> list[str]:
-        """Users at ``location`` within one grid cell of ``pos``, except
-        ``exclude``, in scenario order (the order of deliveries and draws)."""
-        _, cx, cy = self._cell(location, pos)
-        found = {
-            u
-            for dx in (-1, 0, 1)
-            for dy in (-1, 0, 1)
-            for u in self._cells.get((location, cx + dx, cy + dy), ())
-        }
-        found.discard(exclude)
-        return sorted(found, key=self._order.__getitem__)
+        """Users at ``location`` in the 3x3 block of cells around ``pos``,
+        except ``exclude``, in scenario order (the order of deliveries and
+        draws)."""
+        w = self._cell_width
+        found = self._blocks.get((location, pos[0] // w, pos[1] // w))
+        if not found or (len(found) == 1 and exclude in found):
+            return []
+        return sorted(found - {exclude}, key=self._order.__getitem__)
 
     def _is_suppressed(self, user: str, now: int) -> bool:
         return any(start <= now <= end for start, end in self._suppress.get(user, ()))
@@ -638,50 +643,45 @@ class Simulation:
 
     def emit(
         self,
-        emitter: str,
-        payload: bytes,
+        sends: list[tuple[str, bytes]],
         now: int,
         tag: str = "",
         tx_dbm: float | None = None,
         injected: bool = False,
         at: tuple[str | None, tuple[float, float]] | None = None,
     ) -> None:
-        """Put bytes on the air and deliver to co-located listeners in range."""
-        if not injected and self._is_suppressed(emitter, now):
-            return
-        if at is not None:
-            loc, pos = at
-        else:
-            loc, pos = self.location[emitter], self.position[emitter]
+        """Put each (emitter, payload) on the air and deliver it to the
+        co-located listeners in range, send by send in list order."""
+        if self._suppress and not injected:
+            sends = [send for send in sends if not self._is_suppressed(send[0], now)]
+        location, position = self.location, self.position
+        phones, nearby = self.phones, self._nearby
         tx = self.params.channel.tx_dbm if tx_dbm is None else tx_dbm
-        columns = self.broadcasts
-        index = self._emitter_index.get(emitter)
-        if index is None:
-            index = self._emitter_index[emitter] = len(columns["emitters"])
-            columns["emitters"].append(emitter)
-        columns["t"].append(now)
-        columns["emitter"].append(index)
-        columns["location"].append(loc)
-        columns["payload"].append(payload.hex())
-        columns["tx_dbm"].append(tx)
-        columns["injected"].append(injected)
-        columns["tag"].append(tag)
+        columns, index = self.broadcasts, self._emitter_index
+        for key, value in (("t", now), ("tx_dbm", tx), ("injected", injected), ("tag", tag)):
+            columns[key] += [value] * len(sends)
         if injected:
-            self.outcomes["adversary"]["injected"] += 1
+            self.outcomes["adversary"]["injected"] += len(sends)
 
-        for user in self._nearby(loc, pos, emitter):
-            if self.phones[user].listening:
-                self._receive(user, payload, math.dist(pos, self.position[user]), now, tx_dbm)
-
-        if loc is not STREET:
-            self.driver.on_premise(loc, payload, tx, now)
-            if loc in self._eavesdrop_venues:
-                self.adversary_observed.append(payload.hex())
-                self.outcomes["adversary"]["eavesdropped"].append(
-                    {"venue": loc, "payload": payload.hex(), "t": now}
-                )
-            if not injected:
-                self._capture(loc, payload, now)
+        # per-send columns grow in this loop: a lone venue send pays for no comprehension
+        for emitter, payload in sends:
+            loc, pos = at or (location[emitter], position[emitter])
+            hexed = payload.hex()
+            columns["emitter"].append(index.setdefault(emitter, len(index)))
+            columns["location"].append(loc)
+            columns["payload"].append(hexed)
+            for user in nearby(loc, pos, emitter):
+                if phones[user].listening:
+                    self._receive(user, payload, math.dist(pos, position[user]), now, tx_dbm)
+            if loc is not STREET:
+                self.driver.on_premise(loc, payload, tx, now)
+                if loc in self._eavesdrop_venues:
+                    self.adversary_observed.append(hexed)
+                    self.outcomes["adversary"]["eavesdropped"].append(
+                        {"venue": loc, "payload": hexed, "t": now}
+                    )
+                if not injected:
+                    self._capture(loc, payload, now)
 
     def _capture(self, loc: str, payload: bytes, now: int) -> None:
         for tag, rules in self._captures.items():
@@ -694,7 +694,7 @@ class Simulation:
                 self.schedule(
                     t,
                     lambda p=payload, g=tag, d=dst, q=pos, tt=t: self.emit(
-                        "adversary", p, tt, tag=g, injected=True, at=(d, q)
+                        [("adversary", p)], tt, tag=g, injected=True, at=(d, q)
                     ),
                 )
 
@@ -780,8 +780,7 @@ class Simulation:
                 self.schedule(
                     t,
                     lambda tt=t, v=venue, q=pos, x=tx: self.emit(
-                        "adversary",
-                        self.rng.randbytes(16),
+                        [("adversary", self.rng.randbytes(16))],
                         tt,
                         tag="flood",
                         tx_dbm=x,
@@ -805,6 +804,7 @@ class Simulation:
         for user in self.scenario.users:
             self._close_segment(user, horizon)
         self.driver.finalize(horizon)
+        self.broadcasts["emitters"] = list(self._emitter_index)
         logged = set(self.broadcasts["payload"])
         self.outcomes["adversary"]["observed_only_broadcast_bytes"] = all(
             p in logged for p in self.adversary_observed

@@ -1,5 +1,6 @@
 import random
 
+from venuetrace import baselines
 from venuetrace.baselines import (
     ContactTriple,
     Dp3tBackend,
@@ -10,6 +11,8 @@ from venuetrace.baselines import (
     dp3t_match,
 )
 from venuetrace.schedule import DailyKey, dp3t_derive_ephids, dp3t_next_daily_key
+
+DAY = 86400
 
 
 class TestTraceTogether:
@@ -115,7 +118,7 @@ class TestDp3t:
         backend = Dp3tBackend()
         alice.report(backend, first_infectious_day=0, current_day=0, rng=rng)
         (result,) = dp3t_match(
-            bob, backend.published, through_day=0,
+            bob, backend, through_day=0,
             exposure_seconds=900, proximity_threshold_dbm=-46.0,
         )
         assert result.matched_epochs == 3
@@ -128,5 +131,36 @@ class TestDp3t:
         bob = Dp3tUserApp("bob", rng, epochs_per_day=96)
         backend = Dp3tBackend()
         alice.report(backend, 0, 0, rng)
-        (result,) = dp3t_match(bob, backend.published, through_day=0)
+        (result,) = dp3t_match(bob, backend, through_day=0)
         assert not result.leak and not result.at_risk
+
+    def test_backend_expands_each_published_day_once(self, monkeypatch):
+        rng = random.Random(11)
+        alice = Dp3tUserApp("alice", rng, epochs_per_day=96)
+        for day in (1, 2):
+            alice.start_day(day, rng)
+        backend = Dp3tBackend()
+        alice.report(backend, first_infectious_day=1, current_day=2, rng=rng)
+        bob = Dp3tUserApp("bob", rng, epochs_per_day=96)
+        derived = []
+        monkeypatch.setattr(
+            baselines, "dp3t_derive_ephids",
+            lambda key, n: derived.append(key.day_index) or dp3t_derive_ephids(key, n),
+        )
+        for through_day in (1, 2, 2, 3):
+            dp3t_match(bob, backend, through_day)
+        assert derived == [1, 2, 3]
+        (sets,) = backend.day_sets(3)
+        assert sets == dp3t_expand_published(backend.published[0], through_day=3)
+
+    def test_match_ignores_days_after_through_day(self):
+        rng = random.Random(12)
+        alice = Dp3tUserApp("alice", rng, epochs_per_day=96)
+        bob = Dp3tUserApp("bob", rng, epochs_per_day=96)
+        alice.start_day(1, rng)
+        bob.hear(alice.payload(DAY), -45.0, DAY)
+        backend = Dp3tBackend()
+        alice.report(backend, first_infectious_day=0, current_day=1, rng=rng)
+        (later,) = dp3t_match(bob, backend, through_day=1)
+        (earlier,) = dp3t_match(bob, backend, through_day=0)  # day 1 is expanded by now
+        assert later.leak and not earlier.leak

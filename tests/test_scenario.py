@@ -320,6 +320,13 @@ def _edit(kind, **fields):
         (_event(time=123000, kind="adversary_action", action="flood", venue="v0",
                 start=123000, end=True),
          "adversary_action end must be an integer, got True"),
+        # an epoch length that leaves a remainder ran past the day's broadcast order
+        (_params(dp3t_epochs_per_day=7), "params: dp3t_epochs_per_day must divide 86400, got 7"),
+        # an integer too large for a float made the finiteness check raise
+        (_edit("enter", pos=[10**400, 0]), "enter pos must be [x, y], two finite numbers"),
+        (_event(time=100, kind="adversary_action", action="flood", venue="v0",
+                start=100, end=500, tx_dbm=-10**400),
+         "adversary_action tx_dbm must be a finite number"),
     ],
 )
 def test_inputs_that_crashed_run_are_rejected(mutate, expected, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -16,7 +17,7 @@ from venuetrace.scenario import (
     build_street_encounter_scenario,
     validate_scenario,
 )
-from venuetrace.sim import SimParams, Simulation, run
+from venuetrace.sim import SimParams, Simulation, SimulationTrace, run
 
 DAY = 86400
 L = 180
@@ -477,6 +478,59 @@ def test_grid_delivers_like_the_full_scan(sc, protocol, seed):
     assert _run_logged(Simulation, sc, params) == _run_logged(FullScanSimulation, sc, params)
 
 
+@pytest.mark.parametrize("protocol", ["dp3t", "tracetogether"])
+def test_suppression_mid_run_drops_only_the_suppressed_sends(protocol):
+    # [start, end] covers whole 900 s epochs and intervals, and both visit slots of day 1
+    start, end = DAY + 8 * 3600, DAY + 16 * 3600 - 1
+    sc = build_population_scenario(n_users=12, n_venues=2, days=3, seed=3)
+    suppressed = build_population_scenario(n_users=12, n_venues=2, days=3, seed=3)
+    suppressed.events.append(ScenarioEvent(start, "adversary_action", {
+        "action": "suppress_broadcasts", "user": "u03", "start": start, "end": end,
+    }))
+    plain_json, plain_heard = _run_logged(Simulation, sc, SimParams.build(sc, protocol, 0))
+    quiet_json, quiet_heard = _run_logged(
+        Simulation, suppressed, SimParams.build(suppressed, protocol, 0)
+    )
+    plain = SimulationTrace(json.loads(plain_json)).broadcasts
+    quiet = SimulationTrace(json.loads(quiet_json)).broadcasts
+
+    def silenced(row):
+        return row["emitter"] == "u03" and start <= row["t"] <= end
+
+    assert any(silenced(row) for row in plain)
+    assert any(row["emitter"] == "u03" for row in quiet)  # on air outside the window
+    assert quiet == [row for row in plain if not silenced(row)]
+    gone = {row["payload"] for row in plain if silenced(row)}
+    kept = [d for d in plain_heard if not (start <= d[3] <= end and d[1].hex() in gone)]
+    assert len(kept) < len(plain_heard)
+    assert quiet_heard == kept
+
+
+def test_relay_reaches_a_listener_alone_in_its_block():
+    """The relay's injected sends come from off the block map, so the one
+    user in the destination block is not the emitter."""
+    sc = Scenario(
+        "relay-alone", DAY, ["u00", "u01", "u02"], [VenueSpec("v0"), VenueSpec("v1")],
+        [
+            ScenarioEvent(1000, "enter", {"user": "u00", "venue": "v0", "pos": [0.0, 0.0]}),
+            ScenarioEvent(1000, "enter", {"user": "u01", "venue": "v0", "pos": [1.0, 0.0]}),
+            ScenarioEvent(1000, "enter", {"user": "u02", "venue": "v1", "pos": [0.0, 0.0]}),
+            ScenarioEvent(1000, "adversary_action", {
+                "action": "relay_cross_venue", "src_venue": "v0", "dst_venue": "v1",
+                "pos": [3.0, 0.0], "start": 1000, "end": 1000 + 6 * L, "delay": 1,
+            }),
+            *(ScenarioEvent(1000 + 6 * L, "leave", {"user": u}) for u in ("u00", "u01", "u02")),
+        ],
+    )
+    text, heard = _run_logged(Simulation, sc, SimParams.build(sc, "venue", 0))
+    relayed = {
+        row["payload"] for row in SimulationTrace(json.loads(text)).broadcasts
+        if row["injected"] and row["location"] == "v1"
+    }
+    assert relayed
+    assert relayed == {payload.hex() for user, payload, _, _ in heard if user == "u02"}
+
+
 def _run_logged(sim_class, sc, params):
     """The canonical trace plus every delivery, in order, with its rx power."""
     sim = sim_class(sc, params)
@@ -494,24 +548,20 @@ def _run_logged(sim_class, sc, params):
 
 
 def test_scan_grows_with_neighbours_not_population(monkeypatch):
-    counts = {"rx": 0, "emit": 0}
-    rx_dbm, emit = ChannelModel.rx_dbm, Simulation.emit
+    draws = 0
+    rx_dbm = ChannelModel.rx_dbm
 
     def counted_rx(self, *args, **kwargs):
-        counts["rx"] += 1
+        nonlocal draws
+        draws += 1
         return rx_dbm(self, *args, **kwargs)
 
-    def counted_emit(self, *args, **kwargs):
-        counts["emit"] += 1
-        return emit(self, *args, **kwargs)
-
     monkeypatch.setattr(ChannelModel, "rx_dbm", counted_rx)
-    monkeypatch.setattr(Simulation, "emit", counted_emit)
-    per_emit = {}
+    per_broadcast = {}
     for n_users in (50, 200):
-        counts.update(rx=0, emit=0)
+        draws = 0
         sc = build_population_scenario(n_users=n_users, n_venues=5, days=3, seed=9)
-        run(sc, "dp3t", seed=9)
-        per_emit[n_users] = counts["rx"] / counts["emit"]
+        trace = run(sc, "dp3t", seed=9)
+        per_broadcast[n_users] = draws / len(trace.data["broadcasts"]["t"])
     # a scan of every co-located user grows about 4x from 50 to 200 users
-    assert per_emit[200] <= 1.5 * per_emit[50], per_emit
+    assert per_broadcast[200] <= 1.5 * per_broadcast[50], per_broadcast
