@@ -20,7 +20,7 @@ from .bloom import BloomFilter, VenueBloomDigest, build_filter, match_batch
 from .channel import ChannelModel
 from .metrics import ExposurePolicy, MetricsReport, collect_metrics, ground_truth_exposures
 from .scenario import Scenario, ScenarioEvent, VenueSpec, validate_scenario
-from .schedule import SchedulingParams, WindowKey, derive_window_ephids, epoch_of
+from .schedule import SchedulingParams, derive_window_ephids, epoch_of
 from .sim import SimParams, Simulation, SimulationTrace, run
 
 __version__ = "0.1.0"
@@ -46,7 +46,6 @@ __all__ = [
     "VenueBloomDigest",
     "VenuePolicy",
     "VenueSpec",
-    "WindowKey",
     "build_filter",
     "collect_metrics",
     "derive_window_ephids",

@@ -30,14 +30,7 @@ from .messages import (
     infection_certificate_payload,
     receipt_payload,
 )
-from .schedule import (
-    SECONDS_PER_DAY,
-    SchedulingParams,
-    WindowKey,
-    derive_window_ephids,
-    epoch_of,
-    new_window_key,
-)
+from .schedule import SECONDS_PER_DAY, SchedulingParams, derive_window_ephids, epoch_of
 
 DEFAULT_RETENTION_DAYS = 14
 DEFAULT_CLOCK_TOLERANCE = 60
@@ -308,25 +301,21 @@ class Venue:
 
 @dataclass
 class VenueSession:
-    """Live state of one consent-gated venue stay."""
+    """One consent-gated venue stay: open while ``receipt`` is None, a
+    completed visit once the venue's verified leave receipt is attached."""
 
     venue_id: str
     entry_time: int
     nonce: Commitment
-    window_keys: list[WindowKey] = field(default_factory=list)
+    window_keys: list[bytes] = field(default_factory=list)
     records: list[EpochRecord] = field(default_factory=list)
-    window_ephids: list[list[bytes]] = field(default_factory=list)
+    receipt: LeaveReceipt | None = None
 
-
-@dataclass
-class CompletedVisit:
-    venue_id: str
-    entry_time: int
-    nonce: Commitment
-    window_keys: list[WindowKey]
-    records: list[EpochRecord]
-    receipt: LeaveReceipt
-    last_window_epochs: int
+    @property
+    def last_window_epochs(self) -> int:
+        """Epochs broadcast in the stay's last window (y of the report)."""
+        last_window = self.records[-1].window if self.records else 1
+        return sum(1 for r in self.records if r.window == last_window)
 
 
 @dataclass
@@ -356,7 +345,8 @@ class UserApp:
         self._verified_certs: set[Certificate] = set()
         self.rid: Commitment = crypto.commit(true_id.encode("utf-8"), rng)
         self.session: VenueSession | None = None  # one venue at a time
-        self.visits: list[CompletedVisit] = []
+        self._window_ids: list[bytes] = []  # the open window's identifiers
+        self.visits: list[VenueSession] = []
         self.discarded_visits: list[dict] = []
 
     # -- sensing -----------------------------------------------------------
@@ -381,12 +371,12 @@ class UserApp:
             raise ProtocolStateError("epoch tick outside an active session")
         window, epoch = epoch_of(now - session.entry_time, self.params)
         if window == len(session.window_keys) + 1:
-            wk = new_window_key(session.venue_id, window, rng)
-            session.window_keys.append(wk)
-            session.window_ephids.append(derive_window_ephids(wk, self.params))
+            key = rng.randbytes(32)
+            session.window_keys.append(key)
+            self._window_ids = derive_window_ephids(key, session.venue_id, self.params)
         elif window != len(session.window_keys):
             raise ProtocolStateError("epoch ticks must not skip windows")
-        own = session.window_ephids[window - 1][epoch - 1]
+        own = self._window_ids[epoch - 1]
         session.records.append(EpochRecord(window=window, epoch=epoch, own_ephid=own))
         return own
 
@@ -406,7 +396,7 @@ class UserApp:
         venue: Venue,
         now: int,
         arrival_time_extension: bool = False,
-    ) -> CompletedVisit | None:
+    ) -> VenueSession | None:
         """Halt broadcasting, obtain the venue's receipt, store the visit.
 
         Returns None (visit discarded) when the receipt does not verify under
@@ -416,6 +406,7 @@ class UserApp:
         if session is None or session.venue_id != venue.venue_id:
             raise ProtocolStateError(f"no active session at {venue.venue_id}")
         self.session = None
+        self._window_ids = []
 
         own_ids = [r.own_ephid for r in session.records]
         digest = crypto.hash_bytes(b"".join(own_ids))
@@ -430,19 +421,9 @@ class UserApp:
             self.discarded_visits.append({"venue_id": venue.venue_id, "t": now})
             return None
 
-        last_window = session.records[-1].window if session.records else 1
-        y = sum(1 for r in session.records if r.window == last_window)
-        visit = CompletedVisit(
-            venue_id=venue.venue_id,
-            entry_time=session.entry_time,
-            nonce=session.nonce,
-            window_keys=session.window_keys,
-            records=session.records,
-            receipt=receipt,
-            last_window_epochs=y,
-        )
-        self.visits.append(visit)
-        return visit
+        session.receipt = receipt
+        self.visits.append(session)
+        return session
 
     # -- reporting ---------------------------------------------------------
 
@@ -465,7 +446,7 @@ class UserApp:
                 nonce_reveal=visit.nonce.opening,
                 leave_receipt=visit.receipt,
                 last_window_epochs=visit.last_window_epochs,
-                window_keys=[wk.key for wk in visit.window_keys],
+                window_keys=visit.window_keys,
             )
             for visit in self.visits
             if certificate.period_start <= visit.receipt.leave_time <= certificate.period_end
@@ -475,7 +456,7 @@ class UserApp:
 
     def evaluate_risk(
         self,
-        visit: CompletedVisit,
+        visit: VenueSession,
         retrieved: list[tuple[bytes, ...]],
         policy: RiskPolicy,
     ) -> list[RiskAssessment]:
@@ -587,9 +568,7 @@ class BackendServer:
             return self._reject(RejectionCode.BAD_RECEIPT, "malformed window/epoch counts", now)
         ephids: list[bytes] = []
         for w, key in enumerate(bundle.window_keys, start=1):
-            ids = derive_window_ephids(
-                WindowKey(key=key, window_index=w, venue_id=venue_id), self.params
-            )
+            ids = derive_window_ephids(key, venue_id, self.params)
             ephids.extend(ids if w < x else ids[:y])
         digest = crypto.hash_bytes(b"".join(ephids))
         venue_key = self._verified_subject_key(venue_id)

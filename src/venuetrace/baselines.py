@@ -1,8 +1,8 @@
 """Baseline protocols run under the same simulator for comparison.
 
 TraceTogether: a fully trusted ministry of health (MoH) registers phone
-numbers, pushes authenticated-encrypted temporary ids each interval, and
-decrypts reported contact triples to phone numbers.
+numbers, pushes each phone an authenticated-encrypted token each interval,
+and decrypts reported contact triples to phone numbers.
 
 DP-3T (low-cost): hash-chained daily keys expanded into per-day identifier
 sets, broadcast in a random order, published on infection so peers match
@@ -12,7 +12,7 @@ locally.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -35,14 +35,6 @@ _TT_NONCE_LEN = 12
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TempId:
-    """Opaque broadcast token: AEAD ciphertext of (pseudonym, interval)."""
-
-    ciphertext: bytes
-    interval_index: int
-
-
-@dataclass(frozen=True)
 class ContactTriple:
     peer_tid: bytes
     signal_dbm: float
@@ -50,7 +42,11 @@ class ContactTriple:
 
 
 class MoHServer:
-    """Centralised authority: registry, TempId issuance, trace decryption."""
+    """Centralised authority: registry, token issuance, trace decryption.
+
+    A token is opaque bytes: a fresh nonce followed by the AES-GCM
+    ciphertext of (pseudonym, interval) under the MoH's key.
+    """
 
     def __init__(self, rng: random.Random):
         self._key = rng.randbytes(32)
@@ -63,13 +59,12 @@ class MoHServer:
         self.registry[pseudonym] = phone_number
         return pseudonym
 
-    def issue_tid(self, pseudonym: bytes, interval_index: int, rng: random.Random) -> TempId:
+    def issue_tid(self, pseudonym: bytes, interval_index: int, rng: random.Random) -> bytes:
         if pseudonym not in self.registry:
             raise ParameterError("unknown pseudonym")
         nonce = rng.randbytes(_TT_NONCE_LEN)
         plaintext = lp_encode(pseudonym, encode_u64(interval_index))
-        ct = nonce + self._aead.encrypt(nonce, plaintext, None)
-        return TempId(ciphertext=ct, interval_index=interval_index)
+        return nonce + self._aead.encrypt(nonce, plaintext, None)
 
     def decrypt_tid(self, ciphertext: bytes) -> tuple[bytes, int] | None:
         """(pseudonym, interval) for a valid token, None for garbage/tampering."""
@@ -109,17 +104,14 @@ class TTUserApp:
     def __init__(self, phone_number: str, moh: MoHServer, rng: random.Random):
         self.phone_number = phone_number
         self.pseudonym = moh.register(phone_number, rng)
-        self.current_tid: TempId | None = None
+        self.tid: bytes | None = None  # the MoH's token for this interval
         self.triples: list[ContactTriple] = []
 
-    def receive_tid(self, tid: TempId) -> None:
-        self.current_tid = tid
-
     def payload(self, now: int) -> bytes | None:
-        return None if self.current_tid is None else self.current_tid.ciphertext
+        return self.tid
 
     def hear(self, peer_payload: bytes, signal_dbm: float, now: int) -> None:
-        if self.current_tid is None:
+        if self.tid is None:
             return
         self.triples.append(ContactTriple(peer_payload, signal_dbm, now))
 
@@ -136,12 +128,6 @@ class Dp3tHeard:
     epoch: int
 
 
-@dataclass
-class PublishedKey:
-    key: bytes
-    day_index: int
-
-
 class Dp3tBackend:
     """Publication board for infected users' daily keys.
 
@@ -152,13 +138,13 @@ class Dp3tBackend:
 
     def __init__(self, epochs_per_day: int = DP3T_EPOCHS_PER_DAY) -> None:
         self.epochs_per_day = epochs_per_day
-        self.published: list[PublishedKey] = []
+        self.published: list[DailyKey] = []
         # per published key: the key of the next day to expand, and the sets so far
         self._chains: list[tuple[DailyKey, dict[int, set[bytes]]]] = []
 
-    def publish(self, key: bytes, day_index: int) -> None:
-        self.published.append(PublishedKey(key=key, day_index=day_index))
-        self._chains.append((DailyKey(key=key, day_index=day_index), {}))
+    def publish(self, key: DailyKey) -> None:
+        self.published.append(key)
+        self._chains.append((key, {}))
 
     def day_sets(self, through_day: int) -> list[dict[int, set[bytes]]]:
         """Per published key, in publication order, its identifier sets by
@@ -214,18 +200,9 @@ class Dp3tUserApp:
 
     def report(self, backend: Dp3tBackend, first_infectious_day: int, current_day: int, rng: random.Random) -> None:
         """Publish the first infectious day's key, then rotate to a fresh chain."""
-        backend.publish(self.key_for_day(first_infectious_day).key, first_infectious_day)
+        backend.publish(self.key_for_day(first_infectious_day))
         self.daily_keys = [DailyKey(key=rng.randbytes(32), day_index=current_day)]
         self._prepare_day(current_day, rng)
-
-
-def dp3t_expand_published(
-    published: PublishedKey, through_day: int, epochs_per_day: int = DP3T_EPOCHS_PER_DAY
-) -> dict[int, set[bytes]]:
-    """Recompute identifier sets for day x, x+1, ... from a published key."""
-    board = Dp3tBackend(epochs_per_day)
-    board.publish(published.key, published.day_index)
-    return board.day_sets(through_day)[0]
 
 
 @dataclass

@@ -15,7 +15,8 @@ wherever it appears (``_event_rules``): a user or venue field names a
 declared id, an adversary window's ``start`` and ``end`` are integers,
 powers and delays finite numbers (a delay not negative),
 ``pos`` is [x, y] and ``period`` is [start, end], two integers with
-0 <= start <= end.
+0 <= start <= end. A ``test_positive`` period starts no later than the
+test itself and ends below 2**64, the range of a u64 time field.
 Fields a kind does not list are ignored. ``move`` applies to the current
 location: the venue while inside one, the shared street space otherwise.
 """
@@ -31,6 +32,7 @@ from random import Random
 from typing import Any, Callable
 
 from .channel import ChannelModel
+from .schedule import SECONDS_PER_DAY
 
 # event kind -> (fields it cannot run without, fields it may carry)
 EVENT_FIELDS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
@@ -57,7 +59,6 @@ ACTION_FIELDS: dict[str, tuple[str, ...]] = {
     "linkage_eavesdrop": (),
 }
 TAMPER_MODES = ("forge_certificate", "corrupt_opening", "swap_venue_keys")
-SECONDS_PER_DAY = 86_400
 
 
 @dataclass
@@ -223,6 +224,11 @@ def validate_scenario(scenario: Scenario) -> list[str]:
                 flag(f"user {user} leaves but is in no venue")
         elif e.kind == "test_positive":
             tested.add(user)
+            start, end = data["period"]
+            if start > e.time:  # a report would need keys from after the test
+                flag(f"test_positive period {data['period']!r} starts after the test")
+            if end >= 2**64:  # certificates encode times as u64
+                flag(f"test_positive period end must be below 2**64, got {end}")
         elif e.kind == "report" and data.get("use_certificate_of", user) not in tested:
             flag(f"user {user} reports without a positive test")
         elif e.kind == "adversary_action":

@@ -1,9 +1,11 @@
 """Time discretization and ephemeral identifier derivation.
 
 The venue protocol anchors a per-user clock at venue entry, splits it into
-windows of ``window_seconds`` (one fresh random key each) and epochs of
-``epoch_seconds`` (one broadcast identifier each). The DP-3T baseline uses
-a hash chain of daily keys with a venue-free derivation label instead.
+windows of ``window_seconds`` and epochs of ``epoch_seconds`` (one
+broadcast identifier each). A window key is 32 fresh random bytes per
+(venue stay, window), never reused across venues; the key and the venue id
+fix the window's identifiers. The DP-3T baseline uses a hash chain of daily
+keys with a venue-free derivation label instead.
 """
 
 from __future__ import annotations
@@ -38,15 +40,6 @@ class SchedulingParams:
 
 
 @dataclass(frozen=True)
-class WindowKey:
-    """Fresh 32 random bytes per (venue stay, window); never reused across venues."""
-
-    key: bytes
-    window_index: int
-    venue_id: str
-
-
-@dataclass(frozen=True)
 class DailyKey:
     """One link of the DP-3T hash chain: key for day x is hash(key for day x-1)."""
 
@@ -54,20 +47,14 @@ class DailyKey:
     day_index: int
 
 
-def new_window_key(venue_id: str, window_index: int, rng: random.Random) -> WindowKey:
-    if window_index < 1:
-        raise ParameterError("window_index is 1-based")
-    return WindowKey(key=rng.randbytes(32), window_index=window_index, venue_id=venue_id)
-
-
 def venue_label(venue_id: str) -> bytes:
     """Derivation label binding identifiers to one venue."""
     return BROADCAST_LABEL + b"||" + venue_id.encode("utf-8")
 
 
-def derive_window_ephids(wk: WindowKey, params: SchedulingParams) -> list[bytes]:
+def derive_window_ephids(key: bytes, venue_id: str, params: SchedulingParams) -> list[bytes]:
     """All n identifiers of one window, a pure function of (key, venue, params)."""
-    seed = prf(wk.key, venue_label(wk.venue_id))
+    seed = prf(key, venue_label(venue_id))
     return prg_expand(seed, params.ids_per_window, EPHID_LEN)
 
 

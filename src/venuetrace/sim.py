@@ -335,7 +335,7 @@ class _VenueDriver(_Driver):
             venue_id = bundle.leave_receipt.venue_id
             other = next((v for v in self.users[reporter].visits if v.venue_id != venue_id), None)
             keys = (
-                [wk.key for wk in other.window_keys]
+                other.window_keys
                 if other is not None
                 else [self.sim.rng.randbytes(32) for _ in bundle.window_keys]
             )
@@ -478,22 +478,19 @@ class _TTDriver(_Driver):
         super().__init__(sim)
         self.interval_seconds = sim.params.tt_interval_seconds
         self.moh = MoHServer(sim.rng)
-        self.users: dict[str, TTUserApp] = {}
-        self.phone_to_user: dict[str, str] = {}
-        for u in sim.scenario.users:
-            phone = f"555-{u}"
-            self.users[u] = TTUserApp(phone, self.moh, sim.rng)
-            self.phone_to_user[phone] = u
+        # each user registers their user id as their phone number
+        self.users = {u: TTUserApp(u, self.moh, sim.rng) for u in sim.scenario.users}
 
     def setup(self) -> None:
         self.sim.schedule(0, lambda: self._interval_tick(0))
 
     def _interval_tick(self, now: int) -> None:
         interval = now // self.interval_seconds
+        sends = []
         for u in self.sim.scenario.users:
             app = self.users[u]
-            app.receive_tid(self.moh.issue_tid(app.pseudonym, interval, self.sim.rng))
-        sends = [(u, self.users[u].current_tid.ciphertext) for u in self.sim.scenario.users]
+            app.tid = self.moh.issue_tid(app.pseudonym, interval, self.sim.rng)
+            sends.append((u, app.tid))
         self.sim.emit(sends, now, tag=f"ivl{interval}")
         nxt = now + self.interval_seconds
         if nxt < self.sim.scenario.horizon_seconds:
@@ -505,14 +502,14 @@ class _TTDriver(_Driver):
         relevant = [t for t in app.triples if lo <= t.time // self.interval_seconds <= hi]
         contacts = self.moh.trace(app.phone_number, relevant)
         self._report_outcome(user, period, now)
-        for phone in contacts:
+        for contact in contacts:
             # notification is pushed by MoH at report time, not on trace queries
-            self._assessment(self.phone_to_user[phone], user, 1, self.interval_seconds, True)
+            self._assessment(contact, user, 1, self.interval_seconds, True)
 
     def finalize(self, horizon: int) -> None:
         super().finalize(horizon)
         self.sim.outcomes["moh_edges"] = [
-            {"reporter": self.phone_to_user[a], "contact": self.phone_to_user[b]}
+            {"reporter": a, "contact": b}
             for a, b in self.moh.traced_edges
         ]
 

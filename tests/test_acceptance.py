@@ -27,7 +27,6 @@ from venuetrace.scenario import (
 from venuetrace.schedule import (
     DailyKey,
     SchedulingParams,
-    WindowKey,
     derive_window_ephids,
     dp3t_derive_ephids,
     dp3t_next_daily_key,
@@ -247,8 +246,8 @@ def test_criterion_6_digest_reconstruction():
 
         # server side: closed-form reconstruction from the raw key bytes
         rebuilt = []
-        for w, wk in enumerate(session.window_keys, start=1):
-            ids = derive_window_ephids(WindowKey(wk.key, w, venue_id), params)
+        for w, key in enumerate(session.window_keys, start=1):
+            ids = derive_window_ephids(key, venue_id, params)
             rebuilt.extend(ids if w < x else ids[:y])
         server_digest = crypto.hash_bytes(b"".join(rebuilt))
         if user_digest != server_digest:

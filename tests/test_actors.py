@@ -20,7 +20,7 @@ from venuetrace.actors import (
 )
 from venuetrace.bloom import UnknownVenuePeriodError
 from venuetrace.messages import HeardPing
-from venuetrace.schedule import SchedulingParams, WindowKey, derive_window_ephids
+from venuetrace.schedule import SchedulingParams, derive_window_ephids
 
 PARAMS = SchedulingParams()
 L = PARAMS.epoch_seconds
@@ -236,7 +236,7 @@ class TestReportBuilding:
         rebuilt = []
         x = len(bundle.window_keys)
         for w, key in enumerate(bundle.window_keys, start=1):
-            ids = derive_window_ephids(WindowKey(key, w, "cafe"), PARAMS)
+            ids = derive_window_ephids(key, "cafe", PARAMS)
             rebuilt.extend(ids if w < x else ids[: bundle.last_window_epochs])
         assert rebuilt == [r.own_ephid for r in visit.records]
 

@@ -7,7 +7,6 @@ from venuetrace.baselines import (
     Dp3tUserApp,
     MoHServer,
     TTUserApp,
-    dp3t_expand_published,
     dp3t_match,
 )
 from venuetrace.schedule import DailyKey, dp3t_derive_ephids, dp3t_next_daily_key
@@ -21,7 +20,7 @@ class TestTraceTogether:
         moh = MoHServer(rng)
         pseudonym = moh.register("555-0001", rng)
         tid = moh.issue_tid(pseudonym, 7, rng)
-        assert moh.decrypt_tid(tid.ciphertext) == (pseudonym, 7)
+        assert moh.decrypt_tid(tid) == (pseudonym, 7)
 
     def test_tids_unlinkable_across_intervals(self):
         rng = random.Random(1)
@@ -29,14 +28,14 @@ class TestTraceTogether:
         pseudonym = moh.register("555-0001", rng)
         seen = set()
         for x in range(10_000):
-            seen.add(moh.issue_tid(pseudonym, x, rng).ciphertext)
+            seen.add(moh.issue_tid(pseudonym, x, rng))
         assert len(seen) == 10_000
 
     def test_tampered_tid_fails_decryption(self):
         rng = random.Random(2)
         moh = MoHServer(rng)
         pseudonym = moh.register("555-0001", rng)
-        ct = bytearray(moh.issue_tid(pseudonym, 0, rng).ciphertext)
+        ct = bytearray(moh.issue_tid(pseudonym, 0, rng))
         ct[-1] ^= 1
         assert moh.decrypt_tid(bytes(ct)) is None
         assert moh.decrypt_tid(b"short") is None
@@ -46,17 +45,17 @@ class TestTraceTogether:
         moh = MoHServer(rng)
         alice = TTUserApp("555-alice", moh, rng)
         bob = TTUserApp("555-bob", moh, rng)
-        alice.receive_tid(moh.issue_tid(alice.pseudonym, 0, rng))
-        bob.receive_tid(moh.issue_tid(bob.pseudonym, 0, rng))
-        alice.hear(bob.current_tid.ciphertext, -45.0, 0)
-        bob.hear(alice.current_tid.ciphertext, -45.0, 0)
+        alice.tid = moh.issue_tid(alice.pseudonym, 0, rng)
+        bob.tid = moh.issue_tid(bob.pseudonym, 0, rng)
+        alice.hear(bob.tid, -45.0, 0)
+        bob.hear(alice.tid, -45.0, 0)
         assert moh.trace("555-alice", alice.triples) == ["555-bob"]
 
     def test_forged_triple_skipped(self):
         rng = random.Random(4)
         moh = MoHServer(rng)
         alice = TTUserApp("555-alice", moh, rng)
-        alice.receive_tid(moh.issue_tid(alice.pseudonym, 0, rng))
+        alice.tid = moh.issue_tid(alice.pseudonym, 0, rng)
         forged = ContactTriple(peer_tid=rng.randbytes(44), signal_dbm=-40.0, time=0)
         assert moh.trace("555-alice", [forged]) == []
 
@@ -65,9 +64,9 @@ class TestTraceTogether:
         moh = MoHServer(rng)
         apps = {n: TTUserApp(f"555-{n}", moh, rng) for n in ("a", "b", "c")}
         for app in apps.values():
-            app.receive_tid(moh.issue_tid(app.pseudonym, 0, rng))
-        apps["a"].hear(apps["b"].current_tid.ciphertext, -45.0, 0)
-        apps["a"].hear(apps["c"].current_tid.ciphertext, -45.0, 0)
+            app.tid = moh.issue_tid(app.pseudonym, 0, rng)
+        apps["a"].hear(apps["b"].tid, -45.0, 0)
+        apps["a"].hear(apps["c"].tid, -45.0, 0)
         moh.trace("555-a", apps["a"].triples)
         assert set(moh.traced_edges) == {("555-a", "555-b"), ("555-a", "555-c")}
 
@@ -88,7 +87,7 @@ class TestDp3t:
         backend = Dp3tBackend()
         app.report(backend, first_infectious_day=1, current_day=3, rng=rng)
         pub = backend.published[0]
-        sets = dp3t_expand_published(pub, through_day=3)
+        (sets,) = backend.day_sets(through_day=3)
         # hash-chain forward derivation: day-2 ids follow from the day-1 key
         k1 = DailyKey(key=pub.key, day_index=1)
         k2 = dp3t_next_daily_key(k1)
@@ -104,7 +103,7 @@ class TestDp3t:
         fresh = app.key_for_day(1).key
         assert fresh != old_key_day1
         # identifiers broadcast after rotation are outside the published chain
-        sets = dp3t_expand_published(backend.published[0], through_day=1)
+        (sets,) = backend.day_sets(through_day=1)
         post = {app.payload(e * 900) for e in range(96)}
         assert not post & sets[1]
 
@@ -140,6 +139,7 @@ class TestDp3t:
         for day in (1, 2):
             alice.start_day(day, rng)
         backend = Dp3tBackend()
+        day1 = alice.key_for_day(1)
         alice.report(backend, first_infectious_day=1, current_day=2, rng=rng)
         bob = Dp3tUserApp("bob", rng, epochs_per_day=96)
         derived = []
@@ -151,7 +151,12 @@ class TestDp3t:
             dp3t_match(bob, backend, through_day)
         assert derived == [1, 2, 3]
         (sets,) = backend.day_sets(3)
-        assert sets == dp3t_expand_published(backend.published[0], through_day=3)
+        # reference: walk alice's chain from her day-1 key, without the board
+        expected, key = {}, day1
+        while key.day_index <= 3:
+            expected[key.day_index] = set(dp3t_derive_ephids(key, 96))
+            key = dp3t_next_daily_key(key)
+        assert sets == expected
 
     def test_match_ignores_days_after_through_day(self):
         rng = random.Random(12)

@@ -327,6 +327,12 @@ def _edit(kind, **fields):
         (_event(time=100, kind="adversary_action", action="flood", venue="v0",
                 start=100, end=500, tx_dbm=-10**400),
          "adversary_action tx_dbm must be a finite number"),
+        # DP-3T asked for the key of a day its chain had not reached yet
+        (_edit("test_positive", period=[3 * DAY, 3 * DAY]),
+         "test_positive period [259200, 259200] starts after the test"),
+        # the infection certificate encodes the period as u64
+        (_edit("test_positive", period=[DAY, 2**64]),
+         "test_positive period end must be below 2**64, got 18446744073709551616"),
     ],
 )
 def test_inputs_that_crashed_run_are_rejected(mutate, expected, tmp_path, capsys):
