@@ -60,12 +60,29 @@ class RejectionCode(str, Enum):
     OVERLAPPING_PRESENCE = "overlapping-presence"
 
 
+@dataclass
+class RiskAssessment:
+    """Outcome of matching one infected user's identifiers against what a
+    phone heard; ``leak`` is whether any identifier matched at all."""
+
+    matched_epochs: int
+    exposure_seconds: int
+    at_risk: bool
+    leak: bool = False
+
+
 @dataclass(frozen=True)
 class RiskPolicy:
     """Local risk rule: enough matched epochs, close enough signal."""
 
     exposure_seconds: int = 900
     proximity_threshold_dbm: float = -60.0
+
+    def assess(self, slots: set, epoch_seconds: int, leak: bool = False) -> RiskAssessment:
+        """Score the distinct epoch ``slots`` in which a close enough
+        signal matched: their total length against the duration threshold."""
+        exposure = len(slots) * epoch_seconds
+        return RiskAssessment(len(slots), exposure, exposure >= self.exposure_seconds, leak)
 
 
 @dataclass
@@ -318,16 +335,6 @@ class VenueSession:
         return sum(1 for r in self.records if r.window == last_window)
 
 
-@dataclass
-class RiskAssessment:
-    """Outcome of matching one retrieved back-end record against one visit."""
-
-    venue_id: str
-    matched_epochs: int
-    exposure_seconds: int
-    at_risk: bool
-
-
 class UserApp:
     """The per-user state machine: venue-anchored broadcasting, hearing,
     leave receipts, infection reporting, and local risk evaluation."""
@@ -475,14 +482,7 @@ class UserApp:
                     if ping.ephid in infected_ids and ping.signal_dbm >= policy.proximity_threshold_dbm:
                         slots.add((record.window, record.epoch))
                         break
-            exposure = len(slots) * self.params.epoch_seconds
-            assessment = RiskAssessment(
-                venue_id=visit.venue_id,
-                matched_epochs=len(slots),
-                exposure_seconds=exposure,
-                at_risk=exposure >= policy.exposure_seconds,
-            )
-            out.append(assessment)
+            out.append(policy.assess(slots, self.params.epoch_seconds))
         return out
 
 

@@ -2,7 +2,7 @@
 
 TraceTogether: a fully trusted ministry of health (MoH) registers phone
 numbers, pushes each phone an authenticated-encrypted token each interval,
-and decrypts reported contact triples to phone numbers.
+and decrypts the peer tokens a reporter's phone heard to phone numbers.
 
 DP-3T (low-cost): hash-chained daily keys expanded into per-day identifier
 sets, broadcast in a random order, published on infection so peers match
@@ -12,12 +12,13 @@ locally.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
+from .actors import RiskAssessment, RiskPolicy
 from .crypto import ParameterError, encode_u64, lp_decode, lp_encode
+from .messages import HeardPing
 from .schedule import (
     SECONDS_PER_DAY,
     DailyKey,
@@ -33,13 +34,6 @@ _TT_NONCE_LEN = 12
 # ---------------------------------------------------------------------------
 # TraceTogether
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ContactTriple:
-    peer_tid: bytes
-    signal_dbm: float
-    time: int
-
 
 class MoHServer:
     """Centralised authority: registry, token issuance, trace decryption.
@@ -79,11 +73,11 @@ class MoHServer:
             return None
         return pseudonym, int.from_bytes(interval_raw, "big")
 
-    def trace(self, reporter_phone: str, triples: list[ContactTriple]) -> list[str]:
+    def trace(self, reporter_phone: str, heard: list[HeardPing]) -> list[str]:
         """Decrypt reported peer tokens and look up their phone numbers."""
         contacts: list[str] = []
-        for triple in triples:
-            decrypted = self.decrypt_tid(triple.peer_tid)
+        for ping in heard:
+            decrypted = self.decrypt_tid(ping.ephid)
             if decrypted is None:
                 continue  # forged or corrupted token
             pseudonym, _ = decrypted
@@ -97,7 +91,7 @@ class MoHServer:
 
 
 class TTUserApp:
-    """Phone-side TraceTogether state: current token plus stored triples."""
+    """Phone-side TraceTogether state: current token plus the peer tokens heard."""
 
     listening = True  # TraceTogether phones listen everywhere
 
@@ -105,7 +99,7 @@ class TTUserApp:
         self.phone_number = phone_number
         self.pseudonym = moh.register(phone_number, rng)
         self.tid: bytes | None = None  # the MoH's token for this interval
-        self.triples: list[ContactTriple] = []
+        self.heard: list[HeardPing] = []
 
     def payload(self, now: int) -> bytes | None:
         return self.tid
@@ -113,20 +107,12 @@ class TTUserApp:
     def hear(self, peer_payload: bytes, signal_dbm: float, now: int) -> None:
         if self.tid is None:
             return
-        self.triples.append(ContactTriple(peer_payload, signal_dbm, now))
+        self.heard.append(HeardPing(peer_payload, signal_dbm, now))
 
 
 # ---------------------------------------------------------------------------
 # DP-3T (low-cost)
 # ---------------------------------------------------------------------------
-
-@dataclass
-class Dp3tHeard:
-    ephid: bytes
-    signal_dbm: float
-    day: int
-    epoch: int
-
 
 class Dp3tBackend:
     """Publication board for infected users' daily keys.
@@ -169,7 +155,7 @@ class Dp3tUserApp:
         self.daily_keys: list[DailyKey] = [dp3t_initial_daily_key(rng, day_index=0)]
         self._day_ids: list[bytes] = []
         self._day_order: list[int] = []
-        self.heard: list[Dp3tHeard] = []
+        self.heard: list[HeardPing] = []
         self._prepare_day(0, rng)
 
     def _current_key(self) -> DailyKey:
@@ -189,8 +175,7 @@ class Dp3tUserApp:
         return self._day_ids[self._day_order[now % SECONDS_PER_DAY // self.epoch_seconds]]
 
     def hear(self, ephid: bytes, signal_dbm: float, now: int) -> None:
-        day, second = divmod(now, SECONDS_PER_DAY)
-        self.heard.append(Dp3tHeard(ephid, signal_dbm, day, second // self.epoch_seconds))
+        self.heard.append(HeardPing(ephid, signal_dbm, now))
 
     def key_for_day(self, day_index: int) -> DailyKey:
         for k in self.daily_keys:
@@ -205,41 +190,26 @@ class Dp3tUserApp:
         self._prepare_day(current_day, rng)
 
 
-@dataclass
-class Dp3tAssessment:
-    matched_epochs: int
-    exposure_seconds: int
-    at_risk: bool
-    leak: bool  # any identifier matched at all, regardless of duration
-
-
 def dp3t_match(
-    app: Dp3tUserApp,
-    backend: Dp3tBackend,
-    through_day: int,
-    exposure_seconds: int = 900,
-    proximity_threshold_dbm: float = -60.0,
-) -> list[Dp3tAssessment]:
+    app: Dp3tUserApp, backend: Dp3tBackend, through_day: int, policy: RiskPolicy
+) -> list[RiskAssessment]:
     """Local matching of the heard store against every published key chain,
-    in publication order, over the days through ``through_day``."""
-    out: list[Dp3tAssessment] = []
+    in publication order, over the days through ``through_day``.
+
+    A ping's slot is ``time // epoch_seconds``: the epochs of a day divide
+    it, so each slot is one (day, epoch of the day) pair.
+    """
+    out: list[RiskAssessment] = []
     for day_sets in backend.day_sets(through_day):
-        slots: set[tuple[int, int]] = set()
+        slots: set[int] = set()
         leak = False
         for h in app.heard:
-            ids = day_sets.get(h.day) if h.day <= through_day else None
+            day = h.time // SECONDS_PER_DAY
+            ids = day_sets.get(day) if day <= through_day else None
             if ids is None or h.ephid not in ids:
                 continue
             leak = True
-            if h.signal_dbm >= proximity_threshold_dbm:
-                slots.add((h.day, h.epoch))
-        exposure = len(slots) * app.epoch_seconds
-        out.append(
-            Dp3tAssessment(
-                matched_epochs=len(slots),
-                exposure_seconds=exposure,
-                at_risk=exposure >= exposure_seconds,
-                leak=leak,
-            )
-        )
+            if h.signal_dbm >= policy.proximity_threshold_dbm:
+                slots.add(h.time // app.epoch_seconds)
+        out.append(policy.assess(slots, app.epoch_seconds, leak))
     return out

@@ -16,7 +16,8 @@ from .crypto import Opening, encode_group_element, encode_u64, lp_encode
 
 @dataclass(frozen=True)
 class HeardPing:
-    """One received broadcast: identifier bytes, received signal, coarse time."""
+    """One received broadcast, as all three protocols' phones store it:
+    payload bytes, received signal, simulation time."""
 
     ephid: bytes
     signal_dbm: float

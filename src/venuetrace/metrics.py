@@ -116,27 +116,27 @@ class MetricsReport:
 
 def _linkage_scan(broadcasts: dict[str, list[Any]]) -> tuple[int, int]:
     """(cross-venue matches, cross-visit matches) over honest broadcasts,
-    read from the trace's broadcast columns (emitters stay interned)."""
-    seen: dict[str, set[tuple[int, str, str]]] = {}
+    read from the trace's broadcast columns (emitters stay interned).
+
+    A payload matches across venues when some row of it names a venue
+    other than its first one, and across visits when some row names a tag
+    other than the first one of its (payload, emitter, venue).
+    """
+    first_venue: dict[str, str] = {}
+    first_tag: dict[tuple[str, int, str], str] = {}
+    cross_venue: set[str] = set()
+    cross_visit: set[str] = set()
     for emitter, loc, payload, injected, tag in zip(
         broadcasts["emitter"], broadcasts["location"], broadcasts["payload"],
         broadcasts["injected"], broadcasts["tag"],
     ):
         if injected or loc is None:
             continue
-        seen.setdefault(payload, set()).add((emitter, loc, tag))
-    cross_venue = 0
-    cross_visit = 0
-    for spots in seen.values():
-        venues = {loc for (_, loc, _) in spots}
-        if len(venues) > 1:
-            cross_venue += 1
-        by_emitter_venue: dict[tuple[int, str], set[str]] = {}
-        for emitter, loc, tag in spots:
-            by_emitter_venue.setdefault((emitter, loc), set()).add(tag)
-        if any(len(tags) > 1 for tags in by_emitter_venue.values()):
-            cross_visit += 1
-    return cross_venue, cross_visit
+        if first_venue.setdefault(payload, loc) != loc:
+            cross_venue.add(payload)
+        if first_tag.setdefault((payload, emitter, loc), tag) != tag:
+            cross_visit.add(payload)
+    return len(cross_venue), len(cross_visit)
 
 
 def _info_exposure(trace_data: dict[str, Any], protocol: str) -> dict[str, Any]:

@@ -3,9 +3,11 @@
 A scenario is a JSON document: users, venues (with per-venue policy
 overrides), a time horizon, simulation parameter overrides, and a list of
 timed events. Positions are scripted; there is no mobility model in the
-core. Builders below generate populations, encounters, and attack setups
-as plain event lists, so everything the simulator consumes stays explicit
-and reproducible.
+core. The fixed scenarios (encounters, attack setups, duty cycles) are the
+files under ``scenarios/``; ``build_population_scenario`` generates
+populations of any size as plain event lists, so everything the simulator
+consumes stays explicit and reproducible. ``horizon_seconds`` is a
+positive integer below 2**64, so no event time overflows a u64 field.
 
 Each event has a ``time``, a ``kind``, and the fields ``EVENT_FIELDS``
 lists for its kind: those it cannot run without and those it may carry.
@@ -166,7 +168,12 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     from .actors import VenuePolicy  # local import: actors pulls in crypto
 
     horizon = scenario.horizon_seconds
-    diags = [] if horizon > 0 else [f"horizon_seconds must be positive, got {horizon!r}"]
+    if horizon <= 0:
+        diags = [f"horizon_seconds must be positive, got {horizon!r}"]
+    elif horizon >= 2**64:  # every event time is at most the horizon
+        diags = [f"horizon_seconds must be below 2**64, got {horizon}"]
+    else:
+        diags = []
     diags.extend(_id_diagnostics("user", scenario.users))
     diags.extend(_id_diagnostics("venue", [v.venue_id for v in scenario.venues]))
     # only strings: a reference of any other type is unknown, never hashed
@@ -404,7 +411,7 @@ def _params_diagnostics(params: Any) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Builders (helpers; core simulation consumes only the explicit events)
+# Population builder (the core simulation consumes only the explicit events)
 # ---------------------------------------------------------------------------
 
 def _table_positions(count: int, table_index: int) -> list[tuple[float, float]]:
@@ -493,128 +500,4 @@ def build_population_scenario(
         venues=venues,
         events=events,
         params={"epoch_seconds": epoch_seconds},
-    )
-
-
-def build_street_encounter_scenario() -> Scenario:
-    """The 10-second street encounter: u00 (later infected) passes u01.
-
-    u00 also makes a proper venue visit during the contagious period so a
-    report exists under the venue protocol; u01 never shares a venue.
-    """
-    events = [
-        # day 0: u00 visits a venue with a co-visitor u02 (so the venue
-        # protocol produces a real report), 30 minutes at one table.
-        ScenarioEvent(time=36000, kind="enter", data={"user": "u00", "venue": "v0", "pos": [0.0, 0.0]}),
-        ScenarioEvent(time=36000, kind="enter", data={"user": "u02", "venue": "v0", "pos": [0.9, 0.0]}),
-        ScenarioEvent(time=37800, kind="leave", data={"user": "u00"}),
-        ScenarioEvent(time=37800, kind="leave", data={"user": "u02"}),
-        # day 0 evening: 10-second street encounter between u00 and u01.
-        ScenarioEvent(time=64000, kind="move", data={"user": "u00", "pos": [0.0, 0.0]}),
-        ScenarioEvent(time=64000, kind="move", data={"user": "u01", "pos": [0.8, 0.0]}),
-        ScenarioEvent(time=64010, kind="move", data={"user": "u01", "pos": [500.0, 0.0]}),
-        ScenarioEvent(time=64010, kind="move", data={"user": "u00", "pos": [-500.0, 0.0]}),
-        # day 1: test, report, queries.
-        ScenarioEvent(time=122400, kind="test_positive", data={"user": "u00", "period": [0, 86400]}),
-        ScenarioEvent(time=123000, kind="report", data={"user": "u00"}),
-        ScenarioEvent(time=126600, kind="trace_query", data={"user": "u01"}),
-        ScenarioEvent(time=126600, kind="trace_query", data={"user": "u02"}),
-    ]
-    return Scenario(
-        name="street-encounter",
-        horizon_seconds=2 * SECONDS_PER_DAY,
-        users=["u00", "u01", "u02"],
-        venues=[VenueSpec(venue_id="v0")],
-        events=events,
-    )
-
-
-def build_relay_scenario(with_attack: bool = True) -> Scenario:
-    """Cross-venue relay: venue v0 traffic is re-broadcast inside v1.
-
-    u00 (infected) sits with u01 in v0; u10 and u11 sit in v1 at the same
-    hour. The adversary relays v0's broadcasts into v1 next to the v1 table.
-    """
-    start = SECONDS_PER_DAY + 36000  # day 1, 10:00
-    duration = 1800
-    events = [
-        ScenarioEvent(time=start, kind="enter", data={"user": "u00", "venue": "v0", "pos": [0.0, 0.0]}),
-        ScenarioEvent(time=start, kind="enter", data={"user": "u01", "venue": "v0", "pos": [0.9, 0.0]}),
-        ScenarioEvent(time=start, kind="enter", data={"user": "u10", "venue": "v1", "pos": [0.0, 0.0]}),
-        ScenarioEvent(time=start, kind="enter", data={"user": "u11", "venue": "v1", "pos": [0.9, 0.0]}),
-        ScenarioEvent(time=start + duration, kind="leave", data={"user": "u00"}),
-        ScenarioEvent(time=start + duration, kind="leave", data={"user": "u01"}),
-        ScenarioEvent(time=start + duration, kind="leave", data={"user": "u10"}),
-        ScenarioEvent(time=start + duration, kind="leave", data={"user": "u11"}),
-        ScenarioEvent(
-            time=2 * SECONDS_PER_DAY + 3600,
-            kind="test_positive",
-            data={"user": "u00", "period": [SECONDS_PER_DAY, 2 * SECONDS_PER_DAY]},
-        ),
-        ScenarioEvent(time=2 * SECONDS_PER_DAY + 4200, kind="report", data={"user": "u00"}),
-    ]
-    if with_attack:
-        events.append(
-            ScenarioEvent(
-                time=start,
-                kind="adversary_action",
-                data={
-                    "action": "relay_cross_venue",
-                    "src_venue": "v0",
-                    "dst_venue": "v1",
-                    "pos": [0.45, 0.45],
-                    "start": start,
-                    "end": start + duration,
-                    "delay": 1,
-                },
-            )
-        )
-    for user in ("u00", "u01", "u10", "u11"):
-        events.append(
-            ScenarioEvent(time=2 * SECONDS_PER_DAY + 7800, kind="trace_query", data={"user": user})
-        )
-    return Scenario(
-        name="relay" + ("" if with_attack else "-baseline"),
-        horizon_seconds=3 * SECONDS_PER_DAY,
-        users=["u00", "u01", "u10", "u11"],
-        venues=[VenueSpec(venue_id="v0"), VenueSpec(venue_id="v1")],
-        events=events,
-    )
-
-
-def build_duty_cycle_scenario(
-    n_users: int = 10,
-    days: int = 2,
-    in_venue_fraction: float = 0.3,
-) -> Scenario:
-    """Each user spends exactly ``in_venue_fraction`` of every day inside
-    venues, in two long visits (long enough to exercise window rollover)."""
-    total = int(in_venue_fraction * SECONDS_PER_DAY)
-    half = total // 2
-    users = [f"u{i:02d}" for i in range(n_users)]
-    venues = [VenueSpec(venue_id="v0"), VenueSpec(venue_id="v1")]
-    events: list[ScenarioEvent] = []
-    for day in range(days):
-        base = day * SECONDS_PER_DAY
-        for i, user in enumerate(users):
-            table = i // 2
-            seat = _table_positions(2, table)[i % 2]
-            for visit, (venue, start) in enumerate(
-                [("v0", base + 8 * 3600), ("v1", base + 16 * 3600)]
-            ):
-                dur = half + (total - 2 * half if visit == 1 else 0)
-                events.append(
-                    ScenarioEvent(
-                        time=start,
-                        kind="enter",
-                        data={"user": user, "venue": venue, "pos": list(seat)},
-                    )
-                )
-                events.append(ScenarioEvent(time=start + dur, kind="leave", data={"user": user}))
-    return Scenario(
-        name="duty-cycle",
-        horizon_seconds=days * SECONDS_PER_DAY,
-        users=users,
-        venues=venues,
-        events=events,
     )

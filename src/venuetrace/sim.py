@@ -33,6 +33,7 @@ from .actors import (
     CertificationRefused,
     HealthAuthority,
     QueryRejected,
+    RiskAssessment,
     RiskPolicy,
     TestCenter,
     UserApp,
@@ -143,6 +144,8 @@ class _Driver(ABC):
     def __init__(self, sim: "Simulation"):
         self.sim = sim
         self.periods: dict[str, tuple[int, int]] = {}
+        p = sim.params
+        self.risk = RiskPolicy(p.exposure_seconds, p.channel.threshold_dbm(p.proximity_meters))
 
     @abstractmethod
     def setup(self) -> None:
@@ -200,9 +203,8 @@ class _Driver(ABC):
         return row
 
     def _assessment(
-        self, user: str, reporter: str | None, matched_epochs: int, exposure_seconds: int,
-        at_risk: bool, venue: str | None = None, record_key: str | None = None,
-        **extra: Any,
+        self, user: str, reporter: str | None, a: RiskAssessment,
+        venue: str | None = None, record_key: str | None = None, **extra: Any,
     ) -> None:
         self.sim.outcomes["assessments"].append(
             {
@@ -210,9 +212,9 @@ class _Driver(ABC):
                 "venue": venue,
                 "record_key": record_key,
                 "reporter": reporter,
-                "matched_epochs": matched_epochs,
-                "exposure_seconds": exposure_seconds,
-                "at_risk": at_risk,
+                "matched_epochs": a.matched_epochs,
+                "exposure_seconds": a.exposure_seconds,
+                "at_risk": a.at_risk,
                 **extra,
             }
         )
@@ -244,10 +246,6 @@ class _VenueDriver(_Driver):
         self.users = {
             u: UserApp(u, self.ha.public_key, self.sched, sim.rng) for u in sim.scenario.users
         }
-        self.risk = RiskPolicy(
-            exposure_seconds=p.exposure_seconds,
-            proximity_threshold_dbm=p.channel.threshold_dbm(p.proximity_meters),
-        )
         self.certificates: dict[str, InfectionCertificate] = {}
         self.visit_seq: dict[str, int] = {u: 0 for u in sim.scenario.users}
         self.duty_seconds: dict[str, int] = {u: 0 for u in sim.scenario.users}
@@ -383,10 +381,8 @@ class _VenueDriver(_Driver):
             )
             assessments = app.evaluate_risk(visit, lists, self.risk)
             for a, key in zip(assessments, keys):
-                self._assessment(
-                    user, self.sim.outcomes["record_reporters"].get(key),
-                    a.matched_epochs, a.exposure_seconds, a.at_risk, visit.venue_id, key,
-                )
+                reporter = self.sim.outcomes["record_reporters"].get(key)
+                self._assessment(user, reporter, a, visit.venue_id, key)
 
     def finalize(self, horizon: int) -> None:
         for user, app in self.users.items():
@@ -421,7 +417,6 @@ class _Dp3tDriver(_Driver):
             u: Dp3tUserApp(u, sim.rng, sim.params.dp3t_epochs_per_day)
             for u in sim.scenario.users
         }
-        self.risk_threshold_dbm = sim.params.channel.threshold_dbm(sim.params.proximity_meters)
         self.publication_reporters: list[str] = []
 
     def setup(self) -> None:
@@ -449,19 +444,10 @@ class _Dp3tDriver(_Driver):
         self.sim.log_event({"t": now, "kind": "report", "user": user, "day": first_day})
 
     def on_trace_query(self, user: str, now: int) -> None:
-        assessments = dp3t_match(
-            self.users[user],
-            self.backend,
-            through_day=now // SECONDS_PER_DAY,
-            exposure_seconds=self.sim.params.exposure_seconds,
-            proximity_threshold_dbm=self.risk_threshold_dbm,
-        )
+        assessments = dp3t_match(self.users[user], self.backend, now // SECONDS_PER_DAY, self.risk)
         for a, reporter in zip(assessments, self.publication_reporters):
             if reporter != user:
-                self._assessment(
-                    user, reporter, a.matched_epochs, a.exposure_seconds, a.at_risk,
-                    leak=a.leak,
-                )
+                self._assessment(user, reporter, a, leak=a.leak)
 
     def finalize(self, horizon: int) -> None:
         super().finalize(horizon)
@@ -499,12 +485,12 @@ class _TTDriver(_Driver):
     def _report(self, user: str, data: dict[str, Any], period: tuple[int, int], now: int) -> None:
         app = self.users[user]
         lo, hi = period[0] // self.interval_seconds, period[1] // self.interval_seconds
-        relevant = [t for t in app.triples if lo <= t.time // self.interval_seconds <= hi]
+        relevant = [h for h in app.heard if lo <= h.time // self.interval_seconds <= hi]
         contacts = self.moh.trace(app.phone_number, relevant)
         self._report_outcome(user, period, now)
         for contact in contacts:
             # notification is pushed by MoH at report time, not on trace queries
-            self._assessment(contact, user, 1, self.interval_seconds, True)
+            self._assessment(contact, user, RiskAssessment(1, self.interval_seconds, True))
 
     def finalize(self, horizon: int) -> None:
         super().finalize(horizon)
@@ -802,9 +788,9 @@ class Simulation:
             self._close_segment(user, horizon)
         self.driver.finalize(horizon)
         self.broadcasts["emitters"] = list(self._emitter_index)
-        logged = set(self.broadcasts["payload"])
-        self.outcomes["adversary"]["observed_only_broadcast_bytes"] = all(
-            p in logged for p in self.adversary_observed
+        observed = self.adversary_observed  # usually empty: then no payload set is built
+        self.outcomes["adversary"]["observed_only_broadcast_bytes"] = (
+            not observed or set(self.broadcasts["payload"]).issuperset(observed)
         )
         config = {
             "scenario": self.scenario.to_dict(),

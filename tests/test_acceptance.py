@@ -19,10 +19,7 @@ from venuetrace.scenario import (
     Scenario,
     ScenarioEvent,
     VenueSpec,
-    build_duty_cycle_scenario,
     build_population_scenario,
-    build_relay_scenario,
-    build_street_encounter_scenario,
 )
 from venuetrace.schedule import (
     DailyKey,
@@ -32,6 +29,8 @@ from venuetrace.schedule import (
     dp3t_next_daily_key,
 )
 from venuetrace.sim import SimParams, Simulation, run
+
+from bundled import bundled
 
 DAY = 86400
 L = 180
@@ -143,8 +142,8 @@ def _at_risk(scenario, protocol, seed):
 
 
 def test_criterion_3_cross_venue_relay():
-    attack = build_relay_scenario(with_attack=True)
-    baseline = build_relay_scenario(with_attack=False)
+    attack = bundled("relay_attack")
+    baseline = bundled("relay_baseline")
     venue_extra, dp3t_extra = [], []
     for seed in range(5):
         venue_extra.append(len(_at_risk(attack, "venue", seed) - _at_risk(baseline, "venue", seed)))
@@ -199,7 +198,7 @@ def test_criterion_4_ephemeral_linkage():
 
 
 def test_criterion_5_bystander_street_leak():
-    scenario = build_street_encounter_scenario()
+    scenario = bundled("street_encounter")
     dp3t_trace = run(scenario, "dp3t", seed=0)
     venue_trace = run(scenario, "venue", seed=0)
     dp3t_leak = any(
@@ -306,7 +305,7 @@ def test_criterion_8_determinism():
 
 
 def test_criterion_9_duty_cycle():
-    scenario = build_duty_cycle_scenario(n_users=10, days=2, in_venue_fraction=0.3)
+    scenario = bundled("duty_cycle")  # 10 users, 2 days, 30% of each day in venues
     venue_report = collect_metrics(run(scenario, "venue", seed=0).data)
     dp3t_report = collect_metrics(run(scenario, "dp3t", seed=0).data)
     slack = L / DAY

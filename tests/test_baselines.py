@@ -1,14 +1,15 @@
 import random
 
 from venuetrace import baselines
+from venuetrace.actors import RiskPolicy
 from venuetrace.baselines import (
-    ContactTriple,
     Dp3tBackend,
     Dp3tUserApp,
     MoHServer,
     TTUserApp,
     dp3t_match,
 )
+from venuetrace.messages import HeardPing
 from venuetrace.schedule import DailyKey, dp3t_derive_ephids, dp3t_next_daily_key
 
 DAY = 86400
@@ -49,14 +50,14 @@ class TestTraceTogether:
         bob.tid = moh.issue_tid(bob.pseudonym, 0, rng)
         alice.hear(bob.tid, -45.0, 0)
         bob.hear(alice.tid, -45.0, 0)
-        assert moh.trace("555-alice", alice.triples) == ["555-bob"]
+        assert moh.trace("555-alice", alice.heard) == ["555-bob"]
 
     def test_forged_triple_skipped(self):
         rng = random.Random(4)
         moh = MoHServer(rng)
         alice = TTUserApp("555-alice", moh, rng)
         alice.tid = moh.issue_tid(alice.pseudonym, 0, rng)
-        forged = ContactTriple(peer_tid=rng.randbytes(44), signal_dbm=-40.0, time=0)
+        forged = HeardPing(ephid=rng.randbytes(44), signal_dbm=-40.0, time=0)
         assert moh.trace("555-alice", [forged]) == []
 
     def test_moh_learns_reporter_contact_graph(self):
@@ -67,7 +68,7 @@ class TestTraceTogether:
             app.tid = moh.issue_tid(app.pseudonym, 0, rng)
         apps["a"].hear(apps["b"].tid, -45.0, 0)
         apps["a"].hear(apps["c"].tid, -45.0, 0)
-        moh.trace("555-a", apps["a"].triples)
+        moh.trace("555-a", apps["a"].heard)
         assert set(moh.traced_edges) == {("555-a", "555-b"), ("555-a", "555-c")}
 
 
@@ -118,7 +119,7 @@ class TestDp3t:
         alice.report(backend, first_infectious_day=0, current_day=0, rng=rng)
         (result,) = dp3t_match(
             bob, backend, through_day=0,
-            exposure_seconds=900, proximity_threshold_dbm=-46.0,
+            policy=RiskPolicy(exposure_seconds=900, proximity_threshold_dbm=-46.0),
         )
         assert result.matched_epochs == 3
         assert result.at_risk
@@ -130,7 +131,7 @@ class TestDp3t:
         bob = Dp3tUserApp("bob", rng, epochs_per_day=96)
         backend = Dp3tBackend()
         alice.report(backend, 0, 0, rng)
-        (result,) = dp3t_match(bob, backend, through_day=0)
+        (result,) = dp3t_match(bob, backend, through_day=0, policy=RiskPolicy())
         assert not result.leak and not result.at_risk
 
     def test_backend_expands_each_published_day_once(self, monkeypatch):
@@ -148,7 +149,7 @@ class TestDp3t:
             lambda key, n: derived.append(key.day_index) or dp3t_derive_ephids(key, n),
         )
         for through_day in (1, 2, 2, 3):
-            dp3t_match(bob, backend, through_day)
+            dp3t_match(bob, backend, through_day, RiskPolicy())
         assert derived == [1, 2, 3]
         (sets,) = backend.day_sets(3)
         # reference: walk alice's chain from her day-1 key, without the board
@@ -166,6 +167,20 @@ class TestDp3t:
         bob.hear(alice.payload(DAY), -45.0, DAY)
         backend = Dp3tBackend()
         alice.report(backend, first_infectious_day=0, current_day=1, rng=rng)
-        (later,) = dp3t_match(bob, backend, through_day=1)
-        (earlier,) = dp3t_match(bob, backend, through_day=0)  # day 1 is expanded by now
+        (later,) = dp3t_match(bob, backend, through_day=1, policy=RiskPolicy())
+        # day 1 is expanded by now
+        (earlier,) = dp3t_match(bob, backend, through_day=0, policy=RiskPolicy())
         assert later.leak and not earlier.leak
+
+    def test_same_epoch_of_day_on_two_days_counts_twice(self):
+        rng = random.Random(13)
+        alice = Dp3tUserApp("alice", rng, epochs_per_day=96)
+        bob = Dp3tUserApp("bob", rng, epochs_per_day=96)
+        bob.hear(alice.payload(5 * 900), -45.0, 5 * 900)
+        alice.start_day(1, rng)
+        bob.hear(alice.payload(DAY + 5 * 900), -45.0, DAY + 5 * 900)
+        backend = Dp3tBackend()
+        alice.report(backend, first_infectious_day=0, current_day=1, rng=rng)
+        (result,) = dp3t_match(bob, backend, through_day=1, policy=RiskPolicy())
+        # a slot keyed by time of day alone would merge the two epochs
+        assert result.matched_epochs == 2

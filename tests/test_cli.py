@@ -7,14 +7,15 @@ import pytest
 
 from venuetrace.cli import IntegrityError, main, read_trace, write_trace
 from venuetrace.metrics import ExposurePolicy, collect_metrics
-from venuetrace.scenario import build_relay_scenario
 from venuetrace.sim import run
+
+from bundled import bundled
 
 
 @pytest.fixture
 def scenario_file(tmp_path):
     path = tmp_path / "relay.json"
-    path.write_text(build_relay_scenario().to_json(), encoding="utf-8")
+    path.write_text(bundled("relay_attack").to_json(), encoding="utf-8")
     return path
 
 
@@ -24,7 +25,7 @@ def test_validate_ok(scenario_file, capsys):
 
 
 def test_validate_reports_diagnostics(tmp_path, capsys):
-    bad = build_relay_scenario().to_dict()
+    bad = bundled("relay_attack").to_dict()
     bad["events"].append({"time": 10, "kind": "leave", "user": "u00"})
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad), encoding="utf-8")
@@ -58,7 +59,7 @@ def test_run_malformed_scenario_exits_one(tmp_path):
     assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
 
 
-RELAY = build_relay_scenario().to_dict()
+RELAY = bundled("relay_attack").to_dict()
 BASELINE = json.loads(
     (Path(__file__).parents[1] / "scenarios" / "relay_baseline.json").read_text(encoding="utf-8")
 )
@@ -174,13 +175,13 @@ def test_cli_runs_are_byte_identical(scenario_file, tmp_path):
 
 class TestTraceIO:
     def test_round_trip(self, tmp_path):
-        trace = run(build_relay_scenario(), "venue", seed=1)
+        trace = run(bundled("relay_attack"), "venue", seed=1)
         path = tmp_path / "t.ndjson"
         write_trace(trace, path)
         assert read_trace(path) == trace.data
 
     def test_truncated_trace_rejected(self, tmp_path):
-        trace = run(build_relay_scenario(), "venue", seed=1)
+        trace = run(bundled("relay_attack"), "venue", seed=1)
         path = tmp_path / "t.ndjson"
         write_trace(trace, path)
         lines = path.read_bytes().splitlines(keepends=True)
@@ -189,7 +190,7 @@ class TestTraceIO:
             read_trace(tmp_path / "cut.ndjson")
 
     def test_edited_trace_rejected(self, tmp_path):
-        trace = run(build_relay_scenario(), "venue", seed=1)
+        trace = run(bundled("relay_attack"), "venue", seed=1)
         path = tmp_path / "t.ndjson"
         write_trace(trace, path)
         tampered = path.read_bytes().replace(b'"u00"', b'"u99"', 1)
@@ -199,7 +200,7 @@ class TestTraceIO:
 
     def test_rewritten_line_ends_rejected(self, tmp_path):
         """The trailer hashes the exact bytes: CRLF line ends fail the check."""
-        trace = run(build_relay_scenario(), "venue", seed=1)
+        trace = run(bundled("relay_attack"), "venue", seed=1)
         path = tmp_path / "t.ndjson"
         write_trace(trace, path)
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
@@ -218,7 +219,7 @@ def _with_version(path, version: bytes) -> None:
 @pytest.mark.parametrize("version", [b"0", b"3", b'"2"', b"null"])
 def test_unsupported_trace_version_rejected(version, tmp_path):
     path = tmp_path / "t.ndjson"
-    write_trace(run(build_relay_scenario(), "venue", seed=1), path)
+    write_trace(run(bundled("relay_attack"), "venue", seed=1), path)
     _with_version(path, version)
     with pytest.raises(IntegrityError, match="unsupported trace version"):
         read_trace(path)

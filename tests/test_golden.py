@@ -16,16 +16,14 @@ them through ``read_trace`` to the case's pinned ``metrics.json``.
 """
 
 import hashlib
-from pathlib import Path
 
 import pytest
 
 from venuetrace.cli import _SECTIONS, TRACE_FORMAT, _canonical, _write_outputs, read_trace
 from venuetrace.metrics import collect_metrics
-from venuetrace.scenario import Scenario
 from venuetrace.sim import run
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+from bundled import SCENARIOS, bundled
 
 # (scenario stem, protocol) -> (sha256 of trace.ndjson, sha256 of metrics.json)
 GOLDEN = {
@@ -106,13 +104,13 @@ def _digests(scenario, protocol, out_dir):
 
 @pytest.mark.parametrize("stem,protocol", sorted(GOLDEN))
 def test_golden_digests(stem, protocol, tmp_path):
-    scenario = Scenario.from_json_file(SCENARIOS / f"{stem}.json")
+    scenario = bundled(stem)
     assert _digests(scenario, protocol, tmp_path) == GOLDEN[(stem, protocol)]
 
 
 @pytest.mark.parametrize("stem,protocol", sorted(NOISY_GOLDEN))
 def test_noisy_channel_digests(stem, protocol, tmp_path):
-    scenario = Scenario.from_json_file(SCENARIOS / f"{stem}.json")
+    scenario = bundled(stem)
     scenario.params = {**scenario.params, "channel": NOISY_CHANNEL}
     assert _digests(scenario, protocol, tmp_path) == NOISY_GOLDEN[(stem, protocol)]
 
@@ -123,7 +121,7 @@ def test_every_bundled_scenario_is_locked():
 
 @pytest.mark.parametrize("stem,protocol,noisy", sorted(V1_TRACE))
 def test_v1_trace_replays_to_the_golden_metrics(stem, protocol, noisy, tmp_path):
-    scenario = Scenario.from_json_file(SCENARIOS / f"{stem}.json")
+    scenario = bundled(stem)
     if noisy:
         scenario.params = {**scenario.params, "channel": NOISY_CHANNEL}
     trace = run(scenario, protocol, 0)

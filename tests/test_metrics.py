@@ -3,6 +3,7 @@ from hypothesis import strategies as st
 
 from venuetrace.metrics import (
     ExposurePolicy,
+    _linkage_scan,
     collect_metrics,
     comparison_rows,
     ground_truth_exposures,
@@ -156,6 +157,45 @@ def test_oracle_matches_per_second_reference(world):
     expected = per_second_exposures(presence, reporters, policy)
     assert venue == {e for e in expected if e[1] != "street"}
     assert street == {e for e in expected if e[1] == "street"}
+
+
+LINKAGE_KEYS = ("emitter", "location", "payload", "injected", "tag")
+
+
+@st.composite
+def broadcast_columns(draw):
+    """Up to 40 broadcast rows over few emitters, payloads and tags, at two
+    venues or the street, some of them injected."""
+    rows = draw(st.lists(st.tuples(
+        st.integers(0, 2),
+        st.sampled_from(["v0", "v1", None]),
+        st.sampled_from(["aa", "bb", "cc"]),
+        st.booleans(),
+        st.sampled_from(["visit1", "visit2", "day0"]),
+    ), max_size=40))
+    return {key: [row[i] for row in rows] for i, key in enumerate(LINKAGE_KEYS)}
+
+
+def per_payload_linkage(columns):
+    """Reference: a payload matches across venues when its honest venue rows
+    name two venues, and across visits when they name two tags for one
+    (emitter, venue)."""
+    spots = {}  # payload -> {(emitter, venue, tag)}
+    for emitter, loc, payload, injected, tag in zip(*(columns[k] for k in LINKAGE_KEYS)):
+        if not injected and loc is not None:
+            spots.setdefault(payload, set()).add((emitter, loc, tag))
+    cross_venue = sum(len({loc for _, loc, _ in s}) > 1 for s in spots.values())
+    cross_visit = sum(
+        any(len({t for e2, l2, t in s if (e2, l2) == (e, l)}) > 1 for e, l, _ in s)
+        for s in spots.values()
+    )
+    return cross_venue, cross_visit
+
+
+@settings(max_examples=200, deadline=None)
+@given(columns=broadcast_columns())
+def test_linkage_scan_matches_per_payload_definition(columns):
+    assert _linkage_scan(columns) == per_payload_linkage(columns)
 
 
 class TestCollectMetrics:

@@ -1,6 +1,5 @@
 import copy
 import json
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,12 +13,11 @@ from venuetrace.scenario import (
     Scenario,
     ScenarioEvent,
     VenueSpec,
-    build_duty_cycle_scenario,
     build_population_scenario,
-    build_relay_scenario,
-    build_street_encounter_scenario,
     validate_scenario,
 )
+
+from bundled import SCENARIOS, bundled
 
 DAY = 86400
 
@@ -158,7 +156,7 @@ def test_horizon_must_be_positive(horizon, tmp_path, capsys):
 
 
 def test_json_round_trip(tmp_path):
-    sc = build_relay_scenario()
+    sc = bundled("relay_attack")
     path = tmp_path / "s.json"
     path.write_text(sc.to_json(), encoding="utf-8")
     again = Scenario.from_json_file(path)
@@ -181,10 +179,10 @@ def test_events_sorted_stably():
     "builder",
     [
         lambda: build_population_scenario(n_users=10, days=3, seed=1),
-        build_street_encounter_scenario,
-        build_relay_scenario,
-        lambda: build_relay_scenario(with_attack=False),
-        build_duty_cycle_scenario,
+        pytest.param(lambda: bundled("street_encounter"), id="street_encounter"),
+        pytest.param(lambda: bundled("relay_attack"), id="relay_attack"),
+        lambda: bundled("relay_baseline"),
+        pytest.param(lambda: bundled("duty_cycle"), id="duty_cycle"),
         lambda: build_population_scenario(n_users=4, days=2),  # fewest days allowed
     ],
 )
@@ -333,10 +331,13 @@ def _edit(kind, **fields):
         # the infection certificate encodes the period as u64
         (_edit("test_positive", period=[DAY, 2**64]),
          "test_positive period end must be below 2**64, got 18446744073709551616"),
+        # a horizon past the u64 range let the run go on without end
+        (lambda d: d.update(horizon_seconds=2**64),
+         "horizon_seconds must be below 2**64, got 18446744073709551616"),
     ],
 )
 def test_inputs_that_crashed_run_are_rejected(mutate, expected, tmp_path, capsys):
-    scenario = build_relay_scenario(with_attack=False).to_dict()
+    scenario = bundled("relay_baseline").to_dict()
     mutate(scenario)
     found = validate_scenario(Scenario.from_dict(scenario))
     assert len(found) == 1 and expected in found[0], found
@@ -349,7 +350,7 @@ def test_inputs_that_crashed_run_are_rejected(mutate, expected, tmp_path, capsys
 
 
 def test_zero_retention_and_window_stay_valid():
-    scenario = build_relay_scenario(with_attack=False)
+    scenario = bundled("relay_baseline")
     scenario.params["retention_days"] = 0
     scenario.venues[0].policy = {"time_condition": "within_hours", "within_hours": 0}
     assert validate_scenario(scenario) == []
@@ -357,7 +358,7 @@ def test_zero_retention_and_window_stay_valid():
 
 BUNDLED = {
     path.name: json.loads(path.read_text(encoding="utf-8"))
-    for path in sorted((Path(__file__).parents[1] / "scenarios").glob("*.json"))
+    for path in sorted(SCENARIOS.glob("*.json"))
 }
 FIELDS = sorted({"time", "kind", *(k for req, opt in EVENT_FIELDS.values() for k in (*req, *opt))})
 ODD_VALUES = [None, True, 0, 1, -1, 2.5, float("nan"), float("inf"), "", "x", [], [1], [0, 0],

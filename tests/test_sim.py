@@ -13,11 +13,11 @@ from venuetrace.scenario import (
     ScenarioError,
     VenueSpec,
     build_population_scenario,
-    build_relay_scenario,
-    build_street_encounter_scenario,
     validate_scenario,
 )
 from venuetrace.sim import SimParams, Simulation, SimulationTrace, run
+
+from bundled import bundled
 
 DAY = 86400
 L = 180
@@ -43,7 +43,7 @@ def small_scenario(extra_events=(), users=("u00", "u01"), horizon=2 * DAY):
 class TestDeterminism:
     @pytest.mark.parametrize("protocol", ["venue", "dp3t", "tracetogether"])
     def test_identical_seeds_identical_traces(self, protocol):
-        sc = build_relay_scenario()
+        sc = bundled("relay_attack")
         a = run(sc, protocol, seed=11).to_canonical_json()
         b = run(sc, protocol, seed=11).to_canonical_json()
         assert a == b
@@ -168,14 +168,14 @@ class TestWorldModel:
 
 class TestAdversaries:
     def test_relay_injects_and_is_contained(self):
-        trace = run(build_relay_scenario(), "venue", seed=0)
+        trace = run(bundled("relay_attack"), "venue", seed=0)
         adv = trace.outcomes["adversary"]
         assert adv["injected"] > 0
         assert adv["captured"] > 0
         assert adv["observed_only_broadcast_bytes"] is True
 
     def test_relayed_ids_enter_dst_venue_store(self):
-        sc = build_relay_scenario()
+        sc = bundled("relay_attack")
         sim = Simulation(sc, SimParams.build(sc, "venue", 0))
         trace = sim.run()
         src_payloads = {
@@ -236,7 +236,7 @@ class TestAdversaries:
 
     @pytest.mark.parametrize("start,per_minute", [(122400, 60), (122401, 20)])
     def test_flood_sends_nothing_before_its_event(self, start, per_minute):
-        sc = build_relay_scenario(with_attack=False)
+        sc = bundled("relay_baseline")
         sc.events.append(ScenarioEvent(123000, "adversary_action", {
             "action": "flood", "venue": "v0", "start": start, "end": 124200,
             "per_minute": per_minute,
@@ -254,7 +254,7 @@ class TestAdversaries:
         "per_minute,expected", [(7, 70), (45, 450), (60, 600), (90, 900), (120, 1200)]
     )
     def test_flood_sends_its_rate(self, per_minute, expected):
-        sc = build_relay_scenario(with_attack=False)
+        sc = bundled("relay_baseline")
         sc.events.append(ScenarioEvent(123000, "adversary_action", {
             "action": "flood", "venue": "v0", "start": 123000, "end": 123599,
             "per_minute": per_minute,
@@ -325,7 +325,7 @@ class TestCapabilityMatrix:
                 assert entry["nonce"] not in rid_hexes
 
     def test_street_encounter_dp3t_vs_venue(self):
-        sc = build_street_encounter_scenario()
+        sc = bundled("street_encounter")
         dp3t = run(sc, "dp3t", seed=0)
         venue = run(sc, "venue", seed=0)
         dp3t_leaks = {
@@ -344,7 +344,7 @@ class TestCapabilityMatrix:
 class TestDoubleReports:
     @staticmethod
     def twice_reported():
-        sc = build_street_encounter_scenario()
+        sc = bundled("street_encounter")
         sc.events.append(ScenarioEvent(124000, "report", {"user": "u00"}))
         return sc
 
@@ -373,7 +373,7 @@ class TestDoubleReports:
 
 
 def test_refused_certification_is_logged_and_skips_the_report():
-    sc = build_relay_scenario(with_attack=False)
+    sc = bundled("relay_baseline")
     t = 2 * DAY + 4500
     sc.events += [
         ScenarioEvent(
