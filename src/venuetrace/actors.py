@@ -127,7 +127,7 @@ class HealthAuthority:
     and answers the back-end's identifier-matching queries."""
 
     def __init__(self, rng: random.Random, retention_days: int = DEFAULT_RETENTION_DAYS):
-        self.keys: SigningKeyPair = crypto.keygen("HA", rng)
+        self.keys: SigningKeyPair = crypto.keygen(rng)
         self.retention_seconds = retention_days * SECONDS_PER_DAY
         self.registry: dict[str, Certificate] = {}
         self.digests: dict[str, list[VenueBloomDigest]] = {}
@@ -193,7 +193,7 @@ class TestCenter:
 
     def __init__(self, center_id: str, ha: HealthAuthority, rng: random.Random):
         self.center_id = center_id
-        self.keys = crypto.keygen(center_id, rng)
+        self.keys = crypto.keygen(rng)
         self.certificate = ha.certify(self.keys.public_key, center_id)
         self.observed: list[dict] = []
 
@@ -243,18 +243,18 @@ class Venue:
         retention_days: int = DEFAULT_RETENTION_DAYS,
     ):
         self.venue_id = venue_id
-        self.keys = crypto.keygen(venue_id, rng)
+        self.keys = crypto.keygen(rng)
         self.certificate = ha.certify(self.keys.public_key, venue_id)
         self.policy = policy or VenuePolicy()
         self.retention_seconds = retention_days * SECONDS_PER_DAY
-        self.heard_log: list[tuple[bytes, int, float]] = []  # (ephid, time, rx_dbm)
+        self.heard_log: list[tuple[bytes, int]] = []  # (ephid, time)
         self.anomalies: list[dict] = []
         self.infection_notices: list[dict] = []
         self.observed: list[dict] = []
         self._recent: deque[int] = deque()
 
     def record_broadcast(self, ephid: bytes, rx_dbm: float, now: int) -> None:
-        self.heard_log.append((ephid, now, rx_dbm))
+        self.heard_log.append((ephid, now))
         if rx_dbm > self.policy.max_rx_dbm:
             self.anomalies.append({"kind": "signal_too_strong", "t": now, "rx_dbm": rx_dbm})
         if self.policy.max_broadcasts_per_minute > 0:
@@ -506,9 +506,9 @@ class BackendServer:
         self.rejections: list[dict] = []
         self.observed: list[dict] = []
         self.venues: dict[str, Venue] = {}
-        # rid hex -> list of (venue_id, presence_start, presence_end); internal
+        # rid value -> list of (venue_id, presence_start, presence_end); internal
         # collusion index, never published.
-        self._presence_by_rid: dict[str, list[tuple[str, int, int]]] = {}
+        self._presence_by_rid: dict[int, list[tuple[str, int, int]]] = {}
         # visit nonce -> its published record, so a re-sent bundle publishes once
         self._published: dict[int, BackendRecord] = {}
         self._verified_certs: set[Certificate] = set()
@@ -601,8 +601,7 @@ class BackendServer:
             )
 
         # same rid cannot be present at two venues at overlapping times
-        rid_hex = rid_bytes.hex()
-        for other_venue, start, end in self._presence_by_rid.get(rid_hex, []):
+        for other_venue, start, end in self._presence_by_rid.get(cert.rid_value, []):
             if other_venue == venue_id:
                 continue
             overlap = min(end, presence_end) - max(start, presence_start)
@@ -619,7 +618,7 @@ class BackendServer:
         record = BackendRecord(venue_id=venue_id, leave_time=receipt.leave_time, ephids=tuple(ephids))
         self.records.append(record)
         self._published[receipt.nonce_value] = record
-        self._presence_by_rid.setdefault(rid_hex, []).append(
+        self._presence_by_rid.setdefault(cert.rid_value, []).append(
             (venue_id, presence_start, presence_end)
         )
         venue = self.venues.get(venue_id)

@@ -23,7 +23,6 @@ from .schedule import (
     SECONDS_PER_DAY,
     DailyKey,
     dp3t_derive_ephids,
-    dp3t_initial_daily_key,
     dp3t_next_daily_key,
 )
 
@@ -43,8 +42,7 @@ class MoHServer:
     """
 
     def __init__(self, rng: random.Random):
-        self._key = rng.randbytes(32)
-        self._aead = AESGCM(self._key)
+        self._aead = AESGCM(rng.randbytes(32))
         self.registry: dict[bytes, str] = {}  # pseudonym -> phone number
         self.traced_edges: list[tuple[str, str]] = []  # (reporter phone, contact phone)
 
@@ -148,23 +146,21 @@ class Dp3tUserApp:
 
     listening = True  # DP-3T phones listen everywhere
 
-    def __init__(self, user_id: str, rng: random.Random, epochs_per_day: int = DP3T_EPOCHS_PER_DAY):
-        self.user_id = user_id
+    def __init__(self, rng: random.Random, epochs_per_day: int = DP3T_EPOCHS_PER_DAY):
         self.epochs_per_day = epochs_per_day
         self.epoch_seconds = SECONDS_PER_DAY // epochs_per_day
-        self.daily_keys: list[DailyKey] = [dp3t_initial_daily_key(rng, day_index=0)]
-        self._day_ids: list[bytes] = []
-        self._day_order: list[int] = []
         self.heard: list[HeardPing] = []
-        self._prepare_day(0, rng)
+        self._start_chain(0, rng)
 
-    def _current_key(self) -> DailyKey:
-        return self.daily_keys[-1]
+    def _start_chain(self, day_index: int, rng: random.Random) -> None:
+        """A fresh random key for ``day_index``, unlinked to any earlier key."""
+        self.daily_keys: list[DailyKey] = [DailyKey(key=rng.randbytes(32), day_index=day_index)]
+        self._prepare_day(day_index, rng)
 
     def _prepare_day(self, day_index: int, rng: random.Random) -> None:
-        while self._current_key().day_index < day_index:
-            self.daily_keys.append(dp3t_next_daily_key(self._current_key()))
-        self._day_ids = dp3t_derive_ephids(self._current_key(), self.epochs_per_day)
+        while self.daily_keys[-1].day_index < day_index:
+            self.daily_keys.append(dp3t_next_daily_key(self.daily_keys[-1]))
+        self._day_ids = dp3t_derive_ephids(self.daily_keys[-1], self.epochs_per_day)
         self._day_order = list(range(self.epochs_per_day))
         rng.shuffle(self._day_order)
 
@@ -186,8 +182,7 @@ class Dp3tUserApp:
     def report(self, backend: Dp3tBackend, first_infectious_day: int, current_day: int, rng: random.Random) -> None:
         """Publish the first infectious day's key, then rotate to a fresh chain."""
         backend.publish(self.key_for_day(first_infectious_day))
-        self.daily_keys = [DailyKey(key=rng.randbytes(32), day_index=current_day)]
-        self._prepare_day(current_day, rng)
+        self._start_chain(current_day, rng)
 
 
 def dp3t_match(

@@ -30,20 +30,16 @@ class ChannelModel:
         return self.reference_loss_db + 10.0 * self.path_loss_exponent * math.log10(d)
 
     def rx_dbm(
-        self,
-        distance_m: float,
-        rng: random.Random | None = None,
-        tx_dbm: float | None = None,
+        self, distance_m: float, rng: random.Random, tx_dbm: float | None = None
     ) -> float | None:
         """Received power, or None when out of range or the reception draw fails."""
         if distance_m > self.max_range_m:
             return None
-        if self.reception_prob < 1.0:
-            if rng is None or rng.random() >= self.reception_prob:
-                return None
+        if self.reception_prob < 1.0 and rng.random() >= self.reception_prob:
+            return None
         tx = self.tx_dbm if tx_dbm is None else tx_dbm
         power = tx - self.path_loss_db(distance_m)
-        if self.noise_sigma_db > 0.0 and rng is not None:
+        if self.noise_sigma_db > 0.0:
             power += rng.gauss(0.0, self.noise_sigma_db)
         return power
 

@@ -16,12 +16,13 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from itertools import repeat
 from pathlib import Path
 from typing import Any
 
 from .metrics import ExposurePolicy, MetricsReport, collect_metrics, comparison_rows
 from .scenario import Scenario, _params_diagnostics, validate_scenario
-from .sim import BROADCAST_KEYS, PROTOCOLS, SimulationTrace
+from .sim import BROADCAST_KEYS, PROTOCOLS
 from .sim import run as run_simulation
 
 TRACE_FORMAT = "venuetrace-trace"
@@ -37,12 +38,12 @@ def _canonical(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def write_trace(trace: SimulationTrace, path: Path) -> None:
-    """Newline-delimited sections followed by a SHA-256 trailer line; each
-    line is hashed and written as soon as it is encoded."""
+def write_trace(data: dict[str, Any], path: Path) -> None:
+    """The sections of ``data``, newline-delimited, followed by a SHA-256
+    trailer line; each line is hashed and written as soon as it is encoded."""
     digest = hashlib.sha256()
     header = {"format": TRACE_FORMAT, "version": TRACE_VERSION}
-    sections = ({"section": name, "data": trace.data[name]} for name in _SECTIONS)
+    sections = ({"section": name, "data": data[name]} for name in _SECTIONS)
     with open(path, "wb") as fh:
         for obj in (header, *sections):
             line = (_canonical(obj) + "\n").encode("utf-8")
@@ -127,17 +128,9 @@ def _overrides_from_args(args: argparse.Namespace) -> dict[str, Any]:
     return overrides
 
 
-def _run_one(
-    scenario_dict: dict[str, Any], protocol: str, seed: int, overrides: dict[str, Any]
-) -> dict[str, Any]:
-    scenario = Scenario.from_dict(scenario_dict)
-    return run_simulation(scenario, protocol, seed, overrides).data
-
-
 def _write_outputs(trace_data: dict[str, Any], out_dir: Path) -> MetricsReport:
     out_dir.mkdir(parents=True, exist_ok=True)
-    trace = SimulationTrace(data=trace_data)
-    write_trace(trace, out_dir / "trace.ndjson")
+    write_trace(trace_data, out_dir / "trace.ndjson")
     with open(out_dir / "events.ndjson", "w", encoding="utf-8") as fh:
         for entry in trace_data["events"]:
             fh.write(_canonical(entry) + "\n")
@@ -182,26 +175,21 @@ def cmd_run(args: argparse.Namespace) -> int:
     protocols = list(PROTOCOLS) if args.protocol == "all" else [args.protocol]
     out_root = Path(args.out)
 
+    runs = (run_simulation, repeat(scenario), protocols, repeat(args.seed), repeat(overrides))
     try:
         if args.jobs > 1 and len(protocols) > 1:
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                futures = [
-                    pool.submit(_run_one, scenario.to_dict(), p, args.seed, overrides)
-                    for p in protocols
-                ]
-                traces = [f.result() for f in futures]
+                traces = list(pool.map(*runs))
         else:
-            traces = [
-                _run_one(scenario.to_dict(), p, args.seed, overrides) for p in protocols
-            ]
+            traces = list(map(*runs))
     except Exception as exc:  # noqa: BLE001 - surface as runtime failure
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
 
     reports = []
-    for protocol, trace_data in zip(protocols, traces):
+    for protocol, trace in zip(protocols, traces):
         out_dir = out_root / protocol if len(protocols) > 1 else out_root
-        report = _write_outputs(trace_data, out_dir)
+        report = _write_outputs(trace.data, out_dir)
         reports.append(report)
         print(
             f"{protocol}: recall={report.recall:.3f} "

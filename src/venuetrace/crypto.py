@@ -36,7 +36,6 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-DIGEST_LEN = 32
 EPHID_LEN = 16
 MIN_PRF_KEY_LEN = 16
 
@@ -125,8 +124,8 @@ def prf(key: bytes, label: bytes) -> bytes:
     return _hmac.new(key, label, hashlib.sha256).digest()
 
 
-def prg_expand(seed: bytes, count: int, id_length: int = EPHID_LEN) -> list[bytes]:
-    """Expand ``seed`` into ``count`` identifiers of ``id_length`` bytes.
+def prg_expand(seed: bytes, count: int) -> list[bytes]:
+    """Expand ``seed`` into ``count`` identifiers of ``EPHID_LEN`` bytes.
 
     Counter-mode stream: block i is SHA-256(seed || i) and identifiers are
     consecutive slices of the concatenated blocks, so shorter expansions are
@@ -134,16 +133,14 @@ def prg_expand(seed: bytes, count: int, id_length: int = EPHID_LEN) -> list[byte
     """
     if count < 1:
         raise ParameterError("count must be >= 1")
-    if id_length < 1:
-        raise ParameterError("id_length must be >= 1")
-    needed = count * id_length
+    needed = count * EPHID_LEN
     blocks = bytearray()
     counter = 0
     while len(blocks) < needed:
         blocks += hashlib.sha256(seed + struct.pack(">I", counter)).digest()
         counter += 1
     stream = bytes(blocks[:needed])
-    return [stream[i * id_length : (i + 1) * id_length] for i in range(count)]
+    return [stream[i * EPHID_LEN : (i + 1) * EPHID_LEN] for i in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +241,10 @@ def verify_opening(value: int, message: bytes, blinding: int) -> bool:
 
 @dataclass(frozen=True)
 class SigningKeyPair:
-    """Ed25519 keypair bound to a holder identity (venue id, lab id, ...)."""
+    """Ed25519 keypair: raw 32-byte public key and the 32-byte seed."""
 
     public_key: bytes
     secret_key: bytes
-    holder_id: str
 
 
 @functools.lru_cache(maxsize=1024)
@@ -258,11 +254,11 @@ def _private_key(seed: bytes) -> Ed25519PrivateKey:
     return Ed25519PrivateKey.from_private_bytes(seed)
 
 
-def keygen(holder_id: str, rng: random.Random) -> SigningKeyPair:
+def keygen(rng: random.Random) -> SigningKeyPair:
     """Generate a keypair; the key is a pure function of ``rng``'s state."""
     seed = rng.randbytes(32)
     pk = _private_key(seed).public_key().public_bytes_raw()
-    return SigningKeyPair(public_key=pk, secret_key=seed, holder_id=holder_id)
+    return SigningKeyPair(public_key=pk, secret_key=seed)
 
 
 def sign(message: bytes, secret_key: bytes) -> bytes:

@@ -146,12 +146,16 @@ def _info_exposure(trace_data: dict[str, Any], protocol: str) -> dict[str, Any]:
         backend = observed.get("backend", [])
         ha = observed.get("ha", [])
         tc = observed.get("test_center", [])
+        users = set(trace_data["config"]["scenario"]["users"])
         return {
             "backend": {
                 "reports_seen": sum(1 for e in backend if e["kind"] == "report"),
                 "trace_queries_seen": sum(1 for e in backend if e["kind"] == "trace_query"),
                 "distinct_rids_seen": len({e["rid"] for e in backend if e["kind"] == "report"}),
-                "true_ids_seen": 0,
+                "true_ids_seen": len({
+                    v for e in backend for k, v in e.items()
+                    if k not in ("kind", "venue_id") and isinstance(v, str) and v in users
+                }),
             },
             "ha": {
                 "digests_stored": sum(1 for e in ha if e["kind"] == "digest"),

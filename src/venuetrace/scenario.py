@@ -34,7 +34,7 @@ from random import Random
 from typing import Any, Callable
 
 from .channel import ChannelModel
-from .schedule import SECONDS_PER_DAY
+from .schedule import DEFAULT_EPOCH_SECONDS, SECONDS_PER_DAY
 
 # event kind -> (fields it cannot run without, fields it may carry)
 EVENT_FIELDS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
@@ -427,20 +427,20 @@ def build_population_scenario(
     days: int = 7,
     seed: int = 0,
     infected: tuple[str, ...] = ("u00", "u01"),
-    slots_per_day: int = 2,
-    min_epochs: int = 6,
-    max_epochs: int = 18,
-    epoch_seconds: int = 180,
     name: str = "population",
 ) -> Scenario:
     """Honest population: daily small-group venue visits with shared tables.
 
-    Infected users test positive after the contagious window (days 1 through
-    ``days - 2``), report once digests for those days exist, and every user
-    runs a trace query before the horizon. Every same-table pairing lasts at
-    least ``min_epochs`` epochs within 1.3 m, so each group containing an
-    infected user yields ground-truth exposures. ``days`` must be at least 2,
-    or the contagious period would end before it starts.
+    On each of days 0 through ``days - 2``, every user joins one group of at
+    most 4 at 9:00 and another at 15:00, at a random one of ``n_venues``
+    venues. A stay lasts 6 to 18 epochs of ``DEFAULT_EPOCH_SECONDS``, the
+    scenario's ``epoch_seconds``. Infected users test positive after the
+    contagious window (days 1 through ``days - 2``), report once digests for
+    those days exist, and every user runs a trace query before the horizon.
+    Every same-table pairing lasts at least 6 epochs within 1.3 m, so each
+    group containing an infected user yields ground-truth exposures.
+    ``days`` must be at least 2, or the contagious period would end before
+    it starts.
     """
     if days < 2:
         raise ValueError(f"days must be at least 2, got {days}")
@@ -450,11 +450,10 @@ def build_population_scenario(
     events: list[ScenarioEvent] = []
 
     period_start = 1 * SECONDS_PER_DAY
-    period_end = (days - 1) * SECONDS_PER_DAY  # visits on days 1..days-2
-    slot_hours = [9, 15][:slots_per_day] or [9]
+    period_end = (days - 1) * SECONDS_PER_DAY
 
     for day in range(days - 1):
-        for slot, hour in enumerate(slot_hours):
+        for hour in (9, 15):
             order = users[:]
             rng.shuffle(order)
             table = 0
@@ -463,7 +462,7 @@ def build_population_scenario(
                 group, order = order[:size], order[size:]
                 venue = f"v{rng.randrange(n_venues)}"
                 start = day * SECONDS_PER_DAY + hour * 3600 + rng.randrange(0, 10) * 60
-                duration = rng.randrange(min_epochs, max_epochs + 1) * epoch_seconds
+                duration = rng.randrange(6, 19) * DEFAULT_EPOCH_SECONDS
                 seats = _table_positions(size, table)
                 for member, pos in zip(group, seats):
                     events.append(
@@ -499,5 +498,5 @@ def build_population_scenario(
         users=users,
         venues=venues,
         events=events,
-        params={"epoch_seconds": epoch_seconds},
+        params={"epoch_seconds": DEFAULT_EPOCH_SECONDS},
     )

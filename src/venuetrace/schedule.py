@@ -10,10 +10,9 @@ keys with a venue-free derivation label instead.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
-from .crypto import EPHID_LEN, ParameterError, hash_bytes, prf, prg_expand
+from .crypto import ParameterError, hash_bytes, prf, prg_expand
 
 DEFAULT_EPOCH_SECONDS = 180
 DEFAULT_WINDOW_SECONDS = 7200
@@ -55,7 +54,7 @@ def venue_label(venue_id: str) -> bytes:
 def derive_window_ephids(key: bytes, venue_id: str, params: SchedulingParams) -> list[bytes]:
     """All n identifiers of one window, a pure function of (key, venue, params)."""
     seed = prf(key, venue_label(venue_id))
-    return prg_expand(seed, params.ids_per_window, EPHID_LEN)
+    return prg_expand(seed, params.ids_per_window)
 
 
 def epoch_of(time_in_stay: int, params: SchedulingParams) -> tuple[int, int]:
@@ -71,14 +70,10 @@ def epoch_of(time_in_stay: int, params: SchedulingParams) -> tuple[int, int]:
     return window, epoch
 
 
-def dp3t_initial_daily_key(rng: random.Random, day_index: int = 0) -> DailyKey:
-    return DailyKey(key=rng.randbytes(32), day_index=day_index)
-
-
 def dp3t_next_daily_key(k: DailyKey) -> DailyKey:
     return DailyKey(key=hash_bytes(k.key), day_index=k.day_index + 1)
 
 
 def dp3t_derive_ephids(k: DailyKey, n: int) -> list[bytes]:
     """The n identifiers broadcast on day ``k.day_index`` (venue-free label)."""
-    return prg_expand(prf(k.key, BROADCAST_LABEL), n, EPHID_LEN)
+    return prg_expand(prf(k.key, BROADCAST_LABEL), n)

@@ -20,7 +20,6 @@ and feed the exposure oracle in :mod:`venuetrace.metrics`.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 import random
 from abc import ABC, abstractmethod
@@ -87,15 +86,9 @@ class SimParams:
 
 @dataclass
 class SimulationTrace:
+    """A run's trace: ``data`` holds the sections ``trace.ndjson`` stores."""
+
     data: dict[str, Any]
-
-    @property
-    def config(self) -> dict[str, Any]:
-        return self.data["config"]
-
-    @property
-    def events(self) -> list[dict[str, Any]]:
-        return self.data["events"]
 
     @property
     def broadcasts(self) -> list[dict[str, Any]]:
@@ -107,17 +100,6 @@ class SimulationTrace:
             {**dict(zip(BROADCAST_KEYS, row)), "emitter": emitters[row[1]]}
             for row in zip(*(columns[key] for key in BROADCAST_KEYS))
         ]
-
-    @property
-    def presence(self) -> list[dict[str, Any]]:
-        return self.data["presence"]
-
-    @property
-    def outcomes(self) -> dict[str, Any]:
-        return self.data["outcomes"]
-
-    def to_canonical_json(self) -> str:
-        return json.dumps(self.data, sort_keys=True, separators=(",", ":"))
 
 
 def _record_key(ephids: tuple[bytes, ...]) -> str:
@@ -187,7 +169,7 @@ class _Driver(ABC):
     def on_report(self, user: str, data: dict[str, Any], now: int) -> None:
         credential = self._credential(user, data)
         if credential is None:
-            self.sim.log_event({"t": now, "kind": "report_skipped", "user": user})
+            self.sim.events_log.append({"t": now, "kind": "report_skipped", "user": user})
             return
         self._report(user, data, credential, now)
 
@@ -264,7 +246,7 @@ class _VenueDriver(_Driver):
                 period_start, period_end, period_end, self.sim.params.bloom_fpr
             )
             self.ha.store_digest(digest, period_end)
-            self.sim.log_event(
+            self.sim.events_log.append(
                 {"t": period_end, "kind": "venue_digest", "venue": vid,
                  "period": [period_start, period_end], "size": digest.filter.count}
             )
@@ -310,7 +292,7 @@ class _VenueDriver(_Driver):
         try:
             cert = self.users[user].obtain_certificate(self.test_center, period[0], period[1])
         except CertificationRefused as exc:  # e.g. the user took over another's rid
-            self.sim.log_event(
+            self.sim.events_log.append(
                 {"t": now, "kind": "certification_refused", "user": user, "reason": str(exc)}
             )
             return
@@ -318,7 +300,7 @@ class _VenueDriver(_Driver):
 
     def _tamper(self, bundle: ReportBundle, mode: str, reporter: str) -> ReportBundle:
         if mode == "forge_certificate":
-            fake_keys = crypto.keygen("fake-lab", self.sim.rng)
+            fake_keys = crypto.keygen(self.sim.rng)
             cert = bundle.certificate
             forged = replace(
                 cert,
@@ -357,7 +339,7 @@ class _VenueDriver(_Driver):
                 user, (cert.period_start, cert.period_end), now, bundle.leave_receipt.venue_id,
                 None if code is None else code.value,
             )
-            self.sim.log_event({"kind": "report", **row})
+            self.sim.events_log.append({"kind": "report", **row})
 
     def on_trace_query(self, user: str, now: int) -> None:
         app = self.users[user]
@@ -414,8 +396,7 @@ class _Dp3tDriver(_Driver):
         self.epoch_seconds = SECONDS_PER_DAY // sim.params.dp3t_epochs_per_day
         self.backend = Dp3tBackend(sim.params.dp3t_epochs_per_day)
         self.users = {
-            u: Dp3tUserApp(u, sim.rng, sim.params.dp3t_epochs_per_day)
-            for u in sim.scenario.users
+            u: Dp3tUserApp(sim.rng, sim.params.dp3t_epochs_per_day) for u in sim.scenario.users
         }
         self.publication_reporters: list[str] = []
 
@@ -441,7 +422,7 @@ class _Dp3tDriver(_Driver):
         self.users[user].report(self.backend, first_day, now // SECONDS_PER_DAY, self.sim.rng)
         self.publication_reporters.append(user)
         self._report_outcome(user, period, now)
-        self.sim.log_event({"t": now, "kind": "report", "user": user, "day": first_day})
+        self.sim.events_log.append({"t": now, "kind": "report", "user": user, "day": first_day})
 
     def on_trace_query(self, user: str, now: int) -> None:
         assessments = dp3t_match(self.users[user], self.backend, now // SECONDS_PER_DAY, self.risk)
@@ -568,9 +549,6 @@ class Simulation:
             return
         self._seq += 1
         heapq.heappush(self._heap, (time, self._seq, fn))
-
-    def log_event(self, entry: dict[str, Any]) -> None:
-        self.events_log.append(entry)
 
     # -- world state --------------------------------------------------------
 
@@ -707,7 +685,7 @@ class Simulation:
 
     def _handle_scenario_event(self, event: ScenarioEvent) -> None:
         kind, data, now = event.kind, event.data, event.time
-        self.log_event({"t": now, "kind": kind, **data})
+        self.events_log.append({"t": now, "kind": kind, **data})
 
         if kind == "enter":
             user, venue = data["user"], data["venue"]
@@ -773,7 +751,7 @@ class Simulation:
                 )
         elif action == "share_rid":
             self.driver.share_rid(data.get("from_user"), data.get("to_user"))
-            self.log_event({"t": now, "kind": "share_rid_applied"})
+            self.events_log.append({"t": now, "kind": "share_rid_applied"})
         elif action == "linkage_eavesdrop":
             self._eavesdrop_venues.extend(data.get("venues", []))
 

@@ -14,6 +14,7 @@ import pytest
 from venuetrace import crypto
 from venuetrace.actors import RejectionCode
 from venuetrace.bloom import build_filter
+from venuetrace.cli import _canonical
 from venuetrace.metrics import collect_metrics
 from venuetrace.scenario import (
     Scenario,
@@ -60,7 +61,7 @@ def test_criterion_1_honest_run_recall_and_minimisation(honest_population_run):
     ok = (
         report.recall == 1.0
         and report.data_minimisation_violations == 0
-        and len(trace.outcomes["reporters"]) == 2
+        and len(trace.data["outcomes"]["reporters"]) == 2
         and elapsed < 30.0
     )
     report_line(
@@ -122,7 +123,7 @@ def test_criterion_2_rejection_matrix():
     details = []
     for expected, scenario in cases:
         trace = run(scenario, "venue", seed=0)
-        reports = trace.outcomes["reports"]
+        reports = trace.data["outcomes"]["reports"]
         codes = {r["code"] for r in reports if not r["accepted"]}
         rejected_not_published = all(
             r["code"] is not None for r in reports if not r["accepted"]
@@ -174,7 +175,7 @@ def test_criterion_4_ephemeral_linkage():
     scenario = build_population_scenario(n_users=20, n_venues=3, days=4, seed=0)
     trace = run(scenario, "dp3t", seed=0)
     linked = 0
-    for pub in trace.outcomes["published_keys"]:
+    for pub in trace.data["outcomes"]["published_keys"]:
         key = DailyKey(key=bytes.fromhex(pub["key"]), day_index=pub["day"])
         day_x = set(dp3t_derive_ephids(key, 96))
         day_x1 = set(dp3t_derive_ephids(dp3t_next_daily_key(key), 96))
@@ -185,7 +186,7 @@ def test_criterion_4_ephemeral_linkage():
         }
         if (mine & day_x) and (mine & day_x1):
             linked += 1
-    dp3t_linked = linked == len(trace.outcomes["published_keys"]) and linked > 0
+    dp3t_linked = linked == len(trace.data["outcomes"]["published_keys"]) and linked > 0
     ok = venue_clean and dp3t_linked
     report_line(
         4, ok,
@@ -202,14 +203,15 @@ def test_criterion_5_bystander_street_leak():
     dp3t_trace = run(scenario, "dp3t", seed=0)
     venue_trace = run(scenario, "venue", seed=0)
     dp3t_leak = any(
-        a["user"] == "u01" and a.get("leak") for a in dp3t_trace.outcomes["assessments"]
+        a["user"] == "u01" and a.get("leak") for a in dp3t_trace.data["outcomes"]["assessments"]
     )
     venue_leak = any(
         a["user"] == "u01" and a["matched_epochs"] >= 1
-        for a in venue_trace.outcomes["assessments"]
+        for a in venue_trace.data["outcomes"]["assessments"]
     )
     venue_retrieved = [
-        d for d in venue_trace.outcomes["deliveries"] if d["user"] == "u01" and d["record_keys"]
+        d for d in venue_trace.data["outcomes"]["deliveries"]
+        if d["user"] == "u01" and d["record_keys"]
     ]
     ok = dp3t_leak and not venue_leak and not venue_retrieved
     report_line(
@@ -226,7 +228,7 @@ def test_criterion_6_digest_reconstruction():
     params = SchedulingParams()
     n = params.ids_per_window
     rng = random.Random(2024)
-    ha_keys = crypto.keygen("HA", rng)
+    ha_keys = crypto.keygen(rng)
     mismatches = 0
     trials = 1000
     for trial in range(trials):
@@ -294,7 +296,7 @@ def test_criterion_8_determinism():
     for protocol in ("venue", "dp3t", "tracetogether"):
         t1 = run(scenario, protocol, seed=5)
         t2 = run(scenario, protocol, seed=5)
-        if t1.to_canonical_json() != t2.to_canonical_json():
+        if _canonical(t1.data) != _canonical(t2.data):
             ok = False
         m1 = collect_metrics(t1.data).to_dict()
         m2 = collect_metrics(t2.data).to_dict()
@@ -325,7 +327,7 @@ def test_criterion_10_crypto_mutation_suites():
     trials = 10_000
 
     sig_false_accepts = 0
-    kp = crypto.keygen("suite", rng)
+    kp = crypto.keygen(rng)
     for i in range(trials):
         msg = rng.randbytes(32)
         sig = crypto.sign(msg, kp.secret_key)

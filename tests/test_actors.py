@@ -60,7 +60,7 @@ def run_visit(world, app, venue_name, t0, epochs, broadcast=True):
 
 def forge_certificate(world, cert):
     """Same subject and key as ``cert``, signed by a key the HA never held."""
-    rogue = crypto.keygen("rogue-ha", world["rng"])
+    rogue = crypto.keygen(world["rng"])
     return crypto.issue_certificate(cert.subject_public_key, cert.subject_id, rogue.secret_key)
 
 
@@ -270,7 +270,7 @@ class TestBackendReportMatrix:
 
     def test_bad_certificate(self, world):
         _, bundle = honest_bundle(world)
-        rogue = crypto.keygen("rogue-lab", world["rng"])
+        rogue = crypto.keygen(world["rng"])
         forged_cert = replace(
             bundle.certificate,
             signature=crypto.sign(bundle.certificate.payload(), rogue.secret_key),
@@ -429,7 +429,7 @@ class TestTraceQueries:
         self._accepted_record(world)
         visitor = new_user(world, "bob")
         visit = run_visit(world, visitor, "cafe", DAY + 3000, 6)
-        forged_key = crypto.keygen("cafe", world["rng"])  # not HA-certified
+        forged_key = crypto.keygen(world["rng"])  # not HA-certified
         receipt = visit.receipt
         forged = replace(
             receipt, venue_signature=crypto.sign(receipt.payload(), forged_key.secret_key)

@@ -75,14 +75,14 @@ class TestTraceTogether:
 class TestDp3t:
     def test_broadcast_order_is_permutation_of_day_set(self):
         rng = random.Random(6)
-        app = Dp3tUserApp("u", rng, epochs_per_day=96)
+        app = Dp3tUserApp(rng, epochs_per_day=96)
         day_ids = {app.payload(e * 900) for e in range(96)}
         expected = set(dp3t_derive_ephids(app.daily_keys[0], 96))
         assert day_ids == expected
 
     def test_published_key_reveals_following_days(self):
         rng = random.Random(7)
-        app = Dp3tUserApp("u", rng, epochs_per_day=96)
+        app = Dp3tUserApp(rng, epochs_per_day=96)
         for day in (1, 2, 3):
             app.start_day(day, rng)
         backend = Dp3tBackend()
@@ -96,7 +96,7 @@ class TestDp3t:
 
     def test_rotation_unlinks_future_days(self):
         rng = random.Random(8)
-        app = Dp3tUserApp("u", rng, epochs_per_day=96)
+        app = Dp3tUserApp(rng, epochs_per_day=96)
         app.start_day(1, rng)
         backend = Dp3tBackend()
         old_key_day1 = app.key_for_day(1).key
@@ -110,8 +110,8 @@ class TestDp3t:
 
     def test_match_counts_and_leak_flag(self):
         rng = random.Random(9)
-        alice = Dp3tUserApp("alice", rng, epochs_per_day=96)
-        bob = Dp3tUserApp("bob", rng, epochs_per_day=96)
+        alice = Dp3tUserApp(rng, epochs_per_day=96)
+        bob = Dp3tUserApp(rng, epochs_per_day=96)
         for e in range(3):
             bob.hear(alice.payload(e * 900), -45.0, e * 900)
         bob.hear(alice.payload(3 * 900), -70.0, 3 * 900)  # too far
@@ -127,8 +127,8 @@ class TestDp3t:
 
     def test_no_match_when_nothing_heard(self):
         rng = random.Random(10)
-        alice = Dp3tUserApp("alice", rng, epochs_per_day=96)
-        bob = Dp3tUserApp("bob", rng, epochs_per_day=96)
+        alice = Dp3tUserApp(rng, epochs_per_day=96)
+        bob = Dp3tUserApp(rng, epochs_per_day=96)
         backend = Dp3tBackend()
         alice.report(backend, 0, 0, rng)
         (result,) = dp3t_match(bob, backend, through_day=0, policy=RiskPolicy())
@@ -136,13 +136,13 @@ class TestDp3t:
 
     def test_backend_expands_each_published_day_once(self, monkeypatch):
         rng = random.Random(11)
-        alice = Dp3tUserApp("alice", rng, epochs_per_day=96)
+        alice = Dp3tUserApp(rng, epochs_per_day=96)
         for day in (1, 2):
             alice.start_day(day, rng)
         backend = Dp3tBackend()
         day1 = alice.key_for_day(1)
         alice.report(backend, first_infectious_day=1, current_day=2, rng=rng)
-        bob = Dp3tUserApp("bob", rng, epochs_per_day=96)
+        bob = Dp3tUserApp(rng, epochs_per_day=96)
         derived = []
         monkeypatch.setattr(
             baselines, "dp3t_derive_ephids",
@@ -161,8 +161,8 @@ class TestDp3t:
 
     def test_match_ignores_days_after_through_day(self):
         rng = random.Random(12)
-        alice = Dp3tUserApp("alice", rng, epochs_per_day=96)
-        bob = Dp3tUserApp("bob", rng, epochs_per_day=96)
+        alice = Dp3tUserApp(rng, epochs_per_day=96)
+        bob = Dp3tUserApp(rng, epochs_per_day=96)
         alice.start_day(1, rng)
         bob.hear(alice.payload(DAY), -45.0, DAY)
         backend = Dp3tBackend()
@@ -174,8 +174,8 @@ class TestDp3t:
 
     def test_same_epoch_of_day_on_two_days_counts_twice(self):
         rng = random.Random(13)
-        alice = Dp3tUserApp("alice", rng, epochs_per_day=96)
-        bob = Dp3tUserApp("bob", rng, epochs_per_day=96)
+        alice = Dp3tUserApp(rng, epochs_per_day=96)
+        bob = Dp3tUserApp(rng, epochs_per_day=96)
         bob.hear(alice.payload(5 * 900), -45.0, 5 * 900)
         alice.start_day(1, rng)
         bob.hear(alice.payload(DAY + 5 * 900), -45.0, DAY + 5 * 900)

@@ -148,9 +148,8 @@ def test_run_all_with_parallel_jobs(scenario_file, tmp_path):
          "--seed", "3", "--out", str(serial)]
     )
     for protocol in ("venue", "dp3t", "tracetogether"):
-        assert (out / protocol / "metrics.json").read_bytes() == (
-            serial / protocol / "metrics.json"
-        ).read_bytes()
+        for name in ("metrics.json", "trace.ndjson", "events.ndjson"):
+            assert (out / protocol / name).read_bytes() == (serial / protocol / name).read_bytes()
 
 
 def test_default_out_dir_from_env(scenario_file, tmp_path, monkeypatch):
@@ -177,13 +176,13 @@ class TestTraceIO:
     def test_round_trip(self, tmp_path):
         trace = run(bundled("relay_attack"), "venue", seed=1)
         path = tmp_path / "t.ndjson"
-        write_trace(trace, path)
+        write_trace(trace.data, path)
         assert read_trace(path) == trace.data
 
     def test_truncated_trace_rejected(self, tmp_path):
         trace = run(bundled("relay_attack"), "venue", seed=1)
         path = tmp_path / "t.ndjson"
-        write_trace(trace, path)
+        write_trace(trace.data, path)
         lines = path.read_bytes().splitlines(keepends=True)
         (tmp_path / "cut.ndjson").write_bytes(b"".join(lines[:-1]))
         with pytest.raises(IntegrityError):
@@ -192,7 +191,7 @@ class TestTraceIO:
     def test_edited_trace_rejected(self, tmp_path):
         trace = run(bundled("relay_attack"), "venue", seed=1)
         path = tmp_path / "t.ndjson"
-        write_trace(trace, path)
+        write_trace(trace.data, path)
         tampered = path.read_bytes().replace(b'"u00"', b'"u99"', 1)
         (tmp_path / "bad.ndjson").write_bytes(tampered)
         with pytest.raises(IntegrityError):
@@ -202,7 +201,7 @@ class TestTraceIO:
         """The trailer hashes the exact bytes: CRLF line ends fail the check."""
         trace = run(bundled("relay_attack"), "venue", seed=1)
         path = tmp_path / "t.ndjson"
-        write_trace(trace, path)
+        write_trace(trace.data, path)
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
         with pytest.raises(IntegrityError, match="hash mismatch"):
             read_trace(path)
@@ -219,7 +218,7 @@ def _with_version(path, version: bytes) -> None:
 @pytest.mark.parametrize("version", [b"0", b"3", b'"2"', b"null"])
 def test_unsupported_trace_version_rejected(version, tmp_path):
     path = tmp_path / "t.ndjson"
-    write_trace(run(bundled("relay_attack"), "venue", seed=1), path)
+    write_trace(run(bundled("relay_attack"), "venue", seed=1).data, path)
     _with_version(path, version)
     with pytest.raises(IntegrityError, match="unsupported trace version"):
         read_trace(path)

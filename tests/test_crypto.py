@@ -82,24 +82,24 @@ class TestPrf:
 
 class TestPrg:
     def test_count_and_length(self):
-        ids = prg_expand(bytes(32), 40, 16)
+        ids = prg_expand(bytes(32), 40)
         assert len(ids) == 40
         assert all(len(i) == 16 for i in ids)
 
     def test_prefix_stability(self):
         seed = hash_bytes(b"seed")
-        assert prg_expand(seed, 1, 16) == prg_expand(seed, 2, 16)[:1]
-        assert prg_expand(seed, 39, 16) == prg_expand(seed, 40, 16)[:39]
+        assert prg_expand(seed, 1) == prg_expand(seed, 2)[:1]
+        assert prg_expand(seed, 39) == prg_expand(seed, 40)[:39]
 
     def test_all_distinct_across_seeds(self):
         rng = random.Random(5)
         for _ in range(1000):
-            ids = prg_expand(rng.randbytes(32), 40, 16)
+            ids = prg_expand(rng.randbytes(32), 40)
             assert len(set(ids)) == 40
 
     def test_zero_count_rejected(self):
         with pytest.raises(ParameterError):
-            prg_expand(bytes(32), 0, 16)
+            prg_expand(bytes(32), 0)
 
     @given(st.binary(min_size=32, max_size=32), st.integers(min_value=1, max_value=64))
     @settings(max_examples=50)
@@ -171,47 +171,47 @@ class TestCommitment:
 
 class TestSignatures:
     def test_honest_verify(self):
-        kp = keygen("venue-1", random.Random(13))
+        kp = keygen(random.Random(13))
         sig = sign(b"m", kp.secret_key)
         assert verify(b"m", sig, kp.public_key)
 
     def test_message_binding(self):
-        kp = keygen("venue-1", random.Random(14))
+        kp = keygen(random.Random(14))
         sig = sign(b"m", kp.secret_key)
         assert not verify(b"m\x01", sig, kp.public_key)
 
     def test_unrelated_key_rejected(self):
         rng = random.Random(15)
         for _ in range(200):
-            kp = keygen("a", rng)
-            other = keygen("b", rng)
+            kp = keygen(rng)
+            other = keygen(rng)
             assert not verify(b"m", sign(b"m", kp.secret_key), other.public_key)
 
     def test_malformed_signature_returns_false(self):
-        kp = keygen("a", random.Random(16))
+        kp = keygen(random.Random(16))
         assert not verify(b"m", b"junk", kp.public_key)
         assert not verify(b"m", b"", kp.public_key)
 
     def test_deterministic_keygen_from_rng(self):
-        assert keygen("a", random.Random(17)).public_key == keygen("a", random.Random(17)).public_key
+        assert keygen(random.Random(17)).public_key == keygen(random.Random(17)).public_key
 
     def test_signing_deterministic(self):
-        kp = keygen("a", random.Random(18))
+        kp = keygen(random.Random(18))
         assert sign(b"m", kp.secret_key) == sign(b"m", kp.secret_key)
 
 
 class TestCertificates:
     def test_chain_round_trip(self):
         rng = random.Random(19)
-        ha = keygen("HA", rng)
-        venue = keygen("venue-7", rng)
+        ha = keygen(rng)
+        venue = keygen(rng)
         cert = issue_certificate(venue.public_key, "venue-7", ha.secret_key)
         assert verify_certificate(cert, ha.public_key)
 
     def test_tampered_certificate_fails(self):
         rng = random.Random(20)
-        ha = keygen("HA", rng)
-        venue = keygen("venue-7", rng)
+        ha = keygen(rng)
+        venue = keygen(rng)
         cert = issue_certificate(venue.public_key, "venue-7", ha.secret_key)
         forged = Certificate(
             subject_public_key=cert.subject_public_key,

@@ -3,6 +3,7 @@
 import math
 import time
 
+from venuetrace.cli import _canonical
 from venuetrace.metrics import ExposurePolicy, collect_metrics, ground_truth_exposures
 from venuetrace.scenario import (
     Scenario,
@@ -36,9 +37,9 @@ class TestArrivalTimeExtension:
     def test_honest_flow_still_works(self):
         sc = two_user_visit()
         trace = run(sc, "venue", seed=0, overrides={"arrival_time_extension": True})
-        assert all(r["accepted"] for r in trace.outcomes["reports"])
+        assert all(r["accepted"] for r in trace.data["outcomes"]["reports"])
         assert any(
-            a["user"] == "u01" and a["at_risk"] for a in trace.outcomes["assessments"]
+            a["user"] == "u01" and a["at_risk"] for a in trace.data["outcomes"]["assessments"]
         )
 
     def test_presence_interval_is_exact_under_flag(self):
@@ -66,9 +67,10 @@ class TestArrivalTimeExtension:
             ],
         )
         trace = run(sc, "venue", seed=0, overrides={"arrival_time_extension": True})
-        assert all(r["accepted"] for r in trace.outcomes["reports"])
+        assert all(r["accepted"] for r in trace.data["outcomes"]["reports"])
         u01_deliveries = [
-            d for d in trace.outcomes["deliveries"] if d["user"] == "u01" and d["record_keys"]
+            d for d in trace.data["outcomes"]["deliveries"]
+            if d["user"] == "u01" and d["record_keys"]
         ]
         assert u01_deliveries == []
 
@@ -84,8 +86,8 @@ class TestChannelRobustness:
     def test_noisy_channel_still_deterministic(self):
         sc = two_user_visit()
         overrides = {"channel": {"noise_sigma_db": 4.0}}
-        a = run(sc, "venue", seed=5, overrides=overrides).to_canonical_json()
-        b = run(sc, "venue", seed=5, overrides=overrides).to_canonical_json()
+        a = _canonical(run(sc, "venue", seed=5, overrides=overrides).data)
+        b = _canonical(run(sc, "venue", seed=5, overrides=overrides).data)
         assert a == b
 
     def test_lossy_reception_drops_some_hearings(self):
@@ -96,7 +98,7 @@ class TestChannelRobustness:
         def heard_count(trace):
             return sum(
                 a["matched_epochs"]
-                for a in trace.outcomes["assessments"]
+                for a in trace.data["outcomes"]["assessments"]
                 if a["user"] == "u01"
             )
 
@@ -108,7 +110,7 @@ class TestStructuralInvariants:
         sc = build_population_scenario(n_users=8, days=3, seed=1)
         trace = run(sc, "venue", seed=1)
         by_venue = {}
-        for e in trace.events:
+        for e in trace.data["events"]:
             if e["kind"] == "venue_digest":
                 by_venue.setdefault(e["venue"], []).append(e["period"])
         assert by_venue
@@ -120,9 +122,9 @@ class TestStructuralInvariants:
     def test_tt_moh_edges_equal_ground_truth_contacts(self):
         sc = build_population_scenario(n_users=10, days=3, seed=2)
         trace = run(sc, "tracetogether", seed=2)
-        max_range = trace.config["params"]["channel"]["max_range_m"]
+        max_range = trace.data["config"]["params"]["channel"]["max_range_m"]
         edges = {
-            (e["reporter"], e["contact"]) for e in trace.outcomes["moh_edges"]
+            (e["reporter"], e["contact"]) for e in trace.data["outcomes"]["moh_edges"]
         }
         # MoH's derived graph equals true co-presence (any duration, within
         # radio range, in a venue or on the street) of its reporters: the
@@ -160,6 +162,6 @@ class TestStructuralInvariants:
         sim = Simulation(sc, SimParams.build(sc, "venue", 0))
         threshold = sim.driver.risk.proximity_threshold_dbm
         ch = sim.params.channel
-        assert math.isclose(threshold, ch.rx_dbm(2.0))
-        assert ch.rx_dbm(1.9) > threshold
-        assert ch.rx_dbm(2.1) < threshold
+        assert math.isclose(threshold, ch.rx_dbm(2.0, sim.rng))
+        assert ch.rx_dbm(1.9, sim.rng) > threshold
+        assert ch.rx_dbm(2.1, sim.rng) < threshold

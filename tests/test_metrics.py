@@ -1,3 +1,5 @@
+import copy
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -245,3 +247,14 @@ class TestCollectMetrics:
         columns["location"][-1] = "elsewhere"
         doctored["broadcasts"] = columns
         assert collect_metrics(doctored).adversary["cross_venue_ephid_matches"] == 1
+
+    def test_backend_true_ids_seen_counts_user_ids_in_observed_entries(self):
+        sc = build_population_scenario(n_users=10, days=3, seed=4)
+        trace = run(sc, "venue", seed=4)
+        assert collect_metrics(trace.data).info_exposure["backend"]["true_ids_seen"] == 0
+        # plant one user id twice, and another in venue_id, which names a venue
+        doctored = copy.deepcopy(trace.data)
+        first, second = doctored["outcomes"]["actor_observed"]["backend"][:2]
+        first["nonce"] = second["nonce"] = "u03"
+        second["venue_id"] = "u05"
+        assert collect_metrics(doctored).info_exposure["backend"]["true_ids_seen"] == 1

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 
 import pytest
@@ -204,6 +205,14 @@ def test_population_builder_deterministic():
     a = build_population_scenario(n_users=10, days=3, seed=5).to_dict()
     b = build_population_scenario(n_users=10, days=3, seed=5).to_dict()
     assert a == b
+    # the 100-user outbreak population, byte for byte as first generated
+    outbreak = build_population_scenario(
+        n_users=100, n_venues=5, days=3, seed=9, infected=tuple(f"u{i:02d}" for i in range(30))
+    ).to_dict()
+    canonical = json.dumps(outbreak, sort_keys=True, separators=(",", ":")).encode()
+    assert hashlib.sha256(canonical).hexdigest() == (
+        "924a1598ec9b03aeeb494b08db30631b9c3f8f2bab7dd918d334c637830cd612"
+    )
 
 
 def _event(**fields):

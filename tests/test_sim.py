@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from venuetrace.cli import _canonical
 from venuetrace.channel import ChannelModel
 from venuetrace.scenario import (
     Scenario,
@@ -44,14 +45,14 @@ class TestDeterminism:
     @pytest.mark.parametrize("protocol", ["venue", "dp3t", "tracetogether"])
     def test_identical_seeds_identical_traces(self, protocol):
         sc = bundled("relay_attack")
-        a = run(sc, protocol, seed=11).to_canonical_json()
-        b = run(sc, protocol, seed=11).to_canonical_json()
+        a = _canonical(run(sc, protocol, seed=11).data)
+        b = _canonical(run(sc, protocol, seed=11).data)
         assert a == b
 
     def test_different_seeds_differ(self):
         sc = small_scenario()
-        a = run(sc, "venue", seed=1).to_canonical_json()
-        b = run(sc, "venue", seed=2).to_canonical_json()
+        a = _canonical(run(sc, "venue", seed=1).data)
+        b = _canonical(run(sc, "venue", seed=2).data)
         assert a != b
 
 
@@ -60,8 +61,8 @@ class TestWorldModel:
         sc = Scenario("empty", DAY, ["u00"], [VenueSpec("v0")], [])
         trace = run(sc, "venue", seed=0)
         assert trace.broadcasts == []
-        assert trace.outcomes["visits"] == []
-        assert trace.outcomes["reports"] == []
+        assert trace.data["outcomes"]["visits"] == []
+        assert trace.data["outcomes"]["reports"] == []
 
     def test_invalid_scenario_raises_with_diagnostics(self):
         sc = Scenario(
@@ -77,7 +78,7 @@ class TestWorldModel:
             extra_events=[ScenarioEvent(1360, "move", {"user": "u00", "pos": [2.0, 0.0]})]
         )
         trace = run(sc, "venue", seed=0)
-        u00 = [s for s in trace.presence if s["user"] == "u00" and s["location"] == "v0"]
+        u00 = [s for s in trace.data["presence"] if s["user"] == "u00" and s["location"] == "v0"]
         assert len(u00) == 2  # split at the move
         assert u00[0]["x"] == 0.0 and u00[1]["x"] == 2.0
         assert u00[0]["end"] == u00[1]["start"] == 1360
@@ -96,7 +97,7 @@ class TestWorldModel:
     def test_broadcasts_halt_after_leave(self):
         trace = run(small_scenario(), "venue", seed=0)
         leave_times = {
-            (v["user"],): v["leave"] for v in trace.outcomes["visits"]
+            (v["user"],): v["leave"] for v in trace.data["outcomes"]["visits"]
         }
         for b in trace.broadcasts:
             if b["injected"]:
@@ -118,9 +119,9 @@ class TestWorldModel:
         )
         trace = run(sc, "venue", seed=0)
         assert all(b["emitter"] != "u00" for b in trace.broadcasts)
-        assert all(v["user"] != "u00" for v in trace.outcomes["visits"])
+        assert all(v["user"] != "u00" for v in trace.data["outcomes"]["visits"])
         # but ground truth still saw the body in the venue
-        assert any(s["user"] == "u00" and s["location"] == "v0" for s in trace.presence)
+        assert any(s["user"] == "u00" and s["location"] == "v0" for s in trace.data["presence"])
 
     def test_every_on_premise_broadcast_in_venue_store(self):
         sc = small_scenario()
@@ -169,7 +170,7 @@ class TestWorldModel:
 class TestAdversaries:
     def test_relay_injects_and_is_contained(self):
         trace = run(bundled("relay_attack"), "venue", seed=0)
-        adv = trace.outcomes["adversary"]
+        adv = trace.data["outcomes"]["adversary"]
         assert adv["injected"] > 0
         assert adv["captured"] > 0
         assert adv["observed_only_broadcast_bytes"] is True
@@ -203,7 +204,7 @@ class TestAdversaries:
             ]
         )
         trace = run(sc, "venue", seed=0)
-        assert trace.outcomes["adversary"]["injected"] > 0
+        assert trace.data["outcomes"]["adversary"]["injected"] > 0
 
     def test_flood_triggers_anomaly(self):
         sc = Scenario(
@@ -230,7 +231,7 @@ class TestAdversaries:
             ],
         )
         trace = run(sc, "venue", seed=0)
-        kinds = {a["kind"] for a in trace.outcomes["venue_anomalies"]["v0"]}
+        kinds = {a["kind"] for a in trace.data["outcomes"]["venue_anomalies"]["v0"]}
         assert "broadcast_flood" in kinds
         assert "signal_too_strong" in kinds
 
@@ -292,7 +293,7 @@ class TestAdversaries:
             ]
         )
         trace = run(sc, "venue", seed=0)
-        adv = trace.outcomes["adversary"]
+        adv = trace.data["outcomes"]["adversary"]
         assert adv["eavesdropped"]
         assert adv["observed_only_broadcast_bytes"] is True
         # cross-venue correlation over everything it captured yields nothing
@@ -306,7 +307,7 @@ class TestCapabilityMatrix:
     def test_backend_and_ha_never_see_true_ids(self):
         sc = build_population_scenario(n_users=10, days=3, seed=2)
         trace = run(sc, "venue", seed=2)
-        observed = trace.outcomes["actor_observed"]
+        observed = trace.data["outcomes"]["actor_observed"]
         users = set(sc.users)
         for entry in observed["backend"] + observed["ha"]:
             for value in entry.values():
@@ -319,7 +320,7 @@ class TestCapabilityMatrix:
         rid_hexes = {
             app.rid.value_bytes().hex() for app in sim.driver.users.values()
         }
-        for entries in trace.outcomes["actor_observed"]["venues"].values():
+        for entries in trace.data["outcomes"]["actor_observed"]["venues"].values():
             for entry in entries:
                 assert entry["kind"] == "leave"
                 assert entry["nonce"] not in rid_hexes
@@ -329,11 +330,11 @@ class TestCapabilityMatrix:
         dp3t = run(sc, "dp3t", seed=0)
         venue = run(sc, "venue", seed=0)
         dp3t_leaks = {
-            a["user"] for a in dp3t.outcomes["assessments"] if a.get("leak")
+            a["user"] for a in dp3t.data["outcomes"]["assessments"] if a.get("leak")
         }
         venue_leaks = {
             a["user"]
-            for a in venue.outcomes["assessments"]
+            for a in venue.data["outcomes"]["assessments"]
             if a["matched_epochs"] >= 1
         }
         assert "u01" in dp3t_leaks  # bystander can test the reporter's infection
@@ -350,26 +351,26 @@ class TestDoubleReports:
 
     def test_dp3t_second_report_skipped(self):
         trace = run(self.twice_reported(), "dp3t", seed=0)
-        skipped = [e for e in trace.events if e["kind"] == "report_skipped"]
+        skipped = [e for e in trace.data["events"] if e["kind"] == "report_skipped"]
         assert skipped == [{"t": 124000, "kind": "report_skipped", "user": "u00"}]
-        assert len(trace.outcomes["published_keys"]) == 1
-        assert len(trace.outcomes["reports"]) == 1
+        assert len(trace.data["outcomes"]["published_keys"]) == 1
+        assert len(trace.data["outcomes"]["reports"]) == 1
 
     def test_venue_second_report_publishes_once(self):
         sc = self.twice_reported()
         sim = Simulation(sc, SimParams.build(sc, "venue", 0))
         trace = sim.run()
-        assert [r["accepted"] for r in trace.outcomes["reports"]] == [True, True]
+        assert [r["accepted"] for r in trace.data["outcomes"]["reports"]] == [True, True]
         assert len(sim.driver.backend.records) == 1
-        assert len(trace.outcomes["venue_notices"]["v0"]) == 1
+        assert len(trace.data["outcomes"]["venue_notices"]["v0"]) == 1
 
     def test_tracetogether_second_report_skipped(self):
         trace = run(self.twice_reported(), "tracetogether", seed=0)
-        skipped = [e for e in trace.events if e["kind"] == "report_skipped"]
+        skipped = [e for e in trace.data["events"] if e["kind"] == "report_skipped"]
         assert skipped == [{"t": 124000, "kind": "report_skipped", "user": "u00"}]
-        assert len(trace.outcomes["moh_edges"]) == 2
-        assert len(trace.outcomes["assessments"]) == 2
-        assert len(trace.outcomes["reports"]) == 1
+        assert len(trace.data["outcomes"]["moh_edges"]) == 2
+        assert len(trace.data["outcomes"]["assessments"]) == 2
+        assert len(trace.data["outcomes"]["reports"]) == 1
 
 
 def test_refused_certification_is_logged_and_skips_the_report():
@@ -383,13 +384,13 @@ def test_refused_certification_is_logged_and_skips_the_report():
         ScenarioEvent(t + 200, "report", {"user": "u01"}),
     ]
     trace = run(sc, "venue", seed=0)
-    refused = [e for e in trace.events if e["kind"] == "certification_refused"]
+    refused = [e for e in trace.data["events"] if e["kind"] == "certification_refused"]
     assert refused == [
         {"t": t + 100, "kind": "certification_refused", "user": "u01",
          "reason": "opened identifier does not match tested person"}
     ]
-    assert {"t": t + 200, "kind": "report_skipped", "user": "u01"} in trace.events
-    assert list(trace.outcomes["reporters"]) == ["u00"]
+    assert {"t": t + 200, "kind": "report_skipped", "user": "u01"} in trace.data["events"]
+    assert list(trace.data["outcomes"]["reporters"]) == ["u00"]
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +545,7 @@ def _run_logged(sim_class, sc, params):
 
     for user, phone in sim.driver.users.items():
         phone.hear = logged(user, phone.hear)
-    return sim.run().to_canonical_json(), deliveries
+    return _canonical(sim.run().data), deliveries
 
 
 def test_scan_grows_with_neighbours_not_population(monkeypatch):
