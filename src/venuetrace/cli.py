@@ -1,5 +1,9 @@
 """Command-line interface: run, validate, replay.
 
+``trace.ndjson`` holds every row section as columns (see :mod:`venuetrace.table`),
+exactly as ``SimulationTrace.data`` does; ``events.ndjson`` holds the rows of
+the ``events`` section, one line each.
+
 Exit codes: 0 success, 1 scenario-validation failure, 2 runtime failure
 (including trace integrity errors). The ``run`` flags in ``PARAM_FLAGS``
 set scenario ``params`` keys and win on conflict. The default output
@@ -22,12 +26,15 @@ from typing import Any
 
 from .metrics import ExposurePolicy, MetricsReport, collect_metrics, comparison_rows
 from .scenario import Scenario, _params_diagnostics, validate_scenario
-from .sim import BROADCAST_KEYS, PROTOCOLS
+from .sim import PROTOCOLS, row_sections, store_as_columns
 from .sim import run as run_simulation
+from .table import check, columns, rows
 
 TRACE_FORMAT = "venuetrace-trace"
-TRACE_VERSION = 2  # 2: broadcasts as columns; 1 (one dict per broadcast) still loads
-_SECTIONS = ("config", "presence", "broadcasts", "events", "outcomes")
+# 3: every row section as columns; 2 (only broadcasts as columns) and 1
+# (one dict per row everywhere) still load
+TRACE_VERSION = 3
+_SECTIONS = ("config", "presence", "broadcasts", "emitters", "events", "outcomes")
 
 
 class IntegrityError(RuntimeError):
@@ -52,21 +59,12 @@ def write_trace(data: dict[str, Any], path: Path) -> None:
         fh.write((_canonical({"sha256": digest.hexdigest()}) + "\n").encode("utf-8"))
 
 
-def _v1_broadcasts(rows: list[dict[str, Any]]) -> dict[str, list[Any]]:
-    """Version-1 broadcasts, one dict each, as the version-2 columns."""
-    columns: dict[str, list[Any]] = {key: [row[key] for row in rows] for key in BROADCAST_KEYS}
-    index: dict[str, int] = {}
-    columns["emitter"] = [index.setdefault(e, len(index)) for e in columns["emitter"]]
-    columns["emitters"] = list(index)
-    return columns
-
-
 def read_trace(path: Path) -> dict[str, Any]:
     """Parse and integrity-check a trace file; raises IntegrityError.
 
     The trailer hashes the exact bytes before it, so a file whose line ends
-    were rewritten fails the check. Versions 1 and 2 load; version-1
-    broadcasts are converted to columns.
+    were rewritten fails the check. Versions 1 and 2 load, converted to the
+    version-3 layout. Columns of one section that disagree in length fail.
     """
     raw = Path(path).read_bytes()
     body_end = raw.rfind(b"\n", 0, -1) + 1  # where the trailer line starts
@@ -85,7 +83,7 @@ def read_trace(path: Path) -> dict[str, Any]:
     if header.get("format") != TRACE_FORMAT:
         raise IntegrityError(f"unknown trace format {header.get('format')!r}")
     version = header.get("version")
-    if version not in (1, TRACE_VERSION):
+    if version not in (1, 2, TRACE_VERSION):
         raise IntegrityError(f"unsupported trace version {version!r}")
     data: dict[str, Any] = {}
     while start < body_end:
@@ -93,11 +91,24 @@ def read_trace(path: Path) -> dict[str, Any]:
         section = json.loads(raw[start:end])
         data[section["section"]] = section["data"]
         start = end
+    if version == 1 and "broadcasts" in data:
+        broadcasts = data["broadcasts"] = columns(data["broadcasts"])
+        index: dict[str, int] = {}
+        names = broadcasts.get("emitter", [])
+        broadcasts["emitter"] = [index.setdefault(e, len(index)) for e in names]
+        data["emitters"] = list(index)
+    elif version == 2 and "emitters" in data.get("broadcasts", {}):
+        data["emitters"] = data["broadcasts"].pop("emitters")  # its own section since 3
     missing = [s for s in _SECTIONS if s not in data]
     if missing:
         raise IntegrityError(f"trace is missing sections: {missing}")
-    if version == 1:
-        data["broadcasts"] = _v1_broadcasts(data["broadcasts"])
+    if version < 3:
+        store_as_columns(data)
+    for name, mapping, key in [("broadcasts", data, "broadcasts"), *row_sections(data)]:
+        try:
+            check(mapping[key])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise IntegrityError(f"section {name}: {exc}") from exc
     return data
 
 
@@ -132,7 +143,7 @@ def _write_outputs(trace_data: dict[str, Any], out_dir: Path) -> MetricsReport:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_trace(trace_data, out_dir / "trace.ndjson")
     with open(out_dir / "events.ndjson", "w", encoding="utf-8") as fh:
-        for entry in trace_data["events"]:
+        for entry in rows(trace_data["events"]):
             fh.write(_canonical(entry) + "\n")
     report = collect_metrics(trace_data)
     (out_dir / "metrics.json").write_text(

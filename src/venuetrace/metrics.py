@@ -15,7 +15,10 @@ pruned only when a reporter arrives, the one time it is read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from operator import itemgetter
 from typing import Any
+
+from .table import by_key, length, select
 
 
 @dataclass(frozen=True)
@@ -34,6 +37,10 @@ def _merge_intervals(pieces: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return merged
 
 
+# one presence segment: (start, end, user, location, x, y)
+_Segment = tuple[int, int, str, Any, float, float]
+
+
 def ground_truth_exposures(
     trace_data: dict[str, Any], policy: ExposurePolicy | None = None
 ) -> tuple[set[tuple[str, str, str]], set[tuple[str, str, str]]]:
@@ -45,32 +52,33 @@ def ground_truth_exposures(
     """
     policy = policy or ExposurePolicy()
     reporters: dict[str, list[int]] = trace_data["outcomes"]["reporters"]
-    by_location: dict[str | None, list[dict[str, Any]]] = {}
-    for seg in sorted(trace_data["presence"], key=lambda s: s["start"]):
-        by_location.setdefault(seg["location"], []).append(seg)
+    by_location: dict[str | None, list[_Segment]] = {}
+    presence = select(trace_data["presence"], "start", "end", "user", "location", "x", "y")
+    for seg in sorted(presence, key=itemgetter(0)):
+        by_location.setdefault(seg[3], []).append(seg)
 
     # (user, location, reporter) -> co-location pieces within the period
     pieces: dict[tuple[str, str | None, str], list[tuple[int, int]]] = {}
 
-    def meet(rs: dict[str, Any], us: dict[str, Any]) -> None:
-        reporter, user = rs["user"], us["user"]
+    def meet(rs: _Segment, us: _Segment) -> None:
+        r_start, r_end, reporter, location, rx, ry = rs
+        u_start, u_end, user, _, ux, uy = us
         period = reporters[reporter]
-        start = max(rs["start"], us["start"], period[0])
-        end = min(rs["end"], us["end"], period[1])
-        dx, dy = rs["x"] - us["x"], rs["y"] - us["y"]
+        start, end = max(r_start, u_start, period[0]), min(r_end, u_end, period[1])
+        dx, dy = rx - ux, ry - uy
         if user != reporter and start < end and (dx * dx + dy * dy) ** 0.5 <= policy.distance_m:
-            pieces.setdefault((user, rs["location"], reporter), []).append((start, end))
+            pieces.setdefault((user, location, reporter), []).append((start, end))
 
     for segments in by_location.values():
-        open_segs: list[dict[str, Any]] = []
-        open_reporters: list[dict[str, Any]] = []
+        open_segs: list[_Segment] = []
+        open_reporters: list[_Segment] = []
         for seg in segments:
-            now = seg["start"]
-            open_reporters = [s for s in open_reporters if s["end"] > now]
+            now = seg[0]
+            open_reporters = [s for s in open_reporters if s[1] > now]
             for rs in open_reporters:
                 meet(rs, seg)
-            if seg["user"] in reporters:  # the reporter arrives second
-                open_segs = [s for s in open_segs if s["end"] > now]
+            if seg[2] in reporters:  # the reporter arrives second
+                open_segs = [s for s in open_segs if s[1] > now]
                 for us in open_segs:
                     meet(seg, us)
                 open_reporters.append(seg)
@@ -126,9 +134,8 @@ def _linkage_scan(broadcasts: dict[str, list[Any]]) -> tuple[int, int]:
     first_tag: dict[tuple[str, int, str], str] = {}
     cross_venue: set[str] = set()
     cross_visit: set[str] = set()
-    for emitter, loc, payload, injected, tag in zip(
-        broadcasts["emitter"], broadcasts["location"], broadcasts["payload"],
-        broadcasts["injected"], broadcasts["tag"],
+    for emitter, loc, payload, injected, tag in select(
+        broadcasts, "emitter", "location", "payload", "injected", "tag"
     ):
         if injected or loc is None:
             continue
@@ -142,41 +149,36 @@ def _linkage_scan(broadcasts: dict[str, list[Any]]) -> tuple[int, int]:
 def _info_exposure(trace_data: dict[str, Any], protocol: str) -> dict[str, Any]:
     outcomes = trace_data["outcomes"]
     if protocol == "venue":
+        # the logs mix kinds; only report rows carry ``rid``, only match rows ``ids``
         observed = outcomes.get("actor_observed", {})
-        backend = observed.get("backend", [])
-        ha = observed.get("ha", [])
-        tc = observed.get("test_center", [])
+        backend, ha, tc = (by_key(observed.get(a, {})) for a in ("backend", "ha", "test_center"))
         users = set(trace_data["config"]["scenario"]["users"])
         return {
             "backend": {
-                "reports_seen": sum(1 for e in backend if e["kind"] == "report"),
-                "trace_queries_seen": sum(1 for e in backend if e["kind"] == "trace_query"),
-                "distinct_rids_seen": len({e["rid"] for e in backend if e["kind"] == "report"}),
+                "reports_seen": backend.get("kind", []).count("report"),
+                "trace_queries_seen": backend.get("kind", []).count("trace_query"),
+                "distinct_rids_seen": len(set(backend.get("rid", []))),
                 "true_ids_seen": len({
-                    v for e in backend for k, v in e.items()
-                    if k not in ("kind", "venue_id") and isinstance(v, str) and v in users
+                    v for k, values in backend.items() if k not in ("kind", "venue_id")
+                    for v in values if isinstance(v, str) and v in users
                 }),
             },
             "ha": {
-                "digests_stored": sum(1 for e in ha if e["kind"] == "digest"),
-                "match_queries": sum(1 for e in ha if e["kind"] == "match"),
-                "identifiers_queried": sum(
-                    len(e["ids"]) for e in ha if e["kind"] == "match"
-                ),
+                "digests_stored": ha.get("kind", []).count("digest"),
+                "match_queries": ha.get("kind", []).count("match"),
+                "identifiers_queried": sum(map(len, ha.get("ids", []))),
             },
             "test_center": {
-                "infection_tests": sum(1 for e in tc if e["kind"] == "infection_test"),
-                "true_ids_seen": len(
-                    {e["true_id"] for e in tc if e["kind"] == "infection_test"}
-                ),
+                "infection_tests": tc.get("kind", []).count("infection_test"),
+                "true_ids_seen": len(set(tc.get("true_id", []))),
             },
         }
     if protocol == "dp3t":
-        return {"backend": {"published_keys": len(outcomes.get("published_keys", []))}}
+        return {"backend": {"published_keys": length(outcomes.get("published_keys", {}))}}
     return {
         "moh": {
             "registered_phones": len(trace_data["config"]["scenario"]["users"]),
-            "traced_edges": len(outcomes.get("moh_edges", [])),
+            "traced_edges": length(outcomes.get("moh_edges", {})),
         }
     }
 
@@ -206,15 +208,17 @@ def collect_metrics(
     notified: set[tuple[str, str]] = set()
     notified_pairs: set[tuple[str, str, str]] = set()
     leak_users: set[str] = set()
-    for a in outcomes["assessments"]:
-        reporter = a.get("reporter")
-        if reporter is None or reporter == a["user"]:
+    for user, reporter, venue, matched, exposure, leak in select(
+        outcomes["assessments"], "user", "reporter", "venue", "matched_epochs",
+        "exposure_seconds", "leak",
+    ):
+        if reporter is None or reporter == user:
             continue
-        if a.get("leak", a["matched_epochs"] >= 1):
-            leak_users.add(a["user"])
-        if a["exposure_seconds"] >= threshold and a["matched_epochs"] >= 1:
-            notified.add((a["user"], reporter))
-            notified_pairs.add((a["user"], a.get("venue") or "", reporter))
+        if matched >= 1 if leak is None else leak:  # only DP-3T rows carry ``leak``
+            leak_users.add(user)
+        if exposure >= threshold and matched >= 1:
+            notified.add((user, reporter))
+            notified_pairs.add((user, venue or "", reporter))
 
     hits = gt_pairs_ui & notified
     recall = len(hits) / len(gt_pairs_ui) if gt_pairs_ui else 1.0
@@ -227,13 +231,13 @@ def collect_metrics(
     violations: int | None = None
     if protocol == "venue":
         receipt_venues: dict[str, set[str]] = {}
-        for v in outcomes["visits"]:
-            if not v["discarded"]:
-                receipt_venues.setdefault(v["user"], set()).add(v["venue"])
+        for user, venue, discarded in select(outcomes["visits"], "user", "venue", "discarded"):
+            if not discarded:
+                receipt_venues.setdefault(user, set()).add(venue)
         violations = sum(
             1
-            for d in outcomes["deliveries"]
-            if d["record_keys"] and d["venue"] not in receipt_venues.get(d["user"], set())
+            for user, venue, keys in select(outcomes["deliveries"], "user", "venue", "record_keys")
+            if keys and venue not in receipt_venues.get(user, set())
         )
 
     duty_seconds = outcomes.get("duty_seconds", {})
@@ -242,11 +246,11 @@ def collect_metrics(
 
     rejections: dict[str, int] = {}
     accepted = 0
-    for r in outcomes["reports"]:
-        if r["accepted"]:
+    for ok, code in select(outcomes["reports"], "accepted", "code"):
+        if ok:
             accepted += 1
-        elif r["code"]:
-            rejections[r["code"]] = rejections.get(r["code"], 0) + 1
+        elif code:
+            rejections[code] = rejections.get(code, 0) + 1
 
     cross_venue, cross_visit = _linkage_scan(trace_data["broadcasts"])
     adversary = dict(outcomes["adversary"])
@@ -254,7 +258,7 @@ def collect_metrics(
     adversary["cross_visit_ephid_matches"] = cross_visit
 
     venue_anomalies = {
-        vid: len(flags) for vid, flags in outcomes.get("venue_anomalies", {}).items()
+        vid: length(flags) for vid, flags in outcomes.get("venue_anomalies", {}).items()
     }
 
     return MetricsReport(
@@ -277,7 +281,7 @@ def collect_metrics(
         venue_anomalies=venue_anomalies,
         adversary=adversary,
         info_exposure=_info_exposure(trace_data, protocol),
-        deliveries=len(outcomes.get("deliveries", [])),
+        deliveries=length(outcomes.get("deliveries", {})),
         extras={"street_exposures": sorted([list(p) for p in street_exposures])},
     )
 

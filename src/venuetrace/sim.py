@@ -14,7 +14,9 @@ Listeners are found through a map from each ``max_range_m`` cell to the
 users in the 3x3 block around it, so a broadcast costs one lookup plus work
 for the users near it; a baseline's epoch tick is one batched ``emit``.
 Ground-truth presence segments are recorded independently of any protocol
-and feed the exposure oracle in :mod:`venuetrace.metrics`.
+and feed the exposure oracle in :mod:`venuetrace.metrics`. Drivers and
+actors log rows as dicts; ``Simulation.run`` stores each row section of the
+trace as columns (:mod:`venuetrace.table`) once, at the end.
 """
 
 from __future__ import annotations
@@ -50,12 +52,13 @@ from .channel import ChannelModel
 from .messages import InfectionCertificate, ReportBundle
 from .scenario import Scenario, ScenarioError, ScenarioEvent, validate_scenario
 from .schedule import SECONDS_PER_DAY, SchedulingParams
+from .table import columns
 
 PROTOCOLS = ("venue", "dp3t", "tracetogether")
 STREET = None  # location key for the shared off-premise space
-# one column per key in the trace's broadcasts section; the ``emitter``
-# column holds indexes into the section's ``emitters`` list
-BROADCAST_KEYS = ("t", "emitter", "location", "payload", "tx_dbm", "injected", "tag")
+# the lists of dicts in outcomes; the adversary's stay rows (metrics.json copies them)
+_OUTCOME_ROWS = ("reports", "deliveries", "assessments", "rejected_queries", "visits",
+                 "backend_rejections", "published_keys", "moh_edges")
 
 
 @dataclass
@@ -90,16 +93,28 @@ class SimulationTrace:
 
     data: dict[str, Any]
 
-    @property
-    def broadcasts(self) -> list[dict[str, Any]]:
-        """One new dict per broadcast, built from the columns; editing it
-        leaves the trace unchanged."""
-        columns = self.data["broadcasts"]
-        emitters = columns["emitters"]
-        return [
-            {**dict(zip(BROADCAST_KEYS, row)), "emitter": emitters[row[1]]}
-            for row in zip(*(columns[key] for key in BROADCAST_KEYS))
-        ]
+
+def row_sections(data: dict[str, Any]) -> list[tuple[str, dict[str, Any], str]]:
+    """(name, mapping, key) of each row section in trace ``data``: presence,
+    events, and every list of dicts in outcomes but the adversary's."""
+    outcomes = data["outcomes"]
+    observed = outcomes.get("actor_observed", {})
+    groups = (
+        ("", data, ("presence", "events")),
+        ("outcomes.", outcomes, _OUTCOME_ROWS),
+        ("outcomes.actor_observed.", observed, ("backend", "ha", "test_center")),
+        ("outcomes.actor_observed.venues.", observed.get("venues", {}), None),
+        ("outcomes.venue_anomalies.", outcomes.get("venue_anomalies", {}), None),
+        ("outcomes.venue_notices.", outcomes.get("venue_notices", {}), None),
+    )
+    return [(prefix + key, mapping, key) for prefix, mapping, keys in groups
+            for key in (mapping if keys is None else keys) if key in mapping]
+
+
+def store_as_columns(data: dict[str, Any]) -> None:
+    """Replace each row section of trace ``data`` by its columns."""
+    for _, mapping, key in row_sections(data):
+        mapping[key] = columns(mapping[key])
 
 
 def _record_key(ephids: tuple[bytes, ...]) -> str:
@@ -374,17 +389,17 @@ class _VenueDriver(_Driver):
             u: float(self.duty_seconds[u]) for u in self.sim.scenario.users
         }
         self.sim.outcomes["venue_anomalies"] = {
-            vid: list(self.venues[vid].anomalies) for vid in sorted(self.venues)
+            vid: self.venues[vid].anomalies for vid in sorted(self.venues)
         }
         self.sim.outcomes["venue_notices"] = {
-            vid: list(self.venues[vid].infection_notices) for vid in sorted(self.venues)
+            vid: self.venues[vid].infection_notices for vid in sorted(self.venues)
         }
-        self.sim.outcomes["backend_rejections"] = list(self.backend.rejections)
+        self.sim.outcomes["backend_rejections"] = self.backend.rejections
         self.sim.outcomes["actor_observed"] = {
-            "backend": list(self.backend.observed),
-            "ha": list(self.ha.observed),
-            "test_center": list(self.test_center.observed),
-            "venues": {vid: list(self.venues[vid].observed) for vid in sorted(self.venues)},
+            "backend": self.backend.observed,
+            "ha": self.ha.observed,
+            "test_center": self.test_center.observed,
+            "venues": {vid: self.venues[vid].observed for vid in sorted(self.venues)},
         }
 
 
@@ -505,7 +520,11 @@ class Simulation:
         self.position: dict[str, tuple[float, float]] = {}
         self._open_segment: dict[str, dict[str, Any]] = {}
         self.presence: list[dict[str, Any]] = []
-        self.broadcasts: dict[str, list[Any]] = {k: [] for k in BROADCAST_KEYS}
+        # the broadcasts section, kept as columns as it is sent; ``emitter``
+        # holds indexes into the ``emitters`` section
+        self.broadcasts: dict[str, list[Any]] = {
+            k: [] for k in ("t", "emitter", "location", "payload", "tx_dbm", "injected", "tag")
+        }
         self._emitter_index: dict[str, int] = {}  # emitter -> index, in order of first broadcast
         self.events_log: list[dict[str, Any]] = []
         self.outcomes: dict[str, Any] = {
@@ -531,6 +550,7 @@ class Simulation:
         # distance rounds down to max_range_m still sits in adjacent cells.
         self._cell_width = params.channel.max_range_m * (1 + 2**-20)
         self._blocks: dict[tuple[str | None, float, float], set[str]] = {}
+        self._cell: dict[str, tuple[str | None, float, float]] = {}  # user -> own cell key
         self._order = {u: i for i, u in enumerate(scenario.users)}
         self._street_pos = {u: (1.0e6 + 1000.0 * i, 0.0) for i, u in enumerate(scenario.users)}
         for user in scenario.users:
@@ -562,37 +582,41 @@ class Simulation:
     ) -> None:
         self._close_segment(user, now)
         blocks = self._blocks
-        if user in self.location:
-            for key in self._block(self.location[user], self.position[user]):
+        if user in self._cell:
+            for key in self._block(*self._cell[user]):
                 if len(blocks[key]) == 1:
                     del blocks[key]  # the user was the last one there
                 else:
                     blocks[key].discard(user)
         self.location[user] = location
         self.position[user] = pos
-        for key in self._block(location, pos):
+        cell = self._cell[user] = self._cell_of(location, pos)
+        for key in self._block(*cell):
             blocks.setdefault(key, set()).add(user)
         self._open_segment[user] = {
             "user": user, "start": now, "location": location, "x": pos[0], "y": pos[1],
         }
 
-    def _block(
+    def _cell_of(
         self, location: str | None, pos: tuple[float, float]
+    ) -> tuple[str | None, float, float]:
+        return location, pos[0] // self._cell_width, pos[1] // self._cell_width
+
+    def _block(
+        self, location: str | None, x: float, y: float
     ) -> set[tuple[str | None, float, float]]:
-        """The keys of the 3x3 block of cells around ``pos`` (fewer where
+        """The keys of the 3x3 block of cells around cell (x, y) (fewer where
         coordinates are too large for ``cell + 1`` to differ)."""
-        x, y = pos[0] // self._cell_width, pos[1] // self._cell_width
         x0, x2, y0, y2 = x - 1, x + 1, y - 1, y + 1  # unrolled: every move builds two
         return {(location, x0, y0), (location, x0, y), (location, x0, y2),
                 (location, x, y0), (location, x, y), (location, x, y2),
                 (location, x2, y0), (location, x2, y), (location, x2, y2)}
 
-    def _nearby(self, location: str | None, pos: tuple[float, float], exclude: str) -> list[str]:
-        """Users at ``location`` in the 3x3 block of cells around ``pos``,
+    def _nearby(self, cell: tuple[str | None, float, float], exclude: str) -> list[str]:
+        """Users at the cell's location in the 3x3 block of cells around it,
         except ``exclude``, in scenario order (the order of deliveries and
         draws)."""
-        w = self._cell_width
-        found = self._blocks.get((location, pos[0] // w, pos[1] // w))
+        found = self._blocks.get(cell)
         if not found or (len(found) == 1 and exclude in found):
             return []
         return sorted(found - {exclude}, key=self._order.__getitem__)
@@ -615,7 +639,7 @@ class Simulation:
         co-located listeners in range, send by send in list order."""
         if self._suppress and not injected:
             sends = [send for send in sends if not self._is_suppressed(send[0], now)]
-        location, position = self.location, self.position
+        cells, position = self._cell, self.position
         phones, nearby = self.phones, self._nearby
         tx = self.params.channel.tx_dbm if tx_dbm is None else tx_dbm
         columns, index = self.broadcasts, self._emitter_index
@@ -623,15 +647,20 @@ class Simulation:
             columns[key] += [value] * len(sends)
         if injected:
             self.outcomes["adversary"]["injected"] += len(sends)
+        capturing = not injected and any(self._captures.values())
 
         # per-send columns grow in this loop: a lone venue send pays for no comprehension
         for emitter, payload in sends:
-            loc, pos = at or (location[emitter], position[emitter])
+            if at is None:
+                cell, pos = cells[emitter], position[emitter]
+            else:
+                cell, pos = self._cell_of(*at), at[1]
+            loc = cell[0]
             hexed = payload.hex()
             columns["emitter"].append(index.setdefault(emitter, len(index)))
             columns["location"].append(loc)
             columns["payload"].append(hexed)
-            for user in nearby(loc, pos, emitter):
+            for user in nearby(cell, emitter):
                 if phones[user].listening:
                     self._receive(user, payload, math.dist(pos, position[user]), now, tx_dbm)
             if loc is not STREET:
@@ -641,7 +670,7 @@ class Simulation:
                     self.outcomes["adversary"]["eavesdropped"].append(
                         {"venue": loc, "payload": hexed, "t": now}
                     )
-                if not injected:
+                if capturing:
                     self._capture(loc, payload, now)
 
     def _capture(self, loc: str, payload: bytes, now: int) -> None:
@@ -671,7 +700,7 @@ class Simulation:
         """Catch-up delivery of current identifiers on new co-presence:
         theirs to ``user``, then ``user``'s to them, per neighbour."""
         pos = self.position[user]
-        for other in self._nearby(self.location[user], pos, user):
+        for other in self._nearby(self._cell[user], user):
             d = math.dist(pos, self.position[other])
             if d > self.params.channel.max_range_m:
                 continue
@@ -765,24 +794,20 @@ class Simulation:
         for user in self.scenario.users:
             self._close_segment(user, horizon)
         self.driver.finalize(horizon)
-        self.broadcasts["emitters"] = list(self._emitter_index)
         observed = self.adversary_observed  # usually empty: then no payload set is built
         self.outcomes["adversary"]["observed_only_broadcast_bytes"] = (
             not observed or set(self.broadcasts["payload"]).issuperset(observed)
         )
-        config = {
-            "scenario": self.scenario.to_dict(),
-            "params": asdict(self.params),
+        data = {
+            "config": {"scenario": self.scenario.to_dict(), "params": asdict(self.params)},
+            "events": self.events_log,
+            "broadcasts": self.broadcasts,
+            "emitters": list(self._emitter_index),
+            "presence": self.presence,
+            "outcomes": self.outcomes,
         }
-        return SimulationTrace(
-            data={
-                "config": config,
-                "events": self.events_log,
-                "broadcasts": self.broadcasts,
-                "presence": self.presence,
-                "outcomes": self.outcomes,
-            }
-        )
+        store_as_columns(data)
+        return SimulationTrace(data)
 
 
 def run(scenario: Scenario, protocol: str = "venue", seed: int = 0,

@@ -30,8 +30,9 @@ from venuetrace.schedule import (
     dp3t_next_daily_key,
 )
 from venuetrace.sim import SimParams, Simulation, run
+from venuetrace.table import rows
 
-from bundled import bundled
+from bundled import broadcast_rows, bundled
 
 DAY = 86400
 L = 180
@@ -123,7 +124,7 @@ def test_criterion_2_rejection_matrix():
     details = []
     for expected, scenario in cases:
         trace = run(scenario, "venue", seed=0)
-        reports = trace.data["outcomes"]["reports"]
+        reports = rows(trace.data["outcomes"]["reports"])
         codes = {r["code"] for r in reports if not r["accepted"]}
         rejected_not_published = all(
             r["code"] is not None for r in reports if not r["accepted"]
@@ -175,18 +176,18 @@ def test_criterion_4_ephemeral_linkage():
     scenario = build_population_scenario(n_users=20, n_venues=3, days=4, seed=0)
     trace = run(scenario, "dp3t", seed=0)
     linked = 0
-    for pub in trace.data["outcomes"]["published_keys"]:
+    for pub in rows(trace.data["outcomes"]["published_keys"]):
         key = DailyKey(key=bytes.fromhex(pub["key"]), day_index=pub["day"])
         day_x = set(dp3t_derive_ephids(key, 96))
         day_x1 = set(dp3t_derive_ephids(dp3t_next_daily_key(key), 96))
         mine = {
             bytes.fromhex(b["payload"])
-            for b in trace.broadcasts
+            for b in broadcast_rows(trace.data)
             if b["emitter"] == pub["reporter"] and not b["injected"]
         }
         if (mine & day_x) and (mine & day_x1):
             linked += 1
-    dp3t_linked = linked == len(trace.data["outcomes"]["published_keys"]) and linked > 0
+    dp3t_linked = linked == len(rows(trace.data["outcomes"]["published_keys"])) and linked > 0
     ok = venue_clean and dp3t_linked
     report_line(
         4, ok,
@@ -203,14 +204,14 @@ def test_criterion_5_bystander_street_leak():
     dp3t_trace = run(scenario, "dp3t", seed=0)
     venue_trace = run(scenario, "venue", seed=0)
     dp3t_leak = any(
-        a["user"] == "u01" and a.get("leak") for a in dp3t_trace.data["outcomes"]["assessments"]
+        a["user"] == "u01" and a.get("leak") for a in rows(dp3t_trace.data["outcomes"]["assessments"])
     )
     venue_leak = any(
         a["user"] == "u01" and a["matched_epochs"] >= 1
-        for a in venue_trace.data["outcomes"]["assessments"]
+        for a in rows(venue_trace.data["outcomes"]["assessments"])
     )
     venue_retrieved = [
-        d for d in venue_trace.data["outcomes"]["deliveries"]
+        d for d in rows(venue_trace.data["outcomes"]["deliveries"])
         if d["user"] == "u01" and d["record_keys"]
     ]
     ok = dp3t_leak and not venue_leak and not venue_retrieved

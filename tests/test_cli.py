@@ -210,12 +210,17 @@ class TestTraceIO:
 def _with_version(path, version: bytes) -> None:
     """Rewrite the header's version and sign the body with a fresh trailer."""
     raw = path.read_bytes()
-    body = raw[: raw.rfind(b"\n", 0, -1) + 1].replace(b'"version":2', b'"version":' + version, 1)
+    body = raw[: raw.rfind(b"\n", 0, -1) + 1].replace(b'"version":3', b'"version":' + version, 1)
+    _sign(path, body)
+
+
+def _sign(path, body: bytes) -> None:
+    """Write ``body`` to ``path`` with a fresh integrity trailer."""
     trailer = json.dumps({"sha256": hashlib.sha256(body).hexdigest()})
     path.write_bytes(body + trailer.encode() + b"\n")
 
 
-@pytest.mark.parametrize("version", [b"0", b"3", b'"2"', b"null"])
+@pytest.mark.parametrize("version", [b"0", b"4", b'"2"', b"null"])
 def test_unsupported_trace_version_rejected(version, tmp_path):
     path = tmp_path / "t.ndjson"
     write_trace(run(bundled("relay_attack"), "venue", seed=1).data, path)
@@ -275,7 +280,32 @@ class TestReplay:
     def test_replay_unsupported_version_exits_two(self, scenario_file, tmp_path, capsys):
         out = tmp_path / "out"
         main(["run", "--scenario", str(scenario_file), "--seed", "4", "--out", str(out)])
-        _with_version(out / "trace.ndjson", b"3")
+        _with_version(out / "trace.ndjson", b"4")
         capsys.readouterr()
         assert main(["replay", "--trace", str(out / "trace.ndjson")]) == 2
-        assert "unsupported trace version 3" in capsys.readouterr().err
+        assert "unsupported trace version 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where,cut", [
+        (("broadcasts",), ("location", "payload")),  # a one-shape section
+        (("events", "columns"), ("t",)),  # a mixed-shape section
+        (("outcomes", "actor_observed", "backend", "columns"), ("nonce",)),
+    ], ids=["broadcasts", "events", "backend_log"])
+    def test_replay_ragged_columns_exits_two(self, where, cut, tmp_path, capsys):
+        """Columns cut short, under a recomputed trailer, fail the read
+        (zip would silently truncate them) and name the section and key."""
+        path = tmp_path / "t.ndjson"
+        write_trace(run(bundled("relay_attack"), "venue", seed=1).data, path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        i = next(i for i, line in enumerate(lines) if json.loads(line).get("section") == where[0])
+        entry = json.loads(lines[i])
+        table = entry["data"]
+        for key in where[1:]:
+            table = table[key]
+        for key in cut:
+            del table[key][1:]
+        lines[i] = (json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n").encode()
+        _sign(path, b"".join(lines[:-1]))
+        capsys.readouterr()
+        assert main(["replay", "--trace", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"section {where[0]}" in err and f"column {cut[0]!r}" in err, err

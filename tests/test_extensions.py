@@ -12,6 +12,7 @@ from venuetrace.scenario import (
     build_population_scenario,
 )
 from venuetrace.sim import SimParams, Simulation, run
+from venuetrace.table import rows
 
 DAY = 86400
 L = 180
@@ -37,9 +38,9 @@ class TestArrivalTimeExtension:
     def test_honest_flow_still_works(self):
         sc = two_user_visit()
         trace = run(sc, "venue", seed=0, overrides={"arrival_time_extension": True})
-        assert all(r["accepted"] for r in trace.data["outcomes"]["reports"])
+        assert all(r["accepted"] for r in rows(trace.data["outcomes"]["reports"]))
         assert any(
-            a["user"] == "u01" and a["at_risk"] for a in trace.data["outcomes"]["assessments"]
+            a["user"] == "u01" and a["at_risk"] for a in rows(trace.data["outcomes"]["assessments"])
         )
 
     def test_presence_interval_is_exact_under_flag(self):
@@ -67,9 +68,9 @@ class TestArrivalTimeExtension:
             ],
         )
         trace = run(sc, "venue", seed=0, overrides={"arrival_time_extension": True})
-        assert all(r["accepted"] for r in trace.data["outcomes"]["reports"])
+        assert all(r["accepted"] for r in rows(trace.data["outcomes"]["reports"]))
         u01_deliveries = [
-            d for d in trace.data["outcomes"]["deliveries"]
+            d for d in rows(trace.data["outcomes"]["deliveries"])
             if d["user"] == "u01" and d["record_keys"]
         ]
         assert u01_deliveries == []
@@ -98,7 +99,7 @@ class TestChannelRobustness:
         def heard_count(trace):
             return sum(
                 a["matched_epochs"]
-                for a in trace.data["outcomes"]["assessments"]
+                for a in rows(trace.data["outcomes"]["assessments"])
                 if a["user"] == "u01"
             )
 
@@ -110,7 +111,7 @@ class TestStructuralInvariants:
         sc = build_population_scenario(n_users=8, days=3, seed=1)
         trace = run(sc, "venue", seed=1)
         by_venue = {}
-        for e in trace.data["events"]:
+        for e in rows(trace.data["events"]):
             if e["kind"] == "venue_digest":
                 by_venue.setdefault(e["venue"], []).append(e["period"])
         assert by_venue
@@ -124,7 +125,7 @@ class TestStructuralInvariants:
         trace = run(sc, "tracetogether", seed=2)
         max_range = trace.data["config"]["params"]["channel"]["max_range_m"]
         edges = {
-            (e["reporter"], e["contact"]) for e in trace.data["outcomes"]["moh_edges"]
+            (e["reporter"], e["contact"]) for e in rows(trace.data["outcomes"]["moh_edges"])
         }
         # MoH's derived graph equals true co-presence (any duration, within
         # radio range, in a venue or on the street) of its reporters: the

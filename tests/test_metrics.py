@@ -11,13 +11,14 @@ from venuetrace.metrics import (
     ground_truth_exposures,
 )
 from venuetrace.scenario import build_population_scenario
-from venuetrace.sim import BROADCAST_KEYS, run
+from venuetrace.sim import run
+from venuetrace.table import columns, rows
 
 DAY = 86400
 
 
 def synthetic_trace(presence, reporters):
-    return {"presence": presence, "outcomes": {"reporters": reporters}}
+    return {"presence": columns(presence), "outcomes": {"reporters": reporters}}
 
 
 def seg(user, start, end, location, x=0.0, y=0.0):
@@ -241,11 +242,11 @@ class TestCollectMetrics:
         assert report.adversary["cross_visit_ephid_matches"] == 0
         # corrupt the log: pretend one payload showed up at a second venue
         doctored = dict(trace.data)
-        columns = dict(trace.data["broadcasts"])
-        for key in BROADCAST_KEYS:
-            columns[key] = columns[key] + [columns[key][0]]
-        columns["location"][-1] = "elsewhere"
-        doctored["broadcasts"] = columns
+        broadcasts = dict(trace.data["broadcasts"])
+        for key in broadcasts:
+            broadcasts[key] = broadcasts[key] + [broadcasts[key][0]]
+        broadcasts["location"][-1] = "elsewhere"
+        doctored["broadcasts"] = broadcasts
         assert collect_metrics(doctored).adversary["cross_venue_ephid_matches"] == 1
 
     def test_backend_true_ids_seen_counts_user_ids_in_observed_entries(self):
@@ -254,7 +255,10 @@ class TestCollectMetrics:
         assert collect_metrics(trace.data).info_exposure["backend"]["true_ids_seen"] == 0
         # plant one user id twice, and another in venue_id, which names a venue
         doctored = copy.deepcopy(trace.data)
-        first, second = doctored["outcomes"]["actor_observed"]["backend"][:2]
+        observed = doctored["outcomes"]["actor_observed"]
+        backend = rows(observed["backend"])
+        first, second = backend[:2]
         first["nonce"] = second["nonce"] = "u03"
         second["venue_id"] = "u05"
+        observed["backend"] = columns(backend)
         assert collect_metrics(doctored).info_exposure["backend"]["true_ids_seen"] == 1

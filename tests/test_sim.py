@@ -16,9 +16,10 @@ from venuetrace.scenario import (
     build_population_scenario,
     validate_scenario,
 )
-from venuetrace.sim import SimParams, Simulation, SimulationTrace, run
+from venuetrace.sim import SimParams, Simulation, run
+from venuetrace.table import rows
 
-from bundled import bundled
+from bundled import broadcast_rows, bundled
 
 DAY = 86400
 L = 180
@@ -60,9 +61,9 @@ class TestWorldModel:
     def test_empty_scenario_empty_trace(self):
         sc = Scenario("empty", DAY, ["u00"], [VenueSpec("v0")], [])
         trace = run(sc, "venue", seed=0)
-        assert trace.broadcasts == []
-        assert trace.data["outcomes"]["visits"] == []
-        assert trace.data["outcomes"]["reports"] == []
+        assert broadcast_rows(trace.data) == []
+        assert rows(trace.data["outcomes"]["visits"]) == []
+        assert rows(trace.data["outcomes"]["reports"]) == []
 
     def test_invalid_scenario_raises_with_diagnostics(self):
         sc = Scenario(
@@ -78,7 +79,7 @@ class TestWorldModel:
             extra_events=[ScenarioEvent(1360, "move", {"user": "u00", "pos": [2.0, 0.0]})]
         )
         trace = run(sc, "venue", seed=0)
-        u00 = [s for s in trace.data["presence"] if s["user"] == "u00" and s["location"] == "v0"]
+        u00 = [s for s in rows(trace.data["presence"]) if s["user"] == "u00" and s["location"] == "v0"]
         assert len(u00) == 2  # split at the move
         assert u00[0]["x"] == 0.0 and u00[1]["x"] == 2.0
         assert u00[0]["end"] == u00[1]["start"] == 1360
@@ -97,9 +98,9 @@ class TestWorldModel:
     def test_broadcasts_halt_after_leave(self):
         trace = run(small_scenario(), "venue", seed=0)
         leave_times = {
-            (v["user"],): v["leave"] for v in trace.data["outcomes"]["visits"]
+            (v["user"],): v["leave"] for v in rows(trace.data["outcomes"]["visits"])
         }
-        for b in trace.broadcasts:
+        for b in broadcast_rows(trace.data):
             if b["injected"]:
                 continue
             assert b["t"] <= leave_times[(b["emitter"],)]
@@ -118,17 +119,17 @@ class TestWorldModel:
             ],
         )
         trace = run(sc, "venue", seed=0)
-        assert all(b["emitter"] != "u00" for b in trace.broadcasts)
-        assert all(v["user"] != "u00" for v in trace.data["outcomes"]["visits"])
+        assert all(b["emitter"] != "u00" for b in broadcast_rows(trace.data))
+        assert all(v["user"] != "u00" for v in rows(trace.data["outcomes"]["visits"]))
         # but ground truth still saw the body in the venue
-        assert any(s["user"] == "u00" and s["location"] == "v0" for s in trace.data["presence"])
+        assert any(s["user"] == "u00" and s["location"] == "v0" for s in rows(trace.data["presence"]))
 
     def test_every_on_premise_broadcast_in_venue_store(self):
         sc = small_scenario()
         sim = Simulation(sc, SimParams.build(sc, "venue", 0))
         trace = sim.run()
         on_premise = {
-            b["payload"] for b in trace.broadcasts if b["location"] == "v0"
+            b["payload"] for b in broadcast_rows(trace.data) if b["location"] == "v0"
         }
         stored = {e[0].hex() for e in sim.driver.venues["v0"].heard_log}
         assert on_premise == stored
@@ -180,7 +181,7 @@ class TestAdversaries:
         sim = Simulation(sc, SimParams.build(sc, "venue", 0))
         trace = sim.run()
         src_payloads = {
-            b["payload"] for b in trace.broadcasts
+            b["payload"] for b in broadcast_rows(trace.data)
             if b["location"] == "v0" and not b["injected"]
         }
         v1_heard = {e[0].hex() for e in sim.driver.venues["v1"].heard_log}
@@ -231,7 +232,7 @@ class TestAdversaries:
             ],
         )
         trace = run(sc, "venue", seed=0)
-        kinds = {a["kind"] for a in trace.data["outcomes"]["venue_anomalies"]["v0"]}
+        kinds = {a["kind"] for a in rows(trace.data["outcomes"]["venue_anomalies"]["v0"])}
         assert "broadcast_flood" in kinds
         assert "signal_too_strong" in kinds
 
@@ -246,7 +247,7 @@ class TestAdversaries:
         trace = run(sc, "venue", seed=0)
         times = trace.data["broadcasts"]["t"]
         assert times == sorted(times)
-        flood = [b["t"] for b in trace.broadcasts if b["tag"] == "flood"]
+        flood = [b["t"] for b in broadcast_rows(trace.data) if b["tag"] == "flood"]
         step = 60 // per_minute
         assert flood and min(flood) >= 123000 and min(flood) - 123000 < step
         assert all((t - start) % step == 0 for t in flood)  # the grid of the window
@@ -262,7 +263,7 @@ class TestAdversaries:
         }))
         assert validate_scenario(sc) == []
         trace = run(sc, "venue", seed=0)
-        flood = [b["t"] for b in trace.broadcasts if b["tag"] == "flood"]
+        flood = [b["t"] for b in broadcast_rows(trace.data) if b["tag"] == "flood"]
         assert len(flood) == expected
         assert flood == sorted(flood) and 123000 <= flood[0] and flood[-1] <= 123599
 
@@ -277,7 +278,7 @@ class TestAdversaries:
             ]
         )
         trace = run(sc, "venue", seed=0)
-        assert all(b["emitter"] != "u00" for b in trace.broadcasts)
+        assert all(b["emitter"] != "u00" for b in broadcast_rows(trace.data))
 
     def test_eavesdropper_sees_only_broadcast_bytes(self):
         sc = small_scenario(
@@ -309,7 +310,7 @@ class TestCapabilityMatrix:
         trace = run(sc, "venue", seed=2)
         observed = trace.data["outcomes"]["actor_observed"]
         users = set(sc.users)
-        for entry in observed["backend"] + observed["ha"]:
+        for entry in rows(observed["backend"]) + rows(observed["ha"]):
             for value in entry.values():
                 assert not (isinstance(value, str) and value in users)
 
@@ -321,7 +322,7 @@ class TestCapabilityMatrix:
             app.rid.value_bytes().hex() for app in sim.driver.users.values()
         }
         for entries in trace.data["outcomes"]["actor_observed"]["venues"].values():
-            for entry in entries:
+            for entry in rows(entries):
                 assert entry["kind"] == "leave"
                 assert entry["nonce"] not in rid_hexes
 
@@ -330,11 +331,11 @@ class TestCapabilityMatrix:
         dp3t = run(sc, "dp3t", seed=0)
         venue = run(sc, "venue", seed=0)
         dp3t_leaks = {
-            a["user"] for a in dp3t.data["outcomes"]["assessments"] if a.get("leak")
+            a["user"] for a in rows(dp3t.data["outcomes"]["assessments"]) if a.get("leak")
         }
         venue_leaks = {
             a["user"]
-            for a in venue.data["outcomes"]["assessments"]
+            for a in rows(venue.data["outcomes"]["assessments"])
             if a["matched_epochs"] >= 1
         }
         assert "u01" in dp3t_leaks  # bystander can test the reporter's infection
@@ -351,26 +352,26 @@ class TestDoubleReports:
 
     def test_dp3t_second_report_skipped(self):
         trace = run(self.twice_reported(), "dp3t", seed=0)
-        skipped = [e for e in trace.data["events"] if e["kind"] == "report_skipped"]
+        skipped = [e for e in rows(trace.data["events"]) if e["kind"] == "report_skipped"]
         assert skipped == [{"t": 124000, "kind": "report_skipped", "user": "u00"}]
-        assert len(trace.data["outcomes"]["published_keys"]) == 1
-        assert len(trace.data["outcomes"]["reports"]) == 1
+        assert len(rows(trace.data["outcomes"]["published_keys"])) == 1
+        assert len(rows(trace.data["outcomes"]["reports"])) == 1
 
     def test_venue_second_report_publishes_once(self):
         sc = self.twice_reported()
         sim = Simulation(sc, SimParams.build(sc, "venue", 0))
         trace = sim.run()
-        assert [r["accepted"] for r in trace.data["outcomes"]["reports"]] == [True, True]
+        assert [r["accepted"] for r in rows(trace.data["outcomes"]["reports"])] == [True, True]
         assert len(sim.driver.backend.records) == 1
-        assert len(trace.data["outcomes"]["venue_notices"]["v0"]) == 1
+        assert len(rows(trace.data["outcomes"]["venue_notices"]["v0"])) == 1
 
     def test_tracetogether_second_report_skipped(self):
         trace = run(self.twice_reported(), "tracetogether", seed=0)
-        skipped = [e for e in trace.data["events"] if e["kind"] == "report_skipped"]
+        skipped = [e for e in rows(trace.data["events"]) if e["kind"] == "report_skipped"]
         assert skipped == [{"t": 124000, "kind": "report_skipped", "user": "u00"}]
-        assert len(trace.data["outcomes"]["moh_edges"]) == 2
-        assert len(trace.data["outcomes"]["assessments"]) == 2
-        assert len(trace.data["outcomes"]["reports"]) == 1
+        assert len(rows(trace.data["outcomes"]["moh_edges"])) == 2
+        assert len(rows(trace.data["outcomes"]["assessments"])) == 2
+        assert len(rows(trace.data["outcomes"]["reports"])) == 1
 
 
 def test_refused_certification_is_logged_and_skips_the_report():
@@ -384,12 +385,12 @@ def test_refused_certification_is_logged_and_skips_the_report():
         ScenarioEvent(t + 200, "report", {"user": "u01"}),
     ]
     trace = run(sc, "venue", seed=0)
-    refused = [e for e in trace.data["events"] if e["kind"] == "certification_refused"]
+    refused = [e for e in rows(trace.data["events"]) if e["kind"] == "certification_refused"]
     assert refused == [
         {"t": t + 100, "kind": "certification_refused", "user": "u01",
          "reason": "opened identifier does not match tested person"}
     ]
-    assert {"t": t + 200, "kind": "report_skipped", "user": "u01"} in trace.data["events"]
+    assert {"t": t + 200, "kind": "report_skipped", "user": "u01"} in rows(trace.data["events"])
     assert list(trace.data["outcomes"]["reporters"]) == ["u00"]
 
 
@@ -400,8 +401,8 @@ def test_refused_certification_is_logged_and_skips_the_report():
 class FullScanSimulation(Simulation):
     """The reference scan: every co-located user, in scenario order."""
 
-    def _nearby(self, location, pos, exclude):
-        return [u for u in self.scenario.users if u != exclude and self.location[u] == location]
+    def _nearby(self, cell, exclude):
+        return [u for u in self.scenario.users if u != exclude and self.location[u] == cell[0]]
 
 
 RANGES = (15.0, 16.0, 2.0, 0.5)
@@ -492,8 +493,8 @@ def test_suppression_mid_run_drops_only_the_suppressed_sends(protocol):
     quiet_json, quiet_heard = _run_logged(
         Simulation, suppressed, SimParams.build(suppressed, protocol, 0)
     )
-    plain = SimulationTrace(json.loads(plain_json)).broadcasts
-    quiet = SimulationTrace(json.loads(quiet_json)).broadcasts
+    plain = broadcast_rows(json.loads(plain_json))
+    quiet = broadcast_rows(json.loads(quiet_json))
 
     def silenced(row):
         return row["emitter"] == "u03" and start <= row["t"] <= end
@@ -525,7 +526,7 @@ def test_relay_reaches_a_listener_alone_in_its_block():
     )
     text, heard = _run_logged(Simulation, sc, SimParams.build(sc, "venue", 0))
     relayed = {
-        row["payload"] for row in SimulationTrace(json.loads(text)).broadcasts
+        row["payload"] for row in broadcast_rows(json.loads(text))
         if row["injected"] and row["location"] == "v1"
     }
     assert relayed
