@@ -26,7 +26,7 @@ from typing import Any
 
 from .metrics import ExposurePolicy, MetricsReport, collect_metrics, comparison_rows
 from .scenario import Scenario, _params_diagnostics, validate_scenario
-from .sim import PROTOCOLS, row_sections, store_as_columns
+from .sim import BROADCAST_KEYS, PROTOCOLS, row_sections, store_as_columns
 from .sim import run as run_simulation
 from .table import check, columns, rows
 
@@ -92,7 +92,8 @@ def read_trace(path: Path) -> dict[str, Any]:
         data[section["section"]] = section["data"]
         start = end
     if version == 1 and "broadcasts" in data:
-        broadcasts = data["broadcasts"] = columns(data["broadcasts"])
+        broadcasts = columns(data["broadcasts"]) or {key: [] for key in BROADCAST_KEYS}
+        data["broadcasts"] = broadcasts
         index: dict[str, int] = {}
         names = broadcasts.get("emitter", [])
         broadcasts["emitter"] = [index.setdefault(e, len(index)) for e in names]

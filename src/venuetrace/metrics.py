@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 from operator import itemgetter
 from typing import Any
 
-from .table import by_key, length, select
+from .table import length, rows, select
 
 
 @dataclass(frozen=True)
@@ -146,31 +146,35 @@ def _linkage_scan(broadcasts: dict[str, list[Any]]) -> tuple[int, int]:
     return len(cross_venue), len(cross_visit)
 
 
+def _of_kind(log: dict[str, Any], kind: str, key: str) -> list[Any]:
+    """``key``'s value in each row of the actor log ``log`` of ``kind``."""
+    return [value for k, value in select(log, "kind", key) if k == kind]
+
+
 def _info_exposure(trace_data: dict[str, Any], protocol: str) -> dict[str, Any]:
     outcomes = trace_data["outcomes"]
     if protocol == "venue":
-        # the logs mix kinds; only report rows carry ``rid``, only match rows ``ids``
         observed = outcomes.get("actor_observed", {})
-        backend, ha, tc = (by_key(observed.get(a, {})) for a in ("backend", "ha", "test_center"))
+        backend, ha, tc = (observed.get(a, {}) for a in ("backend", "ha", "test_center"))
         users = set(trace_data["config"]["scenario"]["users"])
         return {
             "backend": {
-                "reports_seen": backend.get("kind", []).count("report"),
-                "trace_queries_seen": backend.get("kind", []).count("trace_query"),
-                "distinct_rids_seen": len(set(backend.get("rid", []))),
+                "reports_seen": len(_of_kind(backend, "report", "kind")),
+                "trace_queries_seen": len(_of_kind(backend, "trace_query", "kind")),
+                "distinct_rids_seen": len(set(_of_kind(backend, "report", "rid"))),
                 "true_ids_seen": len({
-                    v for k, values in backend.items() if k not in ("kind", "venue_id")
-                    for v in values if isinstance(v, str) and v in users
+                    v for e in rows(backend) for k, v in e.items()
+                    if k not in ("kind", "venue_id") and isinstance(v, str) and v in users
                 }),
             },
             "ha": {
-                "digests_stored": ha.get("kind", []).count("digest"),
-                "match_queries": ha.get("kind", []).count("match"),
-                "identifiers_queried": sum(map(len, ha.get("ids", []))),
+                "digests_stored": len(_of_kind(ha, "digest", "kind")),
+                "match_queries": len(_of_kind(ha, "match", "kind")),
+                "identifiers_queried": sum(map(len, _of_kind(ha, "match", "ids"))),
             },
             "test_center": {
-                "infection_tests": tc.get("kind", []).count("infection_test"),
-                "true_ids_seen": len(set(tc.get("true_id", []))),
+                "infection_tests": len(_of_kind(tc, "infection_test", "kind")),
+                "true_ids_seen": len(set(_of_kind(tc, "infection_test", "true_id"))),
             },
         }
     if protocol == "dp3t":

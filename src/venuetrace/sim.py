@@ -56,6 +56,9 @@ from .table import columns
 
 PROTOCOLS = ("venue", "dp3t", "tracetogether")
 STREET = None  # location key for the shared off-premise space
+# the columns of the broadcasts section; ``emitter`` holds indexes into the
+# ``emitters`` section
+BROADCAST_KEYS = ("t", "emitter", "location", "payload", "tx_dbm", "injected", "tag")
 # the lists of dicts in outcomes; the adversary's stay rows (metrics.json copies them)
 _OUTCOME_ROWS = ("reports", "deliveries", "assessments", "rejected_queries", "visits",
                  "backend_rejections", "published_keys", "moh_edges")
@@ -520,11 +523,8 @@ class Simulation:
         self.position: dict[str, tuple[float, float]] = {}
         self._open_segment: dict[str, dict[str, Any]] = {}
         self.presence: list[dict[str, Any]] = []
-        # the broadcasts section, kept as columns as it is sent; ``emitter``
-        # holds indexes into the ``emitters`` section
-        self.broadcasts: dict[str, list[Any]] = {
-            k: [] for k in ("t", "emitter", "location", "payload", "tx_dbm", "injected", "tag")
-        }
+        # kept as columns as it is sent
+        self.broadcasts: dict[str, list[Any]] = {k: [] for k in BROADCAST_KEYS}
         self._emitter_index: dict[str, int] = {}  # emitter -> index, in order of first broadcast
         self.events_log: list[dict[str, Any]] = []
         self.outcomes: dict[str, Any] = {

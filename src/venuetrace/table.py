@@ -22,17 +22,15 @@ def _mixed(table: Table) -> bool:
 
 def columns(rows: list[dict[str, Any]]) -> Table:
     """The table of ``rows``, in the layout the module docstring gives."""
-    seen: dict[tuple[str, ...], int] = {}  # each row's keys, in its own order
-    schema = [seen.setdefault(tuple(row), len(seen)) for row in rows]
-    shapes: dict[tuple[str, ...], int] = {}  # sorted: key order within a row is lost
-    index = [shapes.setdefault(tuple(sorted(keys)), len(shapes)) for keys in seen]
+    shapes: dict[tuple[str, ...], int] = {}
+    schema = [shapes.setdefault(tuple(sorted(row)), len(shapes)) for row in rows]
     keys = sorted({key for shape in shapes for key in shape})
     if len(shapes) == 1 and keys or not rows:
         return {key: [row[key] for row in rows] for key in keys}
     return {
         "columns": {key: [row[key] for row in rows if key in row] for key in keys},
         "keys": [list(shape) for shape in shapes],
-        "schema": schema if len(shapes) == len(seen) else [index[i] for i in schema],
+        "schema": schema,
     }
 
 
@@ -50,27 +48,20 @@ def length(table: Table) -> int:
     return len(table["schema"]) if _mixed(table) else len(next(iter(table.values()), ()))
 
 
-def by_key(table: Table) -> dict[str, list[Any]]:
-    """Each key's values, from the rows that have it."""
-    return table["columns"] if _mixed(table) else table
-
-
-def column(table: Table, key: str, default: Any = None) -> list[Any]:
-    """``key``'s value in every row, in row order; ``default`` where a row lacks it."""
-    values = by_key(table).get(key, [])
-    n = length(table)
-    if len(values) == n:
-        return values
-    if not values:
-        return [default] * n
-    has = [key in keys for keys in table["keys"]]
-    found = iter(values)
-    return [next(found) if has[i] else default for i in table["schema"]]
-
-
 def select(table: Table, *keys: str) -> Iterator[tuple[Any, ...]]:
-    """The values of ``keys`` in each row, as one tuple per row (see ``column``)."""
-    return zip(*(column(table, key) for key in keys))
+    """The values of ``keys`` in each row, one tuple per row; None where a
+    row lacks a key. No row dicts are built."""
+    n, mixed = length(table), _mixed(table)
+
+    def column(key: str) -> list[Any]:
+        values = (table["columns"] if mixed else table).get(key, ())
+        if len(values) == n or not mixed:
+            return values or [None] * n
+        found = iter(values)
+        has = [key in shape for shape in table["keys"]]
+        return [next(found) if has[i] else None for i in table["schema"]]
+
+    return zip(*map(column, keys))
 
 
 def check(table: Table) -> None:
@@ -81,9 +72,9 @@ def check(table: Table) -> None:
             if not isinstance(i, int) or not 0 <= i < len(table["keys"]):
                 raise ValueError(f"row shape {i!r} is not one of {len(table['keys'])}")
             want.update(dict.fromkeys(table["keys"][i], n))
+        have = table["columns"]
     else:
-        want = Counter(dict.fromkeys(table, length(table)))
-    have = by_key(table)
+        want, have = Counter(dict.fromkeys(table, length(table))), table
     for key in {**want, **have}:
         if len(have.get(key, ())) != want[key]:
             raise ValueError(f"column {key!r} has {len(have.get(key, ()))} values, not {want[key]}")

@@ -24,6 +24,8 @@ import pytest
 
 from venuetrace.cli import _SECTIONS, TRACE_FORMAT, _canonical, _write_outputs, read_trace
 from venuetrace.metrics import collect_metrics
+from venuetrace.scenario import Scenario
+from venuetrace.schedule import SECONDS_PER_DAY
 from venuetrace.sim import row_sections, run
 from venuetrace.table import rows
 
@@ -182,3 +184,11 @@ def test_v2_trace_replays_to_the_golden_metrics(stem, protocol, noisy, tmp_path)
 @pytest.mark.parametrize("stem,protocol,noisy", sorted(V1_TRACE))
 def test_v1_trace_replays_to_the_golden_metrics(stem, protocol, noisy, tmp_path):
     _replay_old(stem, protocol, noisy, 1, V1_TRACE, tmp_path)
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_old_trace_without_broadcasts_replays(version, tmp_path):
+    trace = run(Scenario("empty", SECONDS_PER_DAY, ["u00"], [], []), "venue", 0)
+    assert trace.data["emitters"] == []
+    (tmp_path / "trace.ndjson").write_bytes(_old_bytes(trace, version))
+    assert read_trace(tmp_path / "trace.ndjson") == trace.data

@@ -262,3 +262,15 @@ class TestCollectMetrics:
         second["venue_id"] = "u05"
         observed["backend"] = columns(backend)
         assert collect_metrics(doctored).info_exposure["backend"]["true_ids_seen"] == 1
+
+    def test_actor_log_counts_read_only_rows_of_their_kind(self):
+        sc = build_population_scenario(n_users=10, days=3, seed=4)
+        trace = run(sc, "venue", seed=4)
+        before = collect_metrics(trace.data).info_exposure
+        # rows of a kind no count reads, carrying the keys the counts read
+        doctored = copy.deepcopy(trace.data)
+        observed = doctored["outcomes"]["actor_observed"]
+        for actor, planted in (("backend", {"rid": "r1"}), ("ha", {"ids": ["a", "b"]}),
+                               ("test_center", {"true_id": "t1"})):
+            observed[actor] = columns(rows(observed[actor]) + [{"kind": "planted", **planted}])
+        assert collect_metrics(doctored).info_exposure == before

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from venuetrace.table import check, column, columns, length, rows
+from venuetrace.table import check, columns, length, rows, select
 
 # few key names, so rows share some keys and not others; the names the
 # mixed layout uses for itself are among them
@@ -32,7 +32,7 @@ def test_rows_of_columns_is_the_identity(x):
     check(on_disk)
     assert length(on_disk) == len(x)
     for key in {k for row in x for k in row}:
-        assert column(on_disk, key, "absent") == [row.get(key, "absent") for row in x]
+        assert [value for value, in select(on_disk, key)] == [row.get(key) for row in x]
 
 
 def test_one_key_set_is_plain_columns():
