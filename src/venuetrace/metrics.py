@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 from operator import itemgetter
 from typing import Any
 
-from .table import length, rows, select
+from .table import by_key, length, select
 
 
 @dataclass(frozen=True)
@@ -163,8 +163,8 @@ def _info_exposure(trace_data: dict[str, Any], protocol: str) -> dict[str, Any]:
                 "trace_queries_seen": len(_of_kind(backend, "trace_query", "kind")),
                 "distinct_rids_seen": len(set(_of_kind(backend, "report", "rid"))),
                 "true_ids_seen": len({
-                    v for e in rows(backend) for k, v in e.items()
-                    if k not in ("kind", "venue_id") and isinstance(v, str) and v in users
+                    v for k, values in by_key(backend).items() if k not in ("kind", "venue_id")
+                    for v in values if isinstance(v, str) and v in users
                 }),
             },
             "ha": {

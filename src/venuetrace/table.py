@@ -48,13 +48,18 @@ def length(table: Table) -> int:
     return len(table["schema"]) if _mixed(table) else len(next(iter(table.values()), ()))
 
 
+def by_key(table: Table) -> dict[str, list[Any]]:
+    """Each key's values, from the rows that have it."""
+    return table["columns"] if _mixed(table) else table
+
+
 def select(table: Table, *keys: str) -> Iterator[tuple[Any, ...]]:
     """The values of ``keys`` in each row, one tuple per row; None where a
     row lacks a key. No row dicts are built."""
     n, mixed = length(table), _mixed(table)
 
     def column(key: str) -> list[Any]:
-        values = (table["columns"] if mixed else table).get(key, ())
+        values = by_key(table).get(key, ())
         if len(values) == n or not mixed:
             return values or [None] * n
         found = iter(values)
@@ -72,9 +77,9 @@ def check(table: Table) -> None:
             if not isinstance(i, int) or not 0 <= i < len(table["keys"]):
                 raise ValueError(f"row shape {i!r} is not one of {len(table['keys'])}")
             want.update(dict.fromkeys(table["keys"][i], n))
-        have = table["columns"]
     else:
-        want, have = Counter(dict.fromkeys(table, length(table))), table
+        want = Counter(dict.fromkeys(table, length(table)))
+    have = by_key(table)
     for key in {**want, **have}:
         if len(have.get(key, ())) != want[key]:
             raise ValueError(f"column {key!r} has {len(have.get(key, ()))} values, not {want[key]}")
