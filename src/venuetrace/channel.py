@@ -16,6 +16,15 @@ from dataclasses import dataclass
 MIN_DISTANCE_M = 0.1
 
 
+def cell_width(radius: float, coordinates: list[float]) -> float:
+    """A grid width that puts points at most ``radius`` apart in the same or
+    adjacent cells. The 2**-20 pad keeps in reach a distance that rounds down
+    to ``radius``; 2**-40 of the largest |coordinate| keeps each cell index
+    within 2**40, where float ``//`` is exact; the floor of 1 gives a width to
+    a radius of 0, below 0 or NaN (which ``max`` passes over)."""
+    return max(1.0, max(map(abs, coordinates), default=0.0) * 2**-40, radius) * (1 + 2**-20)
+
+
 @dataclass(frozen=True)
 class ChannelModel:
     max_range_m: float = 15.0

@@ -16,13 +16,13 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from itertools import repeat
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .metrics import ExposurePolicy, MetricsReport, collect_metrics, comparison_rows
 from .scenario import Scenario, _params_diagnostics, validate_scenario
@@ -234,6 +234,17 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _not_negative(kind: type) -> Callable[[str], Any]:
+    """An argparse type: a finite ``kind`` of at least 0; others exit 2."""
+    def parse(text: str) -> Any:
+        if not 0 <= (value := kind(text)) < math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid float value"
+    return parse
+
+
 def cmd_replay(args: argparse.Namespace) -> int:
     try:
         trace_data = read_trace(Path(args.trace))
@@ -243,14 +254,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: cannot read trace: {exc}", file=sys.stderr)
         return 2
-    policy = ExposurePolicy()
-    if args.gt_distance_meters is not None:
-        policy = replace(policy, distance_m=args.gt_distance_meters)
-    if args.gt_duration_minutes is not None:
-        policy = replace(policy, duration_seconds=args.gt_duration_minutes * 60)
-    exposure_seconds = (
-        args.exposure_minutes * 60 if args.exposure_minutes is not None else None
-    )
+    policy = ExposurePolicy(args.gt_distance_meters, args.gt_duration_minutes * 60)
+    exposure_seconds = None if args.exposure_minutes is None else args.exposure_minutes * 60
     report = collect_metrics(trace_data, policy, exposure_seconds)
     payload = _canonical(report.to_dict())
     if args.out:
@@ -294,9 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("replay", help="recompute metrics from a trace log")
     p_rep.add_argument("--trace", required=True)
     p_rep.add_argument("--out", default=None)
-    p_rep.add_argument("--exposure-minutes", type=int, default=None)
-    p_rep.add_argument("--gt-distance-meters", type=float, default=None)
-    p_rep.add_argument("--gt-duration-minutes", type=int, default=None)
+    p_rep.add_argument("--exposure-minutes", type=_not_negative(int), default=None)
+    p_rep.add_argument("--gt-distance-meters", type=_not_negative(float),
+                       default=ExposurePolicy.distance_m)
+    p_rep.add_argument("--gt-duration-minutes", type=_not_negative(int),
+                       default=ExposurePolicy.duration_seconds // 60)
     p_rep.set_defaults(func=cmd_replay)
     return parser
 

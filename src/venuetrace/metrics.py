@@ -5,19 +5,19 @@ positions), never on protocol state, so it can judge any protocol's
 notifications. Exposure is evaluated over maximal contiguous co-location
 intervals: same location, within the distance threshold, clipped to the
 reporter's contagious period, lasting at least the duration threshold.
-One sweep per location, by segment start, meets each pair of segments that
-overlap in time. Only pairs with a reporter can expose anyone, so it keeps
-two open lists: all segments, for an arriving reporter to meet, and the
-reporters' alone, for any other arriving segment to meet. The first is
-pruned only when a reporter arrives, the one time it is read.
+Each segment is filed under its location and its cell of a grid at least
+the distance threshold wide (``channel.cell_width``), so a reporter's
+segment meets only the segments in the 3x3 block of cells around its own,
+once per ordered pair: the cost grows with co-located pairs.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field, fields
-from operator import itemgetter
 from typing import Any
 
+from .channel import cell_width
 from .table import by_key, length, select
 
 
@@ -52,37 +52,28 @@ def ground_truth_exposures(
     """
     policy = policy or ExposurePolicy()
     reporters: dict[str, list[int]] = trace_data["outcomes"]["reporters"]
-    by_location: dict[str | None, list[_Segment]] = {}
-    presence = select(trace_data["presence"], "start", "end", "user", "location", "x", "y")
-    for seg in sorted(presence, key=itemgetter(0)):
-        by_location.setdefault(seg[3], []).append(seg)
+    segments = list(select(trace_data["presence"], "start", "end", "user", "location", "x", "y"))
+    width = cell_width(policy.distance_m, [s[4] for s in segments] + [s[5] for s in segments])
+    cells: dict[tuple[str | None, float, float], list[_Segment]] = {}
+    for seg in segments:
+        if seg[0] < seg[1]:  # a segment that lasts no time meets nothing
+            cells.setdefault((seg[3], seg[4] // width, seg[5] // width), []).append(seg)
 
     # (user, location, reporter) -> co-location pieces within the period
-    pieces: dict[tuple[str, str | None, str], list[tuple[int, int]]] = {}
-
-    def meet(rs: _Segment, us: _Segment) -> None:
-        r_start, r_end, reporter, location, rx, ry = rs
-        u_start, u_end, user, _, ux, uy = us
-        period = reporters[reporter]
-        start, end = max(r_start, u_start, period[0]), min(r_end, u_end, period[1])
-        dx, dy = rx - ux, ry - uy
-        if user != reporter and start < end and (dx * dx + dy * dy) ** 0.5 <= policy.distance_m:
-            pieces.setdefault((user, location, reporter), []).append((start, end))
-
-    for segments in by_location.values():
-        open_segs: list[_Segment] = []
-        open_reporters: list[_Segment] = []
-        for seg in segments:
-            now = seg[0]
-            open_reporters = [s for s in open_reporters if s[1] > now]
-            for rs in open_reporters:
-                meet(rs, seg)
-            if seg[2] in reporters:  # the reporter arrives second
-                open_segs = [s for s in open_segs if s[1] > now]
-                for us in open_segs:
-                    meet(seg, us)
-                open_reporters.append(seg)
-            open_segs.append(seg)
+    pieces: dict[tuple[str, str | None, str], list[tuple[int, int]]] = defaultdict(list)
+    for r_start, r_end, reporter, location, rx, ry in segments:
+        period = reporters.get(reporter, (0, 0))  # an empty period for a non-reporter
+        lo, hi = max(r_start, period[0]), min(r_end, period[1])  # the contagious part
+        if lo >= hi:
+            continue
+        cx, cy = rx // width, ry // width
+        for key in [(location, cx + i, cy + j) for i in (-1, 0, 1) for j in (-1, 0, 1)]:
+            for u_start, u_end, user, _, ux, uy in cells.get(key, ()):
+                if u_start >= hi or u_end <= lo or user == reporter:
+                    continue
+                dx, dy = rx - ux, ry - uy
+                if (dx * dx + dy * dy) ** 0.5 <= policy.distance_m:
+                    pieces[user, location, reporter].append((max(lo, u_start), min(hi, u_end)))
 
     exposed = {
         key
@@ -227,34 +218,26 @@ def collect_metrics(
     hits = gt_pairs_ui & notified
     recall = len(hits) / len(gt_pairs_ui) if gt_pairs_ui else 1.0
     precision = len(hits) / len(notified) if notified else 1.0
-    false_negatives = sorted(gt_pairs_ui - notified)
-    false_positives = sorted(notified - gt_pairs_ui)
 
     # data minimisation: deliveries only for venues where the user holds a
     # valid (non-discarded) receipt. Only the venue protocol has deliveries.
     violations: int | None = None
     if protocol == "venue":
-        receipt_venues: dict[str, set[str]] = {}
-        for user, venue, discarded in select(outcomes["visits"], "user", "venue", "discarded"):
-            if not discarded:
-                receipt_venues.setdefault(user, set()).add(venue)
+        receipts = {(user, venue) for user, venue, discarded
+                    in select(outcomes["visits"], "user", "venue", "discarded") if not discarded}
         violations = sum(
             1
             for user, venue, keys in select(outcomes["deliveries"], "user", "venue", "record_keys")
-            if keys and venue not in receipt_venues.get(user, set())
+            if keys and (user, venue) not in receipts
         )
 
     duty_seconds = outcomes.get("duty_seconds", {})
     duty_cycle = {u: s / horizon for u, s in sorted(duty_seconds.items())}
     mean_duty = sum(duty_cycle.values()) / len(duty_cycle) if duty_cycle else 0.0
 
-    rejections: dict[str, int] = {}
-    accepted = 0
-    for ok, code in select(outcomes["reports"], "accepted", "code"):
-        if ok:
-            accepted += 1
-        elif code:
-            rejections[code] = rejections.get(code, 0) + 1
+    verdicts = list(select(outcomes["reports"], "accepted", "code"))
+    accepted = sum(1 for ok, _ in verdicts if ok)
+    rejections = dict(Counter(code for ok, code in verdicts if not ok and code))
 
     cross_venue, cross_visit = _linkage_scan(trace_data["broadcasts"])
     adversary = dict(outcomes["adversary"])
@@ -273,8 +256,8 @@ def collect_metrics(
         precision=precision,
         ground_truth_pairs=sorted([list(p) for p in gt]),
         notified_pairs=sorted([list(p) for p in notified_pairs]),
-        false_negative_pairs=[list(p) for p in false_negatives],
-        false_positive_pairs=[list(p) for p in false_positives],
+        false_negative_pairs=[list(p) for p in sorted(gt_pairs_ui - notified)],
+        false_positive_pairs=[list(p) for p in sorted(notified - gt_pairs_ui)],
         at_risk_users=sorted({u for (u, _) in notified}),
         leak_users=sorted(leak_users),
         data_minimisation_violations=violations,
@@ -292,20 +275,18 @@ def collect_metrics(
 
 def comparison_rows(reports: list[MetricsReport]) -> list[dict[str, Any]]:
     """Flat rows for the cross-protocol comparison table."""
-    rows = []
-    for r in reports:
-        rows.append(
-            {
-                "protocol": r.protocol,
-                "recall": round(r.recall, 4),
-                "precision": round(r.precision, 4),
-                "at_risk_users": len(r.at_risk_users),
-                "leak_users": len(r.leak_users),
-                "mean_duty_cycle": round(r.mean_duty_cycle, 4),
-                "data_minimisation_violations": r.data_minimisation_violations,
-                "accepted_reports": r.accepted_reports,
-                "rejected_reports": sum(r.rejections.values()),
-                "cross_venue_ephid_matches": r.adversary["cross_venue_ephid_matches"],
-            }
-        )
-    return rows
+    return [
+        {
+            "protocol": r.protocol,
+            "recall": round(r.recall, 4),
+            "precision": round(r.precision, 4),
+            "at_risk_users": len(r.at_risk_users),
+            "leak_users": len(r.leak_users),
+            "mean_duty_cycle": round(r.mean_duty_cycle, 4),
+            "data_minimisation_violations": r.data_minimisation_violations,
+            "accepted_reports": r.accepted_reports,
+            "rejected_reports": sum(r.rejections.values()),
+            "cross_venue_ephid_matches": r.adversary["cross_venue_ephid_matches"],
+        }
+        for r in reports
+    ]

@@ -10,9 +10,9 @@ street space) with scripted coordinates. Broadcasts are delivered to
 co-located listeners in range at the broadcaster's epoch ticks, plus a
 catch-up delivery of current identifiers whenever two listeners become
 newly co-present, which stands in for within-epoch re-broadcasting.
-Listeners are found through a map from each ``max_range_m`` cell to the
-users in the 3x3 block around it, so a broadcast costs one lookup plus work
-for the users near it; a baseline's epoch tick is one batched ``emit``.
+Listeners are found through a map from each cell (``channel.cell_width``)
+to the users in the 3x3 block around it, so a broadcast costs one lookup
+plus work for the users near it; a baseline's epoch tick is one ``emit``.
 Ground-truth presence segments are recorded independently of any protocol
 and feed the exposure oracle in :mod:`venuetrace.metrics`. Drivers and
 actors log rows as dicts; ``Simulation.run`` stores each row section of the
@@ -48,7 +48,7 @@ from .baselines import (
     TTUserApp,
     dp3t_match,
 )
-from .channel import ChannelModel
+from .channel import ChannelModel, cell_width
 from .messages import InfectionCertificate, ReportBundle
 from .scenario import Scenario, ScenarioError, ScenarioEvent, validate_scenario
 from .schedule import SECONDS_PER_DAY, SchedulingParams
@@ -115,9 +115,11 @@ def row_sections(data: dict[str, Any]) -> list[tuple[str, dict[str, Any], str]]:
 
 
 def store_as_columns(data: dict[str, Any]) -> None:
-    """Replace each row section of trace ``data`` by its columns."""
+    """Replace each row section of trace ``data`` by its columns, and empty
+    its row list (the simulation and its actors hold it too)."""
     for _, mapping, key in row_sections(data):
-        mapping[key] = columns(mapping[key])
+        mapping[key] = columns(row_list := mapping[key])
+        row_list.clear()
 
 
 def _record_key(ephids: tuple[bytes, ...]) -> str:
@@ -545,14 +547,16 @@ class Simulation:
         self.adversary_observed: list[str] = []
 
         # block map: (location, cell x, cell y) -> the users whose cell is in
-        # the 3x3 block around it, so everyone in range of a point in the cell.
-        # A cell is max_range_m wide plus 2**-20 of it, so a pair whose
-        # distance rounds down to max_range_m still sits in adjacent cells.
-        self._cell_width = params.channel.max_range_m * (1 + 2**-20)
+        # the 3x3 block around it, so everyone in range of a point in the cell,
+        # at every position the run takes: streets and each pos validate checks
+        self._street_pos = {u: (1.0e6 + 1000.0 * i, 0.0) for i, u in enumerate(scenario.users)}
+        coordinates = [c for pos in self._street_pos.values() for c in pos]
+        coordinates += [c for e in scenario.events if e.kind in {"enter", "move", "adversary_action"}
+                        for c in e.data.get("pos", ())]
+        self._cell_width = cell_width(params.channel.max_range_m, coordinates)
         self._blocks: dict[tuple[str | None, float, float], set[str]] = {}
         self._cell: dict[str, tuple[str | None, float, float]] = {}  # user -> own cell key
         self._order = {u: i for i, u in enumerate(scenario.users)}
-        self._street_pos = {u: (1.0e6 + 1000.0 * i, 0.0) for i, u in enumerate(scenario.users)}
         for user in scenario.users:
             self._set_position(user, STREET, self._street_pos[user], 0)
 
@@ -605,8 +609,7 @@ class Simulation:
     def _block(
         self, location: str | None, x: float, y: float
     ) -> set[tuple[str | None, float, float]]:
-        """The keys of the 3x3 block of cells around cell (x, y) (fewer where
-        coordinates are too large for ``cell + 1`` to differ)."""
+        """The keys of the 3x3 block of cells around cell (x, y)."""
         x0, x2, y0, y2 = x - 1, x + 1, y - 1, y + 1  # unrolled: every move builds two
         return {(location, x0, y0), (location, x0, y), (location, x0, y2),
                 (location, x, y0), (location, x, y), (location, x, y2),

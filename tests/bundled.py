@@ -1,6 +1,7 @@
-"""The bundled scenario files (the only copy of the fixed scenarios), and
-the rows of a trace's broadcasts."""
+"""The bundled scenario files (the only copy of the fixed scenarios), the
+rows of a trace's broadcasts, and float steps for points beside cell borders."""
 
+import math
 from pathlib import Path
 
 from venuetrace.scenario import Scenario
@@ -18,3 +19,10 @@ def broadcast_rows(data: dict) -> list[dict]:
     """The broadcasts of trace ``data`` as rows, each naming its emitter."""
     emitters = data["emitters"]
     return [{**row, "emitter": emitters[row["emitter"]]} for row in rows(data["broadcasts"])]
+
+
+def nudge(x: float, steps: int) -> float:
+    """``x`` moved ``steps`` representable floats up (or down when negative)."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x

@@ -261,6 +261,7 @@ class TestReplay:
             ([], ExposurePolicy(), [["u02", "v0", "u00"]]),
             (["--gt-distance-meters", "0.5"], ExposurePolicy(distance_m=0.5), []),
             (["--gt-duration-minutes", "40"], ExposurePolicy(duration_seconds=2400), []),
+            (["--gt-distance-meters", "0"], ExposurePolicy(distance_m=0.0), []),
         ]:
             capsys.readouterr()
             assert main(["replay", "--trace", str(trace), *flags]) == 0
@@ -268,6 +269,26 @@ class TestReplay:
             assert replayed["ground_truth_pairs"] == pairs
             expected = collect_metrics(read_trace(trace), policy).to_dict()
             assert replayed == json.loads(json.dumps(expected))
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--gt-distance-meters", "nan"),
+        ("--gt-distance-meters", "-1"),
+        ("--gt-distance-meters", "inf"),
+        ("--gt-duration-minutes", "-5"),
+        ("--exposure-minutes", "-5"),
+    ])
+    def test_replay_rejects_negative_or_non_finite_flags(
+        self, flag, value, scenario_file, tmp_path, capsys
+    ):
+        """Exit 2 from argparse, as a malformed value gets, instead of
+        metrics over an empty ground truth."""
+        out = tmp_path / "out"
+        main(["run", "--scenario", str(scenario_file), "--seed", "4", "--out", str(out)])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exited:
+            main(["replay", "--trace", str(out / "trace.ndjson"), flag, value])
+        assert exited.value.code == 2
+        assert f"argument {flag}: must be finite and at least 0" in capsys.readouterr().err
 
     def test_replay_truncated_exits_two(self, scenario_file, tmp_path):
         out = tmp_path / "out"

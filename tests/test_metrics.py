@@ -1,6 +1,6 @@
 import copy
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from venuetrace.metrics import (
@@ -13,6 +13,8 @@ from venuetrace.metrics import (
 from venuetrace.scenario import build_population_scenario
 from venuetrace.sim import run
 from venuetrace.table import columns, rows
+
+from bundled import nudge
 
 DAY = 86400
 
@@ -158,6 +160,98 @@ def test_oracle_matches_per_second_reference(world):
     presence, reporters, policy = world
     venue, street = ground_truth_exposures(synthetic_trace(presence, reporters), policy)
     expected = per_second_exposures(presence, reporters, policy)
+    assert venue == {e for e in expected if e[1] != "street"}
+    assert street == {e for e in expected if e[1] == "street"}
+
+
+@st.composite
+def grid_worlds(draw):
+    """Like ``small_worlds``, at the distances 0, 0.5, 2, 15 and 1e6 m. The
+    points sit on, or one step beside, the borders of a grid about one
+    distance wide (negative ones too), or a few steps apart at 2**49-2**54
+    cell widths from the origin, where ``x // width`` alone is no longer
+    exact. Some points lie exactly one distance from an earlier one."""
+    distance = draw(st.sampled_from([0.0, 0.5, 2.0, 15.0, 1e6]))
+    plain = max(distance, 1.0)
+    if draw(st.booleans()):
+        exponent = draw(st.integers(49, 54))
+        far = draw(st.integers(2**exponent, 2**(exponent + 1))) * draw(st.sampled_from([1, -1]))
+        coordinate = st.builds(nudge, st.just(far * plain), st.sampled_from(range(-4, 5)))
+    else:
+        unit = st.sampled_from([plain, plain * (1 + 2**-20)])  # with or without a pad
+        border = st.builds(lambda k, u, steps: nudge(k * u, steps),
+                           st.integers(-3, 3), unit, st.integers(-1, 1))
+        coordinate = st.one_of(border, st.floats(-3 * plain, 3 * plain, allow_nan=False))
+    offsets = [(distance, 0.0), (-distance, 0.0), (0.0, distance), (0.0, -distance)]
+    points = []
+
+    def point():
+        if points and draw(st.booleans()):
+            (x, y), (dx, dy) = draw(st.sampled_from(points)), draw(st.sampled_from(offsets))
+            return x + dx, y + dy
+        points.append((draw(coordinate), draw(coordinate)))
+        return points[-1]
+
+    presence, reporters = [], {}
+    for i in range(draw(st.integers(2, 5))):
+        user = f"u{i}"
+        cuts = draw(st.lists(st.integers(1, HORIZON - 1), max_size=2, unique=True))
+        bounds = [0, *sorted(cuts), HORIZON]
+        for start, end in zip(bounds, bounds[1:]):
+            presence.append(seg(user, start, end, draw(st.sampled_from(["v0", None])), *point()))
+        if draw(st.booleans()):
+            reporters[user] = sorted(draw(st.lists(st.integers(0, HORIZON), min_size=2, max_size=2)))
+    policy = ExposurePolicy(distance_m=distance, duration_seconds=draw(st.integers(1, 30)))
+    return draw(st.permutations(presence)), reporters, policy
+
+
+def all_pairs_exposures(presence, reporters, policy):
+    """Reference oracle: every ordered (reporter segment, other user's
+    segment) pair at one location, within ``distance_m`` by the package's
+    distance expression, adds its seconds inside the period; a triple is
+    exposed by a run of ``duration_seconds`` of those seconds."""
+    seconds = {}  # (user, location, reporter) -> seconds of co-location
+    for r in presence:
+        if r["user"] not in reporters:
+            continue
+        p0, p1 = reporters[r["user"]]
+        for u in presence:
+            dx, dy = r["x"] - u["x"], r["y"] - u["y"]
+            if (u["user"] == r["user"] or u["location"] != r["location"]
+                    or not (dx * dx + dy * dy) ** 0.5 <= policy.distance_m):
+                continue
+            key = (u["user"], u["location"] or "street", r["user"])
+            span = range(max(r["start"], u["start"], p0), min(r["end"], u["end"], p1))
+            seconds.setdefault(key, set()).update(span)
+    return {
+        key for key, held in seconds.items()
+        if any(all(t + k in held for k in range(policy.duration_seconds)) for t in held)
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(world=grid_worlds())
+# pairs that ``x // width`` puts two cells apart when the width lacks its
+# 2**-20 pad (a distance that rounds down to 2 m), or its 2**-40 share of the
+# largest coordinate (two pairs one or two steps apart)
+@example(world=(
+    [seg("u0", 0, HORIZON, "v0", -5e-324), seg("u1", 0, HORIZON, "v0", 2.0)],
+    {"u0": [0, HORIZON]}, ExposurePolicy(duration_seconds=1),
+))
+@example(world=(
+    [seg("u0", 0, HORIZON, "v0", 5.89508993764905e16),
+     seg("u1", 0, HORIZON, "v0", 5.8950899376490504e16)],
+    {"u0": [0, HORIZON]}, ExposurePolicy(distance_m=15.0, duration_seconds=1),
+))
+@example(world=(
+    [seg("u0", 0, HORIZON, None, 0.0, -2.4350644608958427e21),
+     seg("u1", 0, HORIZON, None, 0.0, -2.435064460895842e21)],
+    {"u1": [0, HORIZON]}, ExposurePolicy(distance_m=1e6, duration_seconds=1),
+))
+def test_oracle_matches_all_pairs_reference(world):
+    presence, reporters, policy = world
+    venue, street = ground_truth_exposures(synthetic_trace(presence, reporters), policy)
+    expected = all_pairs_exposures(presence, reporters, policy)
     assert venue == {e for e in expected if e[1] != "street"}
     assert street == {e for e in expected if e[1] == "street"}
 

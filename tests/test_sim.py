@@ -1,9 +1,8 @@
 import json
-import math
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from venuetrace.cli import _canonical
@@ -19,7 +18,7 @@ from venuetrace.scenario import (
 from venuetrace.sim import SimParams, Simulation, run
 from venuetrace.table import rows
 
-from bundled import broadcast_rows, bundled
+from bundled import broadcast_rows, bundled, nudge
 
 DAY = 86400
 L = 180
@@ -418,7 +417,7 @@ def grid_scenarios(draw):
     """
     r = draw(st.sampled_from(RANGES))
     users = [f"u{i}" for i in range(draw(st.integers(3, 6)))]
-    border = st.builds(lambda k, steps: _nudge(k * r, steps), st.integers(-1, 1), st.integers(-2, 2))
+    border = st.builds(lambda k, steps: nudge(k * r, steps), st.integers(-1, 1), st.integers(-2, 2))
     coordinate = st.one_of(border, st.floats(-r, r, allow_nan=False))
     point = st.tuples(coordinate, coordinate)
     offset = st.sampled_from([(r, 0.0), (-r, 0.0), (0.0, r), (0.0, -r), (r, r)])
@@ -465,15 +464,23 @@ def grid_scenarios(draw):
     )
 
 
-def _nudge(x, steps):
-    for _ in range(abs(steps)):
-        x = math.nextafter(x, math.copysign(math.inf, steps))
-    return x
+def _far_pair():
+    """u0 and u1 8 m apart near 4e16 m, where ``x // 15 m`` alone puts them
+    two cells apart: a block map without the coordinate term of
+    ``cell_width`` delivers nothing, the full scan 4 pings each."""
+    def enter(t, user, x):
+        return ScenarioEvent(t, "enter", {"user": user, "venue": "v0", "pos": [x, 0.0]})
+
+    events = [enter(10, "u0", 3.993215020666868e16), enter(20, "u1", 3.993215020666869e16),
+              ScenarioEvent(3000, "leave", {"user": "u0"}),
+              ScenarioEvent(3000, "leave", {"user": "u1"})]
+    return Scenario("far", 3600, ["u0", "u1"], [VenueSpec("v0")], events)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(sc=grid_scenarios(), protocol=st.sampled_from(["venue", "dp3t", "tracetogether"]),
        seed=st.integers(0, 3))
+@example(sc=_far_pair(), protocol="dp3t", seed=0)
 def test_grid_delivers_like_the_full_scan(sc, protocol, seed):
     assert validate_scenario(sc) == []
     params = SimParams.build(sc, protocol, seed)
