@@ -104,20 +104,6 @@ class VenuePolicy:
         raise crypto.ParameterError(f"unknown time condition {self.time_condition!r}")
 
 
-def _certificate_ok(verified: set[Certificate], cert: Certificate, issuer_key: bytes) -> bool:
-    """Check ``cert`` under the issuer key unless it is already in ``verified``.
-
-    A certificate is immutable, so each holder checks each one once. The set
-    holds whole certificates: a forgery that names a known subject under a
-    different signature is a different key, and is checked in full.
-    """
-    if cert not in verified:
-        if not crypto.verify_certificate(cert, issuer_key):
-            return False
-        verified.add(cert)
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Health authority
 # ---------------------------------------------------------------------------
@@ -345,11 +331,12 @@ class UserApp:
         ha_public_key: bytes,
         params: SchedulingParams,
         rng: random.Random,
+        verifier: crypto.Verifier,
     ):
         self.true_id = true_id
         self.params = params
         self.ha_public_key = ha_public_key
-        self._verified_certs: set[Certificate] = set()
+        self.verify = verifier.verify
         self.rid: Commitment = crypto.commit(true_id.encode("utf-8"), rng)
         self.session: VenueSession | None = None  # one venue at a time
         self._window_ids: list[bytes] = []  # the open window's identifiers
@@ -420,11 +407,12 @@ class UserApp:
         arrival = session.entry_time if arrival_time_extension else None
         receipt = venue.issue_receipt(session.nonce.value, now, digest, now, arrival)
 
-        cert_ok = _certificate_ok(self._verified_certs, venue.certificate, self.ha_public_key)
-        sig_ok = crypto.verify(
-            receipt.payload(), receipt.venue_signature, venue.certificate.subject_public_key
-        )
-        if not (cert_ok and sig_ok and receipt.ephid_digest == digest):
+        cert = venue.certificate
+        if not (
+            self.verify(cert.payload(), cert.issuer_signature, self.ha_public_key)
+            and self.verify(receipt.payload(), receipt.venue_signature, cert.subject_public_key)
+            and receipt.ephid_digest == digest
+        ):
             self.discarded_visits.append({"venue_id": venue.venue_id, "t": now})
             return None
 
@@ -497,10 +485,12 @@ class BackendServer:
         self,
         ha: HealthAuthority,
         params: SchedulingParams,
+        verifier: crypto.Verifier,
         retention_days: int = DEFAULT_RETENTION_DAYS,
     ):
         self.ha = ha
         self.params = params
+        self.verify = verifier.verify
         self.retention_seconds = retention_days * SECONDS_PER_DAY
         self.records: list[BackendRecord] = []
         self.rejections: list[dict] = []
@@ -511,16 +501,15 @@ class BackendServer:
         self._presence_by_rid: dict[int, list[tuple[str, int, int]]] = {}
         # visit nonce -> its published record, so a re-sent bundle publishes once
         self._published: dict[int, BackendRecord] = {}
-        self._verified_certs: set[Certificate] = set()
 
     def register_venue(self, venue: Venue) -> None:
         self.venues[venue.venue_id] = venue
 
     def _verified_subject_key(self, subject_id: str) -> bytes | None:
         cert = self.ha.certificate_for(subject_id)
-        if cert is None or not _certificate_ok(self._verified_certs, cert, self.ha.public_key):
-            return None
-        return cert.subject_public_key
+        if cert and self.verify(cert.payload(), cert.issuer_signature, self.ha.public_key):
+            return cert.subject_public_key
+        return None
 
     def _reject(self, code: RejectionCode, detail: str, now: int) -> tuple[None, RejectionCode]:
         self.rejections.append({"code": code.value, "detail": detail, "t": now})
@@ -551,7 +540,7 @@ class BackendServer:
 
         # (a) test-center signature, then the nonce opening to the certified rid
         tc_key = self._verified_subject_key(cert.test_center_id)
-        if tc_key is None or not crypto.verify(cert.payload(), cert.signature, tc_key):
+        if tc_key is None or not self.verify(cert.payload(), cert.signature, tc_key):
             return self._reject(RejectionCode.BAD_CERTIFICATE, "certificate chain", now)
         rid_bytes = crypto.encode_group_element(cert.rid_value)
         reveal = bundle.nonce_reveal
@@ -573,7 +562,7 @@ class BackendServer:
         digest = crypto.hash_bytes(b"".join(ephids))
         venue_key = self._verified_subject_key(venue_id)
         payload = receipt_payload(receipt.nonce_value, receipt.leave_time, digest, receipt.arrival_time)
-        if venue_key is None or not crypto.verify(payload, receipt.venue_signature, venue_key):
+        if venue_key is None or not self.verify(payload, receipt.venue_signature, venue_key):
             return self._reject(RejectionCode.BAD_RECEIPT, "venue signature", now)
 
         # the stay the receipt proves: from arrival, or from the first epoch
@@ -640,7 +629,7 @@ class BackendServer:
         venue_key = self._verified_subject_key(receipt.venue_id)
         if venue_key is None:
             raise QueryRejected(f"venue {receipt.venue_id} is not certified")
-        if not crypto.verify(receipt.payload(), receipt.venue_signature, venue_key):
+        if not self.verify(receipt.payload(), receipt.venue_signature, venue_key):
             raise QueryRejected("presence proof signature invalid")
 
         venue = self.venues.get(receipt.venue_id)

@@ -274,6 +274,23 @@ def verify(message: bytes, signature: bytes, public_key: bytes) -> bool:
         return False
 
 
+class Verifier:
+    """One run's signature verdicts. ``verify`` computes each distinct
+    (message, signature, public key) triple once, as Ed25519 is deterministic,
+    and keeps only triples that verified, so a forgery is checked in full."""
+
+    def __init__(self) -> None:
+        self._verified: set[tuple[bytes, bytes, bytes]] = set()
+
+    def verify(self, message: bytes, signature: bytes, public_key: bytes) -> bool:
+        triple = (message, signature, public_key)
+        if triple not in self._verified:
+            if not verify(message, signature, public_key):
+                return False
+            self._verified.add(triple)
+        return True
+
+
 @dataclass(frozen=True)
 class Certificate:
     """Health-authority endorsement binding a public key to a subject id."""
@@ -281,6 +298,9 @@ class Certificate:
     subject_public_key: bytes
     subject_id: str
     issuer_signature: bytes
+
+    def payload(self) -> bytes:
+        return certificate_payload(self.subject_public_key, self.subject_id)
 
 
 def certificate_payload(subject_public_key: bytes, subject_id: str) -> bytes:
@@ -299,5 +319,4 @@ def issue_certificate(
 
 
 def verify_certificate(cert: Certificate, issuer_public_key: bytes) -> bool:
-    payload = certificate_payload(cert.subject_public_key, cert.subject_id)
-    return verify(payload, cert.issuer_signature, issuer_public_key)
+    return verify(cert.payload(), cert.issuer_signature, issuer_public_key)

@@ -19,8 +19,10 @@ powers and delays finite numbers (a delay not negative),
 ``pos`` is [x, y] and ``period`` is [start, end], two integers with
 0 <= start <= end. A ``test_positive`` period starts no later than the
 test itself and ends below 2**64, the range of a u64 time field.
-Fields a kind does not list are ignored. ``move`` applies to the current
-location: the venue while inside one, the shared street space otherwise.
+A field a kind does not list is flagged as an unknown key; a top-level
+or venue key the schema does not name fails the load. ``move`` applies
+to the current location: the venue while inside one, the shared street
+space otherwise.
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ EVENT_FIELDS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
          "start", "end", "delay", "tx_dbm", "pos", "per_minute", "venues"),
     ),
 }
+# event kind -> every field it lists
+_EVENT_KEYS = {kind: frozenset((*req, *opt)) for kind, (req, opt) in EVENT_FIELDS.items()}
 # adversary action -> the fields it cannot run without
 ACTION_FIELDS: dict[str, tuple[str, ...]] = {
     "flood": ("venue", "start", "end"),
@@ -91,7 +95,9 @@ class VenueSpec:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "VenueSpec":
-        return cls(venue_id=d["id"], policy=d.get("policy", {}))
+        spec = cls(venue_id=d["id"], policy=d.get("policy", {}))
+        _refuse_unknown_keys(d, ("id", "policy"), f"venue {spec.venue_id!r}: ")
+        return spec
 
 
 @dataclass
@@ -118,6 +124,7 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "Scenario":
+        _refuse_unknown_keys(d, tuple(f.name for f in fields(cls)))
         return cls(
             name=d.get("name", "scenario"),
             horizon_seconds=_json_int(d["horizon_seconds"], "horizon_seconds"),
@@ -137,6 +144,14 @@ class Scenario:
         if not isinstance(document, dict):
             raise TypeError(f"a scenario is a JSON object, not {type(document).__name__}")
         return cls.from_dict(document)
+
+
+def _refuse_unknown_keys(d: dict[str, Any], known: tuple[str, ...], where: str = "") -> None:
+    """Raise on a key of ``d`` outside ``known``: a misspelt section would
+    otherwise be dropped and its defaults used."""
+    unknown = sorted(set(d) - set(known))
+    if unknown:
+        raise ValueError(f"{where}unknown keys {unknown}")
 
 
 def _json_int(value: Any, name: str) -> int:
@@ -208,6 +223,8 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         if e.time < 0 or e.time > horizon:
             flag("time outside scenario horizon")
         data = e.data
+        if not _EVENT_KEYS[e.kind].issuperset(data):
+            flag(f"unknown keys {sorted(data.keys() - _EVENT_KEYS[e.kind])}")
         missing = []
         counts = True  # toward the bookkeeping below
         for key, accepts, needed, blocks, message in rules[e.kind]:

@@ -241,12 +241,14 @@ class _VenueDriver(_Driver):
             self.venues[vs.venue_id] = Venue(
                 vs.venue_id, self.ha, sim.rng, policy, p.retention_days
             )
-        self.backend = BackendServer(self.ha, self.sched, p.retention_days)
+        verifier = crypto.Verifier()  # freed with this run
+        self.backend = BackendServer(self.ha, self.sched, verifier, p.retention_days)
         for venue in self.venues.values():
             self.backend.register_venue(venue)
         self.test_center = TestCenter("lab0", self.ha, sim.rng)
         self.users = {
-            u: UserApp(u, self.ha.public_key, self.sched, sim.rng) for u in sim.scenario.users
+            u: UserApp(u, self.ha.public_key, self.sched, sim.rng, verifier)
+            for u in sim.scenario.users
         }
         self.certificates: dict[str, InfectionCertificate] = {}
         self.visit_seq: dict[str, int] = {u: 0 for u in sim.scenario.users}

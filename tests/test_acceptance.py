@@ -238,7 +238,7 @@ def test_criterion_6_digest_reconstruction():
         x = rng.randrange(1, 4)
         y = rng.randrange(1, n + 1)
         venue_id = f"venue-{rng.randrange(50)}"
-        app = UserApp(f"user-{trial}", ha_keys.public_key, params, rng)
+        app = UserApp(f"user-{trial}", ha_keys.public_key, params, rng, crypto.Verifier())
         app.enter_venue(venue_id, 0, rng)
         epochs = (x - 1) * n + y
         for k in range(epochs):

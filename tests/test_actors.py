@@ -21,6 +21,9 @@ from venuetrace.actors import (
 from venuetrace.bloom import UnknownVenuePeriodError
 from venuetrace.messages import HeardPing
 from venuetrace.schedule import SchedulingParams, derive_window_ephids
+from venuetrace.sim import run
+
+from bundled import bundled
 
 PARAMS = SchedulingParams()
 L = PARAMS.epoch_seconds
@@ -35,15 +38,17 @@ def world():
         "cafe": Venue("cafe", ha, rng),
         "gym": Venue("gym", ha, rng),
     }
-    backend = BackendServer(ha, PARAMS)
+    verifier = crypto.Verifier()  # one per world, as one per run
+    backend = BackendServer(ha, PARAMS, verifier)
     for v in venues.values():
         backend.register_venue(v)
     tc = TestCenter("lab0", ha, rng)
-    return {"rng": rng, "ha": ha, "venues": venues, "backend": backend, "tc": tc}
+    return {"rng": rng, "ha": ha, "venues": venues, "backend": backend, "tc": tc,
+            "verifier": verifier}
 
 
 def new_user(world, name="alice"):
-    return UserApp(name, world["ha"].public_key, PARAMS, world["rng"])
+    return UserApp(name, world["ha"].public_key, PARAMS, world["rng"], world["verifier"])
 
 
 def run_visit(world, app, venue_name, t0, epochs, broadcast=True):
@@ -62,6 +67,11 @@ def forge_certificate(world, cert):
     """Same subject and key as ``cert``, signed by a key the HA never held."""
     rogue = crypto.keygen(world["rng"])
     return crypto.issue_certificate(cert.subject_public_key, cert.subject_id, rogue.secret_key)
+
+
+def flip(signature):
+    """``signature`` with one bit of its first byte flipped."""
+    return bytes([signature[0] ^ 1]) + signature[1:]
 
 
 def publish_digests(world, day_end):
@@ -169,6 +179,22 @@ class TestLeaveReceipts:
         assert run_visit(world, app, "cafe", 10_000, 6) is None
         assert len(app.visits) == 1
         assert app.discarded_visits == [{"venue_id": "cafe", "t": 10_000 + 6 * L}]
+
+    def test_flipped_signature_after_genuine_receipt_discarded(self, world):
+        class FlippingVenue(Venue):
+            def issue_receipt(self, *args, **kwargs):
+                receipt = super().issue_receipt(*args, **kwargs)
+                key = self.certificate.subject_public_key
+                assert world["verifier"].verify(receipt.payload(), receipt.venue_signature, key)
+                return replace(receipt, venue_signature=flip(receipt.venue_signature))
+
+        rng = world["rng"]
+        venue = FlippingVenue("cafe2", world["ha"], rng)
+        app = new_user(world)
+        app.enter_venue("cafe2", 0, rng)
+        app.epoch_tick(0, rng)
+        assert app.leave_venue(venue, L) is None
+        assert app.discarded_visits and not app.visits
 
     def test_backdated_time_refused(self, world):
         venue = world["venues"]["cafe"]
@@ -301,6 +327,17 @@ class TestBackendReportMatrix:
         record, code = world["backend"].process_report(second, 2 * DAY)
         assert record is None and code == RejectionCode.BAD_RECEIPT
 
+    def test_flipped_receipt_signature_after_good_report(self, world):
+        _, bundle = honest_bundle(world)
+        _, code = world["backend"].process_report(bundle, 2 * DAY)
+        assert code is None
+        receipt = bundle.leave_receipt
+        flipped = replace(receipt, venue_signature=flip(receipt.venue_signature))
+        record, code = world["backend"].process_report(
+            replace(bundle, leave_receipt=flipped), 2 * DAY
+        )
+        assert record is None and code == RejectionCode.BAD_RECEIPT
+
     def test_bad_opening(self, world):
         _, bundle = honest_bundle(world)
         bad_reveal = replace(bundle.nonce_reveal, blinding=bundle.nonce_reveal.blinding + 1)
@@ -424,6 +461,14 @@ class TestTraceQueries:
         registry["cafe"] = forge_certificate(world, registry["cafe"])
         with pytest.raises(QueryRejected):
             world["backend"].answer_trace(visit.receipt, 2 * DAY)
+
+    def test_flipped_signature_after_good_query_rejected(self, world):
+        self._accepted_record(world)
+        visit = run_visit(world, new_user(world, "bob"), "cafe", DAY + 3000, 6)
+        assert world["backend"].answer_trace(visit.receipt, 2 * DAY)
+        flipped = replace(visit.receipt, venue_signature=flip(visit.receipt.venue_signature))
+        with pytest.raises(QueryRejected):
+            world["backend"].answer_trace(flipped, 2 * DAY)
 
     def test_self_signed_receipt_rejected(self, world):
         self._accepted_record(world)
@@ -553,3 +598,23 @@ class TestCapabilityLogs:
         app = new_user(world)
         app.obtain_certificate(world["tc"], 0, DAY)
         assert any(e.get("true_id") == app.true_id for e in world["tc"].observed)
+
+
+def test_signature_memo_lives_for_one_run(monkeypatch):
+    # a memo that outlived its run would verify the second run's signatures
+    # (the same seed signs the same bytes) without computing any
+    verify, triples = crypto.verify, []
+
+    def counted(*args):
+        triples.append(args)
+        return verify(*args)
+
+    monkeypatch.setattr(crypto, "verify", counted)
+    per_run = []
+    for _ in range(2):
+        triples.clear()
+        run(bundled("population_small"), "venue", seed=1)
+        per_run.append((len(triples), len(set(triples))))
+    assert per_run[0] == per_run[1]
+    calls, distinct = per_run[0]
+    assert calls == distinct > 0

@@ -88,6 +88,9 @@ def _first(kind, **fields):
         _first("trace_query", time=True),
         _first("leave", time="123480"),
         {**BASELINE, "horizon_seconds": 259200.0},
+        # a misspelt section was dropped, and the run used its defaults
+        {**{k: v for k, v in RELAY.items() if k != "params"}, "param": {"epoch_seconds": 60}},
+        {**RELAY, "venues": [{**RELAY["venues"][0], "polcy": {}}, *RELAY["venues"][1:]]},
     ],
 )
 @pytest.mark.parametrize("command", ["run", "validate"])

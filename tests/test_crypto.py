@@ -221,6 +221,28 @@ class TestCertificates:
         assert not verify_certificate(forged, ha.public_key)
 
 
+class TestVerifier:
+    def test_triple_verified_under_one_key_fails_under_another(self):
+        rng = random.Random(21)
+        signer, other = keygen(rng), keygen(rng)
+        signature = sign(b"m", signer.secret_key)
+        memo = crypto.Verifier()
+        assert memo.verify(b"m", signature, signer.public_key)
+        assert not memo.verify(b"m", signature, other.public_key)
+        assert not memo.verify(b"m2", signature, signer.public_key)
+
+    def test_each_good_triple_computed_once_and_each_bad_one_every_time(self, monkeypatch):
+        kp = keygen(random.Random(22))
+        key, good = kp.public_key, sign(b"m", kp.secret_key)
+        bad = bytes([good[0] ^ 1]) + good[1:]
+        computed = []
+        monkeypatch.setattr(crypto, "verify", lambda *args: computed.append(args) or verify(*args))
+        memo = crypto.Verifier()
+        verdicts = [memo.verify(b"m", sig, key) for sig in (good, bad, good, bad)]
+        assert verdicts == [True, False, True, False]
+        assert computed == [(b"m", good, key), (b"m", bad, key), (b"m", bad, key)]
+
+
 class TestWireEncoding:
     def test_round_trip(self):
         fields = [b"", b"a", b"longer field", bytes(100)]

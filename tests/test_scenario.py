@@ -267,6 +267,8 @@ def _edit(kind, **fields):
         # event fields a run cannot use
         (_edit("report", tamper="bogus"), "unknown tamper mode 'bogus'"),
         (_edit("enter", consent="no"), "enter consent must be true or false, got 'no'"),
+        # a misspelt field was ignored: the run placed the user at (0, 0)
+        (_edit("enter", position=[0.9, 0.0]), "unknown keys ['position']"),
         # user and venue references that are not strings
         (_event(time=100, kind="move", user=["u00"], pos=[0, 0]), "unknown user ['u00']"),
         (_event(time=100, kind="enter", user="u00", venue=["v0"]), "unknown venue ['v0']"),
