@@ -57,9 +57,6 @@ class BloomFilter:
         ks = np.arange(self.k_hashes, dtype=np.uint64)
         return (h1 + ks[None, :] * h2) % np.uint64(self.m_bits)
 
-    def add(self, element: bytes) -> None:
-        self.add_many([element])
-
     def add_many(self, elements: list[bytes]) -> None:
         if not elements:
             return
@@ -67,9 +64,6 @@ class BloomFilter:
         hit[self._positions(elements).ravel()] = True
         self.bits |= np.packbits(hit, bitorder="little")
         self.count += len(elements)
-
-    def __contains__(self, element: bytes) -> bool:
-        return self.contains_many([element])[0]
 
     def contains_many(self, elements: list[bytes]) -> list[bool]:
         if not elements:

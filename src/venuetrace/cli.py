@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .metrics import ExposurePolicy, MetricsReport, collect_metrics, comparison_rows
-from .scenario import Scenario, _params_diagnostics, validate_scenario
+from .scenario import Scenario, ScenarioError, validate_scenario
 from .sim import BROADCAST_KEYS, PROTOCOLS, row_sections, store_as_columns
 from .sim import run as run_simulation
 from .table import check, columns, rows
@@ -177,16 +177,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args.scenario)
     if scenario is None:
         return 1
-    overrides = _overrides_from_args(args)
-    diags = validate_scenario(scenario) or _params_diagnostics({**scenario.params, **overrides})
-    if diags:
-        for d in diags:
-            print(f"invalid: {d}", file=sys.stderr)
-        return 1
-
     protocols = list(PROTOCOLS) if args.protocol == "all" else [args.protocol]
     out_root = Path(args.out)
 
+    # each run validates the scenario with the flag values merged in
+    overrides = _overrides_from_args(args)
     runs = (run_simulation, repeat(scenario), protocols, repeat(args.seed), repeat(overrides))
     try:
         if args.jobs > 1 and len(protocols) > 1:
@@ -194,6 +189,10 @@ def cmd_run(args: argparse.Namespace) -> int:
                 traces = list(pool.map(*runs))
         else:
             traces = list(map(*runs))
+    except ScenarioError as exc:
+        for d in exc.diagnostics:
+            print(f"invalid: {d}", file=sys.stderr)
+        return 1
     except Exception as exc:  # noqa: BLE001 - surface as runtime failure
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2

@@ -316,7 +316,3 @@ def issue_certificate(
         subject_id=subject_id,
         issuer_signature=sign(payload, issuer_secret_key),
     )
-
-
-def verify_certificate(cert: Certificate, issuer_public_key: bytes) -> bool:
-    return verify(cert.payload(), cert.issuer_signature, issuer_public_key)

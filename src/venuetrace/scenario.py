@@ -11,18 +11,19 @@ positive integer below 2**64, so no event time overflows a u64 field.
 
 Each event has a ``time``, a ``kind``, and the fields ``EVENT_FIELDS``
 lists for its kind: those it cannot run without and those it may carry.
-An ``adversary_action`` names an ``action``; ``ACTION_FIELDS`` lists the
-fields each action cannot run without. A field name has one rule
-wherever it appears (``_event_rules``): a user or venue field names a
-declared id, an adversary window's ``start`` and ``end`` are integers,
-powers and delays finite numbers (a delay not negative),
+An ``adversary_action`` names an ``action`` and may carry only the fields
+``ACTION_FIELDS`` lists for it, the ones the run reads. A field name has
+one rule wherever it appears (``_event_rules``): a user or venue field
+names a declared id, an adversary window's ``start`` and ``end`` are
+integers, powers and delays finite numbers (a delay not negative),
 ``pos`` is [x, y] and ``period`` is [start, end], two integers with
 0 <= start <= end. A ``test_positive`` period starts no later than the
 test itself and ends below 2**64, the range of a u64 time field.
 A field a kind does not list is flagged as an unknown key; a top-level
 or venue key the schema does not name fails the load. ``move`` applies
 to the current location: the venue while inside one, the shared street
-space otherwise.
+space otherwise. ``validate_scenario`` checks ``params`` with a run's
+overrides merged in; ``sim.run`` calls it once per run.
 """
 
 from __future__ import annotations
@@ -38,7 +39,18 @@ from typing import Any, Callable
 from .channel import ChannelModel
 from .schedule import DEFAULT_EPOCH_SECONDS, SECONDS_PER_DAY
 
-# event kind -> (fields it cannot run without, fields it may carry)
+# adversary action -> (fields it cannot run without, fields it may carry):
+# exactly the fields the run reads for that action
+ACTION_FIELDS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
+    "flood": (("venue", "start", "end"), ("pos", "per_minute", "tx_dbm")),
+    "replay_same_venue": (("venue", "start", "end"), ("pos", "delay")),
+    "relay_cross_venue": (("src_venue", "dst_venue", "start", "end"), ("pos", "delay")),
+    "suppress_broadcasts": (("user", "start", "end"), ()),
+    "share_rid": (("from_user", "to_user"), ()),
+    "linkage_eavesdrop": ((), ("venues",)),
+}
+# event kind -> (fields it cannot run without, fields it may carry); an
+# adversary_action lists every action's fields, and is held to its own
 EVENT_FIELDS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     "enter": (("user", "venue"), ("pos", "consent")),
     "move": (("user", "pos"), ()),
@@ -46,24 +58,12 @@ EVENT_FIELDS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     "test_positive": (("user", "period"), ()),
     "report": (("user",), ("use_certificate_of", "tamper")),
     "trace_query": (("user",), ()),
-    # ACTION_FIELDS says which of these each action requires
-    "adversary_action": (
-        ("action",),
-        ("venue", "src_venue", "dst_venue", "user", "from_user", "to_user",
-         "start", "end", "delay", "tx_dbm", "pos", "per_minute", "venues"),
-    ),
+    "adversary_action": (("action",), tuple(dict.fromkeys(
+        key for req, opt in ACTION_FIELDS.values() for key in (*req, *opt)))),
 }
-# event kind -> every field it lists
+# event kind -> every field it lists; adversary action -> every field its event may carry
 _EVENT_KEYS = {kind: frozenset((*req, *opt)) for kind, (req, opt) in EVENT_FIELDS.items()}
-# adversary action -> the fields it cannot run without
-ACTION_FIELDS: dict[str, tuple[str, ...]] = {
-    "flood": ("venue", "start", "end"),
-    "replay_same_venue": ("venue", "start", "end"),
-    "relay_cross_venue": ("src_venue", "dst_venue", "start", "end"),
-    "suppress_broadcasts": ("user", "start", "end"),
-    "share_rid": ("from_user", "to_user"),
-    "linkage_eavesdrop": (),
-}
+_ACTION_KEYS = {act: frozenset(("action", *req, *opt)) for act, (req, opt) in ACTION_FIELDS.items()}
 TAMPER_MODES = ("forge_certificate", "corrupt_opening", "swap_venue_keys")
 
 
@@ -134,9 +134,6 @@ class Scenario:
             params=d.get("params", {}),
         )
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
     @classmethod
     def from_json_file(cls, path: str | Path) -> "Scenario":
         with open(path, "r", encoding="utf-8") as fh:
@@ -177,9 +174,13 @@ class ScenarioError(ValueError):
         super().__init__("; ".join(diagnostics))
         self.diagnostics = diagnostics
 
+    def __reduce__(self) -> tuple:  # rebuilt from the list, not the joined message
+        return type(self), (self.diagnostics,)
 
-def validate_scenario(scenario: Scenario) -> list[str]:
-    """Return a list of diagnostics (empty when the scenario is clean)."""
+
+def validate_scenario(scenario: Scenario, overrides: dict[str, Any] | None = None) -> list[str]:
+    """Return a list of diagnostics (empty when the scenario is clean); the
+    params block is checked with ``overrides`` merged in, as a run uses it."""
     from .actors import VenuePolicy  # local import: actors pulls in crypto
 
     horizon = scenario.horizon_seconds
@@ -198,7 +199,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     tested: set[str] = set()
     in_venue: dict[str, str] = {}
 
-    diags.extend(_params_diagnostics(scenario.params))
+    diags.extend(_params_diagnostics(scenario.params, overrides or {}))
     for v in scenario.venues:
         where = f"venue {v.venue_id!r}: "
         if not isinstance(v.policy, dict):
@@ -223,8 +224,11 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         if e.time < 0 or e.time > horizon:
             flag("time outside scenario horizon")
         data = e.data
-        if not _EVENT_KEYS[e.kind].issuperset(data):
-            flag(f"unknown keys {sorted(data.keys() - _EVENT_KEYS[e.kind])}")
+        keys = _EVENT_KEYS[e.kind]
+        if e.kind == "adversary_action" and _known(ACTION_FIELDS)(data.get("action")):
+            keys = _ACTION_KEYS[data["action"]]
+        if not keys.issuperset(data):
+            flag(f"unknown keys {sorted(data.keys() - keys)}")
         missing = []
         counts = True  # toward the bookkeeping below
         for key, accepts, needed, blocks, message in rules[e.kind]:
@@ -256,7 +260,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         elif e.kind == "report" and data.get("use_certificate_of", user) not in tested:
             flag(f"user {user} reports without a positive test")
         elif e.kind == "adversary_action":
-            missing = [key for key in ACTION_FIELDS[data["action"]] if key not in data]
+            missing = [key for key in ACTION_FIELDS[data["action"]][0] if key not in data]
             if missing:
                 flag(f"{data['action']} requires {missing}")
             start, end = data.get("start"), data.get("end")
@@ -387,13 +391,14 @@ def _field_diagnostics(
     return diags
 
 
-def _params_diagnostics(params: Any) -> list[str]:
-    """Keys ``SimParams.build`` would drop, values of the wrong type, and
-    values a run cannot use."""
+def _params_diagnostics(params: Any, overrides: dict[str, Any]) -> list[str]:
+    """Keys that are not ``SimParams`` fields, values of the wrong type, and
+    values a run cannot use, in ``params`` with ``overrides`` winning."""
     from .sim import SimParams  # local import: sim imports this module
 
     if not isinstance(params, dict):
         return ["params must be an object"]
+    params = {**params, **overrides}
     # protocol and seed are set per run, never by the scenario file
     diags = _field_diagnostics(SimParams, params, "params: ", skip=("protocol", "seed"))
     channel = params.get("channel", {})

@@ -16,7 +16,8 @@ plus work for the users near it; a baseline's epoch tick is one ``emit``.
 Ground-truth presence segments are recorded independently of any protocol
 and feed the exposure oracle in :mod:`venuetrace.metrics`. Drivers and
 actors log rows as dicts; ``Simulation.run`` stores each row section of the
-trace as columns (:mod:`venuetrace.table`) once, at the end.
+trace as columns (:mod:`venuetrace.table`) once, at the end. ``run`` checks
+the scenario and its overrides once; ``Simulation`` takes one that passed.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import heapq
 import math
 import random
 from abc import ABC, abstractmethod
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable
 
 from . import crypto
@@ -83,11 +84,10 @@ class SimParams:
     def build(
         cls, scenario: Scenario, protocol: str, seed: int, overrides: dict[str, Any] | None = None
     ) -> "SimParams":
-        """Scenario params first, explicit overrides win."""
+        """Scenario params first, explicit overrides win; each key is a field."""
         merged: dict[str, Any] = {**scenario.params, **(overrides or {})}
-        known = {f.name: merged[f.name] for f in fields(cls) if f.name in merged}
-        known.update(protocol=protocol, seed=seed, channel=ChannelModel(**merged.get("channel", {})))
-        return cls(**known)
+        merged.update(protocol=protocol, seed=seed, channel=ChannelModel(**merged.get("channel", {})))
+        return cls(**merged)
 
 
 @dataclass
@@ -511,10 +511,10 @@ _DRIVERS = {"venue": _VenueDriver, "dp3t": _Dp3tDriver, "tracetogether": _TTDriv
 # ---------------------------------------------------------------------------
 
 class Simulation:
+    """Precondition: ``scenario`` passes ``validate_scenario`` with the
+    overrides ``params`` was built with. It is not checked again here."""
+
     def __init__(self, scenario: Scenario, params: SimParams):
-        diags = validate_scenario(scenario)
-        if diags:
-            raise ScenarioError(diags)
         if params.protocol not in _DRIVERS:
             raise ScenarioError([f"unknown protocol {params.protocol!r}"])
         self.scenario = scenario
@@ -817,6 +817,9 @@ class Simulation:
 
 def run(scenario: Scenario, protocol: str = "venue", seed: int = 0,
         overrides: dict[str, Any] | None = None) -> SimulationTrace:
-    """Build params, simulate, and return the full trace."""
-    params = SimParams.build(scenario, protocol, seed, overrides)
-    return Simulation(scenario, params).run()
+    """Check the scenario with ``overrides`` merged into its params, then
+    simulate and return the full trace; a failed check raises ScenarioError."""
+    diags = validate_scenario(scenario, overrides)
+    if diags:
+        raise ScenarioError(diags)
+    return Simulation(scenario, SimParams.build(scenario, protocol, seed, overrides)).run()

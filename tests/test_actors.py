@@ -217,7 +217,7 @@ class TestCertification:
         app = new_user(world)
         cert = app.obtain_certificate(world["tc"], 0, DAY)
         tc_cert = world["ha"].certificate_for("lab0")
-        assert crypto.verify_certificate(tc_cert, world["ha"].public_key)
+        assert crypto.verify(tc_cert.payload(), tc_cert.issuer_signature, world["ha"].public_key)
         assert crypto.verify(cert.payload(), cert.signature, tc_cert.subject_public_key)
 
     def test_foreign_rid_without_opening_rejected(self, world):
@@ -539,8 +539,7 @@ class TestVenueMonitoring:
         venue.record_broadcast(old_id, -40.0, now - 15 * DAY)
         venue.record_broadcast(new_id, -40.0, now - 3600)
         digest_today = venue.emit_digest(now - DAY, now, now, 1e-6)
-        assert new_id in digest_today.filter
-        assert old_id not in digest_today.filter
+        assert digest_today.filter.contains_many([new_id, old_id]) == [True, False]
         # the 15-day-old identifier was evicted from the heard log entirely
         assert all(e[0] != old_id for e in venue.heard_log)
 

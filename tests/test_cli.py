@@ -1,13 +1,18 @@
 import copy
 import hashlib
 import json
+import pickle
 from pathlib import Path
 
 import pytest
 
+import venuetrace.cli
+import venuetrace.scenario
+import venuetrace.sim
 from venuetrace.cli import IntegrityError, main, read_trace, write_trace
 from venuetrace.metrics import ExposurePolicy, collect_metrics
-from venuetrace.sim import run
+from venuetrace.scenario import ScenarioError, validate_scenario
+from venuetrace.sim import SimParams, Simulation, run
 
 from bundled import bundled
 
@@ -15,7 +20,7 @@ from bundled import bundled
 @pytest.fixture
 def scenario_file(tmp_path):
     path = tmp_path / "relay.json"
-    path.write_text(bundled("relay_attack").to_json(), encoding="utf-8")
+    path.write_text(json.dumps(bundled("relay_attack").to_dict()), encoding="utf-8")
     return path
 
 
@@ -122,6 +127,61 @@ def test_run_flag_values_are_validated(scenario_file, tmp_path, capsys):
     assert capsys.readouterr().err == (
         "invalid: params: epoch_seconds must be a positive integer, got 0\n"
     )
+
+
+def test_pool_runs_report_flag_values_like_serial_ones(scenario_file, tmp_path, capsys):
+    # each run in the pool checks the scenario; the first failure is reported
+    rc = main(["run", "--scenario", str(scenario_file), "--epoch-seconds", "0", "--protocol",
+               "all", "--jobs", "3", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "invalid: params: epoch_seconds must be a positive integer, got 0\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
+def test_scenario_error_survives_pickling():
+    # a run in a process pool raises it in the parent process
+    err = pickle.loads(pickle.dumps(ScenarioError(["a b", "c"])))
+    assert err.diagnostics == ["a b", "c"] and str(err) == "a b; c"
+
+
+@pytest.mark.parametrize("overrides,expected", [
+    # an unknown key was dropped, a negative retention ran, and the others
+    # raised ParameterError from inside the run
+    ({"epoch_second": 60}, "params: unknown keys ['epoch_second']"),
+    ({"retention_days": -1}, "params: retention_days must not be negative, got -1"),
+    ({"bloom_fpr": 2.0}, "params: bloom_fpr must be in (0, 1), got 2.0"),
+    ({"epoch_seconds": 0}, "params: epoch_seconds must be a positive integer, got 0"),
+])
+def test_run_checks_its_overrides(overrides, expected):
+    with pytest.raises(ScenarioError) as err:
+        run(bundled("street_encounter"), "venue", 0, overrides=overrides)
+    assert err.value.diagnostics == [expected]
+
+
+def test_each_run_validates_once(scenario_file, tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return validate_scenario(*args)
+
+    for module in (venuetrace.scenario, venuetrace.sim, venuetrace.cli):
+        monkeypatch.setattr(module, "validate_scenario", counted)
+    sc = bundled("relay_attack")
+    run(sc, "dp3t", 0)
+    assert len(calls) == 1
+    Simulation(sc, SimParams.build(sc, "dp3t", 0))  # takes a validated scenario
+    assert len(calls) == 1
+    assert counted(sc) == []  # the benchmark's set-up: one check, then construction
+    Simulation(sc, SimParams.build(sc, "venue", 0))
+    assert len(calls) == 2
+    out = str(tmp_path / "o")
+    assert main(["run", "--scenario", str(scenario_file), "--protocol", "dp3t", "--out", out]) == 0
+    assert len(calls) == 3
+    assert main(["run", "--scenario", str(scenario_file), "--protocol", "all", "--out", out]) == 0
+    assert len(calls) == 6  # one inside each protocol's run
 
 
 def test_run_all_protocols_writes_comparison(scenario_file, tmp_path):

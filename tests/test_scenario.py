@@ -151,7 +151,7 @@ def test_horizon_must_be_positive(horizon, tmp_path, capsys):
     sc = Scenario(name="t", horizon_seconds=horizon, users=["u00"], venues=[], events=[])
     assert validate_scenario(sc) == [f"horizon_seconds must be positive, got {horizon}"]
     path = tmp_path / "s.json"
-    path.write_text(sc.to_json(), encoding="utf-8")
+    path.write_text(json.dumps(sc.to_dict()), encoding="utf-8")
     assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"invalid: horizon_seconds must be positive, got {horizon}\n"
 
@@ -159,7 +159,7 @@ def test_horizon_must_be_positive(horizon, tmp_path, capsys):
 def test_json_round_trip(tmp_path):
     sc = bundled("relay_attack")
     path = tmp_path / "s.json"
-    path.write_text(sc.to_json(), encoding="utf-8")
+    path.write_text(json.dumps(sc.to_dict()), encoding="utf-8")
     again = Scenario.from_json_file(path)
     assert again.to_dict() == sc.to_dict()
 
@@ -191,7 +191,7 @@ def test_builders_produce_valid_scenarios(builder):
     sc = builder()
     assert validate_scenario(sc) == []
     # and they serialize cleanly
-    json.loads(sc.to_json())
+    json.loads(json.dumps(sc.to_dict()))
 
 
 @pytest.mark.parametrize("days", [-1, 0, 1])
@@ -345,6 +345,17 @@ def _edit(kind, **fields):
         # a horizon past the u64 range let the run go on without end
         (lambda d: d.update(horizon_seconds=2**64),
          "horizon_seconds must be below 2**64, got 18446744073709551616"),
+        # a field another action reads was ignored: the relay sent at 10 dBm,
+        # the replay stayed at its own venue
+        (_event(time=100, kind="adversary_action", action="relay_cross_venue",
+                src_venue="v0", dst_venue="v1", start=100, end=500, tx_dbm=30.0),
+         "unknown keys ['tx_dbm']"),
+        (_event(time=100, kind="adversary_action", action="replay_same_venue",
+                venue="v0", dst_venue="v1", start=100, end=500), "unknown keys ['dst_venue']"),
+        (_event(time=100, kind="adversary_action", action="flood", venue="v0",
+                start=100, end=500, delay=5), "unknown keys ['delay']"),
+        (_event(time=100, kind="adversary_action", action="share_rid",
+                from_user="u00", to_user="u01", user="u10"), "unknown keys ['user']"),
     ],
 )
 def test_inputs_that_crashed_run_are_rejected(mutate, expected, tmp_path, capsys):
