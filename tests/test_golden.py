@@ -15,6 +15,12 @@ versions 2 and 1. Version 2 stored only broadcasts as columns, with the
 per row everywhere. Each case rebuilds those bytes from its version-3 run,
 proving them authentic old output, and replays them through
 ``read_trace`` to the case's pinned ``metrics.json``.
+
+``ADVERSARY_GOLDEN`` locks every adversary path on one scenario built
+here, on the clean and the noisy channel: the bundled relay plus a replay,
+two floods, a suppression, an eavesdropper, a tampered report and a report
+on another user's certificate. The bundled files hold only the relay, and
+each injection is scheduled work whose arguments a change could bind late.
 """
 
 import copy
@@ -24,7 +30,7 @@ import pytest
 
 from venuetrace.cli import _SECTIONS, TRACE_FORMAT, _canonical, _write_outputs, read_trace
 from venuetrace.metrics import collect_metrics
-from venuetrace.scenario import Scenario
+from venuetrace.scenario import Scenario, ScenarioEvent, VenueSpec
 from venuetrace.schedule import SECONDS_PER_DAY
 from venuetrace.sim import row_sections, run
 from venuetrace.table import rows
@@ -113,6 +119,52 @@ V1_TRACE = {
     ("street_encounter", "tracetogether", True): "6915f83eaed5536b2a0214c02d834e80a0d8c40091ed921d147c248447de67e6",
 }
 
+# (protocol, noisy channel) -> (sha256 of trace.ndjson, sha256 of metrics.json)
+# for the scenario ``_adversary_scenario`` builds
+ADVERSARY_GOLDEN = {
+    ("venue", False): ("6add2d88d74eaf3f5ad0be75aced99b85d310a8f8d9c3346cdb6b9992aa4f6b8", "ac00c1ff058afb71fe07176f6ebede292ce9150a611abc9a731ee5300f1739d4"),
+    ("dp3t", False): ("7142740c890d908cf1aa1177b3bd0d0c059728d2ba8539ebf2981151f7d5dc29", "732c33cb8ed5c23488a759403df260e4d4aa153f3706aa23232ed1f1c4a873c0"),
+    ("tracetogether", False): ("607eed002c8529502e76b9a39b7365994c69f9671ebc48b0690b8d4db6635ca5", "d98694bd83b70906be1f659074b32f9c6eda99bcdae528ff99ceb2e7ce337ab0"),
+    ("venue", True): ("62448798ab7a4d2db6eadc2c99b100ac4839631bb838a2406a61b83384ccd06f", "21d8da4701750cc16734841913e0aad0eb1ad99483aae1093ed9b59d3f44e135"),
+    ("dp3t", True): ("b6a01038dba4c64b5496aaf218c977602564785922f235914d09a9b248b8c6f9", "3c7c5cf933a1d5386f5813e976ba395ec7525953b861df0284ac23a32dfd88ab"),
+    ("tracetogether", True): ("27c6a2ae8aa13e6e54998f0554aeb5303075ee9a692a5bc3bb92208baad8562e", "0108643b22c3758c0ed160d3efa60346a03c2339a45a08cda9514bc5ee29102a"),
+}
+
+
+def _adversary_scenario() -> Scenario:
+    """``relay_attack`` plus u20 and u21 at a rate-capped venue v2, a replay
+    at v1, a flood at v2 and a default one at v0, u11 suppressed, an
+    eavesdropper at v0 and v2, a report with a corrupted opening and one on
+    another user's certificate."""
+    scenario = bundled("relay_attack")
+    scenario.users += ["u20", "u21"]
+    scenario.venues.append(VenueSpec("v2", {"max_broadcasts_per_minute": 30}))
+    for time, kind, data in [
+        (122400, "enter", {"user": "u20", "venue": "v2", "pos": [0.0, 0.0]}),
+        (122400, "enter", {"user": "u21", "venue": "v2", "pos": [0.9, 0.0]}),
+        (124200, "leave", {"user": "u20"}),
+        (124200, "leave", {"user": "u21"}),
+        (122400, "adversary_action", {"action": "replay_same_venue", "venue": "v1",
+                                      "pos": [0.3, 0.3], "start": 122400, "end": 123300,
+                                      "delay": 600}),
+        (122500, "adversary_action", {"action": "flood", "venue": "v2", "start": 122500,
+                                      "end": 122800, "per_minute": 90, "tx_dbm": 12.0,
+                                      "pos": [0.5, 0.5]}),
+        (122600, "adversary_action", {"action": "flood", "venue": "v0", "start": 122600,
+                                      "end": 122700}),
+        (123000, "adversary_action", {"action": "suppress_broadcasts", "user": "u11",
+                                      "start": 123000, "end": 123600}),
+        (100, "adversary_action", {"action": "linkage_eavesdrop", "venues": ["v0", "v2"]}),
+        (176400, "test_positive", {"user": "u20", "period": [86400, 172800]}),
+        (177000, "report", {"user": "u20", "tamper": "corrupt_opening"}),
+        (177000, "report", {"user": "u21", "use_certificate_of": "u20"}),
+        (180600, "trace_query", {"user": "u20"}),
+        (180600, "trace_query", {"user": "u21"}),
+    ]:
+        scenario.events.append(ScenarioEvent(time, kind, data))
+    return scenario
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -170,6 +222,14 @@ def test_noisy_channel_digests(stem, protocol, tmp_path):
     scenario = bundled(stem)
     scenario.params = {**scenario.params, "channel": NOISY_CHANNEL}
     assert _digests(scenario, protocol, tmp_path) == NOISY_GOLDEN[(stem, protocol)]
+
+
+@pytest.mark.parametrize("protocol,noisy", sorted(ADVERSARY_GOLDEN))
+def test_adversary_digests(protocol, noisy, tmp_path):
+    scenario = _adversary_scenario()
+    if noisy:
+        scenario.params = {**scenario.params, "channel": NOISY_CHANNEL}
+    assert _digests(scenario, protocol, tmp_path) == ADVERSARY_GOLDEN[(protocol, noisy)]
 
 
 def test_every_bundled_scenario_is_locked():
