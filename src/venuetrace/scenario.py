@@ -23,7 +23,7 @@ A field a kind does not list is flagged as an unknown key; a top-level
 or venue key the schema does not name fails the load. ``move`` applies
 to the current location: the venue while inside one, the shared street
 space otherwise. ``validate_scenario`` checks ``params`` with a run's
-overrides merged in; ``sim.run`` calls it once per run.
+overrides merged in (``SimParams.merge``); ``sim.run`` calls it once per run.
 """
 
 from __future__ import annotations
@@ -209,7 +209,8 @@ def validate_scenario(scenario: Scenario, overrides: dict[str, Any] | None = Non
         condition = v.policy.get("time_condition", "same_day")
         if type(condition) is str and condition not in ("same_day", "within_hours"):
             diags.append(f"{where}unknown time condition {condition!r}")
-        for key in ("clock_tolerance", "within_hours"):
+        for key in ("clock_tolerance", "within_hours", "min_stay_seconds",
+                    "max_broadcasts_per_minute"):
             value = v.policy.get(key, 0)
             if type(value) is int and value < 0:
                 diags.append(f"{where}policy {key} must not be negative, got {value}")
@@ -398,7 +399,7 @@ def _params_diagnostics(params: Any, overrides: dict[str, Any]) -> list[str]:
 
     if not isinstance(params, dict):
         return ["params must be an object"]
-    params = {**params, **overrides}
+    params = SimParams.merge(params, overrides)
     # protocol and seed are set per run, never by the scenario file
     diags = _field_diagnostics(SimParams, params, "params: ", skip=("protocol", "seed"))
     channel = params.get("channel", {})

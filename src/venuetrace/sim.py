@@ -1,9 +1,9 @@
 """Deterministic discrete-event simulator for all three protocols.
 
 One seeded ``random.Random`` drives every stochastic choice (keys, blinding,
-noise), events execute in (time, scheduling order), and the resulting trace
-serializes to canonical JSON, so equal (scenario, seed) pairs reproduce
-byte-identical traces.
+noise), scheduled work (a function and its arguments) runs as ``fn(time,
+*args)`` in (time, scheduling order), and the resulting trace serializes to
+canonical JSON, so equal (scenario, seed) pairs reproduce byte-identical traces.
 
 The world model: each user is at a location (a venue id, or the shared
 street space) with scripted coordinates. Broadcasts are delivered to
@@ -80,12 +80,20 @@ class SimParams:
     tt_interval_seconds: int = 900
     channel: ChannelModel = field(default_factory=ChannelModel)
 
+    @staticmethod
+    def merge(params: dict[str, Any], overrides: dict[str, Any] | None) -> dict[str, Any]:
+        """``overrides`` win key by key, in ``channel`` too when both give it as an object."""
+        merged, channel = {**params, **(overrides or {})}, params.get("channel")
+        if isinstance(channel, dict) and isinstance(merged["channel"], dict):
+            merged["channel"] = {**channel, **merged["channel"]}
+        return merged
+
     @classmethod
     def build(
         cls, scenario: Scenario, protocol: str, seed: int, overrides: dict[str, Any] | None = None
     ) -> "SimParams":
         """Scenario params first, explicit overrides win; each key is a field."""
-        merged: dict[str, Any] = {**scenario.params, **(overrides or {})}
+        merged = cls.merge(scenario.params, overrides)
         merged.update(protocol=protocol, seed=seed, channel=ChannelModel(**merged.get("channel", {})))
         return cls(**merged)
 
@@ -166,7 +174,7 @@ class _Driver(ABC):
     def on_premise(self, venue_id: str, payload: bytes, tx_dbm: float, now: int) -> None:
         """A broadcast on a venue's premises, once per emit, for venue equipment."""
 
-    def share_rid(self, from_user: str | None, to_user: str | None) -> None:
+    def share_rid(self, from_user: str, to_user: str) -> None:
         """Credential sharing: ``to_user`` takes over ``from_user``'s identity."""
 
     def on_trace_query(self, user: str, now: int) -> None:
@@ -237,9 +245,8 @@ class _VenueDriver(_Driver):
         self.ha = HealthAuthority(sim.rng, p.retention_days)
         self.venues: dict[str, Venue] = {}
         for vs in sim.scenario.venues:
-            policy = VenuePolicy(**vs.policy) if vs.policy else VenuePolicy()
             self.venues[vs.venue_id] = Venue(
-                vs.venue_id, self.ha, sim.rng, policy, p.retention_days
+                vs.venue_id, self.ha, sim.rng, VenuePolicy(**vs.policy), p.retention_days
             )
         verifier = crypto.Verifier()  # freed with this run
         self.backend = BackendServer(self.ha, self.sched, verifier, p.retention_days)
@@ -257,20 +264,18 @@ class _VenueDriver(_Driver):
     def setup(self) -> None:
         hz = self.sim.scenario.horizon_seconds
         for t in range(SECONDS_PER_DAY, hz + 1, SECONDS_PER_DAY):
-            self.sim.schedule(t, lambda now=t: self._emit_digests(now - SECONDS_PER_DAY, now))
+            self.sim.schedule(t, self._emit_digests, t - SECONDS_PER_DAY)
         if hz % SECONDS_PER_DAY:
-            last = hz - hz % SECONDS_PER_DAY
-            self.sim.schedule(hz, lambda s=last, e=hz: self._emit_digests(s, e))
+            self.sim.schedule(hz, self._emit_digests, hz - hz % SECONDS_PER_DAY)
 
-    def _emit_digests(self, period_start: int, period_end: int) -> None:
+    def _emit_digests(self, now: int, period_start: int) -> None:
+        """Each venue's digest of the period that ends now."""
         for vid in sorted(self.venues):
-            digest = self.venues[vid].emit_digest(
-                period_start, period_end, period_end, self.sim.params.bloom_fpr
-            )
-            self.ha.store_digest(digest, period_end)
+            digest = self.venues[vid].emit_digest(period_start, now, now, self.sim.params.bloom_fpr)
+            self.ha.store_digest(digest, now)
             self.sim.events_log.append(
-                {"t": period_end, "kind": "venue_digest", "venue": vid,
-                 "period": [period_start, period_end], "size": digest.filter.count}
+                {"t": now, "kind": "venue_digest", "venue": vid,
+                 "period": [period_start, now], "size": digest.filter.count}
             )
 
     def on_premise(self, venue_id: str, payload: bytes, tx_dbm: float, now: int) -> None:
@@ -278,21 +283,20 @@ class _VenueDriver(_Driver):
             payload, tx_dbm - self.sim.params.channel.reference_loss_db, now
         )
 
-    def share_rid(self, from_user: str | None, to_user: str | None) -> None:
+    def share_rid(self, from_user: str, to_user: str) -> None:
         self.users[to_user].rid = self.users[from_user].rid
 
     def on_enter(self, user: str, venue_id: str, now: int) -> None:
         self.users[user].enter_venue(venue_id, now, self.sim.rng)
         self.visit_seq[user] += 1
-        self._tick(user, self.visit_seq[user], now)
+        self._tick(now, user, self.visit_seq[user])
 
-    def _tick(self, user: str, seq: int, now: int) -> None:
+    def _tick(self, now: int, user: str, seq: int) -> None:
         app = self.users[user]
         if seq != self.visit_seq[user] or app.session is None:
             return  # session ended (or superseded) before this tick fired
-        self.sim.emit([(user, app.epoch_tick(now, self.sim.rng))], now, tag=f"visit{seq}")
-        nxt = now + self.sched.epoch_seconds
-        self.sim.schedule(nxt, lambda: self._tick(user, seq, nxt))
+        self.sim.emit(now, [(user, app.epoch_tick(now, self.sim.rng))], f"visit{seq}")
+        self.sim.schedule(now + self.sched.epoch_seconds, self._tick, user, seq)
 
     def on_leave(self, user: str, venue_id: str, now: int) -> None:
         app = self.users[user]
@@ -425,19 +429,19 @@ class _Dp3tDriver(_Driver):
     def setup(self) -> None:
         hz = self.sim.scenario.horizon_seconds
         for t in range(SECONDS_PER_DAY, hz, SECONDS_PER_DAY):
-            self.sim.schedule(t, lambda now=t: self._start_day(now // SECONDS_PER_DAY))
-        self.sim.schedule(0, lambda: self._global_tick(0))
+            self.sim.schedule(t, self._start_day)
+        self.sim.schedule(0, self._global_tick)
 
-    def _start_day(self, day: int) -> None:
+    def _start_day(self, now: int) -> None:
         for u in self.sim.scenario.users:
-            self.users[u].start_day(day, self.sim.rng)
+            self.users[u].start_day(now // SECONDS_PER_DAY, self.sim.rng)
 
     def _global_tick(self, now: int) -> None:
         sends = [(u, self.users[u].payload(now)) for u in self.sim.scenario.users]
-        self.sim.emit(sends, now, tag=f"day{now // SECONDS_PER_DAY}")
+        self.sim.emit(now, sends, f"day{now // SECONDS_PER_DAY}")
         nxt = now + self.epoch_seconds
         if nxt < self.sim.scenario.horizon_seconds:
-            self.sim.schedule(nxt, lambda: self._global_tick(nxt))
+            self.sim.schedule(nxt, self._global_tick)
 
     def _report(self, user: str, data: dict[str, Any], period: tuple[int, int], now: int) -> None:
         first_day = period[0] // SECONDS_PER_DAY
@@ -471,7 +475,7 @@ class _TTDriver(_Driver):
         self.users = {u: TTUserApp(u, self.moh, sim.rng) for u in sim.scenario.users}
 
     def setup(self) -> None:
-        self.sim.schedule(0, lambda: self._interval_tick(0))
+        self.sim.schedule(0, self._interval_tick)
 
     def _interval_tick(self, now: int) -> None:
         interval = now // self.interval_seconds
@@ -480,10 +484,10 @@ class _TTDriver(_Driver):
             app = self.users[u]
             app.tid = self.moh.issue_tid(app.pseudonym, interval, self.sim.rng)
             sends.append((u, app.tid))
-        self.sim.emit(sends, now, tag=f"ivl{interval}")
+        self.sim.emit(now, sends, f"ivl{interval}")
         nxt = now + self.interval_seconds
         if nxt < self.sim.scenario.horizon_seconds:
-            self.sim.schedule(nxt, lambda: self._interval_tick(nxt))
+            self.sim.schedule(nxt, self._interval_tick)
 
     def _report(self, user: str, data: dict[str, Any], period: tuple[int, int], now: int) -> None:
         app = self.users[user]
@@ -520,7 +524,7 @@ class Simulation:
         self.scenario = scenario
         self.params = params
         self.rng = random.Random(params.seed)
-        self._heap: list[tuple[int, int, Callable[[], None]]] = []
+        self._heap: list[tuple[int, int, Callable[..., None], tuple]] = []
         self._seq = 0
 
         self.location: dict[str, str | None] = {}
@@ -566,15 +570,17 @@ class Simulation:
         self.phones = self.driver.users
         self.driver.setup()
         for event in scenario.sorted_events():
-            self.schedule(event.time, lambda e=event: self._handle_scenario_event(e))
+            self.schedule(event.time, self._handle_scenario_event, event)
 
     # -- scheduling ---------------------------------------------------------
 
-    def schedule(self, time: int, fn: Callable[[], None]) -> None:
+    def schedule(self, time: int, fn: Callable[..., None], *args: Any) -> None:
+        """Have ``run`` call ``fn(time, *args)``, after the work scheduled
+        earlier for the same time; work after the horizon is dropped."""
         if time > self.scenario.horizon_seconds:
             return
         self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, fn))
+        heapq.heappush(self._heap, (time, self._seq, fn, args))
 
     # -- world state --------------------------------------------------------
 
@@ -631,17 +637,13 @@ class Simulation:
 
     # -- broadcasting -------------------------------------------------------
 
-    def emit(
-        self,
-        sends: list[tuple[str, bytes]],
-        now: int,
-        tag: str = "",
-        tx_dbm: float | None = None,
-        injected: bool = False,
-        at: tuple[str | None, tuple[float, float]] | None = None,
-    ) -> None:
+    def emit(self, now: int, sends: list[tuple[str, bytes]], tag: str,
+             at: tuple[str | None, tuple[float, float]] | None = None,
+             tx_dbm: float | None = None) -> None:
         """Put each (emitter, payload) on the air and deliver it to the
-        co-located listeners in range, send by send in list order."""
+        co-located listeners in range, send by send in list order. ``at``,
+        the (location, pos) sent from, marks an adversary injection."""
+        injected = at is not None
         if self._suppress and not injected:
             sends = [send for send in sends if not self._is_suppressed(send[0], now)]
         cells, position = self._cell, self.position
@@ -685,13 +687,7 @@ class Simulation:
                     continue
                 self.adversary_observed.append(payload.hex())
                 self.outcomes["adversary"]["captured"] += 1
-                t = now + delay
-                self.schedule(
-                    t,
-                    lambda p=payload, g=tag, d=dst, q=pos, tt=t: self.emit(
-                        [("adversary", p)], tt, tag=g, injected=True, at=(d, q)
-                    ),
-                )
+                self.schedule(now + delay, self.emit, [("adversary", payload)], tag, (dst, pos))
 
     def _receive(
         self, user: str, payload: bytes, distance: float, now: int, tx_dbm: float | None = None
@@ -717,8 +713,8 @@ class Simulation:
 
     # -- scenario event handling ---------------------------------------------
 
-    def _handle_scenario_event(self, event: ScenarioEvent) -> None:
-        kind, data, now = event.kind, event.data, event.time
+    def _handle_scenario_event(self, now: int, event: ScenarioEvent) -> None:
+        kind, data = event.kind, event.data
         self.events_log.append({"t": now, "kind": kind, **data})
 
         if kind == "enter":
@@ -772,30 +768,24 @@ class Simulation:
                 t = start + 60 * i // per_minute
                 if t < now:
                     continue  # broadcasts due before the event cannot be sent
-                self.schedule(
-                    t,
-                    lambda tt=t, v=venue, q=pos, x=tx: self.emit(
-                        [("adversary", self.rng.randbytes(16))],
-                        tt,
-                        tag="flood",
-                        tx_dbm=x,
-                        injected=True,
-                        at=(v, q),
-                    ),
-                )
+                self.schedule(t, self._flood, (venue, pos), tx)
         elif action == "share_rid":
-            self.driver.share_rid(data.get("from_user"), data.get("to_user"))
+            self.driver.share_rid(data["from_user"], data["to_user"])
             self.events_log.append({"t": now, "kind": "share_rid_applied"})
         elif action == "linkage_eavesdrop":
             self._eavesdrop_venues.extend(data.get("venues", []))
+
+    def _flood(self, now: int, at: tuple[str, tuple[float, float]], tx_dbm: float) -> None:
+        """One flood broadcast: 16 random bytes, drawn as it goes out."""
+        self.emit(now, [("adversary", self.rng.randbytes(16))], "flood", at, tx_dbm)
 
     # -- run -----------------------------------------------------------------
 
     def run(self) -> SimulationTrace:
         horizon = self.scenario.horizon_seconds
         while self._heap:
-            _, _, fn = heapq.heappop(self._heap)
-            fn()
+            time, _, fn, args = heapq.heappop(self._heap)
+            fn(time, *args)
         for user in self.scenario.users:
             self._close_segment(user, horizon)
         self.driver.finalize(horizon)

@@ -17,6 +17,7 @@ from venuetrace.scenario import (
     build_population_scenario,
     validate_scenario,
 )
+from venuetrace.sim import run
 
 from bundled import SCENARIOS, bundled
 
@@ -307,6 +308,11 @@ def _edit(kind, **fields):
         (_policy({"within_hours": "x"}), "policy within_hours must be an integer, got 'x'"),
         (_policy(5), "venue 'v0': policy must be an object"),
         (_policy({"clock_tolerance": -5}), "policy clock_tolerance must not be negative"),
+        # a negative stay or rate ran as 0, the value that turns its check off
+        (_policy({"min_stay_seconds": -5}),
+         "venue 'v0': policy min_stay_seconds must not be negative, got -5"),
+        (_policy({"max_broadcasts_per_minute": -1}),
+         "venue 'v0': policy max_broadcasts_per_minute must not be negative, got -1"),
         # negative settings leave every report unmatched or every query empty
         (_params(retention_days=-1), "params: retention_days must not be negative, got -1"),
         (_policy({"time_condition": "within_hours", "within_hours": -1}),
@@ -376,6 +382,19 @@ def test_zero_retention_and_window_stay_valid():
     scenario.params["retention_days"] = 0
     scenario.venues[0].policy = {"time_condition": "within_hours", "within_hours": 0}
     assert validate_scenario(scenario) == []
+
+
+def test_channel_override_merges_key_by_key():
+    # an override replaced the scenario's whole channel block: the run fell
+    # back to the default range, and validate passed the scenario's bad one
+    sc = bundled("street_encounter")
+    sc.params["channel"] = {"max_range_m": 5.0}
+    channel = run(sc, "venue", 0, overrides={"channel": {"noise_sigma_db": 4.0}}).data[
+        "config"]["params"]["channel"]
+    assert (channel["max_range_m"], channel["noise_sigma_db"]) == (5.0, 4.0)
+    sc.params["channel"] = {"max_range_m": -3.0}
+    assert validate_scenario(sc, {"channel": {"noise_sigma_db": 1.0}}) == [
+        "params: channel max_range_m must be positive, got -3.0"]
 
 
 BUNDLED = {

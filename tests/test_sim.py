@@ -56,6 +56,28 @@ class TestDeterminism:
         assert a != b
 
 
+def _scheduled(*entries):
+    """What a run calls for each (time, *args) scheduled at set-up, in call order."""
+    sc = Scenario("empty", DAY, ["u00"], [], [])
+    sim = Simulation(sc, SimParams.build(sc, "venue", 0))
+    calls = []
+    for time, *args in entries:
+        sim.schedule(time, lambda *called: calls.append(called), *args)
+    sim.run()
+    return calls
+
+
+class TestScheduling:
+    def test_work_is_called_with_its_time_and_arguments(self):
+        assert _scheduled((500, "a", 1), (60, "b")) == [(60, "b"), (500, "a", 1)]
+
+    def test_work_for_one_time_runs_in_scheduling_order(self):
+        assert _scheduled((700, "x"), (60, "w"), (700, "y")) == [(60, "w"), (700, "x"), (700, "y")]
+
+    def test_work_after_the_horizon_never_runs(self):
+        assert _scheduled((DAY + 1, "late"), (DAY, "last")) == [(DAY, "last")]
+
+
 class TestWorldModel:
     def test_empty_scenario_empty_trace(self):
         sc = Scenario("empty", DAY, ["u00"], [VenueSpec("v0")], [])
