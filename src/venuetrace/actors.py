@@ -89,12 +89,12 @@ class RiskPolicy:
 class VenuePolicy:
     """Per-venue knobs: trace time condition, clocks, anomaly caps."""
 
-    time_condition: str = "same_day"  # or "within_hours"
-    within_hours: int = 24
-    clock_tolerance: int = DEFAULT_CLOCK_TOLERANCE
-    max_broadcasts_per_minute: int = 0  # 0 disables rate monitoring
-    max_rx_dbm: float = -35.0  # honest handsets arrive near -40 at the venue receiver
-    min_stay_seconds: int = 0  # used only with the arrival-time extension
+    time_condition: str = field(default="same_day", metadata={"one_of": ("same_day", "within_hours")})
+    within_hours: int = field(default=24, metadata={"min": 0})
+    clock_tolerance: int = field(default=DEFAULT_CLOCK_TOLERANCE, metadata={"min": 0})
+    max_broadcasts_per_minute: int = field(default=0, metadata={"min": 0})  # 0 disables it
+    max_rx_dbm: float = field(default=-35.0, metadata={"type_only": True})  # honest phones: near -40
+    min_stay_seconds: int = field(default=0, metadata={"min": 0})  # arrival-time extension only
 
     def admits(self, record_leave_time: int, visit_leave_time: int) -> bool:
         if self.time_condition == "same_day":

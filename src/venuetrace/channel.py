@@ -1,7 +1,7 @@
 """BLE proximity channel: log-distance path loss with optional noise.
 
 Received power is tx_dbm - (reference_loss_db + 10 * exponent * log10(d)),
-strictly decreasing in distance, with zero reception beyond ``max_range_m``.
+strictly decreasing in distance (exponent > 0), with zero reception beyond ``max_range_m``.
 The risk-scoring signal threshold is the noiseless received power at the
 exposure distance, so with zero noise "within d meters" and "at or above
 the threshold" coincide by construction.
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 MIN_DISTANCE_M = 0.1
 
@@ -27,12 +27,12 @@ def cell_width(radius: float, coordinates: list[float]) -> float:
 
 @dataclass(frozen=True)
 class ChannelModel:
-    max_range_m: float = 15.0
-    tx_dbm: float = 0.0
-    path_loss_exponent: float = 2.0
-    reference_loss_db: float = 40.0  # loss at 1 m
-    noise_sigma_db: float = 0.0
-    reception_prob: float = 1.0
+    max_range_m: float = field(default=15.0, metadata={"above": 0})
+    tx_dbm: float = field(default=0.0, metadata={"type_only": True})
+    path_loss_exponent: float = field(default=2.0, metadata={"above": 0})
+    reference_loss_db: float = field(default=40.0, metadata={"type_only": True})  # loss at 1 m
+    noise_sigma_db: float = field(default=0.0, metadata={"min": 0})
+    reception_prob: float = field(default=1.0, metadata={"min": 0, "max": 1})
 
     def path_loss_db(self, distance_m: float) -> float:
         d = max(distance_m, MIN_DISTANCE_M)

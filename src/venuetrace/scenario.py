@@ -15,7 +15,7 @@ An ``adversary_action`` names an ``action`` and may carry only the fields
 ``ACTION_FIELDS`` lists for it, the ones the run reads. A field name has
 one rule wherever it appears (``_event_rules``): a user or venue field
 names a declared id, an adversary window's ``start`` and ``end`` are
-integers, powers and delays finite numbers (a delay not negative),
+integers, a ``delay`` a non-negative integer, a power a finite number,
 ``pos`` is [x, y] and ``period`` is [start, end], two integers with
 0 <= start <= end. A ``test_positive`` period starts no later than the
 test itself and ends below 2**64, the range of a u64 time field.
@@ -23,18 +23,20 @@ A field a kind does not list is flagged as an unknown key; a top-level
 or venue key the schema does not name fails the load. ``move`` applies
 to the current location: the venue while inside one, the shared street
 space otherwise. ``validate_scenario`` checks ``params`` with a run's
-overrides merged in (``SimParams.merge``); ``sim.run`` calls it once per run.
+overrides merged in (``SimParams.merge``), each value against the type and
+range its field declares; ``sim.run`` calls it once per run.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from random import Random
-from typing import Any, Callable
+from typing import Any, Callable, Mapping
 
 from .channel import ChannelModel
 from .schedule import DEFAULT_EPOCH_SECONDS, SECONDS_PER_DAY
@@ -206,14 +208,6 @@ def validate_scenario(scenario: Scenario, overrides: dict[str, Any] | None = Non
             diags.append(f"{where}policy must be an object")
             continue
         diags.extend(_field_diagnostics(VenuePolicy, v.policy, where, "policy "))
-        condition = v.policy.get("time_condition", "same_day")
-        if type(condition) is str and condition not in ("same_day", "within_hours"):
-            diags.append(f"{where}unknown time condition {condition!r}")
-        for key in ("clock_tolerance", "within_hours", "min_stay_seconds",
-                    "max_broadcasts_per_minute"):
-            value = v.policy.get(key, 0)
-            if type(value) is int and value < 0:
-                diags.append(f"{where}policy {key} must not be negative, got {value}")
 
     def flag(message: str) -> None:  # anchored at the event the loop is on
         diags.append(f"event[{i}] t={e.time} {e.kind}: {message}")
@@ -292,7 +286,7 @@ def _event_rules(users: set[str], venues: set[str]) -> dict[str, list[tuple]]:
     shapes = {
         **dict.fromkeys(("start", "end"), (lambda value: type(value) is int, "an integer")),
         "tx_dbm": (_is_number, "a finite number"),
-        "delay": (lambda value: _is_number(value) and value >= 0, "a non-negative finite number"),
+        "delay": (lambda value: type(value) is int and value >= 0, "a non-negative integer"),
         "pos": (_is_pair, "[x, y], two finite numbers"),
         "period": (_is_period, "[start, end] with 0 <= start <= end, two integers"),
         "consent": (lambda value: type(value) is bool, "true or false"),
@@ -375,21 +369,40 @@ _FIELD_TYPES: dict[str, tuple[Callable[[Any], bool], str]] = {
     "bool": (lambda v: type(v) is bool, "true or false"),
     "str": (lambda v: type(v) is str, "a string"),
 }
+# a bound a field's metadata may declare -> whether a value keeps to it
+_BOUNDS = {"above": operator.gt, "min": operator.ge, "below": operator.lt, "max": operator.le}
 
 
 def _field_diagnostics(
     cls: type, values: dict[str, Any], where: str, section: str = "", skip: tuple[str, ...] = ()
 ) -> list[str]:
-    """Keys that are not fields of ``cls``, and values that do not have the
-    type the field is annotated with; ``section`` names the block."""
-    types = {f.name: f.type for f in fields(cls) if f.name not in skip}
-    unknown = sorted(set(values) - set(types))
+    """Keys that are not fields of ``cls``; then, field by field, a value without its annotated
+    type or outside the range its metadata declares; ``section`` names the block."""
+    declared = [f for f in fields(cls) if f.name not in skip]
+    unknown = sorted(set(values) - {f.name for f in declared})
     diags = [f"{where}unknown {section}keys {unknown}"] if unknown else []
-    for key, value in values.items():
-        accepts, expected = _FIELD_TYPES.get(types.get(key), (None, ""))
-        if accepts and not accepts(value):
-            diags.append(f"{where}{section}{key} must be {expected}, got {value!r}")
+    for f in declared:
+        if f.name not in values or f.type not in _FIELD_TYPES:  # channel: a block of its own
+            continue
+        value, (accepts, expected), rule = values[f.name], _FIELD_TYPES[f.type], f.metadata
+        if not accepts(value):
+            diags.append(f"{where}{section}{f.name} must be {expected}, got {value!r}")
+        elif "one_of" in rule and value not in rule["one_of"]:
+            diags.append(f"{where}unknown {f.name.replace('_', ' ')} {value!r}")
+        elif not all(keeps(value, rule[key]) for key, keeps in _BOUNDS.items() if key in rule):
+            diags.append(f"{where}{section}{f.name} must {_range_words(rule, f.type)}, got {value!r}")
     return diags
+
+
+def _range_words(rule: Mapping[str, Any], annotation: str) -> str:
+    """The words after "must" for a value outside ``rule``'s bounds; a lone lower bound is 0."""
+    if "below" in rule or "max" in rule:
+        low = f"({rule['above']}" if "above" in rule else f"[{rule['min']}"
+        high = f"{rule['below']})" if "below" in rule else f"{rule['max']}]"
+        return f"be in {low}, {high}"
+    if "above" in rule:
+        return "be a positive integer" if annotation == "int" else "be positive"
+    return "not be negative"
 
 
 def _params_diagnostics(params: Any, overrides: dict[str, Any]) -> list[str]:
@@ -402,25 +415,12 @@ def _params_diagnostics(params: Any, overrides: dict[str, Any]) -> list[str]:
     params = SimParams.merge(params, overrides)
     # protocol and seed are set per run, never by the scenario file
     diags = _field_diagnostics(SimParams, params, "params: ", skip=("protocol", "seed"))
-    channel = params.get("channel", {})
-    if not isinstance(channel, dict):
+    if not isinstance(channel := params.get("channel", {}), dict):
         diags.append("params: channel must be an object")
     else:
         diags.extend(_field_diagnostics(ChannelModel, channel, "params: ", "channel "))
-        max_range = channel.get("max_range_m", ChannelModel.max_range_m)
-        if _is_number(max_range) and max_range <= 0:
-            diags.append(f"params: channel max_range_m must be positive, got {max_range!r}")
-
+    # the rules about the day, and across two fields; each field's own range is declared
     merged = {**asdict(SimParams()), **params}
-    for key in ("epoch_seconds", "window_seconds", "tt_interval_seconds", "dp3t_epochs_per_day"):
-        if type(merged[key]) is int and merged[key] <= 0:
-            diags.append(f"params: {key} must be a positive integer, got {merged[key]!r}")
-    retention = merged["retention_days"]
-    if type(retention) is int and retention < 0:
-        diags.append(f"params: retention_days must not be negative, got {retention}")
-    fpr = merged["bloom_fpr"]
-    if _is_number(fpr) and not 0 < fpr < 1:
-        diags.append(f"params: bloom_fpr must be in (0, 1), got {fpr!r}")
     per_day = merged["dp3t_epochs_per_day"]
     if _positive_int(per_day) and per_day > SECONDS_PER_DAY:
         diags.append(f"params: dp3t_epochs_per_day exceeds {SECONDS_PER_DAY}, one per second")

@@ -69,15 +69,15 @@ _OUTCOME_ROWS = ("reports", "deliveries", "assessments", "rejected_queries", "vi
 class SimParams:
     protocol: str = "venue"
     seed: int = 0
-    epoch_seconds: int = 180
-    window_seconds: int = 7200
-    bloom_fpr: float = 1e-6
-    retention_days: int = 14
-    exposure_seconds: int = 900
-    proximity_meters: float = 2.0
-    arrival_time_extension: bool = False
-    dp3t_epochs_per_day: int = 96
-    tt_interval_seconds: int = 900
+    epoch_seconds: int = field(default=180, metadata={"above": 0})
+    window_seconds: int = field(default=7200, metadata={"above": 0})  # a multiple of the epoch
+    bloom_fpr: float = field(default=1e-6, metadata={"above": 0, "below": 1})
+    retention_days: int = field(default=14, metadata={"min": 0})
+    exposure_seconds: int = field(default=900, metadata={"min": 0})
+    proximity_meters: float = field(default=2.0, metadata={"min": 0})
+    arrival_time_extension: bool = field(default=False, metadata={"type_only": True})
+    dp3t_epochs_per_day: int = field(default=96, metadata={"above": 0})  # divides 86400
+    tt_interval_seconds: int = field(default=900, metadata={"above": 0})
     channel: ChannelModel = field(default_factory=ChannelModel)
 
     @staticmethod

@@ -452,6 +452,17 @@ class TestTraceQueries:
         assert world["backend"].answer_trace(near.receipt, 2 * DAY)
         assert not world["backend"].answer_trace(far.receipt, 2 * DAY)
 
+    def test_within_hours_edge_served_and_one_second_past_it_not(self, world):
+        world["backend"].venues["cafe"].policy = VenuePolicy(
+            time_condition="within_hours", within_hours=2
+        )
+        _, record = self._accepted_record(world)
+        edge = record.leave_time + 2 * 3600
+        for name, leave, served in (("bob", edge, [record.ephids]), ("carol", edge + 1, [])):
+            visit = run_visit(world, new_user(world, name), "cafe", leave - 6 * L, 6)
+            assert visit.receipt.leave_time == leave
+            assert world["backend"].answer_trace(visit.receipt, 2 * DAY) == served
+
     def test_forged_venue_certificate_after_good_query(self, world):
         self._accepted_record(world)
         visitor = new_user(world, "bob")

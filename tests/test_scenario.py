@@ -1,11 +1,14 @@
 import copy
 import hashlib
 import json
+from dataclasses import fields
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from venuetrace.actors import VenuePolicy
+from venuetrace.channel import ChannelModel
 from venuetrace.cli import main
 from venuetrace.scenario import (
     ACTION_FIELDS,
@@ -17,9 +20,9 @@ from venuetrace.scenario import (
     build_population_scenario,
     validate_scenario,
 )
-from venuetrace.sim import run
+from venuetrace.sim import SimParams, run
 
-from bundled import SCENARIOS, bundled
+from bundled import SCENARIOS, bundled, nudge
 
 DAY = 86400
 
@@ -327,7 +330,11 @@ def _edit(kind, **fields):
         # a negative delay schedules relayed broadcasts in the past
         (_event(time=100, kind="adversary_action", action="relay_cross_venue",
                 src_venue="v0", dst_venue="v1", start=100, end=500, delay=-5),
-         "adversary_action delay must be a non-negative finite number, got -5"),
+         "adversary_action delay must be a non-negative integer, got -5"),
+        # a fractional delay wrote float times such as 122580.5 into the broadcasts
+        (_event(time=100, kind="adversary_action", action="relay_cross_venue",
+                src_venue="v0", dst_venue="v1", start=100, end=500, delay=0.5),
+         "adversary_action delay must be a non-negative integer, got 0.5"),
         # a truncated window start sent the flood before its window opened
         (_event(time=123000, kind="adversary_action", action="flood", venue="v0",
                 start=123000.9, end=123010),
@@ -362,6 +369,15 @@ def _edit(kind, **fields):
                 start=100, end=500, delay=5), "unknown keys ['delay']"),
         (_event(time=100, kind="adversary_action", action="share_rid",
                 from_user="u00", to_user="u01", user="u10"), "unknown keys ['user']"),
+        # received power no longer fell with distance: venue precision fell to
+        # 0.917 on population_small at exponent 0, recall to 0.364 at -1
+        (_channel(path_loss_exponent=0),
+         "params: channel path_loss_exponent must be positive, got 0"),
+        # each of these ran as its edge value: 1.0, 0.0, 0 and 0.0
+        (_channel(reception_prob=7.5), "params: channel reception_prob must be in [0, 1], got 7.5"),
+        (_channel(noise_sigma_db=-3), "params: channel noise_sigma_db must not be negative, got -3"),
+        (_params(exposure_seconds=-5), "params: exposure_seconds must not be negative, got -5"),
+        (_params(proximity_meters=-1), "params: proximity_meters must not be negative, got -1"),
     ],
 )
 def test_inputs_that_crashed_run_are_rejected(mutate, expected, tmp_path, capsys):
@@ -375,6 +391,79 @@ def test_inputs_that_crashed_run_are_rejected(mutate, expected, tmp_path, capsys
     assert capsys.readouterr().err == f"invalid: {found[0]}\n"
     assert main(["validate", "--scenario", str(path)]) == 1
     assert capsys.readouterr().out == f"{found[0]}\n"
+
+
+# every value a scenario file sets, as (block, field); protocol and seed come
+# from the command line, and channel is the block of the ChannelModel fields
+SETTABLE = [
+    *(("params", f) for f in fields(SimParams) if f.name not in ("protocol", "seed", "channel")),
+    *(("channel", f) for f in fields(ChannelModel)),
+    *(("policy", f) for f in fields(VenuePolicy)),
+]
+TYPE_ONLY = {"tx_dbm", "reference_loss_db", "max_rx_dbm", "arrival_time_extension"}
+RANGE_KEYS = ("one_of", "above", "min", "below", "max")
+# a window is a whole number of epochs, so the shortest one needs 1-second epochs
+COMPANIONS = {"window_seconds": {"epoch_seconds": 1}}
+
+
+def _set(document, block, values):
+    """Set ``values`` in the params, channel or first venue policy block."""
+    if block == "policy":
+        document["venues"][0].setdefault("policy", {}).update(values)
+    elif block == "channel":
+        document["params"].setdefault("channel", {}).update(values)
+    else:
+        document["params"].update(values)
+
+
+def _bound_values(rule, integer):
+    """(inside, past) at each bound ``rule`` declares: the bound itself or,
+    when open, the nearest value inside it, and the first value outside."""
+    step = (lambda bound, up: bound + up) if integer else nudge
+    pairs = [(member, "fortnightly") for member in rule.get("one_of", ())]
+    if "above" in rule:
+        pairs.append((step(rule["above"], 1), rule["above"]))
+    if "min" in rule:
+        pairs.append((rule["min"], step(rule["min"], -1)))
+    if "below" in rule:
+        pairs.append((step(rule["below"], -1), rule["below"]))
+    if "max" in rule:
+        pairs.append((rule["max"], step(rule["max"], 1)))
+    return pairs
+
+
+@pytest.mark.parametrize("block,f", SETTABLE, ids=[f"{b}-{f.name}" for b, f in SETTABLE])
+def test_each_settable_value_runs_at_its_bounds_and_fails_past_them(block, f, tmp_path, capsys):
+    rule = {key: f.metadata[key] for key in RANGE_KEYS if key in f.metadata}
+    type_only = f.name in TYPE_ONLY
+    assert bool(rule) != type_only and f.metadata.get("type_only", False) == type_only, f
+    document = bundled("relay_baseline").to_dict()
+    _set(document, block, {f.name: f.default})
+    assert validate_scenario(Scenario.from_dict(document)) == []
+    path = tmp_path / "bound.json"
+    for inside, past in _bound_values(rule, f.type == "int"):
+        document = bundled("relay_baseline").to_dict()
+        _set(document, "params", COMPANIONS.get(f.name, {}))
+        _set(document, block, {f.name: inside})
+        path.write_text(json.dumps(document), encoding="utf-8")
+        # one TraceTogether broadcast a second for three days takes seconds
+        protocol = "venue" if f.name == "tt_interval_seconds" else "all"
+        out = str(tmp_path / "out")
+        assert main(["run", "--scenario", str(path), "--protocol", protocol, "--out", out]) == 0
+        capsys.readouterr()
+        _set(document, block, {f.name: past})
+        path.write_text(json.dumps(document), encoding="utf-8")
+        assert main(["validate", "--scenario", str(path)]) == 1
+        found = capsys.readouterr().out.splitlines()
+        assert len(found) == 1 and found[0].endswith(repr(past)), found
+        assert f.name.replace("_", " ") in found[0].replace("_", " "), found
+
+
+def test_readme_table_lists_every_settable_value():
+    readme = (SCENARIOS.parent / "README.md").read_text(encoding="utf-8")
+    table = {line.split("|")[2].strip(" `") for line in readme.splitlines()
+             if line.startswith("| `params") or line.startswith("| `policy")}
+    assert table == {f.name for _, f in SETTABLE}
 
 
 def test_zero_retention_and_window_stay_valid():

@@ -426,6 +426,12 @@ class FullScanSimulation(Simulation):
         return [u for u in self.scenario.users if u != exclude and self.location[u] == cell[0]]
 
 
+def test_a_listener_at_max_range_hears_and_one_step_past_it_does_not():
+    channel, rng = ChannelModel(max_range_m=15.0), random.Random(0)
+    assert channel.rx_dbm(15.0, rng) == channel.threshold_dbm(15.0)
+    assert channel.rx_dbm(nudge(15.0, 1), rng) is None
+
+
 RANGES = (15.0, 16.0, 2.0, 0.5)
 
 
