@@ -1,8 +1,8 @@
 """Command-line interface: run, validate, replay.
 
-``trace.ndjson`` holds every row section as columns (see :mod:`venuetrace.table`),
-exactly as ``SimulationTrace.data`` does; ``events.ndjson`` holds the rows of
-the ``events`` section, one line each.
+``trace.ndjson`` holds every row section as columns, repeated broadcast values
+as runs (see :mod:`venuetrace.table`) and each record key once, exactly as
+``SimulationTrace.data`` does; ``events.ndjson`` holds the ``events`` rows.
 
 Exit codes: 0 success, 1 scenario-validation failure, 2 runtime failure
 (including trace integrity errors). The ``run`` flags in ``PARAM_FLAGS``
@@ -26,15 +26,17 @@ from typing import Any, Callable
 
 from .metrics import ExposurePolicy, MetricsReport, collect_metrics, comparison_rows
 from .scenario import Scenario, ScenarioError, validate_scenario
-from .sim import BROADCAST_KEYS, PROTOCOLS, row_sections, store_as_columns
+from .sim import PROTOCOLS, row_sections
 from .sim import run as run_simulation
-from .table import check, columns, rows
+from .table import check, rows, select
 
 TRACE_FORMAT = "venuetrace-trace"
-# 3: every row section as columns; 2 (only broadcasts as columns) and 1
-# (one dict per row everywhere) still load
-TRACE_VERSION = 3
-_SECTIONS = ("config", "presence", "broadcasts", "emitters", "events", "outcomes")
+# 4: repeated broadcast values as runs, and record keys as indexes into
+# ``records``; no other version loads
+TRACE_VERSION = 4
+_SECTIONS = ("config", "presence", "broadcasts", "emitters", "records", "events", "outcomes")
+# the columns whose values index the ``records`` section, by section name
+_RECORD_INDEXES = {"outcomes.deliveries": "record_keys", "outcomes.assessments": "record_key"}
 
 
 class IntegrityError(RuntimeError):
@@ -63,8 +65,9 @@ def read_trace(path: Path) -> dict[str, Any]:
     """Parse and integrity-check a trace file; raises IntegrityError.
 
     The trailer hashes the exact bytes before it, so a file whose line ends
-    were rewritten fails the check. Versions 1 and 2 load, converted to the
-    version-3 layout. Columns of one section that disagree in length fail.
+    were rewritten fails the check. Only ``TRACE_VERSION`` loads, as stored:
+    runs stay runs. Columns of one section that disagree in length, and a
+    record index outside ``records``, fail.
     """
     raw = Path(path).read_bytes()
     body_end = raw.rfind(b"\n", 0, -1) + 1  # where the trailer line starts
@@ -83,31 +86,25 @@ def read_trace(path: Path) -> dict[str, Any]:
     if header.get("format") != TRACE_FORMAT:
         raise IntegrityError(f"unknown trace format {header.get('format')!r}")
     version = header.get("version")
-    if version not in (1, 2, TRACE_VERSION):
-        raise IntegrityError(f"unsupported trace version {version!r}")
+    if version != TRACE_VERSION:
+        raise IntegrityError(f"unsupported trace version {version!r}: re-run its config's scenario and seed")
     data: dict[str, Any] = {}
     while start < body_end:
         end = raw.index(b"\n", start) + 1
         section = json.loads(raw[start:end])
         data[section["section"]] = section["data"]
         start = end
-    if version == 1 and "broadcasts" in data:
-        broadcasts = columns(data["broadcasts"]) or {key: [] for key in BROADCAST_KEYS}
-        data["broadcasts"] = broadcasts
-        index: dict[str, int] = {}
-        names = broadcasts.get("emitter", [])
-        broadcasts["emitter"] = [index.setdefault(e, len(index)) for e in names]
-        data["emitters"] = list(index)
-    elif version == 2 and "emitters" in data.get("broadcasts", {}):
-        data["emitters"] = data["broadcasts"].pop("emitters")  # its own section since 3
     missing = [s for s in _SECTIONS if s not in data]
     if missing:
         raise IntegrityError(f"trace is missing sections: {missing}")
-    if version < 3:
-        store_as_columns(data)
     for name, mapping, key in [("broadcasts", data, "broadcasts"), *row_sections(data)]:
         try:
             check(mapping[key])
+            column = _RECORD_INDEXES.get(name)
+            for value, in select(mapping[key], column) if column else ():
+                for i in value if isinstance(value, list) else [value]:
+                    if i is not None and (type(i) is not int or not 0 <= i < len(data["records"])):
+                        raise ValueError(f"column {column!r} holds {i!r}, not an index into records")
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise IntegrityError(f"section {name}: {exc}") from exc
     return data

@@ -34,7 +34,6 @@ from .actors import (
     BackendServer,
     CertificationRefused,
     HealthAuthority,
-    QueryRejected,
     RiskAssessment,
     RiskPolicy,
     TestCenter,
@@ -53,16 +52,16 @@ from .channel import ChannelModel, cell_width
 from .messages import InfectionCertificate, ReportBundle
 from .scenario import Scenario, ScenarioError, ScenarioEvent, validate_scenario
 from .schedule import SECONDS_PER_DAY, SchedulingParams
-from .table import columns
+from .table import add_run, columns
 
 PROTOCOLS = ("venue", "dp3t", "tracetogether")
 STREET = None  # location key for the shared off-premise space
 # the columns of the broadcasts section; ``emitter`` holds indexes into the
-# ``emitters`` section
+# ``emitters`` section, and all but it and ``payload`` hold runs
 BROADCAST_KEYS = ("t", "emitter", "location", "payload", "tx_dbm", "injected", "tag")
 # the lists of dicts in outcomes; the adversary's stay rows (metrics.json copies them)
-_OUTCOME_ROWS = ("reports", "deliveries", "assessments", "rejected_queries", "visits",
-                 "backend_rejections", "published_keys", "moh_edges")
+_OUTCOME_ROWS = ("reports", "deliveries", "assessments", "visits", "backend_rejections",
+                 "published_keys", "moh_edges")
 
 
 @dataclass
@@ -120,14 +119,6 @@ def row_sections(data: dict[str, Any]) -> list[tuple[str, dict[str, Any], str]]:
     )
     return [(prefix + key, mapping, key) for prefix, mapping, keys in groups
             for key in (mapping if keys is None else keys) if key in mapping]
-
-
-def store_as_columns(data: dict[str, Any]) -> None:
-    """Replace each row section of trace ``data`` by its columns, and empty
-    its row list (the simulation and its actors hold it too)."""
-    for _, mapping, key in row_sections(data):
-        mapping[key] = columns(row_list := mapping[key])
-        row_list.clear()
 
 
 def _record_key(ephids: tuple[bytes, ...]) -> str:
@@ -214,7 +205,7 @@ class _Driver(ABC):
 
     def _assessment(
         self, user: str, reporter: str | None, a: RiskAssessment,
-        venue: str | None = None, record_key: str | None = None, **extra: Any,
+        venue: str | None = None, record_key: int | None = None, **extra: Any,
     ) -> None:
         self.sim.outcomes["assessments"].append(
             {
@@ -370,19 +361,14 @@ class _VenueDriver(_Driver):
     def on_trace_query(self, user: str, now: int) -> None:
         app = self.users[user]
         for visit in app.visits:
-            try:
-                lists = self.backend.answer_trace(visit.receipt, now)
-            except QueryRejected as exc:
-                self.sim.outcomes["rejected_queries"].append(
-                    {"user": user, "venue": visit.venue_id, "reason": str(exc), "t": now}
-                )
-                continue
+            lists = self.backend.answer_trace(visit.receipt, now)
             keys = [_record_key(l) for l in lists]
+            records = self.sim.records
             self.sim.outcomes["deliveries"].append(
                 {
                     "user": user,
                     "venue": visit.venue_id,
-                    "record_keys": keys,
+                    "record_keys": [records.setdefault(k, len(records)) for k in keys],
                     "n_ephids": sum(len(l) for l in lists),
                     "t": now,
                 }
@@ -390,7 +376,7 @@ class _VenueDriver(_Driver):
             assessments = app.evaluate_risk(visit, lists, self.risk)
             for a, key in zip(assessments, keys):
                 reporter = self.sim.outcomes["record_reporters"].get(key)
-                self._assessment(user, reporter, a, visit.venue_id, key)
+                self._assessment(user, reporter, a, visit.venue_id, records[key])
 
     def finalize(self, horizon: int) -> None:
         for user, app in self.users.items():
@@ -532,15 +518,16 @@ class Simulation:
         self._open_segment: dict[str, dict[str, Any]] = {}
         self.presence: list[dict[str, Any]] = []
         # kept as columns as it is sent
-        self.broadcasts: dict[str, list[Any]] = {k: [] for k in BROADCAST_KEYS}
+        self.broadcasts: dict[str, Any] = {k: [] if k in ("emitter", "payload") else {"runs": []}
+                                           for k in BROADCAST_KEYS}
         self._emitter_index: dict[str, int] = {}  # emitter -> index, in order of first broadcast
+        self.records: dict[str, int] = {}  # venue record key -> index in the records section
         self.events_log: list[dict[str, Any]] = []
         self.outcomes: dict[str, Any] = {
             "reporters": {},
             "reports": [],
             "deliveries": [],
             "assessments": [],
-            "rejected_queries": [],
             "visits": [],
             "record_reporters": {},
             "adversary": {"injected": 0, "captured": 0, "eavesdropped": []},
@@ -651,7 +638,7 @@ class Simulation:
         tx = self.params.channel.tx_dbm if tx_dbm is None else tx_dbm
         columns, index = self.broadcasts, self._emitter_index
         for key, value in (("t", now), ("tx_dbm", tx), ("injected", injected), ("tag", tag)):
-            columns[key] += [value] * len(sends)
+            add_run(columns[key], value, len(sends))
         if injected:
             self.outcomes["adversary"]["injected"] += len(sends)
         capturing = not injected and any(self._captures.values())
@@ -665,7 +652,7 @@ class Simulation:
             loc = cell[0]
             hexed = payload.hex()
             columns["emitter"].append(index.setdefault(emitter, len(index)))
-            columns["location"].append(loc)
+            add_run(columns["location"], loc, 1)
             columns["payload"].append(hexed)
             for user in nearby(cell, emitter):
                 if phones[user].listening:
@@ -798,10 +785,13 @@ class Simulation:
             "events": self.events_log,
             "broadcasts": self.broadcasts,
             "emitters": list(self._emitter_index),
+            "records": list(self.records),
             "presence": self.presence,
             "outcomes": self.outcomes,
         }
-        store_as_columns(data)
+        for _, mapping, key in row_sections(data):  # to columns, emptying the actors' row lists
+            mapping[key] = columns(row_list := mapping[key])
+            row_list.clear()
         return SimulationTrace(data)
 
 

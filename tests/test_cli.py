@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import pickle
+import re
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from venuetrace.cli import IntegrityError, main, read_trace, write_trace
 from venuetrace.metrics import ExposurePolicy, collect_metrics
 from venuetrace.scenario import ScenarioError, validate_scenario
 from venuetrace.sim import SimParams, Simulation, run
+from venuetrace.table import length
 
 from bundled import bundled
 
@@ -273,7 +275,8 @@ class TestTraceIO:
 def _with_version(path, version: bytes) -> None:
     """Rewrite the header's version and sign the body with a fresh trailer."""
     raw = path.read_bytes()
-    body = raw[: raw.rfind(b"\n", 0, -1) + 1].replace(b'"version":3', b'"version":' + version, 1)
+    current = b'"version":%d' % venuetrace.cli.TRACE_VERSION
+    body = raw[: raw.rfind(b"\n", 0, -1) + 1].replace(current, b'"version":' + version, 1)
     _sign(path, body)
 
 
@@ -283,16 +286,128 @@ def _sign(path, body: bytes) -> None:
     path.write_bytes(body + trailer.encode() + b"\n")
 
 
-@pytest.mark.parametrize("version", [b"0", b"4", b'"2"', b"null"])
+@pytest.mark.parametrize("version", [b"0", b"1", b"2", b"3", b"5", b'"4"', b"null"])
 def test_unsupported_trace_version_rejected(version, tmp_path):
+    """Only the current version loads; an older trace is re-run from its config."""
     path = tmp_path / "t.ndjson"
     write_trace(run(bundled("relay_attack"), "venue", seed=1).data, path)
     _with_version(path, version)
-    with pytest.raises(IntegrityError, match="unsupported trace version"):
+    with pytest.raises(IntegrityError, match="unsupported trace version .*: re-run its config's scenario and seed"):
+        read_trace(path)
+
+
+def _section_lines(tmp_path) -> list[bytes]:
+    """The header and section lines of a freshly written trace, without its trailer."""
+    path = tmp_path / "t.ndjson"
+    write_trace(run(bundled("relay_attack"), "venue", seed=1).data, path)
+    return path.read_bytes().splitlines(keepends=True)[:-1]
+
+
+@pytest.mark.parametrize("raw", [b"", b"\n", b'{"sha256": "00"}\n'], ids=["empty", "newline", "trailer"])
+def test_trace_without_a_body_rejected(raw, tmp_path):
+    (tmp_path / "t.ndjson").write_bytes(raw)
+    with pytest.raises(IntegrityError, match="trace file too short"):
+        read_trace(tmp_path / "t.ndjson")
+
+
+def test_trailer_that_is_not_json_rejected(tmp_path):
+    body = b"".join(_section_lines(tmp_path))
+    (tmp_path / "t.ndjson").write_bytes(body + b"sha256 abc\n")
+    with pytest.raises(IntegrityError, match="trailer is not valid JSON"):
+        read_trace(tmp_path / "t.ndjson")
+
+
+def test_unknown_trace_format_rejected(tmp_path):
+    path = tmp_path / "t.ndjson"
+    body = b"".join(_section_lines(tmp_path)).replace(b'"venuetrace-trace"', b'"other-trace"', 1)
+    _sign(path, body)
+    with pytest.raises(IntegrityError, match="unknown trace format 'other-trace'"):
+        read_trace(path)
+
+
+@pytest.mark.parametrize("dropped", ["presence", "outcomes"])
+def test_trace_missing_a_section_rejected(dropped, tmp_path):
+    path = tmp_path / "t.ndjson"
+    lines = [line for line in _section_lines(tmp_path) if json.loads(line).get("section") != dropped]
+    _sign(path, b"".join(lines))
+    with pytest.raises(IntegrityError, match=rf"trace is missing sections: \['{dropped}'\]"):
+        read_trace(path)
+
+
+def _edit_section(path, name: str, edit) -> None:
+    """Apply ``edit`` to the data of section ``name`` of the trace at
+    ``path``, and sign the result with a fresh trailer."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if json.loads(line).get("section") == name)
+    entry = json.loads(lines[i])
+    edit(entry["data"])
+    lines[i] = (json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    _sign(path, b"".join(lines[:-1]))
+
+
+def _split_first_run(count):
+    """An edit that ends the first tx_dbm run with a run of ``count`` rows,
+    keeping the total as a number."""
+    def edit(broadcasts):
+        runs = broadcasts["tx_dbm"]["runs"]
+        value, n = runs[0]
+        runs[:1] = [[value, n - int(count)], [value, count]]
+    return edit
+
+
+def _longer_first_run(broadcasts):
+    broadcasts["t"]["runs"][0][1] += 1
+
+
+def _all_runs(broadcasts):
+    for key in ("emitter", "payload"):
+        broadcasts[key] = {"runs": [[value, 1] for value in broadcasts[key]]}
+
+
+def _record_index(outcomes, index):
+    for keys in outcomes["deliveries"]["record_keys"]:
+        if keys:
+            keys[0] = index
+            return
+
+
+@pytest.mark.parametrize("section,edit,message", [
+    ("broadcasts", _longer_first_run, "section broadcasts: column 't' has 59 values, not 58"),
+    *[("broadcasts", _split_first_run(count),
+       "section broadcasts: column 'tx_dbm' has a run count that is not a positive integer")
+      for count in (0, -1, 1.0, True, "1")],
+    ("broadcasts", _all_runs,
+     "section broadcasts: every column holds runs, so no list bounds the row count"),
+    ("outcomes", lambda o: _record_index(o, 1),
+     "section outcomes.deliveries: column 'record_keys' holds 1, not an index into records"),
+    ("outcomes", lambda o: _record_index(o, -1),
+     "section outcomes.deliveries: column 'record_keys' holds -1, not an index into records"),
+    ("outcomes", lambda o: _record_index(o, "a45b"),
+     "section outcomes.deliveries: column 'record_keys' holds 'a45b', not an index into records"),
+    ("outcomes", lambda o: o["assessments"]["record_key"].__setitem__(0, 1),
+     "section outcomes.assessments: column 'record_key' holds 1, not an index into records"),
+], ids=["runs-too-long", "count-0", "count-neg", "count-float", "count-bool", "count-str",
+        "all-runs", "record-past-end", "record-negative", "record-key-in-full", "assessment-record"])
+def test_bad_format_4_columns_rejected(section, edit, message, tmp_path):
+    """Runs whose counts do not add up or are not positive integers, a
+    section of runs alone, and record indexes outside ``records``, fail the
+    read under a valid trailer."""
+    path = tmp_path / "t.ndjson"
+    data = run(bundled("relay_attack"), "venue", seed=1).data
+    assert len(data["records"]) == 1 and length(data["broadcasts"]) == 58
+    write_trace(data, path)
+    read_trace(path)  # loads before the edit
+    _edit_section(path, section, edit)
+    with pytest.raises(IntegrityError, match=re.escape(message)):
         read_trace(path)
 
 
 class TestReplay:
+    @pytest.mark.parametrize("name", ["missing.ndjson", "."])
+    def test_replay_unreadable_path_exits_two(self, name, tmp_path, capsys):
+        assert main(["replay", "--trace", str(tmp_path / name)]) == 2
+        assert "error: cannot read trace" in capsys.readouterr().err
+
     def test_replay_reproduces_metrics_exactly(self, scenario_file, tmp_path):
         out = tmp_path / "out"
         main(["run", "--scenario", str(scenario_file), "--seed", "4", "--out", str(out)])
@@ -364,13 +479,13 @@ class TestReplay:
     def test_replay_unsupported_version_exits_two(self, scenario_file, tmp_path, capsys):
         out = tmp_path / "out"
         main(["run", "--scenario", str(scenario_file), "--seed", "4", "--out", str(out)])
-        _with_version(out / "trace.ndjson", b"4")
+        _with_version(out / "trace.ndjson", b"3")
         capsys.readouterr()
         assert main(["replay", "--trace", str(out / "trace.ndjson")]) == 2
-        assert "unsupported trace version 4" in capsys.readouterr().err
+        assert "unsupported trace version 3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("where,cut", [
-        (("broadcasts",), ("location", "payload")),  # a one-shape section
+        (("broadcasts",), ("payload",)),  # a one-shape section
         (("events", "columns"), ("t",)),  # a mixed-shape section
         (("outcomes", "actor_observed", "backend", "columns"), ("nonce",)),
     ], ids=["broadcasts", "events", "backend_log"])
@@ -379,16 +494,14 @@ class TestReplay:
         (zip would silently truncate them) and name the section and key."""
         path = tmp_path / "t.ndjson"
         write_trace(run(bundled("relay_attack"), "venue", seed=1).data, path)
-        lines = path.read_bytes().splitlines(keepends=True)
-        i = next(i for i, line in enumerate(lines) if json.loads(line).get("section") == where[0])
-        entry = json.loads(lines[i])
-        table = entry["data"]
-        for key in where[1:]:
-            table = table[key]
-        for key in cut:
-            del table[key][1:]
-        lines[i] = (json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n").encode()
-        _sign(path, b"".join(lines[:-1]))
+
+        def edit(table):
+            for key in where[1:]:
+                table = table[key]
+            for key in cut:
+                del table[key][1:]
+
+        _edit_section(path, where[0], edit)
         capsys.readouterr()
         assert main(["replay", "--trace", str(path)]) == 2
         err = capsys.readouterr().err

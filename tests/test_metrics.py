@@ -336,11 +336,8 @@ class TestCollectMetrics:
         assert report.adversary["cross_visit_ephid_matches"] == 0
         # corrupt the log: pretend one payload showed up at a second venue
         doctored = dict(trace.data)
-        broadcasts = dict(trace.data["broadcasts"])
-        for key in broadcasts:
-            broadcasts[key] = broadcasts[key] + [broadcasts[key][0]]
-        broadcasts["location"][-1] = "elsewhere"
-        doctored["broadcasts"] = broadcasts
+        broadcasts = rows(trace.data["broadcasts"])
+        doctored["broadcasts"] = columns(broadcasts + [{**broadcasts[0], "location": "elsewhere"}])
         assert collect_metrics(doctored).adversary["cross_venue_ephid_matches"] == 1
 
     def test_backend_true_ids_seen_counts_user_ids_in_observed_entries(self):
@@ -356,6 +353,23 @@ class TestCollectMetrics:
         second["venue_id"] = "u05"
         observed["backend"] = columns(backend)
         assert collect_metrics(doctored).info_exposure["backend"]["true_ids_seen"] == 1
+
+    def test_minimisation_counts_a_delivery_without_a_receipt(self):
+        sc = build_population_scenario(n_users=10, days=3, seed=4)
+        trace = run(sc, "venue", seed=4)
+        assert collect_metrics(trace.data).data_minimisation_violations == 0
+        # the simulator delivers only for receipts held; plant two deliveries
+        # for a venue the user holds none for, one of them empty
+        doctored = copy.deepcopy(trace.data)
+        outcomes = doctored["outcomes"]
+        held = {(v["user"], v["venue"]) for v in rows(outcomes["visits"]) if not v["discarded"]}
+        user, venue = next((u, v.venue_id) for u in sc.users for v in sc.venues
+                           if (u, v.venue_id) not in held)
+        deliveries = rows(outcomes["deliveries"])
+        planted = {**deliveries[0], "user": user, "venue": venue}
+        deliveries += [{**planted, "record_keys": [0]}, {**planted, "record_keys": []}]
+        outcomes["deliveries"] = columns(deliveries)
+        assert collect_metrics(doctored).data_minimisation_violations == 1
 
     def test_actor_log_counts_read_only_rows_of_their_kind(self):
         sc = build_population_scenario(n_users=10, days=3, seed=4)

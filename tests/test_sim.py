@@ -16,7 +16,7 @@ from venuetrace.scenario import (
     validate_scenario,
 )
 from venuetrace.sim import SimParams, Simulation, run
-from venuetrace.table import rows
+from venuetrace.table import length, rows, select
 
 from bundled import broadcast_rows, bundled, nudge
 
@@ -266,7 +266,7 @@ class TestAdversaries:
         }))
         assert validate_scenario(sc) == []
         trace = run(sc, "venue", seed=0)
-        times = trace.data["broadcasts"]["t"]
+        times = [t for t, in select(trace.data["broadcasts"], "t")]
         assert times == sorted(times)
         flood = [b["t"] for b in broadcast_rows(trace.data) if b["tag"] == "flood"]
         step = 60 // per_minute
@@ -599,6 +599,6 @@ def test_scan_grows_with_neighbours_not_population(monkeypatch):
         draws = 0
         sc = build_population_scenario(n_users=n_users, n_venues=5, days=3, seed=9)
         trace = run(sc, "dp3t", seed=9)
-        per_broadcast[n_users] = draws / len(trace.data["broadcasts"]["t"])
+        per_broadcast[n_users] = draws / length(trace.data["broadcasts"])
     # a scan of every co-located user grows about 4x from 50 to 200 users
     assert per_broadcast[200] <= 1.5 * per_broadcast[50], per_broadcast

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from venuetrace.table import check, columns, length, rows, select
+from venuetrace.table import add_run, check, columns, length, rows, select
 
 # few key names, so rows share some keys and not others; the names the
 # mixed layout uses for itself are among them
@@ -51,3 +51,41 @@ def test_check_names_a_ragged_column():
     mixed["schema"].append(2)
     with pytest.raises(ValueError, match="row shape 2"):
         check(mixed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(SCALARS, st.integers(1, 3)), max_size=20))
+@example([(True, 1), (1, 1), (1.0, 2), (0.0, 1), (-0.0, 1), (None, 1), ("", 1)])
+def test_runs_give_back_each_value_and_its_type(sends):
+    column = {"runs": []}
+    for value, count in sends:
+        add_run(column, value, count)
+        add_run(column, not value, 0)  # adds no row
+    x = [value for value, count in sends for _ in range(count)]
+    n = len(x)
+    one_shape = {"a": column, "b": list(range(n))}
+    mixed = {"columns": one_shape, "keys": [["a", "b"]], "schema": [0] * n}
+    for table in (one_shape, mixed):
+        on_disk = json.loads(json.dumps(table))
+        check(on_disk)
+        assert length(on_disk) == n
+        got = [value for value, in select(on_disk, "a")]
+        # json.dumps tells True, 1 and 1.0 apart, and 0.0 from -0.0
+        assert json.dumps(got) == json.dumps(x)
+        assert rows(on_disk) == [{"a": value, "b": i} for i, value in enumerate(got)]
+    # a run ends only where the value's JSON text changes
+    texts = [json.dumps(value) for value, _ in sends]
+    assert len(column["runs"]) == sum(a != b for a, b in zip([None, *texts], texts))
+
+
+def test_check_names_a_bad_run_column():
+    table = {"a": {"runs": [["x", 2]]}, "b": [1, 2, 3]}
+    with pytest.raises(ValueError, match="column 'a' has 2 values, not 3"):
+        check({"b": table["b"], "a": table["a"]})
+    for count in (0, -1, 1.0, True, "1"):
+        with pytest.raises(ValueError, match="column 'a' has a run count that is not a positive"):
+            check({"b": [1, 2, 3], "a": {"runs": [["x", 3 - int(count)], ["x", count]]}})
+    # a few bytes of runs alone could claim any number of rows
+    with pytest.raises(ValueError, match="every column holds runs"):
+        check({"a": {"runs": [["x", 10**12]]}, "b": {"runs": [[0, 10**12]]}})
+    check({"a": {"runs": [["x", 3]]}, "b": [1, 2, 3]})  # one list bounds the runs
