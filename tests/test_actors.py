@@ -345,6 +345,19 @@ class TestBackendReportMatrix:
         record, code = world["backend"].process_report(bad, 2 * DAY)
         assert record is None and code == RejectionCode.BAD_OPENING
 
+    @pytest.mark.parametrize("field,value", [
+        ("window_keys", lambda n: []),
+        ("last_window_epochs", lambda n: 0),
+        ("last_window_epochs", lambda n: n + 1),
+    ], ids=["no-windows", "no-epochs", "epochs-past-window"])
+    def test_malformed_window_counts_rejected(self, world, field, value):
+        _, bundle = honest_bundle(world)
+        backend = world["backend"]
+        bad = replace(bundle, **{field: value(backend.params.ids_per_window)})
+        record, code = backend.process_report(bad, 2 * DAY)
+        assert record is None and code == RejectionCode.BAD_RECEIPT
+        assert backend.rejections[-1]["detail"] == "malformed window/epoch counts"
+
     def test_bad_receipt_keys_from_other_venue(self, world):
         app = new_user(world)
         run_visit(world, app, "cafe", DAY, 6)

@@ -1,18 +1,24 @@
 import copy
+import gc
 import hashlib
 import json
 import pickle
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import venuetrace.cli
 import venuetrace.scenario
 import venuetrace.sim
-from venuetrace.cli import IntegrityError, main, read_trace, write_trace
+from venuetrace.cli import (
+    _SECTIONS, _SLICE, TRACE_FORMAT, TRACE_VERSION, IntegrityError, main, read_trace, write_trace,
+)
 from venuetrace.metrics import ExposurePolicy, collect_metrics
-from venuetrace.scenario import ScenarioError, validate_scenario
+from venuetrace.scenario import ScenarioError, build_population_scenario, validate_scenario
 from venuetrace.sim import SimParams, Simulation, run
 from venuetrace.table import length
 
@@ -334,6 +340,54 @@ def test_trace_missing_a_section_rejected(dropped, tmp_path):
         read_trace(path)
 
 
+def _section(name, data) -> bytes:
+    return (json.dumps({"data": data, "section": name}, separators=(",", ":")) + "\n").encode()
+
+
+def _replace(i: int, line: bytes):
+    """An edit that puts ``line`` in place of body line ``i`` (0 is the header)."""
+    return lambda lines: [*lines[:i], line, *lines[i + 1:]]
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_replace(0, b"[1]\n"), "line 1: unknown trace format None"),
+    (_replace(2, b'{"section":"presence",\n'), "line 3: Expecting property name"),
+    (_replace(2, b"[]\n"), "line 3: not a section object"),
+    (_replace(2, b'{"section":"presence"}\n'), "line 3: not a section object"),
+    (_replace(7, _section("outcomes", [])), "line 8: section outcomes holds list, not dict"),
+    (_replace(1, _section("config", 5)), "line 2: section config holds int, not dict"),
+    (lambda lines: [*lines, _section("extra", {})], "line 9: unknown or repeated section 'extra'"),
+    (lambda lines: [*lines, lines[2]], "line 9: unknown or repeated section 'presence'"),
+], ids=["header-list", "not-json", "section-list", "no-data", "outcomes-list", "config-number",
+        "unknown-section", "repeated-section"])
+def test_malformed_line_under_a_valid_trailer_rejected(edit, message, tmp_path):
+    """A body line that is not what the writer writes fails the read as an
+    IntegrityError that names the line or section, never as another error."""
+    path = tmp_path / "t.ndjson"
+    _sign(path, b"".join(edit(_section_lines(tmp_path))))
+    with pytest.raises(IntegrityError, match=re.escape(message)):
+        read_trace(path)
+
+
+@pytest.mark.parametrize("trailer", [b"5\n", b'"xsha256"\n'])
+def test_trailer_that_is_not_an_object_rejected(trailer, tmp_path):
+    path = tmp_path / "t.ndjson"
+    path.write_bytes(b"".join(_section_lines(tmp_path)) + trailer)
+    with pytest.raises(IntegrityError, match="trace file has no integrity trailer"):
+        read_trace(path)
+
+
+def test_malformed_line_under_its_old_trailer_is_a_hash_mismatch(tmp_path):
+    """A line that does not load fails only once the trailer vouches for it,
+    so an unsigned edit fails as an edit."""
+    path = tmp_path / "t.ndjson"
+    write_trace(run(bundled("relay_attack"), "venue", seed=1).data, path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(_replace(2, b"[]\n")(lines)))
+    with pytest.raises(IntegrityError, match="trace integrity hash mismatch"):
+        read_trace(path)
+
+
 def _edit_section(path, name: str, edit) -> None:
     """Apply ``edit`` to the data of section ``name`` of the trace at
     ``path``, and sign the result with a fresh trailer."""
@@ -386,12 +440,15 @@ def _record_index(outcomes, index):
      "section outcomes.deliveries: column 'record_keys' holds 'a45b', not an index into records"),
     ("outcomes", lambda o: o["assessments"]["record_key"].__setitem__(0, 1),
      "section outcomes.assessments: column 'record_key' holds 1, not an index into records"),
+    ("outcomes", lambda o: o.__setitem__("actor_observed", []),
+     "section outcomes: 'list' object has no attribute 'get'"),
 ], ids=["runs-too-long", "count-0", "count-neg", "count-float", "count-bool", "count-str",
-        "all-runs", "record-past-end", "record-negative", "record-key-in-full", "assessment-record"])
+        "all-runs", "record-past-end", "record-negative", "record-key-in-full", "assessment-record",
+        "observed-list"])
 def test_bad_format_4_columns_rejected(section, edit, message, tmp_path):
     """Runs whose counts do not add up or are not positive integers, a
-    section of runs alone, and record indexes outside ``records``, fail the
-    read under a valid trailer."""
+    section of runs alone, record indexes outside ``records`` and a block of
+    ``outcomes`` of the wrong type fail the read under a valid trailer."""
     path = tmp_path / "t.ndjson"
     data = run(bundled("relay_attack"), "venue", seed=1).data
     assert len(data["records"]) == 1 and length(data["broadcasts"]) == 58
@@ -400,6 +457,81 @@ def test_bad_format_4_columns_rejected(section, edit, message, tmp_path):
     _edit_section(path, section, edit)
     with pytest.raises(IntegrityError, match=re.escape(message)):
         read_trace(path)
+
+
+def _one_shot_line(obj) -> bytes:
+    """The reference encoding: the whole line in one ``json.dumps`` call."""
+    return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+
+
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.integers(min_value=2**64),
+                     st.just(-0.0), st.floats(), st.text())
+# lists at either side of a slice boundary, of a few values repeated
+_LONG_LISTS = st.builds(
+    lambda items, n: (items * n)[:n],
+    st.lists(st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3),
+                       st.dictionaries(st.text(max_size=3), _SCALARS, max_size=3)),
+             min_size=1, max_size=3),
+    st.sampled_from([_SLICE - 1, _SLICE, _SLICE + 1, 2 * _SLICE, 2 * _SLICE + 1]),
+)
+_KEYS = (st.text(), st.integers(), st.floats(allow_nan=False), st.booleans(), st.none())
+_JSON = st.recursive(
+    st.one_of(_SCALARS, _LONG_LISTS),
+    lambda children: st.one_of(st.lists(children, max_size=3),
+                               *(st.dictionaries(keys, children, max_size=3) for keys in _KEYS)),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(obj=_JSON)
+def test_streamed_trace_is_the_one_shot_encoding(obj, tmp_path_factory):
+    """Nested dicts and lists, long and short, empty containers, non-str
+    keys, -0.0, large ints and non-ASCII text: every line write_trace
+    streams equals its one-shot encoding, and so does the trailer."""
+    path = tmp_path_factory.getbasetemp() / "stream.ndjson"
+    write_trace(dict.fromkeys(_SECTIONS, obj), path)
+    header = {"format": TRACE_FORMAT, "version": TRACE_VERSION}
+    body = b"".join(map(_one_shot_line, [header, *({"section": s, "data": obj} for s in _SECTIONS)]))
+    assert path.read_bytes() == body + _one_shot_line({"sha256": hashlib.sha256(body).hexdigest()})
+
+
+@pytest.fixture(scope="module")
+def crowd_trace():
+    """The data of the benchmark's dp3t-crowd workload at seed 9."""
+    scenario = build_population_scenario(n_users=100, n_venues=5, days=3, seed=9,
+                                         infected=("u00", "u01"), name="dp3t-crowd")
+    return run(scenario, "dp3t", seed=9).data
+
+
+def _traced(fn, *args):
+    """``fn(*args)``, the memory it left allocated and its peak, in bytes."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, current, peak
+
+
+def test_write_trace_memory_does_not_grow_with_the_trace(crowd_trace, tmp_path):
+    """The encoder holds one string per value it encodes, so a whole section
+    at once held 4.66 MB beside the data; a slice at a time holds 0.37 MB."""
+    _, _, peak = _traced(write_trace, crowd_trace, tmp_path / "t.ndjson")
+    assert peak <= 500_000, peak
+
+
+def test_read_trace_holds_less_than_the_file_beside_its_data(crowd_trace, tmp_path):
+    """The whole file, a copy of its longest line and that line's text held
+    2.03 MB beside the data of a 1.23 MB file; one line at a time, as text
+    only while it parses, holds less than the file."""
+    path = tmp_path / "t.ndjson"
+    write_trace(crowd_trace, path)
+    data, current, peak = _traced(read_trace, path)
+    assert data == crowd_trace
+    assert peak - current < path.stat().st_size, (peak - current, path.stat().st_size)
 
 
 class TestReplay:

@@ -378,6 +378,11 @@ def _edit(kind, **fields):
         (_channel(noise_sigma_db=-3), "params: channel noise_sigma_db must not be negative, got -3"),
         (_params(exposure_seconds=-5), "params: exposure_seconds must not be negative, got -5"),
         (_params(proximity_meters=-1), "params: proximity_meters must not be negative, got -1"),
+        # refusals that no other test reached
+        (_event(time=100, kind="adversary_action", action="flood", venue="v0", start=5000, end=4000),
+         "adversary window ends before it starts"),
+        (lambda d: d.update(params=[5]), "params must be an object"),
+        (lambda d: d["params"].update(channel=5), "params: channel must be an object"),
     ],
 )
 def test_inputs_that_crashed_run_are_rejected(mutate, expected, tmp_path, capsys):
