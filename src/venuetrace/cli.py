@@ -235,9 +235,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         for d in exc.diagnostics:
             print(f"invalid: {d}", file=sys.stderr)
         return 1
-    except Exception as exc:  # noqa: BLE001 - surface as runtime failure
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return 2
 
     reports = []
     for protocol, trace in zip(protocols, traces):

@@ -13,12 +13,13 @@ Each event has a ``time``, a ``kind``, and the fields ``EVENT_FIELDS``
 lists for its kind: those it cannot run without and those it may carry.
 An ``adversary_action`` names an ``action`` and may carry only the fields
 ``ACTION_FIELDS`` lists for it, the ones the run reads. A field name has
-one rule wherever it appears (``_event_rules``): a user or venue field
-names a declared id, an adversary window's ``start`` and ``end`` are
-integers, a ``delay`` a non-negative integer, a power a finite number,
-``pos`` is [x, y] and ``period`` is [start, end], two integers with
-0 <= start <= end. A ``test_positive`` period starts no later than the
-test itself and ends below 2**64, the range of a u64 time field.
+one rule wherever it appears (``_REFERENCES``, ``_SHAPES``): a user or
+venue field names a declared id, an adversary window's ``start`` and
+``end`` are integers, a ``delay`` a non-negative integer, a power a finite
+number, ``pos`` is [x, y] and ``period`` is [start, end], two integers
+with 0 <= start <= end, and an optional field left out reads as its
+``EVENT_DEFAULTS`` value. A ``test_positive`` period starts no later than
+the test itself and ends below 2**64, the range of a u64 time field.
 A field a kind does not list is flagged as an unknown key; a top-level
 or venue key the schema does not name fails the load. ``move`` applies
 to the current location: the venue while inside one, the shared street
@@ -67,6 +68,34 @@ EVENT_FIELDS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
 _EVENT_KEYS = {kind: frozenset((*req, *opt)) for kind, (req, opt) in EVENT_FIELDS.items()}
 _ACTION_KEYS = {act: frozenset(("action", *req, *opt)) for act, (req, opt) in ACTION_FIELDS.items()}
 TAMPER_MODES = ("forge_certificate", "corrupt_opening", "swap_venue_keys")
+# field that names an id -> the kind of id, as in "unknown <kind> <value> in <field>";
+# a bad one keeps its event out of the bookkeeping even when the field is optional
+_REFERENCES = {
+    **dict.fromkeys(("user", "from_user", "to_user", "use_certificate_of"), "user"),
+    **dict.fromkeys(("venue", "src_venue", "dst_venue"), "venue"),
+    "action": "adversary action",
+    "tamper": "tamper mode",
+}
+# any other field -> (accepts a value, given the declared venue ids; the shape diagnostics ask for)
+_SHAPES: dict[str, tuple[Callable[[Any, set[str]], bool], str]] = {
+    **dict.fromkeys(("start", "end"), (lambda value, _: type(value) is int, "an integer")),
+    "tx_dbm": (lambda value, _: _is_number(value), "a finite number"),
+    "delay": (lambda value, _: type(value) is int and value >= 0, "a non-negative integer"),
+    "pos": (lambda value, _: _is_pair(value), "[x, y], two finite numbers"),
+    "period": (lambda value, _: _is_period(value),
+               "[start, end] with 0 <= start <= end, two integers"),
+    "consent": (lambda value, _: type(value) is bool, "true or false"),
+    "per_minute": (lambda value, _: _positive_int(value), "a positive integer"),
+    "venues": (lambda value, venues: isinstance(value, list)
+               and all(_names(venue, venues) for venue in value), "a list of known venue ids"),
+}
+# optional field -> what a run reads when an event leaves it out (use_certificate_of: the reporter)
+EVENT_DEFAULTS: dict[str, Any] = {"pos": (0.0, 0.0), "consent": True, "delay": 1, "per_minute": 60,
+                                  "tx_dbm": 10.0, "venues": (), "tamper": None}
+# event kind -> for each field it lists: (field, whether the kind cannot run without it,
+# the kind of id it names or None, and else its check and shape)
+_KIND_FIELDS = {kind: [(key, key in req, _REFERENCES.get(key), *_SHAPES.get(key, (None, None)))
+                       for key in (*req, *opt)] for kind, (req, opt) in EVENT_FIELDS.items()}
 
 
 @dataclass
@@ -197,7 +226,8 @@ def validate_scenario(scenario: Scenario, overrides: dict[str, Any] | None = Non
     # only strings: a reference of any other type is unknown, never hashed
     users = {u for u in scenario.users if type(u) is str}
     venues = {v.venue_id for v in scenario.venues if type(v.venue_id) is str}
-    rules = _event_rules(users, venues)
+    known = {"user": users, "venue": venues, "adversary action": ACTION_FIELDS,
+             "tamper mode": (None, *TAMPER_MODES)}  # a run reads a null tamper as none
     tested: set[str] = set()
     in_venue: dict[str, str] = {}
 
@@ -213,26 +243,31 @@ def validate_scenario(scenario: Scenario, overrides: dict[str, Any] | None = Non
         diags.append(f"event[{i}] t={e.time} {e.kind}: {message}")
 
     for i, e in enumerate(scenario.sorted_events()):
-        if e.kind not in rules:
+        if e.kind not in EVENT_FIELDS:
             flag(f"unknown event kind {e.kind!r}")
             continue
         if e.time < 0 or e.time > horizon:
             flag("time outside scenario horizon")
         data = e.data
         keys = _EVENT_KEYS[e.kind]
-        if e.kind == "adversary_action" and _known(ACTION_FIELDS)(data.get("action")):
+        if e.kind == "adversary_action" and _names(data.get("action"), ACTION_FIELDS):
             keys = _ACTION_KEYS[data["action"]]
         if not keys.issuperset(data):
             flag(f"unknown keys {sorted(data.keys() - keys)}")
         missing = []
         counts = True  # toward the bookkeeping below
-        for key, accepts, needed, blocks, message in rules[e.kind]:
+        for key, needed, noun, accepts, shape in _KIND_FIELDS[e.kind]:
             if key not in data:
                 if needed:
                     missing.append(key)
-            elif not accepts(data[key]):
-                flag(message.format(data[key]))
-                counts = counts and not blocks
+            elif noun is not None:
+                if not _names(value := data[key], known[noun]):
+                    flag(f"unknown {noun} {value!r} in {key}")
+                    counts = False
+            elif not accepts(value := data[key], venues):
+                flag(f"{e.kind} requires {key} {shape}, got {value!r}" if needed
+                     else f"{e.kind} {key} must be {shape}, got {value!r}")
+                counts = counts and not needed
         if missing:
             flag(f"{e.kind} requires {missing}")
         if missing or not counts:
@@ -267,53 +302,10 @@ def validate_scenario(scenario: Scenario, overrides: dict[str, Any] | None = Non
     return diags
 
 
-def _event_rules(users: set[str], venues: set[str]) -> dict[str, list[tuple]]:
-    """Event kind -> a check per field ``EVENT_FIELDS`` lists for it: (field,
-    accepts a value, required, whether a bad value keeps the event out of
-    the bookkeeping, diagnostic with ``{!r}`` for the value). Each field
-    name has one rule for every kind that lists it.
-    """
-    # field -> (accepts a value, the noun of "unknown <noun> <value> in <field>")
-    references = {
-        **dict.fromkeys(("user", "from_user", "to_user", "use_certificate_of"),
-                        (_known(users), "user")),
-        **dict.fromkeys(("venue", "src_venue", "dst_venue"), (_known(venues), "venue")),
-        "action": (_known(ACTION_FIELDS), "adversary action"),
-        # a run reads a null tamper as no tampering
-        "tamper": (lambda value: value is None or value in TAMPER_MODES, "tamper mode"),
-    }
-    # field -> (accepts a value, the shape a diagnostic asks for)
-    shapes = {
-        **dict.fromkeys(("start", "end"), (lambda value: type(value) is int, "an integer")),
-        "tx_dbm": (_is_number, "a finite number"),
-        "delay": (lambda value: type(value) is int and value >= 0, "a non-negative integer"),
-        "pos": (_is_pair, "[x, y], two finite numbers"),
-        "period": (_is_period, "[start, end] with 0 <= start <= end, two integers"),
-        "consent": (lambda value: type(value) is bool, "true or false"),
-        "per_minute": (_positive_int, "a positive integer"),
-        "venues": (lambda value: isinstance(value, list) and all(map(_known(venues), value)),
-                   "a list of known venue ids"),
-    }
-    rules: dict[str, list[tuple]] = {}
-    for kind, (required, optional) in EVENT_FIELDS.items():
-        rules[kind] = checks = []
-        for key in (*required, *optional):
-            needed = key in required
-            if key in references:
-                accepts, noun = references[key]
-                message = f"unknown {noun} {{!r}} in {key}"
-            else:
-                accepts, shape = shapes[key]
-                verb = f"requires {key} {shape}" if needed else f"{key} must be {shape}"
-                message = f"{kind} {verb}, got {{!r}}"
-            checks.append((key, accepts, needed, needed or key in references, message))
-    return rules
-
-
-def _known(ids: Any) -> Callable[[Any], bool]:
-    """Accepts one of ``ids`` (string keys); a value of another type,
-    unhashable ones included, is unknown."""
-    return lambda value: type(value) is str and value in ids
+def _names(value: Any, ids: Any) -> bool:
+    """Whether ``value`` is one of ``ids``: a string, or the null that names
+    no tampering; a value of another type, unhashable ones included, is not."""
+    return (type(value) is str or value is None) and value in ids
 
 
 def _id_diagnostics(kind: str, ids: list[Any]) -> list[str]:

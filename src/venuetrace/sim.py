@@ -17,7 +17,8 @@ Ground-truth presence segments are recorded independently of any protocol
 and feed the exposure oracle in :mod:`venuetrace.metrics`. Drivers and
 actors log rows as dicts; ``Simulation.run`` stores each row section of the
 trace as columns (:mod:`venuetrace.table`) once, at the end. ``run`` checks
-the scenario and its overrides once; ``Simulation`` takes one that passed.
+the scenario, its overrides and the protocol once; ``Simulation`` takes
+inputs that passed.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .baselines import (
 )
 from .channel import ChannelModel, cell_width
 from .messages import InfectionCertificate, ReportBundle
-from .scenario import Scenario, ScenarioError, ScenarioEvent, validate_scenario
+from .scenario import EVENT_DEFAULTS, Scenario, ScenarioError, ScenarioEvent, validate_scenario
 from .schedule import SECONDS_PER_DAY, SchedulingParams
 from .table import add_run, columns
 
@@ -328,16 +329,15 @@ class _VenueDriver(_Driver):
         if mode == "corrupt_opening":
             reveal = bundle.nonce_reveal
             return replace(bundle, nonce_reveal=replace(reveal, blinding=reveal.blinding + 1))
-        if mode == "swap_venue_keys":
-            venue_id = bundle.leave_receipt.venue_id
-            other = next((v for v in self.users[reporter].visits if v.venue_id != venue_id), None)
-            keys = (
-                other.window_keys
-                if other is not None
-                else [self.sim.rng.randbytes(32) for _ in bundle.window_keys]
-            )
-            return replace(bundle, window_keys=keys)
-        raise ScenarioError([f"unknown tamper mode {mode!r}"])
+        # swap_venue_keys: another venue's keys, or random ones if the reporter visited no other
+        venue_id = bundle.leave_receipt.venue_id
+        other = next((v for v in self.users[reporter].visits if v.venue_id != venue_id), None)
+        keys = (
+            other.window_keys
+            if other is not None
+            else [self.sim.rng.randbytes(32) for _ in bundle.window_keys]
+        )
+        return replace(bundle, window_keys=keys)
 
     def _credential(self, user: str, data: dict[str, Any]) -> InfectionCertificate | None:
         return self.certificates.get(data.get("use_certificate_of", user))
@@ -345,7 +345,7 @@ class _VenueDriver(_Driver):
     def _report(
         self, user: str, data: dict[str, Any], cert: InfectionCertificate, now: int
     ) -> None:
-        tamper = data.get("tamper")
+        tamper = data["tamper"]
         for bundle in self.users[user].build_reports(cert):
             if tamper:
                 bundle = self._tamper(bundle, tamper, user)
@@ -502,11 +502,10 @@ _DRIVERS = {"venue": _VenueDriver, "dp3t": _Dp3tDriver, "tracetogether": _TTDriv
 
 class Simulation:
     """Precondition: ``scenario`` passes ``validate_scenario`` with the
-    overrides ``params`` was built with. It is not checked again here."""
+    overrides ``params`` was built with, and ``params.protocol`` is one of
+    ``PROTOCOLS``. Neither is checked again here."""
 
     def __init__(self, scenario: Scenario, params: SimParams):
-        if params.protocol not in _DRIVERS:
-            raise ScenarioError([f"unknown protocol {params.protocol!r}"])
         self.scenario = scenario
         self.params = params
         self.rng = random.Random(params.seed)
@@ -544,8 +543,7 @@ class Simulation:
         # at every position the run takes: streets and each pos validate checks
         self._street_pos = {u: (1.0e6 + 1000.0 * i, 0.0) for i, u in enumerate(scenario.users)}
         coordinates = [c for pos in self._street_pos.values() for c in pos]
-        coordinates += [c for e in scenario.events if e.kind in {"enter", "move", "adversary_action"}
-                        for c in e.data.get("pos", ())]
+        coordinates += [c for e in scenario.events if "pos" in e.data for c in e.data["pos"]]
         self._cell_width = cell_width(params.channel.max_range_m, coordinates)
         self._blocks: dict[tuple[str | None, float, float], set[str]] = {}
         self._cell: dict[str, tuple[str | None, float, float]] = {}  # user -> own cell key
@@ -701,14 +699,14 @@ class Simulation:
     # -- scenario event handling ---------------------------------------------
 
     def _handle_scenario_event(self, now: int, event: ScenarioEvent) -> None:
-        kind, data = event.kind, event.data
-        self.events_log.append({"t": now, "kind": kind, **data})
+        kind, data = event.kind, {**EVENT_DEFAULTS, **event.data}  # optional fields defaulted
+        self.events_log.append({"t": now, "kind": kind, **event.data})  # as written
 
         if kind == "enter":
             user, venue = data["user"], data["venue"]
-            pos = tuple(float(c) for c in data.get("pos", (0.0, 0.0)))
+            pos = tuple(float(c) for c in data["pos"])
             self._set_position(user, venue, pos, now)
-            if data.get("consent", True):
+            if data["consent"]:
                 self.driver.on_enter(user, venue, now)
             self._exchange(user, now)
         elif kind == "move":
@@ -738,16 +736,16 @@ class Simulation:
             relay = action == "relay_cross_venue"
             src = data["src_venue"] if relay else data["venue"]
             self._captures["relay" if relay else "replay"].append(
-                (src, data["dst_venue"] if relay else src, tuple(data.get("pos", (0.0, 0.0))),
-                 data["start"], data["end"], data.get("delay", 1))
+                (src, data["dst_venue"] if relay else src, tuple(data["pos"]),
+                 data["start"], data["end"], data["delay"])
             )
         elif action == "suppress_broadcasts":
             self._suppress.setdefault(data["user"], []).append((data["start"], data["end"]))
         elif action == "flood":
             venue = data["venue"]
-            pos = tuple(data.get("pos", (0.0, 0.0)))
-            per_minute = data.get("per_minute", 60)
-            tx = float(data.get("tx_dbm", 10.0))
+            pos = tuple(data["pos"])
+            per_minute = data["per_minute"]
+            tx = float(data["tx_dbm"])
             start, end = data["start"], data["end"]
             # broadcast i goes at start + 60*i // per_minute, for every i that
             # lands in [start, end]: ceil((end - start + 1) * per_minute / 60)
@@ -760,7 +758,7 @@ class Simulation:
             self.driver.share_rid(data["from_user"], data["to_user"])
             self.events_log.append({"t": now, "kind": "share_rid_applied"})
         elif action == "linkage_eavesdrop":
-            self._eavesdrop_venues.extend(data.get("venues", []))
+            self._eavesdrop_venues.extend(data["venues"])
 
     def _flood(self, now: int, at: tuple[str, tuple[float, float]], tx_dbm: float) -> None:
         """One flood broadcast: 16 random bytes, drawn as it goes out."""
@@ -800,6 +798,8 @@ def run(scenario: Scenario, protocol: str = "venue", seed: int = 0,
     """Check the scenario with ``overrides`` merged into its params, then
     simulate and return the full trace; a failed check raises ScenarioError."""
     diags = validate_scenario(scenario, overrides)
+    if protocol not in _DRIVERS:  # the one input the scenario check does not see
+        diags.append(f"unknown protocol {protocol!r}")
     if diags:
         raise ScenarioError(diags)
     return Simulation(scenario, SimParams.build(scenario, protocol, seed, overrides)).run()

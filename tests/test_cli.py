@@ -137,6 +137,16 @@ def test_run_flag_values_are_validated(scenario_file, tmp_path, capsys):
     )
 
 
+def test_runtime_failure_exits_2(scenario_file, tmp_path, capsys, monkeypatch):
+    def fail(*args):
+        raise RuntimeError("simulated fault")
+
+    monkeypatch.setattr(venuetrace.cli, "run_simulation", fail)
+    assert main(["run", "--scenario", str(scenario_file), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "runtime failure: simulated fault\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_pool_runs_report_flag_values_like_serial_ones(scenario_file, tmp_path, capsys):
     # each run in the pool checks the scenario; the first failure is reported
     rc = main(["run", "--scenario", str(scenario_file), "--epoch-seconds", "0", "--protocol",

@@ -1,8 +1,15 @@
 """Feature-flag, robustness, and structural-invariant coverage."""
 
 import math
+import random
 import time
 
+import pytest
+
+from venuetrace import crypto
+from venuetrace.actors import HealthAuthority, ProtocolStateError, UserApp, VenuePolicy
+from venuetrace.baselines import Dp3tUserApp, MoHServer, TTUserApp
+from venuetrace.bloom import BloomFilter
 from venuetrace.cli import _canonical
 from venuetrace.metrics import ExposurePolicy, collect_metrics, ground_truth_exposures
 from venuetrace.scenario import (
@@ -11,6 +18,7 @@ from venuetrace.scenario import (
     VenueSpec,
     build_population_scenario,
 )
+from venuetrace.schedule import SchedulingParams
 from venuetrace.sim import SimParams, Simulation, run
 from venuetrace.table import rows
 
@@ -166,3 +174,41 @@ class TestStructuralInvariants:
         assert math.isclose(threshold, ch.rx_dbm(2.0, sim.rng))
         assert ch.rx_dbm(1.9, sim.rng) > threshold
         assert ch.rx_dbm(2.1, sim.rng) < threshold
+
+
+def _user_app(rng):
+    return UserApp("u00", HealthAuthority(rng).public_key, SchedulingParams(), rng,
+                   crypto.Verifier())
+
+
+def _tick_past_a_window(rng):
+    app = _user_app(rng)
+    app.enter_venue("v0", 0, rng)
+    app.epoch_tick(0, rng)
+    app.epoch_tick(2 * SchedulingParams().window_seconds, rng)  # window 3 after window 1
+
+
+def _hear(app):
+    app.hear(b"ping", -40.0, 0)
+    return app
+
+
+# guards that no scenario reaches, but a direct caller of the library can:
+# (call given a seeded rng, the error it raises or what it returns)
+@pytest.mark.parametrize("call,outcome", [
+    (lambda rng: VenuePolicy(time_condition="weekly").admits(0, 0), crypto.ParameterError),
+    (_tick_past_a_window, ProtocolStateError),
+    (lambda rng: _hear(_user_app(rng)).visits, []),  # no session: nothing to record it in
+    (lambda rng: MoHServer(rng).issue_tid(b"unregistered", 0, rng), crypto.ParameterError),
+    (lambda rng: _hear(TTUserApp("555-0001", MoHServer(rng), rng)).heard, []),  # no token yet
+    (lambda rng: Dp3tUserApp(rng).key_for_day(3), crypto.ParameterError),  # a chain from day 0
+    (lambda rng: BloomFilter(0), crypto.ParameterError),
+    (lambda rng: BloomFilter(4).contains_many([]), []),
+    (lambda rng: crypto.encode_u64(-1), crypto.ParameterError),
+])
+def test_library_guards(call, outcome):
+    if isinstance(outcome, type):
+        with pytest.raises(outcome):
+            call(random.Random(0))
+    else:
+        assert call(random.Random(0)) == outcome

@@ -1,6 +1,8 @@
 import copy
 import hashlib
+import itertools
 import json
+import re
 from dataclasses import fields
 
 import pytest
@@ -12,6 +14,7 @@ from venuetrace.channel import ChannelModel
 from venuetrace.cli import main
 from venuetrace.scenario import (
     ACTION_FIELDS,
+    EVENT_DEFAULTS,
     EVENT_FIELDS,
     TAMPER_MODES,
     Scenario,
@@ -383,6 +386,8 @@ def _edit(kind, **fields):
          "adversary window ends before it starts"),
         (lambda d: d.update(params=[5]), "params must be an object"),
         (lambda d: d["params"].update(channel=5), "params: channel must be an object"),
+        (_event(time=100, kind="test_positive", user="u01", period=5),
+         "test_positive requires period [start, end] with 0 <= start <= end, two integers, got 5"),
     ],
 )
 def test_inputs_that_crashed_run_are_rejected(mutate, expected, tmp_path, capsys):
@@ -469,6 +474,33 @@ def test_readme_table_lists_every_settable_value():
     table = {line.split("|")[2].strip(" `") for line in readme.splitlines()
              if line.startswith("| `params") or line.startswith("| `policy")}
     assert table == {f.name for _, f in SETTABLE}
+
+
+def _readme_table(readme, first_column):
+    """The rows of the README table whose header starts with ``first_column``, as cells."""
+    lines = readme.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(f"| {first_column} |"))
+    return [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start + 2:])]
+
+
+def test_readme_lists_every_event_field_and_default():
+    readme = (SCENARIOS.parent / "README.md").read_text(encoding="utf-8")
+    # an adversary_action may carry the fields of its action, which the action table lists
+    kinds = {**EVENT_FIELDS, "adversary_action": (EVENT_FIELDS["adversary_action"][0], ())}
+    optional = {key for _, opt in (*kinds.values(), *ACTION_FIELDS.values()) for key in opt}
+    # every optional field has a declared default but use_certificate_of, the reporter's own
+    assert set(EVENT_DEFAULTS) == optional - {"use_certificate_of"}
+    for first_column, declared in (("kind", kinds), ("action", ACTION_FIELDS)):
+        # a cell lists `field`, or `field` = `default` with the default as JSON
+        written = {name.strip("`"): (re.findall(r"`(\w+)`", requires),
+                                     dict(re.findall(r"`(\w+)`(?: = `([^`]*)`)?", may_carry)))
+                   for name, requires, may_carry in _readme_table(readme, first_column)}
+        assert written == {
+            name: (list(req), {key: json.dumps(EVENT_DEFAULTS[key]) if key in EVENT_DEFAULTS
+                               else "" for key in opt})
+            for name, (req, opt) in declared.items()
+        }
 
 
 def test_zero_retention_and_window_stay_valid():

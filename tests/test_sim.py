@@ -95,6 +95,11 @@ class TestWorldModel:
             run(sc, "venue", seed=0)
         assert err.value.diagnostics
 
+    def test_unknown_protocol_raises_with_its_name(self):
+        with pytest.raises(ScenarioError) as err:
+            run(small_scenario(), "bogus", seed=0)
+        assert err.value.diagnostics == ["unknown protocol 'bogus'"]
+
     def test_presence_segments_cover_positions(self):
         sc = small_scenario(
             extra_events=[ScenarioEvent(1360, "move", {"user": "u00", "pos": [2.0, 0.0]})]
@@ -227,6 +232,32 @@ class TestAdversaries:
         )
         trace = run(sc, "venue", seed=0)
         assert trace.data["outcomes"]["adversary"]["injected"] > 0
+
+    def test_tracetogether_reporter_is_not_its_own_contact(self):
+        # the replay plays u00's own token back to it inside v0
+        replay = {"action": "replay_same_venue", "venue": "v0", "pos": [0.5, 0.5],
+                  "start": 1000, "end": 1000 + 6 * L}
+        sc = small_scenario(extra_events=[
+            ScenarioEvent(1000, "adversary_action", replay),
+            ScenarioEvent(DAY, "test_positive", {"user": "u00", "period": [0, DAY]}),
+            ScenarioEvent(DAY + 100, "report", {"user": "u00"}),
+        ])
+        sim = Simulation(sc, SimParams.build(sc, "tracetogether", 0))
+        trace = sim.run()
+        moh = sim.driver.moh
+        heard_own = [p for p in sim.phones["u00"].heard
+                     if moh.registry[moh.decrypt_tid(p.ephid)[0]] == "u00"]
+        assert heard_own
+        assert rows(trace.data["outcomes"]["moh_edges"]) == [{"reporter": "u00", "contact": "u01"}]
+
+    def test_swap_venue_keys_with_one_venue_visited_is_rejected(self):
+        # no other venue's keys to swap in: the bundle carries random ones
+        sc = small_scenario(extra_events=[
+            ScenarioEvent(DAY, "test_positive", {"user": "u00", "period": [0, DAY]}),
+            ScenarioEvent(DAY + 100, "report", {"user": "u00", "tamper": "swap_venue_keys"}),
+        ])
+        reports = rows(run(sc, "venue", seed=0).data["outcomes"]["reports"])
+        assert [(r["venue"], r["code"]) for r in reports] == [("v0", "bad-receipt")]
 
     def test_flood_triggers_anomaly(self):
         sc = Scenario(
