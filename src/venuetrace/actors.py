@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from . import crypto
@@ -27,8 +27,6 @@ from .messages import (
     InfectionCertificate,
     LeaveReceipt,
     ReportBundle,
-    infection_certificate_payload,
-    receipt_payload,
 )
 from .schedule import SECONDS_PER_DAY, SchedulingParams, derive_window_ephids, epoch_of
 
@@ -202,14 +200,8 @@ class TestCenter:
             raise CertificationRefused("opened identifier does not match tested person")
         if not crypto.verify_opening(rid_value, opening.message, opening.blinding):
             raise CertificationRefused("rid does not open to the claimed identifier")
-        payload = infection_certificate_payload(period_start, period_end, rid_value)
-        return InfectionCertificate(
-            period_start=period_start,
-            period_end=period_end,
-            rid_value=rid_value,
-            signature=crypto.sign(payload, self.keys.secret_key),
-            test_center_id=self.center_id,
-        )
+        unsigned = InfectionCertificate(period_start, period_end, rid_value, b"", self.center_id)
+        return replace(unsigned, signature=crypto.sign(unsigned.payload(), self.keys.secret_key))
 
 
 # ---------------------------------------------------------------------------
@@ -270,14 +262,11 @@ class Venue:
             raise ReceiptRefused(
                 f"claimed leave time {claimed_time} outside tolerance of venue clock {now}"
             )
-        payload = receipt_payload(nonce_value, claimed_time, ephid_digest, arrival_time)
-        return LeaveReceipt(
-            nonce_value=nonce_value,
-            leave_time=claimed_time,
-            ephid_digest=ephid_digest,
-            venue_signature=crypto.sign(payload, self.keys.secret_key),
-            venue_id=self.venue_id,
-            arrival_time=arrival_time,
+        unsigned = LeaveReceipt(
+            nonce_value, claimed_time, ephid_digest, b"", self.venue_id, arrival_time
+        )
+        return replace(
+            unsigned, venue_signature=crypto.sign(unsigned.payload(), self.keys.secret_key)
         )
 
     def emit_digest(
@@ -337,6 +326,7 @@ class UserApp:
         self.params = params
         self.ha_public_key = ha_public_key
         self.verify = verifier.verify
+        self.rng = rng  # rid blinding, visit nonces, window keys
         self.rid: Commitment = crypto.commit(true_id.encode("utf-8"), rng)
         self.session: VenueSession | None = None  # one venue at a time
         self._window_ids: list[bytes] = []  # the open window's identifiers
@@ -350,14 +340,14 @@ class UserApp:
         """A phone hears broadcasts only inside a venue it consented to."""
         return self.session is not None
 
-    def enter_venue(self, venue_id: str, now: int, rng: random.Random) -> VenueSession:
+    def enter_venue(self, venue_id: str, now: int) -> VenueSession:
         if self.session is not None:
             raise ProtocolStateError(f"already in a session at {self.session.venue_id}")
-        nonce = crypto.commit(self.rid.value_bytes(), rng)
+        nonce = crypto.commit(self.rid.value_bytes(), self.rng)
         self.session = VenueSession(venue_id=venue_id, entry_time=now, nonce=nonce)
         return self.session
 
-    def epoch_tick(self, now: int, rng: random.Random) -> bytes:
+    def epoch_tick(self, now: int) -> bytes:
         """Advance to the epoch starting at ``now``; returns the identifier to
         broadcast. Generates a fresh window key on window rollover."""
         session = self.session
@@ -365,7 +355,7 @@ class UserApp:
             raise ProtocolStateError("epoch tick outside an active session")
         window, epoch = epoch_of(now - session.entry_time, self.params)
         if window == len(session.window_keys) + 1:
-            key = rng.randbytes(32)
+            key = self.rng.randbytes(32)
             session.window_keys.append(key)
             self._window_ids = derive_window_ephids(key, session.venue_id, self.params)
         elif window != len(session.window_keys):
@@ -561,7 +551,7 @@ class BackendServer:
             ephids.extend(ids if w < x else ids[:y])
         digest = crypto.hash_bytes(b"".join(ephids))
         venue_key = self._verified_subject_key(venue_id)
-        payload = receipt_payload(receipt.nonce_value, receipt.leave_time, digest, receipt.arrival_time)
+        payload = replace(receipt, ephid_digest=digest).payload()
         if venue_key is None or not self.verify(payload, receipt.venue_signature, venue_key):
             return self._reject(RejectionCode.BAD_RECEIPT, "venue signature", now)
 

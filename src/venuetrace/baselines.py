@@ -42,19 +42,20 @@ class MoHServer:
     """
 
     def __init__(self, rng: random.Random):
+        self.rng = rng  # the key here, then pseudonyms and token nonces
         self._aead = AESGCM(rng.randbytes(32))
         self.registry: dict[bytes, str] = {}  # pseudonym -> phone number
         self.traced_edges: list[tuple[str, str]] = []  # (reporter phone, contact phone)
 
-    def register(self, phone_number: str, rng: random.Random) -> bytes:
-        pseudonym = rng.randbytes(16)
+    def register(self, phone_number: str) -> bytes:
+        pseudonym = self.rng.randbytes(16)
         self.registry[pseudonym] = phone_number
         return pseudonym
 
-    def issue_tid(self, pseudonym: bytes, interval_index: int, rng: random.Random) -> bytes:
+    def issue_tid(self, pseudonym: bytes, interval_index: int) -> bytes:
         if pseudonym not in self.registry:
             raise ParameterError("unknown pseudonym")
-        nonce = rng.randbytes(_TT_NONCE_LEN)
+        nonce = self.rng.randbytes(_TT_NONCE_LEN)
         plaintext = lp_encode(pseudonym, encode_u64(interval_index))
         return nonce + self._aead.encrypt(nonce, plaintext, None)
 
@@ -93,9 +94,9 @@ class TTUserApp:
 
     listening = True  # TraceTogether phones listen everywhere
 
-    def __init__(self, phone_number: str, moh: MoHServer, rng: random.Random):
+    def __init__(self, phone_number: str, moh: MoHServer):
         self.phone_number = phone_number
-        self.pseudonym = moh.register(phone_number, rng)
+        self.pseudonym = moh.register(phone_number)
         self.tid: bytes | None = None  # the MoH's token for this interval
         self.heard: list[HeardPing] = []
 
@@ -147,25 +148,26 @@ class Dp3tUserApp:
     listening = True  # DP-3T phones listen everywhere
 
     def __init__(self, rng: random.Random, epochs_per_day: int = DP3T_EPOCHS_PER_DAY):
+        self.rng = rng  # fresh chain keys and each day's broadcast order
         self.epochs_per_day = epochs_per_day
         self.epoch_seconds = SECONDS_PER_DAY // epochs_per_day
         self.heard: list[HeardPing] = []
-        self._start_chain(0, rng)
+        self._start_chain(0)
 
-    def _start_chain(self, day_index: int, rng: random.Random) -> None:
+    def _start_chain(self, day_index: int) -> None:
         """A fresh random key for ``day_index``, unlinked to any earlier key."""
-        self.daily_keys: list[DailyKey] = [DailyKey(key=rng.randbytes(32), day_index=day_index)]
-        self._prepare_day(day_index, rng)
+        self.daily_keys: list[DailyKey] = [DailyKey(key=self.rng.randbytes(32), day_index=day_index)]
+        self._prepare_day(day_index)
 
-    def _prepare_day(self, day_index: int, rng: random.Random) -> None:
+    def _prepare_day(self, day_index: int) -> None:
         while self.daily_keys[-1].day_index < day_index:
             self.daily_keys.append(dp3t_next_daily_key(self.daily_keys[-1]))
         self._day_ids = dp3t_derive_ephids(self.daily_keys[-1], self.epochs_per_day)
         self._day_order = list(range(self.epochs_per_day))
-        rng.shuffle(self._day_order)
+        self.rng.shuffle(self._day_order)
 
-    def start_day(self, day_index: int, rng: random.Random) -> None:
-        self._prepare_day(day_index, rng)
+    def start_day(self, day_index: int) -> None:
+        self._prepare_day(day_index)
 
     def payload(self, now: int) -> bytes:
         return self._day_ids[self._day_order[now % SECONDS_PER_DAY // self.epoch_seconds]]
@@ -179,10 +181,10 @@ class Dp3tUserApp:
                 return k
         raise ParameterError(f"no stored key for day {day_index}")
 
-    def report(self, backend: Dp3tBackend, first_infectious_day: int, current_day: int, rng: random.Random) -> None:
+    def report(self, backend: Dp3tBackend, first_infectious_day: int, current_day: int) -> None:
         """Publish the first infectious day's key, then rotate to a fresh chain."""
         backend.publish(self.key_for_day(first_infectious_day))
-        self._start_chain(current_day, rng)
+        self._start_chain(current_day)
 
 
 def dp3t_match(

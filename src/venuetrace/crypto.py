@@ -28,7 +28,7 @@ import hashlib
 import hmac as _hmac
 import random
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -300,19 +300,12 @@ class Certificate:
     issuer_signature: bytes
 
     def payload(self) -> bytes:
-        return certificate_payload(self.subject_public_key, self.subject_id)
-
-
-def certificate_payload(subject_public_key: bytes, subject_id: str) -> bytes:
-    return lp_encode(subject_public_key, subject_id.encode("utf-8"))
+        """What the HA signs: subject public key, subject id (UTF-8)."""
+        return lp_encode(self.subject_public_key, self.subject_id.encode("utf-8"))
 
 
 def issue_certificate(
     subject_public_key: bytes, subject_id: str, issuer_secret_key: bytes
 ) -> Certificate:
-    payload = certificate_payload(subject_public_key, subject_id)
-    return Certificate(
-        subject_public_key=subject_public_key,
-        subject_id=subject_id,
-        issuer_signature=sign(payload, issuer_secret_key),
-    )
+    unsigned = Certificate(subject_public_key, subject_id, b"")
+    return replace(unsigned, issuer_signature=sign(unsigned.payload(), issuer_secret_key))

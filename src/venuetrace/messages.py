@@ -1,10 +1,11 @@
 """Messages and records exchanged between protocol roles.
 
 Messages pass between actors as in-memory dataclasses. The only byte
-layouts are the signed payloads (leave receipt, infection certificate),
-assembled with the length-prefixed encoding so they are reproducible
-bit-exactly; their field orders are fixed here and nowhere else. Times are
-integer seconds on the simulation clock, encoded big-endian u64.
+layouts are the signed payloads: each signed message's ``payload()`` is
+its one layout, the length-prefixed encoding of its signed fields in a
+fixed order, so it is reproducible bit-exactly. A signer builds the
+message with an empty signature and signs that message's ``payload()``.
+Times are integer seconds on the simulation clock, encoded big-endian u64.
 """
 
 from __future__ import annotations
@@ -34,25 +35,6 @@ class EpochRecord:
     heard: list[HeardPing] = field(default_factory=list)
 
 
-def receipt_payload(
-    nonce_value: int,
-    leave_time: int,
-    ephid_digest: bytes,
-    arrival_time: int | None = None,
-) -> bytes:
-    """Byte string the venue signs on departure.
-
-    Field order: nonce, [arrival time when the arrival-time extension is on],
-    leave time, digest of the visitor's own identifiers.
-    """
-    fields = [encode_group_element(nonce_value)]
-    if arrival_time is not None:
-        fields.append(encode_u64(arrival_time))
-    fields.append(encode_u64(leave_time))
-    fields.append(ephid_digest)
-    return lp_encode(*fields)
-
-
 @dataclass(frozen=True)
 class LeaveReceipt:
     """Venue-signed proof of presence: (nonce, time, identifier digest)."""
@@ -65,17 +47,12 @@ class LeaveReceipt:
     arrival_time: int | None = None
 
     def payload(self) -> bytes:
-        return receipt_payload(
-            self.nonce_value, self.leave_time, self.ephid_digest, self.arrival_time
-        )
-
-
-def infection_certificate_payload(
-    period_start: int, period_end: int, rid_value: int
-) -> bytes:
-    return lp_encode(
-        encode_u64(period_start), encode_u64(period_end), encode_group_element(rid_value)
-    )
+        """What the venue signs: nonce, [arrival time when the arrival-time
+        extension is on], leave time, digest of the visitor's identifiers."""
+        fields = [encode_group_element(self.nonce_value)]
+        if self.arrival_time is not None:
+            fields.append(encode_u64(self.arrival_time))
+        return lp_encode(*fields, encode_u64(self.leave_time), self.ephid_digest)
 
 
 @dataclass(frozen=True)
@@ -89,9 +66,9 @@ class InfectionCertificate:
     test_center_id: str
 
     def payload(self) -> bytes:
-        return infection_certificate_payload(
-            self.period_start, self.period_end, self.rid_value
-        )
+        """What the test center signs: period start, period end, rid."""
+        return lp_encode(encode_u64(self.period_start), encode_u64(self.period_end),
+                         encode_group_element(self.rid_value))
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ from typing import Any, Callable
 
 from . import crypto
 from .actors import (
+    DEFAULT_RETENTION_DAYS,
     BackendServer,
     CertificationRefused,
     HealthAuthority,
@@ -43,16 +44,18 @@ from .actors import (
     VenuePolicy,
 )
 from .baselines import (
+    DP3T_EPOCHS_PER_DAY,
     Dp3tBackend,
     Dp3tUserApp,
     MoHServer,
     TTUserApp,
     dp3t_match,
 )
+from .bloom import DEFAULT_TARGET_FPR
 from .channel import ChannelModel, cell_width
 from .messages import InfectionCertificate, ReportBundle
 from .scenario import EVENT_DEFAULTS, Scenario, ScenarioError, ScenarioEvent, validate_scenario
-from .schedule import SECONDS_PER_DAY, SchedulingParams
+from .schedule import DEFAULT_EPOCH_SECONDS, DEFAULT_WINDOW_SECONDS, SECONDS_PER_DAY, SchedulingParams
 from .table import add_run, columns
 
 PROTOCOLS = ("venue", "dp3t", "tracetogether")
@@ -69,14 +72,14 @@ _OUTCOME_ROWS = ("reports", "deliveries", "assessments", "visits", "backend_reje
 class SimParams:
     protocol: str = "venue"
     seed: int = 0
-    epoch_seconds: int = field(default=180, metadata={"above": 0})
-    window_seconds: int = field(default=7200, metadata={"above": 0})  # a multiple of the epoch
-    bloom_fpr: float = field(default=1e-6, metadata={"above": 0, "below": 1})
-    retention_days: int = field(default=14, metadata={"min": 0})
+    epoch_seconds: int = field(default=DEFAULT_EPOCH_SECONDS, metadata={"above": 0})
+    window_seconds: int = field(default=DEFAULT_WINDOW_SECONDS, metadata={"above": 0})  # whole epochs
+    bloom_fpr: float = field(default=DEFAULT_TARGET_FPR, metadata={"above": 0, "below": 1})
+    retention_days: int = field(default=DEFAULT_RETENTION_DAYS, metadata={"min": 0})
     exposure_seconds: int = field(default=900, metadata={"min": 0})
     proximity_meters: float = field(default=2.0, metadata={"min": 0})
     arrival_time_extension: bool = field(default=False, metadata={"type_only": True})
-    dp3t_epochs_per_day: int = field(default=96, metadata={"above": 0})  # divides 86400
+    dp3t_epochs_per_day: int = field(default=DP3T_EPOCHS_PER_DAY, metadata={"above": 0})  # divides 86400
     tt_interval_seconds: int = field(default=900, metadata={"above": 0})
     channel: ChannelModel = field(default_factory=ChannelModel)
 
@@ -279,7 +282,7 @@ class _VenueDriver(_Driver):
         self.users[to_user].rid = self.users[from_user].rid
 
     def on_enter(self, user: str, venue_id: str, now: int) -> None:
-        self.users[user].enter_venue(venue_id, now, self.sim.rng)
+        self.users[user].enter_venue(venue_id, now)
         self.visit_seq[user] += 1
         self._tick(now, user, self.visit_seq[user])
 
@@ -287,7 +290,7 @@ class _VenueDriver(_Driver):
         app = self.users[user]
         if seq != self.visit_seq[user] or app.session is None:
             return  # session ended (or superseded) before this tick fired
-        self.sim.emit(now, [(user, app.epoch_tick(now, self.sim.rng))], f"visit{seq}")
+        self.sim.emit(now, [(user, app.epoch_tick(now))], f"visit{seq}")
         self.sim.schedule(now + self.sched.epoch_seconds, self._tick, user, seq)
 
     def on_leave(self, user: str, venue_id: str, now: int) -> None:
@@ -401,7 +404,9 @@ class _VenueDriver(_Driver):
 
 
 class _Dp3tDriver(_Driver):
-    """DP-3T low-cost baseline: 24/7 broadcasting on a global epoch grid."""
+    """DP-3T low-cost baseline: 24/7 broadcasting on a global epoch grid.
+    Each report publishes one key and makes its user a reporter once, so
+    ``outcomes["reporters"]`` names the publishers in publication order."""
 
     def __init__(self, sim: "Simulation"):
         super().__init__(sim)
@@ -410,7 +415,6 @@ class _Dp3tDriver(_Driver):
         self.users = {
             u: Dp3tUserApp(sim.rng, sim.params.dp3t_epochs_per_day) for u in sim.scenario.users
         }
-        self.publication_reporters: list[str] = []
 
     def setup(self) -> None:
         hz = self.sim.scenario.horizon_seconds
@@ -420,7 +424,7 @@ class _Dp3tDriver(_Driver):
 
     def _start_day(self, now: int) -> None:
         for u in self.sim.scenario.users:
-            self.users[u].start_day(now // SECONDS_PER_DAY, self.sim.rng)
+            self.users[u].start_day(now // SECONDS_PER_DAY)
 
     def _global_tick(self, now: int) -> None:
         sends = [(u, self.users[u].payload(now)) for u in self.sim.scenario.users]
@@ -431,14 +435,13 @@ class _Dp3tDriver(_Driver):
 
     def _report(self, user: str, data: dict[str, Any], period: tuple[int, int], now: int) -> None:
         first_day = period[0] // SECONDS_PER_DAY
-        self.users[user].report(self.backend, first_day, now // SECONDS_PER_DAY, self.sim.rng)
-        self.publication_reporters.append(user)
+        self.users[user].report(self.backend, first_day, now // SECONDS_PER_DAY)
         self._report_outcome(user, period, now)
         self.sim.events_log.append({"t": now, "kind": "report", "user": user, "day": first_day})
 
     def on_trace_query(self, user: str, now: int) -> None:
         assessments = dp3t_match(self.users[user], self.backend, now // SECONDS_PER_DAY, self.risk)
-        for a, reporter in zip(assessments, self.publication_reporters):
+        for a, reporter in zip(assessments, self.sim.outcomes["reporters"]):
             if reporter != user:
                 self._assessment(user, reporter, a, leak=a.leak)
 
@@ -446,7 +449,7 @@ class _Dp3tDriver(_Driver):
         super().finalize(horizon)
         self.sim.outcomes["published_keys"] = [
             {"day": p.day_index, "key": p.key.hex(), "reporter": r}
-            for p, r in zip(self.backend.published, self.publication_reporters)
+            for p, r in zip(self.backend.published, self.sim.outcomes["reporters"])
         ]
 
 
@@ -458,7 +461,7 @@ class _TTDriver(_Driver):
         self.interval_seconds = sim.params.tt_interval_seconds
         self.moh = MoHServer(sim.rng)
         # each user registers their user id as their phone number
-        self.users = {u: TTUserApp(u, self.moh, sim.rng) for u in sim.scenario.users}
+        self.users = {u: TTUserApp(u, self.moh) for u in sim.scenario.users}
 
     def setup(self) -> None:
         self.sim.schedule(0, self._interval_tick)
@@ -468,7 +471,7 @@ class _TTDriver(_Driver):
         sends = []
         for u in self.sim.scenario.users:
             app = self.users[u]
-            app.tid = self.moh.issue_tid(app.pseudonym, interval, self.sim.rng)
+            app.tid = self.moh.issue_tid(app.pseudonym, interval)
             sends.append((u, app.tid))
         self.sim.emit(now, sends, f"ivl{interval}")
         nxt = now + self.interval_seconds

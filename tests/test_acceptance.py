@@ -239,10 +239,10 @@ def test_criterion_6_digest_reconstruction():
         y = rng.randrange(1, n + 1)
         venue_id = f"venue-{rng.randrange(50)}"
         app = UserApp(f"user-{trial}", ha_keys.public_key, params, rng, crypto.Verifier())
-        app.enter_venue(venue_id, 0, rng)
+        app.enter_venue(venue_id, 0)
         epochs = (x - 1) * n + y
         for k in range(epochs):
-            app.epoch_tick(k * params.epoch_seconds, rng)
+            app.epoch_tick(k * params.epoch_seconds)
         session = app.session
         user_digest = crypto.hash_bytes(b"".join(r.own_ephid for r in session.records))
 

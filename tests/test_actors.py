@@ -54,10 +54,9 @@ def new_user(world, name="alice"):
 def run_visit(world, app, venue_name, t0, epochs, broadcast=True):
     """Drive one visit: tick every epoch, venue hears each broadcast."""
     venue = world["venues"][venue_name]
-    rng = world["rng"]
-    app.enter_venue(venue_name, t0, rng)
+    app.enter_venue(venue_name, t0)
     for k in range(epochs):
-        ephid = app.epoch_tick(t0 + k * L, rng)
+        ephid = app.epoch_tick(t0 + k * L)
         if broadcast:
             venue.record_broadcast(ephid, -40.0, t0 + k * L)
     return app.leave_venue(venue, t0 + epochs * L)
@@ -83,28 +82,28 @@ def publish_digests(world, day_end):
 class TestUserSessions:
     def test_enter_starts_window_one_epoch_one(self, world):
         app = new_user(world)
-        app.enter_venue("cafe", 0, world["rng"])
-        app.epoch_tick(0, world["rng"])
+        app.enter_venue("cafe", 0)
+        app.epoch_tick(0)
         rec = app.session.records[0]
         assert (rec.window, rec.epoch) == (1, 1)
 
     def test_double_entry_rejected(self, world):
         app = new_user(world)
-        app.enter_venue("cafe", 0, world["rng"])
+        app.enter_venue("cafe", 0)
         with pytest.raises(ProtocolStateError):
-            app.enter_venue("cafe", 10, world["rng"])
+            app.enter_venue("cafe", 10)
 
     def test_entry_elsewhere_during_a_session_rejected(self, world):
         app = new_user(world)
-        app.enter_venue("cafe", 0, world["rng"])
+        app.enter_venue("cafe", 0)
         with pytest.raises(ProtocolStateError):
-            app.enter_venue("cafe2", 10, world["rng"])
+            app.enter_venue("cafe2", 10)
         assert app.session.venue_id == "cafe"
 
     def test_leave_at_another_venue_rejected(self, world):
         app = new_user(world)
-        session = app.enter_venue("cafe", 0, world["rng"])
-        app.epoch_tick(0, world["rng"])
+        session = app.enter_venue("cafe", 0)
+        app.epoch_tick(0)
         with pytest.raises(ProtocolStateError):
             app.leave_venue(world["venues"]["gym"], L)
         assert app.session is session and not app.visits
@@ -119,13 +118,13 @@ class TestUserSessions:
         app = new_user(world)
         run_visit(world, app, "cafe", 0, 6)
         with pytest.raises(ProtocolStateError):
-            app.epoch_tick(2000, world["rng"])
+            app.epoch_tick(2000)
 
     def test_window_rollover_on_41st_epoch(self, world):
         app = new_user(world)
-        app.enter_venue("cafe", 0, world["rng"])
+        app.enter_venue("cafe", 0)
         for k in range(41):
-            app.epoch_tick(k * L, world["rng"])
+            app.epoch_tick(k * L)
         session = app.session
         assert len(session.window_keys) == 2
         assert session.records[-1].window == 2
@@ -138,8 +137,8 @@ class TestUserSessions:
 
     def test_hearing_recorded_with_signal(self, world):
         app = new_user(world)
-        app.enter_venue("cafe", 0, world["rng"])
-        app.epoch_tick(0, world["rng"])
+        app.enter_venue("cafe", 0)
+        app.epoch_tick(0)
         app.hear(b"x" * 16, -47.5, 30)
         ping = app.session.records[0].heard[0]
         assert ping.ephid == b"x" * 16 and ping.signal_dbm == -47.5
@@ -166,8 +165,8 @@ class TestLeaveReceipts:
         rng = world["rng"]
         bad_venue = TamperingVenue("cafe2", world["ha"], rng)
         app = new_user(world)
-        app.enter_venue("cafe2", 0, rng)
-        app.epoch_tick(0, rng)
+        app.enter_venue("cafe2", 0)
+        app.epoch_tick(0)
         assert app.leave_venue(bad_venue, L) is None
         assert app.discarded_visits and not app.visits
 
@@ -191,8 +190,8 @@ class TestLeaveReceipts:
         rng = world["rng"]
         venue = FlippingVenue("cafe2", world["ha"], rng)
         app = new_user(world)
-        app.enter_venue("cafe2", 0, rng)
-        app.epoch_tick(0, rng)
+        app.enter_venue("cafe2", 0)
+        app.epoch_tick(0)
         assert app.leave_venue(venue, L) is None
         assert app.discarded_visits and not app.visits
 
@@ -253,6 +252,13 @@ class TestReportBuilding:
         bundles = app.build_reports(cert)
         assert len(bundles) == 2
         assert {b.leave_receipt.venue_id for b in bundles} == {"cafe", "gym"}
+
+    def test_visit_leaving_at_period_end_reported_and_one_second_after_not(self, world):
+        app = new_user(world)
+        leave = run_visit(world, app, "cafe", DAY, 6).receipt.leave_time
+        for period_end, reported in ((leave, 1), (leave - 1, 0)):
+            cert = app.obtain_certificate(world["tc"], DAY, period_end)
+            assert len(app.build_reports(cert)) == reported
 
     def test_bundle_reconstructs_broadcast_list(self, world):
         app = new_user(world)
@@ -413,6 +419,19 @@ class TestBackendReportMatrix:
         record, code = world["backend"].process_report(b2, 2 * DAY)
         assert record is None and code == RejectionCode.OVERLAPPING_PRESENCE
 
+    @pytest.mark.parametrize("offset,code", [(0, None), (-1, RejectionCode.OVERLAPPING_PRESENCE)])
+    def test_stay_beginning_as_another_ends_accepted_and_one_second_earlier_not(self, world, offset, code):
+        alice = new_user(world, "alice")
+        mallory = new_user(world, "mallory")
+        mallory.rid = alice.rid
+        run_visit(world, alice, "cafe", DAY, 6)  # present [DAY, DAY + 6L]
+        run_visit(world, mallory, "gym", DAY + 6 * L + offset, 6)
+        publish_digests(world, 2 * DAY)
+        cert = alice.obtain_certificate(world["tc"], DAY, 2 * DAY)
+        _, first = world["backend"].process_report(alice.build_reports(cert)[0], 2 * DAY)
+        _, second = world["backend"].process_report(mallory.build_reports(cert)[0], 2 * DAY)
+        assert (first, second) == (None, code)
+
     def test_disjoint_times_from_same_rid_accepted(self, world):
         app = new_user(world)
         run_visit(world, app, "cafe", DAY, 6)
@@ -476,6 +495,13 @@ class TestTraceQueries:
             assert visit.receipt.leave_time == leave
             assert world["backend"].answer_trace(visit.receipt, 2 * DAY) == served
 
+    def test_record_served_through_retention_and_dropped_one_second_past(self, world):
+        _, record = self._accepted_record(world)
+        visit = run_visit(world, new_user(world, "bob"), "cafe", DAY + 3000, 6)
+        edge = record.leave_time + world["backend"].retention_seconds
+        assert world["backend"].answer_trace(visit.receipt, edge) == [record.ephids]
+        assert world["backend"].answer_trace(visit.receipt, edge + 1) == []
+
     def test_forged_venue_certificate_after_good_query(self, world):
         self._accepted_record(world)
         visitor = new_user(world, "bob")
@@ -526,9 +552,9 @@ class TestRiskEvaluation:
     def _visit_with_matches(self, world, matched_epochs, signal_dbm):
         app = new_user(world)
         infected_ids = [bytes([i]) * 16 for i in range(10)]
-        app.enter_venue("cafe", 0, world["rng"])
+        app.enter_venue("cafe", 0)
         for k in range(8):
-            app.epoch_tick(k * L, world["rng"])
+            app.epoch_tick(k * L)
             if k < matched_epochs:
                 app.hear(infected_ids[k], signal_dbm, k * L + 5)
         visit = app.leave_venue(world["venues"]["cafe"], 8 * L)
@@ -581,6 +607,24 @@ class TestVenueMonitoring:
         with pytest.raises(UnknownVenuePeriodError):
             ha.match("cafe", [heard], stay, boundary + 1)
         assert ha.digests["cafe"] == []
+
+    def test_heard_entry_kept_through_retention_and_evicted_one_second_past(self, world):
+        venue = world["venues"]["cafe"]
+        venue.record_broadcast(b"h" * 16, -40.0, DAY)
+        edge = DAY + venue.retention_seconds
+        venue.emit_digest(edge - DAY, edge, edge, 1e-6)
+        assert venue.heard_log == [(b"h" * 16, DAY)]
+        venue.emit_digest(edge + 1 - DAY, edge + 1, edge + 1, 1e-6)
+        assert venue.heard_log == []
+
+    def test_digest_ending_as_the_stay_begins_not_matched(self, world):
+        ha, heard = world["ha"], b"h" * 16
+        cafe = world["venues"]["cafe"]
+        cafe.record_broadcast(heard, -40.0, DAY + 60)
+        ha.store_digest(cafe.emit_digest(DAY, 2 * DAY, 2 * DAY, 1e-6), 2 * DAY)
+        assert ha.match("cafe", [heard], (2 * DAY - 1, 2 * DAY + L), 2 * DAY) == [True]
+        with pytest.raises(UnknownVenuePeriodError):
+            ha.match("cafe", [heard], (2 * DAY, 2 * DAY + L), 2 * DAY)
 
     def test_flood_rate_anomaly(self, world):
         rng = world["rng"]

@@ -19,24 +19,24 @@ class TestTraceTogether:
     def test_tid_round_trip(self):
         rng = random.Random(0)
         moh = MoHServer(rng)
-        pseudonym = moh.register("555-0001", rng)
-        tid = moh.issue_tid(pseudonym, 7, rng)
+        pseudonym = moh.register("555-0001")
+        tid = moh.issue_tid(pseudonym, 7)
         assert moh.decrypt_tid(tid) == (pseudonym, 7)
 
     def test_tids_unlinkable_across_intervals(self):
         rng = random.Random(1)
         moh = MoHServer(rng)
-        pseudonym = moh.register("555-0001", rng)
+        pseudonym = moh.register("555-0001")
         seen = set()
         for x in range(10_000):
-            seen.add(moh.issue_tid(pseudonym, x, rng))
+            seen.add(moh.issue_tid(pseudonym, x))
         assert len(seen) == 10_000
 
     def test_tampered_tid_fails_decryption(self):
         rng = random.Random(2)
         moh = MoHServer(rng)
-        pseudonym = moh.register("555-0001", rng)
-        ct = bytearray(moh.issue_tid(pseudonym, 0, rng))
+        pseudonym = moh.register("555-0001")
+        ct = bytearray(moh.issue_tid(pseudonym, 0))
         ct[-1] ^= 1
         assert moh.decrypt_tid(bytes(ct)) is None
         assert moh.decrypt_tid(b"short") is None
@@ -44,10 +44,10 @@ class TestTraceTogether:
     def test_trace_returns_co_present_contact(self):
         rng = random.Random(3)
         moh = MoHServer(rng)
-        alice = TTUserApp("555-alice", moh, rng)
-        bob = TTUserApp("555-bob", moh, rng)
-        alice.tid = moh.issue_tid(alice.pseudonym, 0, rng)
-        bob.tid = moh.issue_tid(bob.pseudonym, 0, rng)
+        alice = TTUserApp("555-alice", moh)
+        bob = TTUserApp("555-bob", moh)
+        alice.tid = moh.issue_tid(alice.pseudonym, 0)
+        bob.tid = moh.issue_tid(bob.pseudonym, 0)
         alice.hear(bob.tid, -45.0, 0)
         bob.hear(alice.tid, -45.0, 0)
         assert moh.trace("555-alice", alice.heard) == ["555-bob"]
@@ -55,17 +55,17 @@ class TestTraceTogether:
     def test_forged_triple_skipped(self):
         rng = random.Random(4)
         moh = MoHServer(rng)
-        alice = TTUserApp("555-alice", moh, rng)
-        alice.tid = moh.issue_tid(alice.pseudonym, 0, rng)
+        alice = TTUserApp("555-alice", moh)
+        alice.tid = moh.issue_tid(alice.pseudonym, 0)
         forged = HeardPing(ephid=rng.randbytes(44), signal_dbm=-40.0, time=0)
         assert moh.trace("555-alice", [forged]) == []
 
     def test_moh_learns_reporter_contact_graph(self):
         rng = random.Random(5)
         moh = MoHServer(rng)
-        apps = {n: TTUserApp(f"555-{n}", moh, rng) for n in ("a", "b", "c")}
+        apps = {n: TTUserApp(f"555-{n}", moh) for n in ("a", "b", "c")}
         for app in apps.values():
-            app.tid = moh.issue_tid(app.pseudonym, 0, rng)
+            app.tid = moh.issue_tid(app.pseudonym, 0)
         apps["a"].hear(apps["b"].tid, -45.0, 0)
         apps["a"].hear(apps["c"].tid, -45.0, 0)
         moh.trace("555-a", apps["a"].heard)
@@ -84,9 +84,9 @@ class TestDp3t:
         rng = random.Random(7)
         app = Dp3tUserApp(rng, epochs_per_day=96)
         for day in (1, 2, 3):
-            app.start_day(day, rng)
+            app.start_day(day)
         backend = Dp3tBackend()
-        app.report(backend, first_infectious_day=1, current_day=3, rng=rng)
+        app.report(backend, first_infectious_day=1, current_day=3)
         pub = backend.published[0]
         (sets,) = backend.day_sets(through_day=3)
         # hash-chain forward derivation: day-2 ids follow from the day-1 key
@@ -97,10 +97,10 @@ class TestDp3t:
     def test_rotation_unlinks_future_days(self):
         rng = random.Random(8)
         app = Dp3tUserApp(rng, epochs_per_day=96)
-        app.start_day(1, rng)
+        app.start_day(1)
         backend = Dp3tBackend()
         old_key_day1 = app.key_for_day(1).key
-        app.report(backend, first_infectious_day=0, current_day=1, rng=rng)
+        app.report(backend, first_infectious_day=0, current_day=1)
         fresh = app.key_for_day(1).key
         assert fresh != old_key_day1
         # identifiers broadcast after rotation are outside the published chain
@@ -116,7 +116,7 @@ class TestDp3t:
             bob.hear(alice.payload(e * 900), -45.0, e * 900)
         bob.hear(alice.payload(3 * 900), -70.0, 3 * 900)  # too far
         backend = Dp3tBackend()
-        alice.report(backend, first_infectious_day=0, current_day=0, rng=rng)
+        alice.report(backend, first_infectious_day=0, current_day=0)
         (result,) = dp3t_match(
             bob, backend, through_day=0,
             policy=RiskPolicy(exposure_seconds=900, proximity_threshold_dbm=-46.0),
@@ -130,7 +130,7 @@ class TestDp3t:
         alice = Dp3tUserApp(rng, epochs_per_day=96)
         bob = Dp3tUserApp(rng, epochs_per_day=96)
         backend = Dp3tBackend()
-        alice.report(backend, 0, 0, rng)
+        alice.report(backend, 0, 0)
         (result,) = dp3t_match(bob, backend, through_day=0, policy=RiskPolicy())
         assert not result.leak and not result.at_risk
 
@@ -138,10 +138,10 @@ class TestDp3t:
         rng = random.Random(11)
         alice = Dp3tUserApp(rng, epochs_per_day=96)
         for day in (1, 2):
-            alice.start_day(day, rng)
+            alice.start_day(day)
         backend = Dp3tBackend()
         day1 = alice.key_for_day(1)
-        alice.report(backend, first_infectious_day=1, current_day=2, rng=rng)
+        alice.report(backend, first_infectious_day=1, current_day=2)
         bob = Dp3tUserApp(rng, epochs_per_day=96)
         derived = []
         monkeypatch.setattr(
@@ -163,10 +163,10 @@ class TestDp3t:
         rng = random.Random(12)
         alice = Dp3tUserApp(rng, epochs_per_day=96)
         bob = Dp3tUserApp(rng, epochs_per_day=96)
-        alice.start_day(1, rng)
+        alice.start_day(1)
         bob.hear(alice.payload(DAY), -45.0, DAY)
         backend = Dp3tBackend()
-        alice.report(backend, first_infectious_day=0, current_day=1, rng=rng)
+        alice.report(backend, first_infectious_day=0, current_day=1)
         (later,) = dp3t_match(bob, backend, through_day=1, policy=RiskPolicy())
         # day 1 is expanded by now
         (earlier,) = dp3t_match(bob, backend, through_day=0, policy=RiskPolicy())
@@ -177,10 +177,10 @@ class TestDp3t:
         alice = Dp3tUserApp(rng, epochs_per_day=96)
         bob = Dp3tUserApp(rng, epochs_per_day=96)
         bob.hear(alice.payload(5 * 900), -45.0, 5 * 900)
-        alice.start_day(1, rng)
+        alice.start_day(1)
         bob.hear(alice.payload(DAY + 5 * 900), -45.0, DAY + 5 * 900)
         backend = Dp3tBackend()
-        alice.report(backend, first_infectious_day=0, current_day=1, rng=rng)
+        alice.report(backend, first_infectious_day=0, current_day=1)
         (result,) = dp3t_match(bob, backend, through_day=1, policy=RiskPolicy())
         # a slot keyed by time of day alone would merge the two epochs
         assert result.matched_epochs == 2

@@ -183,9 +183,9 @@ def _user_app(rng):
 
 def _tick_past_a_window(rng):
     app = _user_app(rng)
-    app.enter_venue("v0", 0, rng)
-    app.epoch_tick(0, rng)
-    app.epoch_tick(2 * SchedulingParams().window_seconds, rng)  # window 3 after window 1
+    app.enter_venue("v0", 0)
+    app.epoch_tick(0)
+    app.epoch_tick(2 * SchedulingParams().window_seconds)  # window 3 after window 1
 
 
 def _hear(app):
@@ -199,8 +199,8 @@ def _hear(app):
     (lambda rng: VenuePolicy(time_condition="weekly").admits(0, 0), crypto.ParameterError),
     (_tick_past_a_window, ProtocolStateError),
     (lambda rng: _hear(_user_app(rng)).visits, []),  # no session: nothing to record it in
-    (lambda rng: MoHServer(rng).issue_tid(b"unregistered", 0, rng), crypto.ParameterError),
-    (lambda rng: _hear(TTUserApp("555-0001", MoHServer(rng), rng)).heard, []),  # no token yet
+    (lambda rng: MoHServer(rng).issue_tid(b"unregistered", 0), crypto.ParameterError),
+    (lambda rng: _hear(TTUserApp("555-0001", MoHServer(rng))).heard, []),  # no token yet
     (lambda rng: Dp3tUserApp(rng).key_for_day(3), crypto.ParameterError),  # a chain from day 0
     (lambda rng: BloomFilter(0), crypto.ParameterError),
     (lambda rng: BloomFilter(4).contains_many([]), []),

@@ -332,6 +332,15 @@ class TestAdversaries:
         trace = run(sc, "venue", seed=0)
         assert all(b["emitter"] != "u00" for b in broadcast_rows(trace.data))
 
+    @pytest.mark.parametrize("end,on_air_at_900", [(900, False), (899, True)])
+    def test_suppression_window_includes_its_end(self, end, on_air_at_900):
+        sc = small_scenario(extra_events=[ScenarioEvent(0, "adversary_action", {
+            "action": "suppress_broadcasts", "user": "u00", "start": 0, "end": end})])
+        trace = run(sc, "dp3t", seed=0)  # a broadcast every 900 s from 0
+        times = [b["t"] for b in broadcast_rows(trace.data) if b["emitter"] == "u00"]
+        assert 1800 in times
+        assert (900 in times) == on_air_at_900
+
     def test_eavesdropper_sees_only_broadcast_bytes(self):
         sc = small_scenario(
             extra_events=[
