@@ -159,9 +159,12 @@ class Dp3tUserApp:
         self.daily_keys: list[DailyKey] = [DailyKey(key=self.rng.randbytes(32), day_index=day_index)]
         self._prepare_day(day_index)
 
-    def _prepare_day(self, day_index: int) -> None:
+    def _grow_chain(self, day_index: int) -> None:
         while self.daily_keys[-1].day_index < day_index:
             self.daily_keys.append(dp3t_next_daily_key(self.daily_keys[-1]))
+
+    def _prepare_day(self, day_index: int) -> None:
+        self._grow_chain(day_index)
         self._day_ids = dp3t_derive_ephids(self.daily_keys[-1], self.epochs_per_day)
         self._day_order = list(range(self.epochs_per_day))
         self.rng.shuffle(self._day_order)
@@ -182,7 +185,9 @@ class Dp3tUserApp:
         raise ParameterError(f"no stored key for day {day_index}")
 
     def report(self, backend: Dp3tBackend, first_infectious_day: int, current_day: int) -> None:
-        """Publish the first infectious day's key, then rotate to a fresh chain."""
+        """Publish the first infectious day's key, then rotate to a fresh chain; a
+        report in the second that opens that day comes before the day starts."""
+        self._grow_chain(first_infectious_day)
         backend.publish(self.key_for_day(first_infectious_day))
         self._start_chain(current_day)
 

@@ -1,8 +1,8 @@
 """Command-line interface: run, validate, replay.
 
-``trace.ndjson`` holds every row section as columns, repeated broadcast values
-as runs (see :mod:`venuetrace.table`) and each record key once, exactly as
-``SimulationTrace.data`` does; ``events.ndjson`` holds the ``events`` rows.
+``run`` writes ``trace.ndjson`` through :mod:`venuetrace.trace`, exactly as
+``SimulationTrace.data`` holds it, and ``events.ndjson``, the ``events`` rows;
+``replay`` reads the trace back through the same module.
 
 Exit codes: 0 success, 1 scenario-validation failure, 2 runtime failure
 (including trace integrity errors). The ``run`` flags in ``PARAM_FLAGS``
@@ -14,146 +14,19 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
-import json
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from .metrics import ExposurePolicy, MetricsReport, collect_metrics, comparison_rows
 from .scenario import Scenario, ScenarioError, validate_scenario
-from .sim import PROTOCOLS, row_sections
+from .sim import PROTOCOLS
 from .sim import run as run_simulation
-from .table import check, rows, select
-
-TRACE_FORMAT = "venuetrace-trace"
-# 4: repeated broadcast values as runs, and record keys as indexes into
-# ``records``; no other version loads
-TRACE_VERSION = 4
-_SECTIONS = {"config": dict, "presence": dict, "broadcasts": dict, "emitters": list,
-             "records": list, "events": dict, "outcomes": dict}  # in file order, with their data's type
-# the columns whose values index the ``records`` section, by section name
-_RECORD_INDEXES = {"outcomes.deliveries": "record_keys", "outcomes.assessments": "record_key"}
-_SLICE = 512  # the most list items that ``write_trace`` encodes at once
-
-
-class IntegrityError(RuntimeError):
-    """Trace file is truncated or has been modified."""
-
-
-_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-
-def _long(obj: Any) -> bool:
-    """Whether ``obj`` is a list longer than ``_SLICE`` or a dict that holds one, in any depth of dicts."""
-    return any(map(_long, obj.values())) if isinstance(obj, dict) else isinstance(obj, list) and len(obj) > _SLICE
-
-
-def _pieces(obj: Any) -> Iterator[str]:
-    """Strings that join to ``_canonical(obj)``: as the encoder holds a string per
-    value, a long list comes in slices, a dict holding one key by key."""
-    if isinstance(obj, list) and len(obj) > _SLICE:
-        yield from (",["[not i] + _canonical(obj[i:i + _SLICE])[1:-1] for i in range(0, len(obj), _SLICE))
-        yield "]"
-    elif isinstance(obj, dict) and _long(obj):
-        sep, small = "{", {}  # the keys since the last long value, encoded together
-        for key, value in sorted(obj.items()):
-            small[key] = 0 if (long := _long(value)) else value
-            if long:
-                yield sep + _canonical(small)[1:-2]  # up to the long value
-                sep, small = ",", {}
-                yield from _pieces(value)
-        yield (sep + _canonical(small)[1:-1] if small else "") + "}"
-    else:
-        yield _canonical(obj)
-
-
-def write_trace(data: dict[str, Any], path: Path) -> None:
-    """The sections of ``data``, newline-delimited, followed by a SHA-256
-    trailer line; each piece of a line is hashed and written once encoded."""
-    digest = hashlib.sha256()
-    header = {"format": TRACE_FORMAT, "version": TRACE_VERSION}
-    sections = ({"section": name, "data": data[name]} for name in _SECTIONS)
-    with open(path, "wb") as fh:
-        for obj in (header, *sections):
-            for piece in map(str.encode, chain(_pieces(obj), ["\n"])):
-                digest.update(piece)
-                fh.write(piece)
-        fh.write((_canonical({"sha256": digest.hexdigest()}) + "\n").encode("utf-8"))
-
-
-def _load_line(number: int, entry: Any, data: dict[str, Any]) -> None:
-    """Check parsed line ``number``, the header or a section for ``data``."""
-    if number == 1:
-        header = entry if isinstance(entry, dict) else {}
-        if header.get("format") != TRACE_FORMAT:
-            raise ValueError(f"unknown trace format {header.get('format')!r}")
-        if (version := header.get("version")) != TRACE_VERSION:
-            raise ValueError(f"unsupported trace version {version!r}: re-run its config's scenario and seed")
-        return
-    if not isinstance(entry, dict) or entry.keys() != {"data", "section"}:
-        raise ValueError("not a section object")
-    if not isinstance(name := entry["section"], str) or name not in _SECTIONS or name in data:
-        raise ValueError(f"unknown or repeated section {name!r}")
-    if not isinstance(value := entry["data"], _SECTIONS[name]):
-        raise ValueError(f"section {name} holds {type(value).__name__}, not {_SECTIONS[name].__name__}")
-    data[name] = value
-
-
-def read_trace(path: Path) -> dict[str, Any]:
-    """Parse and integrity-check a trace file; raises IntegrityError.
-
-    The file is read once, a line at a time, each line hashed before it is
-    parsed; a line that does not load fails only once the trailer vouches
-    for it. Only ``TRACE_VERSION`` loads, as stored: runs stay runs.
-    """
-    digest = hashlib.sha256()
-    data: dict[str, Any] = {}
-    fault: IntegrityError | None = None  # from the first line that did not load
-    number, line = 0, b""
-    with open(path, "rb", buffering=1 << 16) as fh:  # a long line in fewer reads
-        for line in fh:  # not enumerate, whose last tuple would keep the bytes
-            number += 1
-            if not fh.peek(1):
-                break  # the last line is the trailer
-            digest.update(line)
-            try:
-                line = line.decode("utf-8")  # the bytes are freed before parsing
-                _load_line(number, json.loads(line), data)
-            except ValueError as exc:  # not UTF-8, not JSON or not a line the writer writes
-                fault = fault or IntegrityError(f"line {number}: {exc}")
-    if number < 2:
-        raise IntegrityError("trace file too short")
-    try:
-        trailer = json.loads(line)
-    except ValueError as exc:
-        raise IntegrityError(f"trailer is not valid JSON: {exc}") from exc
-    if not isinstance(trailer, dict) or "sha256" not in trailer:
-        raise IntegrityError("trace file has no integrity trailer (truncated?)")
-    if digest.hexdigest() != trailer["sha256"]:
-        raise IntegrityError("trace integrity hash mismatch")
-    if fault:
-        raise fault
-    missing = [s for s in _SECTIONS if s not in data]
-    if missing:
-        raise IntegrityError(f"trace is missing sections: {missing}")
-    name = "outcomes"  # what row_sections reads before it names a table
-    try:
-        for name, mapping, key in [("broadcasts", data, "broadcasts"), *row_sections(data)]:
-            check(mapping[key])
-            column = _RECORD_INDEXES.get(name)
-            for value, in select(mapping[key], column) if column else ():
-                for i in value if isinstance(value, list) else [value]:
-                    if i is not None and (type(i) is not int or not 0 <= i < len(data["records"])):
-                        raise ValueError(f"column {column!r} holds {i!r}, not an index into records")
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise IntegrityError(f"section {name}: {exc}") from exc
-    return data
-
+from .trace import IntegrityError, _canonical, read_trace, rows, write_trace
 
 # (params key, flag type, flag value -> key value scale). The flag is
 # --<key>, except that a key in seconds scaled by 60 takes minutes.

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 from typing import Any
 
 from .channel import cell_width
-from .table import by_key, length, select
+from .trace import by_key, length, select
 
 
 @dataclass(frozen=True)

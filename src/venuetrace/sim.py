@@ -14,11 +14,11 @@ Listeners are found through a map from each cell (``channel.cell_width``)
 to the users in the 3x3 block around it, so a broadcast costs one lookup
 plus work for the users near it; a baseline's epoch tick is one ``emit``.
 Ground-truth presence segments are recorded independently of any protocol
-and feed the exposure oracle in :mod:`venuetrace.metrics`. Drivers and
-actors log rows as dicts; ``Simulation.run`` stores each row section of the
-trace as columns (:mod:`venuetrace.table`) once, at the end. ``run`` checks
-the scenario, its overrides and the protocol once; ``Simulation`` takes
-inputs that passed.
+and feed the exposure oracle in :mod:`venuetrace.metrics`. Scripted events
+run before the run's own work of the same second. Drivers and actors log
+rows as dicts; ``Simulation.run`` stores each table of ``trace.LAYOUT`` as
+columns once, at the end. ``run`` checks the scenario, its overrides and
+the protocol once; ``Simulation`` takes inputs that passed.
 """
 
 from __future__ import annotations
@@ -56,16 +56,13 @@ from .channel import ChannelModel, cell_width
 from .messages import InfectionCertificate, ReportBundle
 from .scenario import EVENT_DEFAULTS, Scenario, ScenarioError, ScenarioEvent, validate_scenario
 from .schedule import DEFAULT_EPOCH_SECONDS, DEFAULT_WINDOW_SECONDS, SECONDS_PER_DAY, SchedulingParams
-from .table import add_run, columns
+from .trace import add_run, columns, tables
 
 PROTOCOLS = ("venue", "dp3t", "tracetogether")
 STREET = None  # location key for the shared off-premise space
 # the columns of the broadcasts section; ``emitter`` holds indexes into the
 # ``emitters`` section, and all but it and ``payload`` hold runs
 BROADCAST_KEYS = ("t", "emitter", "location", "payload", "tx_dbm", "injected", "tag")
-# the lists of dicts in outcomes; the adversary's stay rows (metrics.json copies them)
-_OUTCOME_ROWS = ("reports", "deliveries", "assessments", "visits", "backend_rejections",
-                 "published_keys", "moh_edges")
 
 
 @dataclass
@@ -76,7 +73,7 @@ class SimParams:
     window_seconds: int = field(default=DEFAULT_WINDOW_SECONDS, metadata={"above": 0})  # whole epochs
     bloom_fpr: float = field(default=DEFAULT_TARGET_FPR, metadata={"above": 0, "below": 1})
     retention_days: int = field(default=DEFAULT_RETENTION_DAYS, metadata={"min": 0})
-    exposure_seconds: int = field(default=900, metadata={"min": 0})
+    exposure_seconds: int = field(default=RiskPolicy.exposure_seconds, metadata={"min": 0})
     proximity_meters: float = field(default=2.0, metadata={"min": 0})
     arrival_time_extension: bool = field(default=False, metadata={"type_only": True})
     dp3t_epochs_per_day: int = field(default=DP3T_EPOCHS_PER_DAY, metadata={"above": 0})  # divides 86400
@@ -108,23 +105,6 @@ class SimulationTrace:
     data: dict[str, Any]
 
 
-def row_sections(data: dict[str, Any]) -> list[tuple[str, dict[str, Any], str]]:
-    """(name, mapping, key) of each row section in trace ``data``: presence,
-    events, and every list of dicts in outcomes but the adversary's."""
-    outcomes = data["outcomes"]
-    observed = outcomes.get("actor_observed", {})
-    groups = (
-        ("", data, ("presence", "events")),
-        ("outcomes.", outcomes, _OUTCOME_ROWS),
-        ("outcomes.actor_observed.", observed, ("backend", "ha", "test_center")),
-        ("outcomes.actor_observed.venues.", observed.get("venues", {}), None),
-        ("outcomes.venue_anomalies.", outcomes.get("venue_anomalies", {}), None),
-        ("outcomes.venue_notices.", outcomes.get("venue_notices", {}), None),
-    )
-    return [(prefix + key, mapping, key) for prefix, mapping, keys in groups
-            for key in (mapping if keys is None else keys) if key in mapping]
-
-
 def _record_key(ephids: tuple[bytes, ...]) -> str:
     return crypto.hash_bytes(b"".join(ephids)).hex()
 
@@ -139,9 +119,9 @@ class _Driver(ABC):
     The core calls only these methods, plus the radio interface of each
     phone app in ``users``: ``listening``, ``payload(now)`` (what the phone
     broadcasts now, or None) and ``hear(payload, rx_dbm, now)``. The
-    defaults fit a phone-wide BLE baseline: venues mean nothing, a positive
-    test just stores the contagious period, and a report without one, or
-    a user's second report, is skipped.
+    defaults fit a phone-wide BLE baseline: its ``_tick`` runs from 0,
+    venues mean nothing, a positive test just stores the contagious period,
+    and a report without one, or a user's second report, is skipped.
     """
 
     users: dict[str, Any]  # user -> phone app
@@ -152,9 +132,9 @@ class _Driver(ABC):
         p = sim.params
         self.risk = RiskPolicy(p.exposure_seconds, p.channel.threshold_dbm(p.proximity_meters))
 
-    @abstractmethod
     def setup(self) -> None:
         """Schedule the protocol's own recurring events."""
+        self.sim.schedule(0, self._tick)
 
     @abstractmethod
     def _report(self, user: str, data: dict[str, Any], credential: Any, now: int) -> None:
@@ -284,14 +264,14 @@ class _VenueDriver(_Driver):
     def on_enter(self, user: str, venue_id: str, now: int) -> None:
         self.users[user].enter_venue(venue_id, now)
         self.visit_seq[user] += 1
-        self._tick(now, user, self.visit_seq[user])
+        self._visit_tick(now, user, self.visit_seq[user])
 
-    def _tick(self, now: int, user: str, seq: int) -> None:
+    def _visit_tick(self, now: int, user: str, seq: int) -> None:
         app = self.users[user]
         if seq != self.visit_seq[user] or app.session is None:
             return  # session ended (or superseded) before this tick fired
         self.sim.emit(now, [(user, app.epoch_tick(now))], f"visit{seq}")
-        self.sim.schedule(now + self.sched.epoch_seconds, self._tick, user, seq)
+        self.sim.schedule(now + self.sched.epoch_seconds, self._visit_tick, user, seq)
 
     def on_leave(self, user: str, venue_id: str, now: int) -> None:
         app = self.users[user]
@@ -416,22 +396,15 @@ class _Dp3tDriver(_Driver):
             u: Dp3tUserApp(sim.rng, sim.params.dp3t_epochs_per_day) for u in sim.scenario.users
         }
 
-    def setup(self) -> None:
-        hz = self.sim.scenario.horizon_seconds
-        for t in range(SECONDS_PER_DAY, hz, SECONDS_PER_DAY):
-            self.sim.schedule(t, self._start_day)
-        self.sim.schedule(0, self._global_tick)
-
-    def _start_day(self, now: int) -> None:
-        for u in self.sim.scenario.users:
-            self.users[u].start_day(now // SECONDS_PER_DAY)
-
-    def _global_tick(self, now: int) -> None:
+    def _tick(self, now: int) -> None:
+        if now and not now % SECONDS_PER_DAY:  # the tick that opens a day starts it
+            for u in self.sim.scenario.users:
+                self.users[u].start_day(now // SECONDS_PER_DAY)
         sends = [(u, self.users[u].payload(now)) for u in self.sim.scenario.users]
         self.sim.emit(now, sends, f"day{now // SECONDS_PER_DAY}")
         nxt = now + self.epoch_seconds
         if nxt < self.sim.scenario.horizon_seconds:
-            self.sim.schedule(nxt, self._global_tick)
+            self.sim.schedule(nxt, self._tick)
 
     def _report(self, user: str, data: dict[str, Any], period: tuple[int, int], now: int) -> None:
         first_day = period[0] // SECONDS_PER_DAY
@@ -463,10 +436,7 @@ class _TTDriver(_Driver):
         # each user registers their user id as their phone number
         self.users = {u: TTUserApp(u, self.moh) for u in sim.scenario.users}
 
-    def setup(self) -> None:
-        self.sim.schedule(0, self._interval_tick)
-
-    def _interval_tick(self, now: int) -> None:
+    def _tick(self, now: int) -> None:
         interval = now // self.interval_seconds
         sends = []
         for u in self.sim.scenario.users:
@@ -476,7 +446,7 @@ class _TTDriver(_Driver):
         self.sim.emit(now, sends, f"ivl{interval}")
         nxt = now + self.interval_seconds
         if nxt < self.sim.scenario.horizon_seconds:
-            self.sim.schedule(nxt, self._interval_tick)
+            self.sim.schedule(nxt, self._tick)
 
     def _report(self, user: str, data: dict[str, Any], period: tuple[int, int], now: int) -> None:
         app = self.users[user]
@@ -556,9 +526,9 @@ class Simulation:
 
         self.driver = _DRIVERS[params.protocol](self)
         self.phones = self.driver.users
-        self.driver.setup()
-        for event in scenario.sorted_events():
+        for event in scenario.sorted_events():  # first, so they run first at equal time
             self.schedule(event.time, self._handle_scenario_event, event)
+        self.driver.setup()
 
     # -- scheduling ---------------------------------------------------------
 
@@ -790,9 +760,10 @@ class Simulation:
             "presence": self.presence,
             "outcomes": self.outcomes,
         }
-        for _, mapping, key in row_sections(data):  # to columns, emptying the actors' row lists
-            mapping[key] = columns(row_list := mapping[key])
-            row_list.clear()
+        for _, mapping, key in tables(data):  # to columns, emptying the actors' row lists
+            if isinstance(row_list := mapping[key], list):  # not broadcasts, columns all along
+                mapping[key] = columns(row_list)
+                row_list.clear()
         return SimulationTrace(data)
 
 

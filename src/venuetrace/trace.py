@@ -1,0 +1,264 @@
+"""The trace: its sections (``LAYOUT``), its file and the codec of its tables.
+
+A table is a list of dicts stored as columns: for each key, the values of
+the rows that have that key, in row order. When every row has the same set
+of keys, the table is just ``{key: values}``. Otherwise it is ``{"columns":
+{key: values}, "keys": [sorted key set, ...], "schema": [key set index per
+row]}``, told apart by the dict under ``columns``. A key a row lacks stays
+absent, and ``rows(columns(x)) == x``; the empty list is ``{}``. A column
+may also hold runs, ``{"runs": [[value, count], ...]}``: ``count`` rows of
+each value, built by ``add_run`` (never under the key ``columns``) and read
+here as they are.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from collections import Counter
+from itertools import chain, repeat, starmap
+from math import copysign
+from pathlib import Path
+from typing import Any, Iterable, Iterator
+
+TRACE_FORMAT = "venuetrace-trace"
+# 4: repeated broadcast values as runs, and record keys as indexes into
+# ``records``; no other version loads
+TRACE_VERSION = 4
+# each section in file order and what it holds: "list", "object", "table", or an object
+# whose entries are declared in turn ("*": every entry; one declared may be absent)
+LAYOUT: dict[str, Any] = {
+    "config": "object", "presence": "table", "broadcasts": "table", "emitters": "list",
+    "records": "list", "events": "table",
+    "outcomes": {
+        **dict.fromkeys(("reports", "deliveries", "assessments", "visits", "backend_rejections",
+                         "published_keys", "moh_edges"), "table"),
+        "actor_observed": {"backend": "table", "ha": "table", "test_center": "table", "venues": {"*": "table"}},
+        "venue_anomalies": {"*": "table"}, "venue_notices": {"*": "table"},
+    },
+}
+# the columns whose values index the ``records`` section, by table name
+_RECORD_INDEXES = {"outcomes.deliveries": "record_keys", "outcomes.assessments": "record_key"}
+_SLICE = 512  # the most list items that ``write_trace`` encodes at once
+
+
+class IntegrityError(RuntimeError):
+    """Trace file is truncated or has been modified."""
+
+
+Table = dict[str, Any]
+
+
+def _mixed(table: Table) -> bool:
+    return isinstance(table.get("columns"), dict)
+
+
+def add_run(column: dict[str, list[list[Any]]], value: Any, count: int) -> None:
+    """Add ``count`` rows of ``value`` to a run column, none for 0; the last run
+    grows only for the same value: of one type, equal, and no 0.0 beside a -0.0."""
+    runs = column["runs"]
+    if runs and ((last := runs[-1][0]) is value or type(last) is type(value) and last == value
+                 and (type(value) is not float or copysign(1, last) == copysign(1, value))):
+        runs[-1][1] += count
+    elif count:
+        runs.append([value, count])
+
+
+def _values(column: Any) -> Iterable[Any]:
+    return chain.from_iterable(starmap(repeat, column["runs"])) if isinstance(column, dict) else column
+
+
+def _count(column: Any) -> int:
+    return sum(n for _, n in column["runs"]) if isinstance(column, dict) else len(column)
+
+
+def columns(rows: list[dict[str, Any]]) -> Table:
+    """The table of ``rows``, in the layout the module docstring gives."""
+    shapes: dict[tuple[str, ...], int] = {}
+    schema = [shapes.setdefault(tuple(sorted(row)), len(shapes)) for row in rows]
+    keys = sorted({key for shape in shapes for key in shape})
+    if len(shapes) == 1 and keys or not rows:
+        return {key: [row[key] for row in rows] for key in keys}
+    return {
+        "columns": {key: [row[key] for row in rows if key in row] for key in keys},
+        "keys": [list(shape) for shape in shapes],
+        "schema": schema,
+    }
+
+
+def rows(table: Table) -> list[dict[str, Any]]:
+    """The list of dicts ``table`` holds: the inverse of ``columns``."""
+    if not _mixed(table):
+        return [dict(zip(table, values)) for values in zip(*map(_values, table.values()))]
+    values = {key: iter(_values(column)) for key, column in table["columns"].items()}
+    shapes = [[(key, values[key]) for key in keys] for keys in table["keys"]]
+    return [{key: next(it) for key, it in shapes[i]} for i in table["schema"]]
+
+
+def length(table: Table) -> int:
+    """The number of rows."""
+    return len(table["schema"]) if _mixed(table) else _count(next(iter(table.values()), ()))
+
+
+def by_key(table: Table) -> dict[str, Any]:
+    """Each key's values, from the rows that have it."""
+    return table["columns"] if _mixed(table) else table
+
+
+def select(table: Table, *keys: str) -> Iterator[tuple[Any, ...]]:
+    """The values of ``keys`` in each row, one tuple per row; None where a
+    row lacks a key. No row dicts are built."""
+    n, mixed = length(table), _mixed(table)
+
+    def column(key: str) -> Iterable[Any]:
+        values = by_key(table).get(key, ())
+        if not mixed or _count(values) == n:
+            return _values(values) or repeat(None, n)
+        found = iter(_values(values))
+        has = [key in shape for shape in table["keys"]]
+        return [next(found) if has[i] else None for i in table["schema"]]
+
+    return zip(*map(column, keys))
+
+
+def check(table: Table) -> None:
+    """Raise ValueError naming a key whose column holds the wrong number of values or a bad run."""
+    have = by_key(table)
+    for key, column in have.items():
+        if isinstance(column, dict) and not all(type(n) is int and n > 0 for _, n in column["runs"]):
+            raise ValueError(f"column {key!r} has a run count that is not a positive integer")
+    if _mixed(table):
+        want: Counter[str] = Counter()
+        for i, n in Counter(table["schema"]).items():
+            if not isinstance(i, int) or not 0 <= i < len(table["keys"]):
+                raise ValueError(f"row shape {i!r} is not one of {len(table['keys'])}")
+            want.update(dict.fromkeys(table["keys"][i], n))
+    elif have and all(isinstance(column, dict) for column in have.values()):
+        raise ValueError("every column holds runs, so no list bounds the row count")
+    else:
+        want = Counter(dict.fromkeys(table, length(table)))
+    for key in {**want, **have}:
+        if (count := _count(have.get(key, ()))) != want[key]:
+            raise ValueError(f"column {key!r} has {count} values, not {want[key]}")
+
+
+def tables(data: dict[str, Any], layout: dict[str, Any] = LAYOUT, prefix: str = "") -> Iterator[tuple]:
+    """(dotted name, mapping, key) of each table ``layout`` declares in ``data``;
+    raises IntegrityError at a declared object that is not one."""
+    for entry, kind in layout.items():
+        for key in data if entry == "*" else [entry] if entry in data else ():
+            if kind == "table":
+                yield prefix + key, data, key
+            elif isinstance(kind, dict):
+                if not isinstance(value := data[key], dict):
+                    raise IntegrityError(f"section {prefix}{key} holds {type(value).__name__}, not dict")
+                yield from tables(value, kind, f"{prefix}{key}.")
+
+
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _long(obj: Any) -> bool:
+    """Whether ``obj`` is a list longer than ``_SLICE`` or a dict that holds one, in any depth of dicts."""
+    return any(map(_long, obj.values())) if isinstance(obj, dict) else isinstance(obj, list) and len(obj) > _SLICE
+
+
+def _pieces(obj: Any) -> Iterator[str]:
+    """Strings that join to ``_canonical(obj)``: as the encoder holds a string per
+    value, a long list comes in slices, a dict holding one key by key."""
+    if isinstance(obj, list) and len(obj) > _SLICE:
+        yield from (",["[not i] + _canonical(obj[i:i + _SLICE])[1:-1] for i in range(0, len(obj), _SLICE))
+        yield "]"
+    elif isinstance(obj, dict) and _long(obj):
+        sep, small = "{", {}  # the keys since the last long value, encoded together
+        for key, value in sorted(obj.items()):
+            small[key] = 0 if (long := _long(value)) else value
+            if long:
+                yield sep + _canonical(small)[1:-2]  # up to the long value
+                sep, small = ",", {}
+                yield from _pieces(value)
+        yield (sep + _canonical(small)[1:-1] if small else "") + "}"
+    else:
+        yield _canonical(obj)
+
+
+def write_trace(data: dict[str, Any], path: Path) -> None:
+    """The sections of ``data``, newline-delimited, followed by a SHA-256
+    trailer line; each piece of a line is hashed and written once encoded."""
+    digest = hashlib.sha256()
+    header = {"format": TRACE_FORMAT, "version": TRACE_VERSION}
+    sections = ({"section": name, "data": data[name]} for name in LAYOUT)
+    with open(path, "wb") as fh:
+        for obj in (header, *sections):
+            for piece in map(str.encode, chain(_pieces(obj), ["\n"])):
+                digest.update(piece)
+                fh.write(piece)
+        fh.write((_canonical({"sha256": digest.hexdigest()}) + "\n").encode("utf-8"))
+
+
+def _load_line(number: int, entry: Any, data: dict[str, Any]) -> None:
+    """Check parsed line ``number``, the header or a section for ``data``."""
+    if number == 1:
+        header = entry if isinstance(entry, dict) else {}
+        if header.get("format") != TRACE_FORMAT:
+            raise ValueError(f"unknown trace format {header.get('format')!r}")
+        if (version := header.get("version")) != TRACE_VERSION:
+            raise ValueError(f"unsupported trace version {version!r}: re-run its config's scenario and seed")
+        return
+    if not isinstance(entry, dict) or entry.keys() != {"data", "section"}:
+        raise ValueError("not a section object")
+    if not isinstance(name := entry["section"], str) or name not in LAYOUT or name in data:
+        raise ValueError(f"unknown or repeated section {name!r}")
+    if not isinstance(value := entry["data"], kind := list if LAYOUT[name] == "list" else dict):
+        raise ValueError(f"section {name} holds {type(value).__name__}, not {kind.__name__}")
+    data[name] = value
+
+
+def read_trace(path: Path) -> dict[str, Any]:
+    """Parse and integrity-check a trace file; raises IntegrityError.
+
+    The file is read once, a line at a time, each line hashed before it is
+    parsed; a line that does not load fails only once the trailer vouches
+    for it. Only ``TRACE_VERSION`` loads, as stored: runs stay runs.
+    """
+    digest = hashlib.sha256()
+    data: dict[str, Any] = {}
+    fault: IntegrityError | None = None  # from the first line that did not load
+    number, line = 0, b""
+    with open(path, "rb", buffering=1 << 16) as fh:  # a long line in fewer reads
+        for line in fh:  # not enumerate, whose last tuple would keep the bytes
+            number += 1
+            if not fh.peek(1):
+                break  # the last line is the trailer
+            digest.update(line)
+            try:
+                line = line.decode("utf-8")  # the bytes are freed before parsing
+                _load_line(number, json.loads(line), data)
+            except ValueError as exc:  # not UTF-8, not JSON or not a line the writer writes
+                fault = fault or IntegrityError(f"line {number}: {exc}")
+    if number < 2:
+        raise IntegrityError("trace file too short")
+    try:
+        trailer = json.loads(line)
+    except ValueError as exc:
+        raise IntegrityError(f"trailer is not valid JSON: {exc}") from exc
+    if not isinstance(trailer, dict) or "sha256" not in trailer:
+        raise IntegrityError("trace file has no integrity trailer (truncated?)")
+    if digest.hexdigest() != trailer["sha256"]:
+        raise IntegrityError("trace integrity hash mismatch")
+    if fault:
+        raise fault
+    missing = [s for s in LAYOUT if s not in data]
+    if missing:
+        raise IntegrityError(f"trace is missing sections: {missing}")
+    for name, mapping, key in tables(data):
+        try:
+            check(mapping[key])
+            column = _RECORD_INDEXES.get(name)
+            for value, in select(mapping[key], column) if column else ():
+                for i in value if isinstance(value, list) else [value]:
+                    if i is not None and (type(i) is not int or not 0 <= i < len(data["records"])):
+                        raise ValueError(f"column {column!r} holds {i!r}, not an index into records")
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise IntegrityError(f"section {name}: {exc}") from exc
+    return data

@@ -5,7 +5,7 @@ import math
 from pathlib import Path
 
 from venuetrace.scenario import Scenario
-from venuetrace.table import rows
+from venuetrace.trace import rows
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 

@@ -14,7 +14,6 @@ import pytest
 from venuetrace import crypto
 from venuetrace.actors import RejectionCode
 from venuetrace.bloom import build_filter
-from venuetrace.cli import _canonical
 from venuetrace.metrics import collect_metrics
 from venuetrace.scenario import (
     Scenario,
@@ -30,7 +29,7 @@ from venuetrace.schedule import (
     dp3t_next_daily_key,
 )
 from venuetrace.sim import SimParams, Simulation, run
-from venuetrace.table import rows
+from venuetrace.trace import _canonical, rows
 
 from bundled import broadcast_rows, bundled
 

@@ -14,13 +14,14 @@ from hypothesis import strategies as st
 import venuetrace.cli
 import venuetrace.scenario
 import venuetrace.sim
-from venuetrace.cli import (
-    _SECTIONS, _SLICE, TRACE_FORMAT, TRACE_VERSION, IntegrityError, main, read_trace, write_trace,
-)
+import venuetrace.trace
+from venuetrace.cli import main
 from venuetrace.metrics import ExposurePolicy, collect_metrics
 from venuetrace.scenario import ScenarioError, build_population_scenario, validate_scenario
 from venuetrace.sim import SimParams, Simulation, run
-from venuetrace.table import length
+from venuetrace.trace import (
+    _SLICE, LAYOUT, TRACE_FORMAT, TRACE_VERSION, IntegrityError, length, read_trace, write_trace,
+)
 
 from bundled import bundled
 
@@ -291,7 +292,7 @@ class TestTraceIO:
 def _with_version(path, version: bytes) -> None:
     """Rewrite the header's version and sign the body with a fresh trailer."""
     raw = path.read_bytes()
-    current = b'"version":%d' % venuetrace.cli.TRACE_VERSION
+    current = b'"version":%d' % venuetrace.trace.TRACE_VERSION
     body = raw[: raw.rfind(b"\n", 0, -1) + 1].replace(current, b'"version":' + version, 1)
     _sign(path, body)
 
@@ -451,7 +452,7 @@ def _record_index(outcomes, index):
     ("outcomes", lambda o: o["assessments"]["record_key"].__setitem__(0, 1),
      "section outcomes.assessments: column 'record_key' holds 1, not an index into records"),
     ("outcomes", lambda o: o.__setitem__("actor_observed", []),
-     "section outcomes: 'list' object has no attribute 'get'"),
+     "section outcomes.actor_observed holds list, not dict"),
 ], ids=["runs-too-long", "count-0", "count-neg", "count-float", "count-bool", "count-str",
         "all-runs", "record-past-end", "record-negative", "record-key-in-full", "assessment-record",
         "observed-list"])
@@ -500,9 +501,9 @@ def test_streamed_trace_is_the_one_shot_encoding(obj, tmp_path_factory):
     keys, -0.0, large ints and non-ASCII text: every line write_trace
     streams equals its one-shot encoding, and so does the trailer."""
     path = tmp_path_factory.getbasetemp() / "stream.ndjson"
-    write_trace(dict.fromkeys(_SECTIONS, obj), path)
+    write_trace(dict.fromkeys(LAYOUT, obj), path)
     header = {"format": TRACE_FORMAT, "version": TRACE_VERSION}
-    body = b"".join(map(_one_shot_line, [header, *({"section": s, "data": obj} for s in _SECTIONS)]))
+    body = b"".join(map(_one_shot_line, [header, *({"section": s, "data": obj} for s in LAYOUT)]))
     assert path.read_bytes() == body + _one_shot_line({"sha256": hashlib.sha256(body).hexdigest()})
 
 

@@ -10,7 +10,6 @@ from venuetrace import crypto
 from venuetrace.actors import HealthAuthority, ProtocolStateError, UserApp, VenuePolicy
 from venuetrace.baselines import Dp3tUserApp, MoHServer, TTUserApp
 from venuetrace.bloom import BloomFilter
-from venuetrace.cli import _canonical
 from venuetrace.metrics import ExposurePolicy, collect_metrics, ground_truth_exposures
 from venuetrace.scenario import (
     Scenario,
@@ -20,7 +19,7 @@ from venuetrace.scenario import (
 )
 from venuetrace.schedule import SchedulingParams
 from venuetrace.sim import SimParams, Simulation, run
-from venuetrace.table import rows
+from venuetrace.trace import _canonical, rows
 
 DAY = 86400
 L = 180

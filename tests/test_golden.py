@@ -3,7 +3,7 @@
 Each (scenario, protocol) pair runs at seed 0 and is written through
 ``cli._write_outputs``; the SHA-256 of ``trace.ndjson`` and
 ``metrics.json`` must match the tables below. A change that alters trace
-bytes on purpose bumps ``cli.TRACE_VERSION`` and updates these tables.
+bytes on purpose bumps ``trace.TRACE_VERSION`` and updates these tables.
 
 ``NOISY_GOLDEN`` runs two scenarios over a lossy, noisy channel. No bundled
 scenario draws from the RNG per reception, so only these digests catch a
@@ -26,10 +26,10 @@ import hashlib
 
 import pytest
 
-from venuetrace.cli import TRACE_FORMAT, _canonical, _write_outputs, read_trace, write_trace
+from venuetrace.cli import _write_outputs
 from venuetrace.scenario import Scenario, ScenarioEvent, VenueSpec
 from venuetrace.sim import run
-from venuetrace.table import columns, rows, select
+from venuetrace.trace import TRACE_FORMAT, _canonical, columns, read_trace, rows, select, write_trace
 
 from bundled import SCENARIOS, bundled
 

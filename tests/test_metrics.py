@@ -12,7 +12,7 @@ from venuetrace.metrics import (
 )
 from venuetrace.scenario import build_population_scenario
 from venuetrace.sim import run
-from venuetrace.table import columns, rows
+from venuetrace.trace import columns, rows
 
 from bundled import nudge
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from venuetrace.cli import _canonical
 from venuetrace.channel import ChannelModel
 from venuetrace.scenario import (
     Scenario,
@@ -15,10 +14,11 @@ from venuetrace.scenario import (
     build_population_scenario,
     validate_scenario,
 )
+from venuetrace.schedule import dp3t_derive_ephids, dp3t_next_daily_key
 from venuetrace.sim import SimParams, Simulation, run
-from venuetrace.table import length, rows, select
+from venuetrace.trace import _canonical, check, length, rows, select, tables
 
-from bundled import broadcast_rows, bundled, nudge
+from bundled import SCENARIOS, broadcast_rows, bundled, nudge
 
 DAY = 86400
 L = 180
@@ -76,6 +76,46 @@ class TestScheduling:
 
     def test_work_after_the_horizon_never_runs(self):
         assert _scheduled((DAY + 1, "late"), (DAY, "last")) == [(DAY, "last")]
+
+
+class TestSameSecond:
+    """At equal time, scripted events run before the work the run schedules itself."""
+
+    @pytest.mark.parametrize("protocol", ["dp3t", "tracetogether"])
+    def test_suppression_scripted_at_0_silences_the_first_tick(self, protocol):
+        sc = small_scenario(extra_events=[ScenarioEvent(0, "adversary_action", {
+            "action": "suppress_broadcasts", "user": "u00", "start": 0, "end": 900})])
+        times = [b["t"] for b in broadcast_rows(run(sc, protocol, seed=0).data) if b["emitter"] == "u00"]
+        assert 0 not in times and 900 not in times and 1800 in times
+
+    @pytest.mark.parametrize("report_at,code", [(DAY, "unmatched-identifiers"), (DAY + 1, None)])
+    def test_venue_report_as_the_day_digest_falls_due(self, report_at, code):
+        """Day 0's digests are due at DAY: a report in that second is checked
+        before they exist, and one a second later is matched against them."""
+        sc = small_scenario(extra_events=[
+            ScenarioEvent(80000, "test_positive", {"user": "u00", "period": [0, 80000]}),
+            ScenarioEvent(report_at, "report", {"user": "u00"}),
+        ])
+        reports = rows(run(sc, "venue", seed=0).data["outcomes"]["reports"])
+        assert [(r["venue"], r["code"]) for r in reports] == [("v0", code)]
+
+    def test_dp3t_report_in_the_second_that_opens_its_first_day(self):
+        """The report comes before the tick starts the day, and still publishes that day's key."""
+        sc = small_scenario(extra_events=[
+            ScenarioEvent(DAY, "test_positive", {"user": "u00", "period": [DAY, DAY + 100]}),
+            ScenarioEvent(DAY, "report", {"user": "u00"}),
+        ])
+        sim = Simulation(sc, SimParams.build(sc, "dp3t", 0))
+        first_key = sim.driver.users["u00"].daily_keys[0]
+        published = rows(sim.run().data["outcomes"]["published_keys"])
+        assert published == [{"day": 1, "key": dp3t_next_daily_key(first_key).key.hex(), "reporter": "u00"}]
+
+    def test_dp3t_tick_that_opens_a_day_sends_that_days_identifiers(self):
+        sim = Simulation(small_scenario(), SimParams.build(small_scenario(), "dp3t", 0))
+        first_key = sim.driver.users["u01"].daily_keys[0]
+        sent = [b["payload"] for b in broadcast_rows(sim.run().data) if (b["emitter"], b["t"]) == ("u01", DAY)]
+        day1 = {ephid.hex() for ephid in dp3t_derive_ephids(dp3t_next_daily_key(first_key), 96)}
+        assert len(sent) == 1 and sent[0] in day1
 
 
 class TestWorldModel:
@@ -453,6 +493,32 @@ def test_refused_certification_is_logged_and_skips_the_report():
     ]
     assert {"t": t + 200, "kind": "report_skipped", "user": "u01"} in rows(trace.data["events"])
     assert list(trace.data["outcomes"]["reporters"]) == ["u00"]
+
+
+def _row_lists(obj, path):
+    """The paths of the lists under ``obj`` that hold a dict, through dicts and lists."""
+    children = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    if isinstance(obj, list) and any(isinstance(item, dict) for item in obj):
+        yield path
+    for key, value in children:
+        yield from _row_lists(value, f"{path}.{key}")
+
+
+@pytest.mark.parametrize("protocol", ["venue", "dp3t", "tracetogether"])
+@pytest.mark.parametrize("stem", sorted(path.stem for path in SCENARIOS.glob("*.json")))
+def test_layout_names_every_table_a_run_writes(stem, protocol):
+    """After a run no list of rows is left outside the scenario as given
+    (``config``) and the adversary's block, so ``trace.LAYOUT`` declares
+    every table; and each table it names passes the reader's check."""
+    sc = bundled(stem)
+    data = Simulation(sc, SimParams.build(sc, protocol, 0)).run().data
+    left = [path for name, section in data.items() if name != "config"
+            for path in _row_lists(section, name) if not path.startswith("outcomes.adversary")]
+    assert left == []
+    named = list(tables(data))
+    assert {"presence", "broadcasts", "events", "outcomes.reports"} <= {name for name, _, _ in named}
+    for _, mapping, key in named:
+        check(mapping[key])
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from venuetrace.table import add_run, check, columns, length, rows, select
+from venuetrace.trace import add_run, check, columns, length, rows, select
 
 # few key names, so rows share some keys and not others; the names the
 # mixed layout uses for itself are among them
