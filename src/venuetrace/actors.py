@@ -29,6 +29,7 @@ from .messages import (
     ReportBundle,
 )
 from .schedule import SECONDS_PER_DAY, SchedulingParams, derive_window_ephids, epoch_of
+from .trace import b64
 
 DEFAULT_RETENTION_DAYS = 14
 DEFAULT_CLOCK_TOLERANCE = 60
@@ -153,7 +154,7 @@ class HealthAuthority:
         """Match against the venue's digests still retained at ``now`` whose
         period [start, end) overlaps the ``presence`` interval [start, end]."""
         self.observed.append(
-            {"kind": "match", "venue_id": venue_id, "ids": [i.hex() for i in ids]}
+            {"kind": "match", "venue_id": venue_id, "ids": [b64(i) for i in ids]}
         )
         self._evict(venue_id, now)
         start, end = presence
@@ -189,13 +190,8 @@ class TestCenter:
         period_start: int,
         period_end: int,
     ) -> InfectionCertificate:
-        self.observed.append(
-            {
-                "kind": "infection_test",
-                "true_id": observed_true_id,
-                "rid": crypto.encode_group_element(rid_value).hex(),
-            }
-        )
+        self.observed.append({"kind": "infection_test", "true_id": observed_true_id,
+                              "rid": b64(crypto.encode_group_element(rid_value))})
         if opening.message != observed_true_id.encode("utf-8"):
             raise CertificationRefused("opened identifier does not match tested person")
         if not crypto.verify_opening(rid_value, opening.message, opening.blinding):
@@ -252,11 +248,7 @@ class Venue:
     ) -> LeaveReceipt:
         """Sign a departure; the claimed timestamp must match the venue clock."""
         self.observed.append(
-            {
-                "kind": "leave",
-                "nonce": crypto.encode_group_element(nonce_value).hex(),
-                "t": claimed_time,
-            }
+            {"kind": "leave", "nonce": b64(crypto.encode_group_element(nonce_value)), "t": claimed_time}
         )
         if abs(claimed_time - now) > self.policy.clock_tolerance:
             raise ReceiptRefused(
@@ -518,15 +510,9 @@ class BackendServer:
         cert = bundle.certificate
         receipt = bundle.leave_receipt
         venue_id = receipt.venue_id
-        self.observed.append(
-            {
-                "kind": "report",
-                "venue_id": venue_id,
-                "rid": crypto.encode_group_element(cert.rid_value).hex(),
-                "nonce": crypto.encode_group_element(receipt.nonce_value).hex(),
-                "t": now,
-            }
-        )
+        self.observed.append({"kind": "report", "venue_id": venue_id,
+                              "rid": b64(crypto.encode_group_element(cert.rid_value)),
+                              "nonce": b64(crypto.encode_group_element(receipt.nonce_value)), "t": now})
 
         # (a) test-center signature, then the nonce opening to the certified rid
         tc_key = self._verified_subject_key(cert.test_center_id)
@@ -608,14 +594,8 @@ class BackendServer:
     def answer_trace(self, receipt: LeaveReceipt, now: int) -> list[tuple[bytes, ...]]:
         """Verify the leave receipt as proof of presence, then serve the
         identifiers of the records its venue policy admits."""
-        self.observed.append(
-            {
-                "kind": "trace_query",
-                "venue_id": receipt.venue_id,
-                "nonce": crypto.encode_group_element(receipt.nonce_value).hex(),
-                "t": now,
-            }
-        )
+        self.observed.append({"kind": "trace_query", "venue_id": receipt.venue_id,
+                              "nonce": b64(crypto.encode_group_element(receipt.nonce_value)), "t": now})
         venue_key = self._verified_subject_key(receipt.venue_id)
         if venue_key is None:
             raise QueryRejected(f"venue {receipt.venue_id} is not certified")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 from typing import Any
 
 from .channel import cell_width
-from .trace import by_key, length, select
+from .trace import INDEXES, by_key, length, select
 
 
 @dataclass(frozen=True)
@@ -142,11 +142,20 @@ def _of_kind(log: dict[str, Any], kind: str, key: str) -> list[Any]:
     return [value for k, value in select(log, "kind", key) if k == kind]
 
 
+def _resolved(trace_data: dict[str, Any], table: str, log: dict[str, Any]) -> dict[str, list[Any]]:
+    """Actor log ``log``, declared as ``table``, as columns of a value per row (None
+    where a row has none), each index replaced by the value it stands for."""
+    indexed = INDEXES.get(table, {})
+    return {key: [v if v is None or key not in indexed else trace_data[indexed[key]][v]
+                  for v, in select(log, key)] for key in by_key(log)}
+
+
 def _info_exposure(trace_data: dict[str, Any], protocol: str) -> dict[str, Any]:
     outcomes = trace_data["outcomes"]
     if protocol == "venue":
         observed = outcomes.get("actor_observed", {})
-        backend, ha, tc = (observed.get(a, {}) for a in ("backend", "ha", "test_center"))
+        backend = _resolved(trace_data, "outcomes.actor_observed.backend", observed.get("backend", {}))
+        ha, tc = (observed.get(a, {}) for a in ("ha", "test_center"))
         users = set(trace_data["config"]["scenario"]["users"])
         return {
             "backend": {
@@ -154,7 +163,7 @@ def _info_exposure(trace_data: dict[str, Any], protocol: str) -> dict[str, Any]:
                 "trace_queries_seen": len(_of_kind(backend, "trace_query", "kind")),
                 "distinct_rids_seen": len(set(_of_kind(backend, "report", "rid"))),
                 "true_ids_seen": len({
-                    v for k, values in by_key(backend).items() if k not in ("kind", "venue_id")
+                    v for k, values in backend.items() if k not in ("kind", "venue_id")
                     for v in values if isinstance(v, str) and v in users
                 }),
             },

@@ -17,8 +17,9 @@ Ground-truth presence segments are recorded independently of any protocol
 and feed the exposure oracle in :mod:`venuetrace.metrics`. Scripted events
 run before the run's own work of the same second. Drivers and actors log
 rows as dicts; ``Simulation.run`` stores each table of ``trace.LAYOUT`` as
-columns once, at the end. ``run`` checks the scenario, its overrides and
-the protocol once; ``Simulation`` takes inputs that passed.
+columns once, at the end, and each ``trace.INDEXES`` value as an index.
+``run`` checks the scenario, its overrides and the protocol once;
+``Simulation`` takes inputs that passed.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from .channel import ChannelModel, cell_width
 from .messages import InfectionCertificate, ReportBundle
 from .scenario import EVENT_DEFAULTS, Scenario, ScenarioError, ScenarioEvent, validate_scenario
 from .schedule import DEFAULT_EPOCH_SECONDS, DEFAULT_WINDOW_SECONDS, SECONDS_PER_DAY, SchedulingParams
-from .trace import add_run, columns, tables
+from .trace import add_run, b64, columns, intern, tables
 
 PROTOCOLS = ("venue", "dp3t", "tracetogether")
 STREET = None  # location key for the shared off-premise space
@@ -106,7 +107,7 @@ class SimulationTrace:
 
 
 def _record_key(ephids: tuple[bytes, ...]) -> str:
-    return crypto.hash_bytes(b"".join(ephids)).hex()
+    return b64(crypto.hash_bytes(b"".join(ephids)))
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +190,7 @@ class _Driver(ABC):
 
     def _assessment(
         self, user: str, reporter: str | None, a: RiskAssessment,
-        venue: str | None = None, record_key: int | None = None, **extra: Any,
+        venue: str | None = None, record_key: str | None = None, **extra: Any,
     ) -> None:
         self.sim.outcomes["assessments"].append(
             {
@@ -346,20 +347,13 @@ class _VenueDriver(_Driver):
         for visit in app.visits:
             lists = self.backend.answer_trace(visit.receipt, now)
             keys = [_record_key(l) for l in lists]
-            records = self.sim.records
-            self.sim.outcomes["deliveries"].append(
-                {
-                    "user": user,
-                    "venue": visit.venue_id,
-                    "record_keys": [records.setdefault(k, len(records)) for k in keys],
-                    "n_ephids": sum(len(l) for l in lists),
-                    "t": now,
-                }
-            )
+            self.sim.outcomes["deliveries"].append({"user": user, "venue": visit.venue_id,
+                                                    "record_keys": keys,  # interned by ``run``
+                                                    "n_ephids": sum(len(l) for l in lists), "t": now})
             assessments = app.evaluate_risk(visit, lists, self.risk)
             for a, key in zip(assessments, keys):
                 reporter = self.sim.outcomes["record_reporters"].get(key)
-                self._assessment(user, reporter, a, visit.venue_id, records[key])
+                self._assessment(user, reporter, a, visit.venue_id, key)
 
     def finalize(self, horizon: int) -> None:
         for user, app in self.users.items():
@@ -421,7 +415,7 @@ class _Dp3tDriver(_Driver):
     def finalize(self, horizon: int) -> None:
         super().finalize(horizon)
         self.sim.outcomes["published_keys"] = [
-            {"day": p.day_index, "key": p.key.hex(), "reporter": r}
+            {"day": p.day_index, "key": b64(p.key), "reporter": r}
             for p, r in zip(self.backend.published, self.sim.outcomes["reporters"])
         ]
 
@@ -493,7 +487,6 @@ class Simulation:
         self.broadcasts: dict[str, Any] = {k: [] if k in ("emitter", "payload") else {"runs": []}
                                            for k in BROADCAST_KEYS}
         self._emitter_index: dict[str, int] = {}  # emitter -> index, in order of first broadcast
-        self.records: dict[str, int] = {}  # venue record key -> index in the records section
         self.events_log: list[dict[str, Any]] = []
         self.outcomes: dict[str, Any] = {
             "reporters": {},
@@ -621,19 +614,19 @@ class Simulation:
             else:
                 cell, pos = self._cell_of(*at), at[1]
             loc = cell[0]
-            hexed = payload.hex()
+            text = b64(payload)
             columns["emitter"].append(index.setdefault(emitter, len(index)))
             add_run(columns["location"], loc, 1)
-            columns["payload"].append(hexed)
+            columns["payload"].append(text)
             for user in nearby(cell, emitter):
                 if phones[user].listening:
                     self._receive(user, payload, math.dist(pos, position[user]), now, tx_dbm)
             if loc is not STREET:
                 self.driver.on_premise(loc, payload, tx, now)
                 if loc in self._eavesdrop_venues:
-                    self.adversary_observed.append(hexed)
-                    self.outcomes["adversary"]["eavesdropped"].append(
-                        {"venue": loc, "payload": hexed, "t": now}
+                    self.adversary_observed.append(text)
+                    self.outcomes["adversary"]["eavesdropped"].append(  # in hex: metrics.json copies it
+                        {"venue": loc, "payload": payload.hex(), "t": now}
                     )
                 if capturing:
                     self._capture(loc, payload, now)
@@ -643,7 +636,7 @@ class Simulation:
             for src, dst, pos, start, end, delay in rules:
                 if src != loc or not start <= now <= end:
                     continue
-                self.adversary_observed.append(payload.hex())
+                self.adversary_observed.append(b64(payload))
                 self.outcomes["adversary"]["captured"] += 1
                 self.schedule(now + delay, self.emit, [("adversary", payload)], tag, (dst, pos))
 
@@ -751,19 +744,23 @@ class Simulation:
         self.outcomes["adversary"]["observed_only_broadcast_bytes"] = (
             not observed or set(self.broadcasts["payload"]).issuperset(observed)
         )
+        # each scripted event is stored once, as a row of ``events``: the scenario
+        # gives each event of the file as its index among those rows, in run order
+        ran = sorted(range(len(events := self.scenario.events)), key=lambda i: events[i].time)
+        scenario = {**self.scenario.to_dict(), "events": sorted(range(len(ran)), key=ran.__getitem__)}
         data = {
-            "config": {"scenario": self.scenario.to_dict(), "params": asdict(self.params)},
+            "config": {"scenario": scenario, "params": asdict(self.params)},
             "events": self.events_log,
             "broadcasts": self.broadcasts,
             "emitters": list(self._emitter_index),
-            "records": list(self.records),
             "presence": self.presence,
             "outcomes": self.outcomes,
         }
-        for _, mapping, key in tables(data):  # to columns, emptying the actors' row lists
+        for _, mapping, key, _ in tables(data):  # to columns, emptying the actors' row lists
             if isinstance(row_list := mapping[key], list):  # not broadcasts, columns all along
                 mapping[key] = columns(row_list)
                 row_list.clear()
+        intern(data)
         return SimulationTrace(data)
 
 

@@ -15,21 +15,24 @@ from __future__ import annotations
 
 import hashlib
 import json
+from binascii import b2a_base64
 from collections import Counter
 from itertools import chain, repeat, starmap
 from math import copysign
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
+from .scenario import _EVENT_KEYS
+
 TRACE_FORMAT = "venuetrace-trace"
-# 4: repeated broadcast values as runs, and record keys as indexes into
-# ``records``; no other version loads
-TRACE_VERSION = 4
+# 5: bytes in base64, each scripted event only in ``events``, and group
+# elements as indexes into ``elements``; no other version loads
+TRACE_VERSION = 5
 # each section in file order and what it holds: "list", "object", "table", or an object
 # whose entries are declared in turn ("*": every entry; one declared may be absent)
 LAYOUT: dict[str, Any] = {
     "config": "object", "presence": "table", "broadcasts": "table", "emitters": "list",
-    "records": "list", "events": "table",
+    "records": "list", "elements": "list", "events": "table",
     "outcomes": {
         **dict.fromkeys(("reports", "deliveries", "assessments", "visits", "backend_rejections",
                          "published_keys", "moh_edges"), "table"),
@@ -37,8 +40,14 @@ LAYOUT: dict[str, Any] = {
         "venue_anomalies": {"*": "table"}, "venue_notices": {"*": "table"},
     },
 }
-# the columns whose values index the ``records`` section, by table name
-_RECORD_INDEXES = {"outcomes.deliveries": "record_keys", "outcomes.assessments": "record_key"}
+# the columns that hold each value as its index into a list section: table as
+# ``LAYOUT`` declares it -> {column: section}; a list holds indexes, None none
+INDEXES: dict[str, dict[str, str]] = {
+    "outcomes.deliveries": {"record_keys": "records"}, "outcomes.assessments": {"record_key": "records"},
+    "outcomes.actor_observed.backend": {"rid": "elements", "nonce": "elements"},
+    "outcomes.actor_observed.test_center": {"rid": "elements"},
+    "outcomes.actor_observed.venues.*": {"nonce": "elements"},
+}
 _SLICE = 512  # the most list items that ``write_trace`` encodes at once
 
 
@@ -47,6 +56,11 @@ class IntegrityError(RuntimeError):
 
 
 Table = dict[str, Any]
+
+
+def b64(value: bytes) -> str:
+    """``value`` as the trace stores bytes: standard, padded base64."""
+    return b2a_base64(value, newline=False).decode()
 
 
 def _mixed(table: Table) -> bool:
@@ -142,17 +156,48 @@ def check(table: Table) -> None:
             raise ValueError(f"column {key!r} has {count} values, not {want[key]}")
 
 
-def tables(data: dict[str, Any], layout: dict[str, Any] = LAYOUT, prefix: str = "") -> Iterator[tuple]:
-    """(dotted name, mapping, key) of each table ``layout`` declares in ``data``;
-    raises IntegrityError at a declared object that is not one."""
+def tables(data: dict[str, Any], layout: dict[str, Any] = LAYOUT, prefix: str = "",
+           declared: str = "") -> Iterator[tuple]:
+    """(dotted name, mapping, key, declared name: ``*`` for an entry) of each table
+    ``layout`` declares in ``data``; raises IntegrityError at a declared object that is not one."""
     for entry, kind in layout.items():
         for key in data if entry == "*" else [entry] if entry in data else ():
             if kind == "table":
-                yield prefix + key, data, key
+                yield prefix + key, data, key, declared + entry
             elif isinstance(kind, dict):
                 if not isinstance(value := data[key], dict):
                     raise IntegrityError(f"section {prefix}{key} holds {type(value).__name__}, not dict")
-                yield from tables(value, kind, f"{prefix}{key}.")
+                yield from tables(value, kind, f"{prefix}{key}.", f"{declared}{entry}.")
+
+
+def intern(data: dict[str, Any]) -> None:
+    """Store each value of an ``INDEXES`` column once: as its index into the list
+    section the column names, which ``data`` gains, in order of first appearance."""
+    found: dict[str, dict[Any, int]] = {s: {} for of in INDEXES.values() for s in of.values()}
+    for _, mapping, key, declared in tables(data):
+        have = by_key(mapping[key])
+        for column, section in INDEXES.get(declared, {}).items():
+            if column in have:
+                have[column] = [_index(value, found[section]) for value in have[column]]
+    data.update((section, list(index)) for section, index in found.items())
+
+
+def _index(value: Any, index: dict[Any, int]) -> Any:
+    """The index of ``value`` in ``index``, added if new; of each item of a list; None stays."""
+    if isinstance(value, list):
+        return [_index(item, index) for item in value]
+    return None if value is None else index.setdefault(value, len(index))
+
+
+def scenario_dict(data: dict[str, Any]) -> dict[str, Any]:
+    """The scenario a run of trace ``data`` was given, as ``Scenario.to_dict``
+    gives it: ``config.scenario``, whose ``events`` index the scripted rows of the
+    ``events`` section, with each index replaced by its row. A scripted row has
+    an event kind and only fields that ``scenario.EVENT_FIELDS`` lists for it."""
+    scripted = [{"time": row.pop("t"), "kind": row.pop("kind"), **row} for row in rows(data["events"])
+                if _EVENT_KEYS.get(row["kind"], frozenset()).issuperset(row.keys() - {"t", "kind"})]
+    scenario = data["config"]["scenario"]
+    return {**scenario, "events": [scripted[i] for i in scenario["events"]]}
 
 
 _canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -196,8 +241,11 @@ def write_trace(data: dict[str, Any], path: Path) -> None:
         fh.write((_canonical({"sha256": digest.hexdigest()}) + "\n").encode("utf-8"))
 
 
-def _load_line(number: int, entry: Any, data: dict[str, Any]) -> None:
-    """Check parsed line ``number``, the header or a section for ``data``."""
+def _load_line(number: int, line: bytearray, data: dict[str, Any]) -> None:
+    """Parse and check line ``number``, the header or a section for ``data``; empties ``line``."""
+    text = line.decode("utf-8")
+    line.clear()  # the bytes are freed before parsing
+    entry = json.loads(text)
     if number == 1:
         header = entry if isinstance(entry, dict) else {}
         if header.get("format") != TRACE_FORMAT:
@@ -217,26 +265,31 @@ def _load_line(number: int, entry: Any, data: dict[str, Any]) -> None:
 def read_trace(path: Path) -> dict[str, Any]:
     """Parse and integrity-check a trace file; raises IntegrityError.
 
-    The file is read once, a line at a time, each line hashed before it is
-    parsed; a line that does not load fails only once the trailer vouches
-    for it. Only ``TRACE_VERSION`` loads, as stored: runs stay runs.
+    The file is read once, in blocks, and each line is hashed before it is
+    parsed once bytes follow it: the last line is the trailer. A line that
+    does not load fails only once the trailer vouches for it. Only
+    ``TRACE_VERSION`` loads, as stored: runs and indexes stay as they are.
     """
     digest = hashlib.sha256()
     data: dict[str, Any] = {}
     fault: IntegrityError | None = None  # from the first line that did not load
-    number, line = 0, b""
-    with open(path, "rb", buffering=1 << 16) as fh:  # a long line in fewer reads
-        for line in fh:  # not enumerate, whose last tuple would keep the bytes
-            number += 1
-            if not fh.peek(1):
-                break  # the last line is the trailer
-            digest.update(line)
-            try:
-                line = line.decode("utf-8")  # the bytes are freed before parsing
-                _load_line(number, json.loads(line), data)
-            except ValueError as exc:  # not UTF-8, not JSON or not a line the writer writes
-                fault = fault or IntegrityError(f"line {number}: {exc}")
-    if number < 2:
+    number, line, whole = 0, bytearray(), False  # lines loaded, the next one, whether it has ended
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 16):
+            start = 0
+            while start < len(block):
+                if whole:  # bytes follow it, so ``line`` is not the trailer
+                    number += 1
+                    digest.update(line)
+                    try:
+                        _load_line(number, line, data)
+                    except ValueError as exc:  # not UTF-8, not JSON or not a line the writer writes
+                        fault = fault or IntegrityError(f"line {number}: {exc}")
+                    line.clear()
+                end = block.find(b"\n", start) + 1 or len(block)
+                line += block[start:end]
+                whole, start = block[end - 1] == 10, end
+    if not number:
         raise IntegrityError("trace file too short")
     try:
         trailer = json.loads(line)
@@ -251,14 +304,14 @@ def read_trace(path: Path) -> dict[str, Any]:
     missing = [s for s in LAYOUT if s not in data]
     if missing:
         raise IntegrityError(f"trace is missing sections: {missing}")
-    for name, mapping, key in tables(data):
+    for name, mapping, key, declared in tables(data):
         try:
             check(mapping[key])
-            column = _RECORD_INDEXES.get(name)
-            for value, in select(mapping[key], column) if column else ():
-                for i in value if isinstance(value, list) else [value]:
-                    if i is not None and (type(i) is not int or not 0 <= i < len(data["records"])):
-                        raise ValueError(f"column {column!r} holds {i!r}, not an index into records")
+            for column, section in INDEXES.get(declared, {}).items():
+                for value, in select(mapping[key], column):
+                    for i in value if isinstance(value, list) else [value]:
+                        if i is not None and (type(i) is not int or not 0 <= i < len(data[section])):
+                            raise ValueError(f"column {column!r} holds {i!r}, not an index into {section}")
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise IntegrityError(f"section {name}: {exc}") from exc
     return data

@@ -8,6 +8,7 @@ a full run reads as a checklist.
 import random
 import sys
 import time
+from base64 import b64decode
 
 import pytest
 
@@ -176,11 +177,11 @@ def test_criterion_4_ephemeral_linkage():
     trace = run(scenario, "dp3t", seed=0)
     linked = 0
     for pub in rows(trace.data["outcomes"]["published_keys"]):
-        key = DailyKey(key=bytes.fromhex(pub["key"]), day_index=pub["day"])
+        key = DailyKey(key=b64decode(pub["key"]), day_index=pub["day"])
         day_x = set(dp3t_derive_ephids(key, 96))
         day_x1 = set(dp3t_derive_ephids(dp3t_next_daily_key(key), 96))
         mine = {
-            bytes.fromhex(b["payload"])
+            b64decode(b["payload"])
             for b in broadcast_rows(trace.data)
             if b["emitter"] == pub["reporter"] and not b["injected"]
         }

@@ -22,6 +22,7 @@ from venuetrace.bloom import UnknownVenuePeriodError
 from venuetrace.messages import HeardPing
 from venuetrace.schedule import SchedulingParams, derive_window_ephids
 from venuetrace.sim import run
+from venuetrace.trace import b64
 
 from bundled import bundled
 
@@ -657,9 +658,9 @@ class TestCapabilityLogs:
     def test_venue_sees_nonce_not_rid(self, world):
         app = new_user(world)
         run_visit(world, app, "cafe", 0, 6)
-        rid_hex = app.rid.value_bytes().hex()
+        rid = b64(app.rid.value_bytes())
         for entry in world["venues"]["cafe"].observed:
-            assert rid_hex not in str(entry)
+            assert rid not in str(entry)
 
     def test_test_center_sees_true_id(self, world):
         app = new_user(world)

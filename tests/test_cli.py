@@ -20,7 +20,7 @@ from venuetrace.metrics import ExposurePolicy, collect_metrics
 from venuetrace.scenario import ScenarioError, build_population_scenario, validate_scenario
 from venuetrace.sim import SimParams, Simulation, run
 from venuetrace.trace import (
-    _SLICE, LAYOUT, TRACE_FORMAT, TRACE_VERSION, IntegrityError, length, read_trace, write_trace,
+    _SLICE, LAYOUT, TRACE_FORMAT, TRACE_VERSION, IntegrityError, by_key, length, read_trace, write_trace,
 )
 
 from bundled import bundled
@@ -303,7 +303,7 @@ def _sign(path, body: bytes) -> None:
     path.write_bytes(body + trailer.encode() + b"\n")
 
 
-@pytest.mark.parametrize("version", [b"0", b"1", b"2", b"3", b"5", b'"4"', b"null"])
+@pytest.mark.parametrize("version", [b"0", b"1", b"2", b"3", b"4", b"6", b'"5"', b"null"])
 def test_unsupported_trace_version_rejected(version, tmp_path):
     """Only the current version loads; an older trace is re-run from its config."""
     path = tmp_path / "t.ndjson"
@@ -365,10 +365,10 @@ def _replace(i: int, line: bytes):
     (_replace(2, b'{"section":"presence",\n'), "line 3: Expecting property name"),
     (_replace(2, b"[]\n"), "line 3: not a section object"),
     (_replace(2, b'{"section":"presence"}\n'), "line 3: not a section object"),
-    (_replace(7, _section("outcomes", [])), "line 8: section outcomes holds list, not dict"),
+    (_replace(8, _section("outcomes", [])), "line 9: section outcomes holds list, not dict"),
     (_replace(1, _section("config", 5)), "line 2: section config holds int, not dict"),
-    (lambda lines: [*lines, _section("extra", {})], "line 9: unknown or repeated section 'extra'"),
-    (lambda lines: [*lines, lines[2]], "line 9: unknown or repeated section 'presence'"),
+    (lambda lines: [*lines, _section("extra", {})], "line 10: unknown or repeated section 'extra'"),
+    (lambda lines: [*lines, lines[2]], "line 10: unknown or repeated section 'presence'"),
 ], ids=["header-list", "not-json", "section-list", "no-data", "outcomes-list", "config-number",
         "unknown-section", "repeated-section"])
 def test_malformed_line_under_a_valid_trailer_rejected(edit, message, tmp_path):
@@ -436,6 +436,16 @@ def _record_index(outcomes, index):
             return
 
 
+def _element_index(*path):
+    """An edit that sets the first value of the ``actor_observed`` column at ``path``."""
+    def edit(outcomes, index):
+        table = outcomes["actor_observed"]
+        for key in path[:-1]:
+            table = table[key]
+        by_key(table)[path[-1]][0] = index
+    return edit
+
+
 @pytest.mark.parametrize("section,edit,message", [
     ("broadcasts", _longer_first_run, "section broadcasts: column 't' has 59 values, not 58"),
     *[("broadcasts", _split_first_run(count),
@@ -451,18 +461,26 @@ def _record_index(outcomes, index):
      "section outcomes.deliveries: column 'record_keys' holds 'a45b', not an index into records"),
     ("outcomes", lambda o: o["assessments"]["record_key"].__setitem__(0, 1),
      "section outcomes.assessments: column 'record_key' holds 1, not an index into records"),
+    ("outcomes", lambda o: _element_index("backend", "rid")(o, 5),
+     "section outcomes.actor_observed.backend: column 'rid' holds 5, not an index into elements"),
+    ("outcomes", lambda o: _element_index("test_center", "rid")(o, "AA=="),
+     "section outcomes.actor_observed.test_center: column 'rid' holds 'AA==', not an index into elements"),
+    ("outcomes", lambda o: _element_index("venues", "v0", "nonce")(o, -1),
+     "section outcomes.actor_observed.venues.v0: column 'nonce' holds -1, not an index into elements"),
     ("outcomes", lambda o: o.__setitem__("actor_observed", []),
      "section outcomes.actor_observed holds list, not dict"),
 ], ids=["runs-too-long", "count-0", "count-neg", "count-float", "count-bool", "count-str",
         "all-runs", "record-past-end", "record-negative", "record-key-in-full", "assessment-record",
-        "observed-list"])
-def test_bad_format_4_columns_rejected(section, edit, message, tmp_path):
+        "element-past-end", "element-in-full", "venue-element-negative", "observed-list"])
+def test_bad_format_5_columns_rejected(section, edit, message, tmp_path):
     """Runs whose counts do not add up or are not positive integers, a
-    section of runs alone, record indexes outside ``records`` and a block of
-    ``outcomes`` of the wrong type fail the read under a valid trailer."""
+    section of runs alone, record and element indexes outside their sections
+    and a block of ``outcomes`` of the wrong type fail the read under a valid
+    trailer."""
     path = tmp_path / "t.ndjson"
     data = run(bundled("relay_attack"), "venue", seed=1).data
-    assert len(data["records"]) == 1 and length(data["broadcasts"]) == 58
+    assert len(data["records"]) == 1 and len(data["elements"]) == 5
+    assert length(data["broadcasts"]) == 58
     write_trace(data, path)
     read_trace(path)  # loads before the edit
     _edit_section(path, section, edit)

@@ -349,10 +349,24 @@ class TestCollectMetrics:
         observed = doctored["outcomes"]["actor_observed"]
         backend = rows(observed["backend"])
         first, second = backend[:2]
-        first["nonce"] = second["nonce"] = "u03"
+        first["t"] = second["t"] = "u03"
         second["venue_id"] = "u05"
         observed["backend"] = columns(backend)
         assert collect_metrics(doctored).info_exposure["backend"]["true_ids_seen"] == 1
+
+    def test_backend_true_ids_seen_reads_the_interned_elements(self):
+        """The back end's rids and nonces are indexes into ``elements``; a user
+        id stored there, as one rid, is one the back end saw."""
+        sc = build_population_scenario(n_users=10, days=3, seed=4)
+        trace = run(sc, "venue", seed=4)
+        before = collect_metrics(trace.data).info_exposure["backend"]
+        assert before["true_ids_seen"] == 0
+        doctored = copy.deepcopy(trace.data)
+        report = next(r for r in rows(doctored["outcomes"]["actor_observed"]["backend"])
+                      if r["kind"] == "report")
+        doctored["elements"][report["rid"]] = "u03"
+        after = collect_metrics(doctored).info_exposure["backend"]
+        assert after == {**before, "true_ids_seen": 1}
 
     def test_minimisation_counts_a_delivery_without_a_receipt(self):
         sc = build_population_scenario(n_users=10, days=3, seed=4)
@@ -378,7 +392,7 @@ class TestCollectMetrics:
         # rows of a kind no count reads, carrying the keys the counts read
         doctored = copy.deepcopy(trace.data)
         observed = doctored["outcomes"]["actor_observed"]
-        for actor, planted in (("backend", {"rid": "r1"}), ("ha", {"ids": ["a", "b"]}),
+        for actor, planted in (("backend", {"rid": 0}), ("ha", {"ids": ["a", "b"]}),
                                ("test_center", {"true_id": "t1"})):
             observed[actor] = columns(rows(observed[actor]) + [{"kind": "planted", **planted}])
         assert collect_metrics(doctored).info_exposure == before

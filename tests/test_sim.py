@@ -16,7 +16,7 @@ from venuetrace.scenario import (
 )
 from venuetrace.schedule import dp3t_derive_ephids, dp3t_next_daily_key
 from venuetrace.sim import SimParams, Simulation, run
-from venuetrace.trace import _canonical, check, length, rows, select, tables
+from venuetrace.trace import INDEXES, _canonical, b64, check, length, rows, select, tables
 
 from bundled import SCENARIOS, broadcast_rows, bundled, nudge
 
@@ -108,13 +108,13 @@ class TestSameSecond:
         sim = Simulation(sc, SimParams.build(sc, "dp3t", 0))
         first_key = sim.driver.users["u00"].daily_keys[0]
         published = rows(sim.run().data["outcomes"]["published_keys"])
-        assert published == [{"day": 1, "key": dp3t_next_daily_key(first_key).key.hex(), "reporter": "u00"}]
+        assert published == [{"day": 1, "key": b64(dp3t_next_daily_key(first_key).key), "reporter": "u00"}]
 
     def test_dp3t_tick_that_opens_a_day_sends_that_days_identifiers(self):
         sim = Simulation(small_scenario(), SimParams.build(small_scenario(), "dp3t", 0))
         first_key = sim.driver.users["u01"].daily_keys[0]
         sent = [b["payload"] for b in broadcast_rows(sim.run().data) if (b["emitter"], b["t"]) == ("u01", DAY)]
-        day1 = {ephid.hex() for ephid in dp3t_derive_ephids(dp3t_next_daily_key(first_key), 96)}
+        day1 = {b64(ephid) for ephid in dp3t_derive_ephids(dp3t_next_daily_key(first_key), 96)}
         assert len(sent) == 1 and sent[0] in day1
 
 
@@ -197,7 +197,7 @@ class TestWorldModel:
         on_premise = {
             b["payload"] for b in broadcast_rows(trace.data) if b["location"] == "v0"
         }
-        stored = {e[0].hex() for e in sim.driver.venues["v0"].heard_log}
+        stored = {b64(e[0]) for e in sim.driver.venues["v0"].heard_log}
         assert on_premise == stored
 
     def test_visit_nonces_unique_across_population(self):
@@ -250,7 +250,7 @@ class TestAdversaries:
             b["payload"] for b in broadcast_rows(trace.data)
             if b["location"] == "v0" and not b["injected"]
         }
-        v1_heard = {e[0].hex() for e in sim.driver.venues["v1"].heard_log}
+        v1_heard = {b64(e[0]) for e in sim.driver.venues["v1"].heard_log}
         assert src_payloads & v1_heard  # "useless information" stored at v1
 
     def test_replay_same_venue_counted(self):
@@ -411,21 +411,24 @@ class TestCapabilityMatrix:
         trace = run(sc, "venue", seed=2)
         observed = trace.data["outcomes"]["actor_observed"]
         users = set(sc.users)
-        for entry in rows(observed["backend"]) + rows(observed["ha"]):
+        elements = trace.data["elements"]
+        indexed = INDEXES["outcomes.actor_observed.backend"]
+        backend = [{k: elements[v] if k in indexed else v for k, v in row.items()}
+                   for row in rows(observed["backend"])]
+        for entry in [*backend, *rows(observed["ha"])]:
             for value in entry.values():
                 assert not (isinstance(value, str) and value in users)
+        assert not users & set(elements)
 
     def test_venue_leave_log_contains_nonces_only(self):
         sc = build_population_scenario(n_users=10, days=3, seed=2)
         sim = Simulation(sc, SimParams.build(sc, "venue", 2))
         trace = sim.run()
-        rid_hexes = {
-            app.rid.value_bytes().hex() for app in sim.driver.users.values()
-        }
+        rids = {b64(app.rid.value_bytes()) for app in sim.driver.users.values()}
         for entries in trace.data["outcomes"]["actor_observed"]["venues"].values():
             for entry in rows(entries):
                 assert entry["kind"] == "leave"
-                assert entry["nonce"] not in rid_hexes
+                assert trace.data["elements"][entry["nonce"]] not in rids
 
     def test_street_encounter_dp3t_vs_venue(self):
         sc = bundled("street_encounter")
@@ -516,8 +519,8 @@ def test_layout_names_every_table_a_run_writes(stem, protocol):
             for path in _row_lists(section, name) if not path.startswith("outcomes.adversary")]
     assert left == []
     named = list(tables(data))
-    assert {"presence", "broadcasts", "events", "outcomes.reports"} <= {name for name, _, _ in named}
-    for _, mapping, key in named:
+    assert {"presence", "broadcasts", "events", "outcomes.reports"} <= {name for name, *_ in named}
+    for _, mapping, key, _ in named:
         check(mapping[key])
 
 
@@ -644,7 +647,7 @@ def test_suppression_mid_run_drops_only_the_suppressed_sends(protocol):
     assert any(row["emitter"] == "u03" for row in quiet)  # on air outside the window
     assert quiet == [row for row in plain if not silenced(row)]
     gone = {row["payload"] for row in plain if silenced(row)}
-    kept = [d for d in plain_heard if not (start <= d[3] <= end and d[1].hex() in gone)]
+    kept = [d for d in plain_heard if not (start <= d[3] <= end and b64(d[1]) in gone)]
     assert len(kept) < len(plain_heard)
     assert quiet_heard == kept
 
@@ -671,7 +674,7 @@ def test_relay_reaches_a_listener_alone_in_its_block():
         if row["injected"] and row["location"] == "v1"
     }
     assert relayed
-    assert relayed == {payload.hex() for user, payload, _, _ in heard if user == "u02"}
+    assert relayed == {b64(payload) for user, payload, _, _ in heard if user == "u02"}
 
 
 def _run_logged(sim_class, sc, params):
