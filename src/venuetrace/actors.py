@@ -4,7 +4,7 @@ authority, and test center.
 Each actor is a single-threaded state machine driven by the simulator's
 event loop; they interact only through the message types in
 :mod:`venuetrace.messages`. Every actor keeps an ``observed`` log of the
-inputs it could see on the wire, which the capability-matrix tests inspect:
+inputs it could see on the wire, as bytes, which the capability-matrix tests inspect:
 the back-end never receives a true identifier, venues never see the link
 between a visit nonce and a user's committed identifier, and the health
 authority sees only certificates, digests, and matching queries.
@@ -29,7 +29,6 @@ from .messages import (
     ReportBundle,
 )
 from .schedule import SECONDS_PER_DAY, SchedulingParams, derive_window_ephids, epoch_of
-from .trace import b64
 
 DEFAULT_RETENTION_DAYS = 14
 DEFAULT_CLOCK_TOLERANCE = 60
@@ -153,9 +152,7 @@ class HealthAuthority:
     ) -> list[bool]:
         """Match against the venue's digests still retained at ``now`` whose
         period [start, end) overlaps the ``presence`` interval [start, end]."""
-        self.observed.append(
-            {"kind": "match", "venue_id": venue_id, "ids": [b64(i) for i in ids]}
-        )
+        self.observed.append({"kind": "match", "venue_id": venue_id, "ids": list(ids)})
         self._evict(venue_id, now)
         start, end = presence
         digests = [
@@ -191,7 +188,7 @@ class TestCenter:
         period_end: int,
     ) -> InfectionCertificate:
         self.observed.append({"kind": "infection_test", "true_id": observed_true_id,
-                              "rid": b64(crypto.encode_group_element(rid_value))})
+                              "rid": crypto.encode_group_element(rid_value)})
         if opening.message != observed_true_id.encode("utf-8"):
             raise CertificationRefused("opened identifier does not match tested person")
         if not crypto.verify_opening(rid_value, opening.message, opening.blinding):
@@ -247,9 +244,8 @@ class Venue:
         arrival_time: int | None = None,
     ) -> LeaveReceipt:
         """Sign a departure; the claimed timestamp must match the venue clock."""
-        self.observed.append(
-            {"kind": "leave", "nonce": b64(crypto.encode_group_element(nonce_value)), "t": claimed_time}
-        )
+        self.observed.append({"kind": "leave", "nonce": crypto.encode_group_element(nonce_value),
+                              "t": claimed_time})
         if abs(claimed_time - now) > self.policy.clock_tolerance:
             raise ReceiptRefused(
                 f"claimed leave time {claimed_time} outside tolerance of venue clock {now}"
@@ -510,15 +506,14 @@ class BackendServer:
         cert = bundle.certificate
         receipt = bundle.leave_receipt
         venue_id = receipt.venue_id
-        self.observed.append({"kind": "report", "venue_id": venue_id,
-                              "rid": b64(crypto.encode_group_element(cert.rid_value)),
-                              "nonce": b64(crypto.encode_group_element(receipt.nonce_value)), "t": now})
+        rid_bytes = crypto.encode_group_element(cert.rid_value)
+        self.observed.append({"kind": "report", "venue_id": venue_id, "rid": rid_bytes,
+                              "nonce": crypto.encode_group_element(receipt.nonce_value), "t": now})
 
         # (a) test-center signature, then the nonce opening to the certified rid
         tc_key = self._verified_subject_key(cert.test_center_id)
         if tc_key is None or not self.verify(cert.payload(), cert.signature, tc_key):
             return self._reject(RejectionCode.BAD_CERTIFICATE, "certificate chain", now)
-        rid_bytes = crypto.encode_group_element(cert.rid_value)
         reveal = bundle.nonce_reveal
         if reveal.message != rid_bytes:
             return self._reject(RejectionCode.BAD_OPENING, "reveal names a different rid", now)
@@ -595,7 +590,7 @@ class BackendServer:
         """Verify the leave receipt as proof of presence, then serve the
         identifiers of the records its venue policy admits."""
         self.observed.append({"kind": "trace_query", "venue_id": receipt.venue_id,
-                              "nonce": b64(crypto.encode_group_element(receipt.nonce_value)), "t": now})
+                              "nonce": crypto.encode_group_element(receipt.nonce_value), "t": now})
         venue_key = self._verified_subject_key(receipt.venue_id)
         if venue_key is None:
             raise QueryRejected(f"venue {receipt.venue_id} is not certified")

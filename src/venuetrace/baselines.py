@@ -157,22 +157,24 @@ class Dp3tUserApp:
     def _start_chain(self, day_index: int) -> None:
         """A fresh random key for ``day_index``, unlinked to any earlier key."""
         self.daily_keys: list[DailyKey] = [DailyKey(key=self.rng.randbytes(32), day_index=day_index)]
-        self._prepare_day(day_index)
+        self.start_day(day_index)
 
     def _grow_chain(self, day_index: int) -> None:
         while self.daily_keys[-1].day_index < day_index:
             self.daily_keys.append(dp3t_next_daily_key(self.daily_keys[-1]))
 
-    def _prepare_day(self, day_index: int) -> None:
+    def start_day(self, day_index: int) -> None:
+        """Grow the chain to ``day_index`` and shuffle that day's broadcast order."""
         self._grow_chain(day_index)
         self._day_ids = dp3t_derive_ephids(self.daily_keys[-1], self.epochs_per_day)
         self._day_order = list(range(self.epochs_per_day))
         self.rng.shuffle(self._day_order)
-
-    def start_day(self, day_index: int) -> None:
-        self._prepare_day(day_index)
+        self._day_end = (day_index + 1) * SECONDS_PER_DAY
 
     def payload(self, now: int) -> bytes:
+        """The identifier of ``now``'s epoch; the first call in a day starts that day."""
+        if now >= self._day_end:
+            self.start_day(now // SECONDS_PER_DAY)
         return self._day_ids[self._day_order[now % SECONDS_PER_DAY // self.epoch_seconds]]
 
     def hear(self, ephid: bytes, signal_dbm: float, now: int) -> None:
@@ -185,8 +187,8 @@ class Dp3tUserApp:
         raise ParameterError(f"no stored key for day {day_index}")
 
     def report(self, backend: Dp3tBackend, first_infectious_day: int, current_day: int) -> None:
-        """Publish the first infectious day's key, then rotate to a fresh chain; a
-        report in the second that opens that day comes before the day starts."""
+        """Publish the first infectious day's key, growing the chain to it if the
+        phone has not started that day, then start a fresh chain on the current day."""
         self._grow_chain(first_infectious_day)
         backend.publish(self.key_for_day(first_infectious_day))
         self._start_chain(current_day)

@@ -16,8 +16,9 @@ plus work for the users near it; a baseline's epoch tick is one ``emit``.
 Ground-truth presence segments are recorded independently of any protocol
 and feed the exposure oracle in :mod:`venuetrace.metrics`. Scripted events
 run before the run's own work of the same second. Drivers and actors log
-rows as dicts; ``Simulation.run`` stores each table of ``trace.LAYOUT`` as
-columns once, at the end, and each ``trace.INDEXES`` value as an index.
+rows as plain dicts, bytes as bytes; ``Simulation.run`` hands them to
+``trace.store``, which makes the stored form once, at the end. Only
+``emit`` writes its table, ``broadcasts``, in stored form as it sends.
 ``run`` checks the scenario, its overrides and the protocol once;
 ``Simulation`` takes inputs that passed.
 """
@@ -57,7 +58,7 @@ from .channel import ChannelModel, cell_width
 from .messages import InfectionCertificate, ReportBundle
 from .scenario import EVENT_DEFAULTS, Scenario, ScenarioError, ScenarioEvent, validate_scenario
 from .schedule import DEFAULT_EPOCH_SECONDS, DEFAULT_WINDOW_SECONDS, SECONDS_PER_DAY, SchedulingParams
-from .trace import add_run, b64, columns, intern, tables
+from .trace import add_run, b64, store
 
 PROTOCOLS = ("venue", "dp3t", "tracetogether")
 STREET = None  # location key for the shared off-premise space
@@ -107,6 +108,7 @@ class SimulationTrace:
 
 
 def _record_key(ephids: tuple[bytes, ...]) -> str:
+    # base64 here: the key names a record in ``record_reporters``, which the trace stores keyed by it
     return b64(crypto.hash_bytes(b"".join(ephids)))
 
 
@@ -391,9 +393,6 @@ class _Dp3tDriver(_Driver):
         }
 
     def _tick(self, now: int) -> None:
-        if now and not now % SECONDS_PER_DAY:  # the tick that opens a day starts it
-            for u in self.sim.scenario.users:
-                self.users[u].start_day(now // SECONDS_PER_DAY)
         sends = [(u, self.users[u].payload(now)) for u in self.sim.scenario.users]
         self.sim.emit(now, sends, f"day{now // SECONDS_PER_DAY}")
         nxt = now + self.epoch_seconds
@@ -415,7 +414,7 @@ class _Dp3tDriver(_Driver):
     def finalize(self, horizon: int) -> None:
         super().finalize(horizon)
         self.sim.outcomes["published_keys"] = [
-            {"day": p.day_index, "key": b64(p.key), "reporter": r}
+            {"day": p.day_index, "key": p.key, "reporter": r}
             for p, r in zip(self.backend.published, self.sim.outcomes["reporters"])
         ]
 
@@ -483,7 +482,7 @@ class Simulation:
         self.position: dict[str, tuple[float, float]] = {}
         self._open_segment: dict[str, dict[str, Any]] = {}
         self.presence: list[dict[str, Any]] = []
-        # kept as columns as it is sent
+        # in stored form as it is sent, so ``store`` skips it: a pass at the end made DP-3T runs slower
         self.broadcasts: dict[str, Any] = {k: [] if k in ("emitter", "payload") else {"runs": []}
                                            for k in BROADCAST_KEYS}
         self._emitter_index: dict[str, int] = {}  # emitter -> index, in order of first broadcast
@@ -744,24 +743,15 @@ class Simulation:
         self.outcomes["adversary"]["observed_only_broadcast_bytes"] = (
             not observed or set(self.broadcasts["payload"]).issuperset(observed)
         )
-        # each scripted event is stored once, as a row of ``events``: the scenario
-        # gives each event of the file as its index among those rows, in run order
-        ran = sorted(range(len(events := self.scenario.events)), key=lambda i: events[i].time)
-        scenario = {**self.scenario.to_dict(), "events": sorted(range(len(ran)), key=ran.__getitem__)}
         data = {
-            "config": {"scenario": scenario, "params": asdict(self.params)},
+            "config": {"scenario": self.scenario.to_dict(), "params": asdict(self.params)},
             "events": self.events_log,
             "broadcasts": self.broadcasts,
             "emitters": list(self._emitter_index),
             "presence": self.presence,
             "outcomes": self.outcomes,
         }
-        for _, mapping, key, _ in tables(data):  # to columns, emptying the actors' row lists
-            if isinstance(row_list := mapping[key], list):  # not broadcasts, columns all along
-                mapping[key] = columns(row_list)
-                row_list.clear()
-        intern(data)
-        return SimulationTrace(data)
+        return SimulationTrace(store(data))
 
 
 def run(scenario: Scenario, protocol: str = "venue", seed: int = 0,

@@ -1,4 +1,5 @@
-"""The trace: its sections (``LAYOUT``), its file and the codec of its tables.
+"""The trace: its sections (``LAYOUT``), the stored form of a run's data
+(``store``), its file and the codec of its tables.
 
 A table is a list of dicts stored as columns: for each key, the values of
 the rows that have that key, in row order. When every row has the same set
@@ -170,16 +171,27 @@ def tables(data: dict[str, Any], layout: dict[str, Any] = LAYOUT, prefix: str = 
                 yield from tables(value, kind, f"{prefix}{key}.", f"{declared}{entry}.")
 
 
-def intern(data: dict[str, Any]) -> None:
-    """Store each value of an ``INDEXES`` column once: as its index into the list
-    section the column names, which ``data`` gains, in order of first appearance."""
+def store(data: dict[str, Any]) -> dict[str, Any]:
+    """A run's plain ``data`` in stored form, made in place: each event of ``config.scenario`` as its
+    index among the scripted rows of ``events``; each declared list of rows as a table, the list
+    emptied (a table that is no list is stored already); each ``INDEXES`` value as its index into the
+    list section its column names, added to ``data``, in order of first appearance; other bytes as base64."""
+    scenario = data["config"]["scenario"]
+    ran = sorted(range(len(times := [event["time"] for event in scenario["events"]])), key=times.__getitem__)
+    scenario["events"] = sorted(range(len(ran)), key=ran.__getitem__)
     found: dict[str, dict[Any, int]] = {s: {} for of in INDEXES.values() for s in of.values()}
     for _, mapping, key, declared in tables(data):
-        have = by_key(mapping[key])
-        for column, section in INDEXES.get(declared, {}).items():
-            if column in have:
-                have[column] = [_index(value, found[section]) for value in have[column]]
-    data.update((section, list(index)) for section, index in found.items())
+        if isinstance(row_list := mapping[key], list):
+            mapping[key] = columns(row_list)
+            row_list.clear()
+            have, indexed = by_key(mapping[key]), INDEXES.get(declared, {})
+            for column, section in indexed.items():  # in declared order: it fixes the indexes
+                if column in have:
+                    have[column] = [_index(value, found[section]) for value in have[column]]
+            for column in have.keys() - indexed.keys():
+                have[column] = _stored(have[column])
+    data.update((section, _stored(list(index))) for section, index in found.items())
+    return data
 
 
 def _index(value: Any, index: dict[Any, int]) -> Any:
@@ -187,6 +199,12 @@ def _index(value: Any, index: dict[Any, int]) -> Any:
     if isinstance(value, list):
         return [_index(item, index) for item in value]
     return None if value is None else index.setdefault(value, len(index))
+
+
+def _stored(value: Any) -> Any:
+    """``value`` with each byte string in it, a list's items included, as base64; a list of none stays itself."""
+    binary = type(value) is list and not {bytes, list}.isdisjoint(map(type, value))
+    return [*map(_stored, value)] if binary else b64(value) if type(value) is bytes else value
 
 
 def scenario_dict(data: dict[str, Any]) -> dict[str, Any]:

@@ -1,11 +1,14 @@
 """Feature-flag, robustness, and structural-invariant coverage."""
 
+import ast
 import math
 import random
 import time
+from pathlib import Path
 
 import pytest
 
+import venuetrace
 from venuetrace import crypto
 from venuetrace.actors import HealthAuthority, ProtocolStateError, UserApp, VenuePolicy
 from venuetrace.baselines import Dp3tUserApp, MoHServer, TTUserApp
@@ -23,6 +26,9 @@ from venuetrace.trace import _canonical, rows
 
 DAY = 86400
 L = 180
+# the protocol library, and the simulator modules that record and score it
+LIBRARY = ("crypto", "schedule", "bloom", "messages", "channel", "actors", "baselines")
+SIMULATOR = {"trace", "sim", "metrics", "cli", "scenario"}
 
 
 def two_user_visit(horizon=2 * DAY, extra=()):
@@ -114,6 +120,19 @@ class TestChannelRobustness:
 
 
 class TestStructuralInvariants:
+    @pytest.mark.parametrize("module", LIBRARY)
+    def test_protocol_library_imports_no_simulator_module(self, module):
+        """Every import of the package a library module makes, local ones included."""
+        source = Path(venuetrace.__file__).with_name(f"{module}.py").read_text(encoding="utf-8")
+        imported = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[1] for a in node.names if a.name.startswith("venuetrace."))
+            elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("venuetrace")):
+                name = (node.module or "").removeprefix("venuetrace").lstrip(".")
+                imported.update([name.split(".")[0]] if name else (a.name for a in node.names))
+        assert not imported & SIMULATOR
+
     def test_venue_digests_tile_the_timeline(self):
         sc = build_population_scenario(n_users=8, days=3, seed=1)
         trace = run(sc, "venue", seed=1)

@@ -117,6 +117,20 @@ class TestSameSecond:
         day1 = {b64(ephid) for ephid in dp3t_derive_ephids(dp3t_next_daily_key(first_key), 96)}
         assert len(sent) == 1 and sent[0] in day1
 
+    def test_dp3t_exchange_in_the_second_that_opens_a_day_sends_that_days_identifiers(self):
+        """The phone starts its day as it first sends in it, so the catch-up
+        exchange before the tick already sends day 1's identifier."""
+        sc = Scenario("edge", 2 * DAY, ["u00", "u01"], [VenueSpec("v0")], [
+            ScenarioEvent(DAY, "enter", {"user": "u00", "venue": "v0", "pos": [0.0, 0.0]}),
+            ScenarioEvent(DAY, "enter", {"user": "u01", "venue": "v0", "pos": [1.0, 0.0]}),
+        ])
+        sim = Simulation(sc, SimParams.build(sc, "dp3t", 0))
+        first_key = sim.driver.users["u00"].daily_keys[0]
+        sim.run()
+        day1 = set(dp3t_derive_ephids(dp3t_next_daily_key(first_key), 96))
+        heard = [h.ephid for h in sim.driver.users["u01"].heard if h.time == DAY]
+        assert len(heard) == 2 and set(heard) <= day1
+
 
 class TestWorldModel:
     def test_empty_scenario_empty_trace(self):
@@ -498,13 +512,17 @@ def test_refused_certification_is_logged_and_skips_the_report():
     assert list(trace.data["outcomes"]["reporters"]) == ["u00"]
 
 
-def _row_lists(obj, path):
-    """The paths of the lists under ``obj`` that hold a dict, through dicts and lists."""
+def _paths(obj, path, wanted):
+    """The paths of the values under ``obj`` that ``wanted`` accepts, through dicts and lists."""
     children = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
-    if isinstance(obj, list) and any(isinstance(item, dict) for item in obj):
+    if wanted(obj):
         yield path
     for key, value in children:
-        yield from _row_lists(value, f"{path}.{key}")
+        yield from _paths(value, f"{path}.{key}", wanted)
+
+
+def _row_list(obj):
+    return isinstance(obj, list) and any(isinstance(item, dict) for item in obj)
 
 
 @pytest.mark.parametrize("protocol", ["venue", "dp3t", "tracetogether"])
@@ -512,12 +530,14 @@ def _row_lists(obj, path):
 def test_layout_names_every_table_a_run_writes(stem, protocol):
     """After a run no list of rows is left outside the scenario as given
     (``config``) and the adversary's block, so ``trace.LAYOUT`` declares
-    every table; and each table it names passes the reader's check."""
+    every table; no byte string is left at any depth; and each table it
+    names passes the reader's check."""
     sc = bundled(stem)
     data = Simulation(sc, SimParams.build(sc, protocol, 0)).run().data
     left = [path for name, section in data.items() if name != "config"
-            for path in _row_lists(section, name) if not path.startswith("outcomes.adversary")]
+            for path in _paths(section, name, _row_list) if not path.startswith("outcomes.adversary")]
     assert left == []
+    assert list(_paths(data, "data", lambda obj: isinstance(obj, bytes))) == []
     named = list(tables(data))
     assert {"presence", "broadcasts", "events", "outcomes.reports"} <= {name for name, *_ in named}
     for _, mapping, key, _ in named:
