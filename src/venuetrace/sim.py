@@ -18,7 +18,8 @@ and feed the exposure oracle in :mod:`venuetrace.metrics`. Scripted events
 run before the run's own work of the same second. Drivers and actors log
 rows as plain dicts, bytes as bytes; ``Simulation.run`` hands them to
 ``trace.store``, which makes the stored form once, at the end. Only
-``emit`` writes its table, ``broadcasts``, in stored form as it sends.
+``emit`` writes its table, ``broadcasts``, in columns as it sends, but for
+the raw payloads, which ``run`` packs once and ``store`` writes as base64.
 ``run`` checks the scenario, its overrides and the protocol once;
 ``Simulation`` takes inputs that passed.
 """
@@ -58,13 +59,13 @@ from .channel import ChannelModel, cell_width
 from .messages import InfectionCertificate, ReportBundle
 from .scenario import EVENT_DEFAULTS, Scenario, ScenarioError, ScenarioEvent, validate_scenario
 from .schedule import DEFAULT_EPOCH_SECONDS, DEFAULT_WINDOW_SECONDS, SECONDS_PER_DAY, SchedulingParams
-from .trace import add_run, b64, store
+from .trace import add_ranges, add_run, b64, packed, store
 
 PROTOCOLS = ("venue", "dp3t", "tracetogether")
 STREET = None  # location key for the shared off-premise space
-# the columns of the broadcasts section; ``emitter`` holds indexes into the
-# ``emitters`` section, and all but it and ``payload`` hold runs
-BROADCAST_KEYS = ("t", "emitter", "location", "payload", "tx_dbm", "injected", "tag")
+# the columns of the broadcasts section and their forms; ``emitter`` holds indexes into ``emitters``
+BROADCAST_KEYS = {"t": "runs", "emitter": "ranges", "location": "runs", "payload": "packed",
+                  "tx_dbm": "runs", "injected": "runs", "tag": "runs"}
 
 
 @dataclass
@@ -482,9 +483,10 @@ class Simulation:
         self.position: dict[str, tuple[float, float]] = {}
         self._open_segment: dict[str, dict[str, Any]] = {}
         self.presence: list[dict[str, Any]] = []
-        # in stored form as it is sent, so ``store`` skips it: a pass at the end made DP-3T runs slower
-        self.broadcasts: dict[str, Any] = {k: [] if k in ("emitter", "payload") else {"runs": []}
-                                           for k in BROADCAST_KEYS}
+        # in columns as it is sent, so ``store`` only encodes payloads: a pass at the end made DP-3T slower;
+        # the payloads are kept as sent and packed once by ``run``: per ``emit`` call, venue runs took 5% longer
+        self.broadcasts: dict[str, Any] = {key: {form: []} for key, form in BROADCAST_KEYS.items()}
+        self._payloads: list[bytes] = []
         self._emitter_index: dict[str, int] = {}  # emitter -> index, in order of first broadcast
         self.events_log: list[dict[str, Any]] = []
         self.outcomes: dict[str, Any] = {
@@ -501,7 +503,7 @@ class Simulation:
         self._captures: dict[str, list[tuple]] = {"relay": [], "replay": []}
         self._suppress: dict[str, list[tuple[int, int]]] = {}
         self._eavesdrop_venues: list[str] = []
-        self.adversary_observed: list[str] = []
+        self.adversary_observed: list[bytes] = []
 
         # block map: (location, cell x, cell y) -> the users whose cell is in
         # the 3x3 block around it, so everyone in range of a point in the cell,
@@ -599,31 +601,29 @@ class Simulation:
         cells, position = self._cell, self.position
         phones, nearby = self.phones, self._nearby
         tx = self.params.channel.tx_dbm if tx_dbm is None else tx_dbm
-        columns, index = self.broadcasts, self._emitter_index
+        columns, index, payloads = self.broadcasts, self._emitter_index, self._payloads
         for key, value in (("t", now), ("tx_dbm", tx), ("injected", injected), ("tag", tag)):
             add_run(columns[key], value, len(sends))
+        add_ranges(columns["emitter"], [index.setdefault(emitter, len(index)) for emitter, _ in sends])
         if injected:
             self.outcomes["adversary"]["injected"] += len(sends)
         capturing = not injected and any(self._captures.values())
 
-        # per-send columns grow in this loop: a lone venue send pays for no comprehension
         for emitter, payload in sends:
             if at is None:
                 cell, pos = cells[emitter], position[emitter]
             else:
                 cell, pos = self._cell_of(*at), at[1]
             loc = cell[0]
-            text = b64(payload)
-            columns["emitter"].append(index.setdefault(emitter, len(index)))
             add_run(columns["location"], loc, 1)
-            columns["payload"].append(text)
+            payloads.append(payload)
             for user in nearby(cell, emitter):
                 if phones[user].listening:
                     self._receive(user, payload, math.dist(pos, position[user]), now, tx_dbm)
             if loc is not STREET:
                 self.driver.on_premise(loc, payload, tx, now)
                 if loc in self._eavesdrop_venues:
-                    self.adversary_observed.append(text)
+                    self.adversary_observed.append(payload)
                     self.outcomes["adversary"]["eavesdropped"].append(  # in hex: metrics.json copies it
                         {"venue": loc, "payload": payload.hex(), "t": now}
                     )
@@ -635,7 +635,7 @@ class Simulation:
             for src, dst, pos, start, end, delay in rules:
                 if src != loc or not start <= now <= end:
                     continue
-                self.adversary_observed.append(b64(payload))
+                self.adversary_observed.append(payload)
                 self.outcomes["adversary"]["captured"] += 1
                 self.schedule(now + delay, self.emit, [("adversary", payload)], tag, (dst, pos))
 
@@ -741,8 +741,9 @@ class Simulation:
         self.driver.finalize(horizon)
         observed = self.adversary_observed  # usually empty: then no payload set is built
         self.outcomes["adversary"]["observed_only_broadcast_bytes"] = (
-            not observed or set(self.broadcasts["payload"]).issuperset(observed)
+            not observed or set(self._payloads).issuperset(observed)
         )
+        self.broadcasts["payload"] = packed(self._payloads)
         data = {
             "config": {"scenario": self.scenario.to_dict(), "params": asdict(self.params)},
             "events": self.events_log,

@@ -181,7 +181,7 @@ def test_criterion_4_ephemeral_linkage():
         day_x = set(dp3t_derive_ephids(key, 96))
         day_x1 = set(dp3t_derive_ephids(dp3t_next_daily_key(key), 96))
         mine = {
-            b64decode(b["payload"])
+            b["payload"]
             for b in broadcast_rows(trace.data)
             if b["emitter"] == pub["reporter"] and not b["injected"]
         }

@@ -16,13 +16,16 @@ two floods, a suppression, an eavesdropper, a tampered report and a report
 on another user's certificate. The bundled files hold only the relay, and
 each injection is scheduled work whose arguments a change could bind late.
 
-``V4_TRACE`` keeps every case's trace digest from format version 4, which
-stored bytes in hex, each scripted event in ``config`` as well, and each
-group element in full. ``V3_TRACE`` keeps those of version 3, which also
-stored each broadcast value and record key in full. Each case expands its
-version-5 data back to version-4 bytes, and those data on to version-3
-bytes, proving that base64, the scripted events kept once, runs and
-indexes lose nothing; and it reads its own trace back to the same data.
+``V5_TRACE`` keeps every case's trace digest from format version 5, which
+stored each broadcast payload as its own base64 string and each emitter
+index in full. ``V4_TRACE`` keeps those of version 4, which stored bytes in
+hex, each scripted event in ``config`` as well, and each group element in
+full. ``V3_TRACE`` keeps those of version 3, which also stored each
+broadcast value and record key in full. Each case expands its version-6
+data back to version-5 bytes, those data on to version-4 bytes, and those
+on to version-3 bytes, proving that packed payloads, emitter ranges,
+base64, the scripted events kept once, runs and indexes lose nothing; and
+it reads its own trace back to the same data.
 """
 
 import copy
@@ -35,51 +38,83 @@ from venuetrace.cli import _write_outputs
 from venuetrace.scenario import Scenario, ScenarioEvent, VenueSpec, build_population_scenario
 from venuetrace.sim import run
 from venuetrace.trace import (
-    INDEXES, TRACE_FORMAT, _canonical, by_key, columns, read_trace, rows, scenario_dict, select, tables,
-    write_trace,
+    INDEXES, LAYOUT, TRACE_FORMAT, _canonical, b64, by_key, columns, read_trace, rows, scenario_dict, select,
+    tables, write_trace,
 )
 
 from bundled import SCENARIOS, bundled
 
 # (scenario stem, protocol) -> sha256 of (trace.ndjson, metrics.json, events.ndjson)
 GOLDEN = {
-    ("duty_cycle", "venue"): ("f6696a97dc468d3c8b4b7c21cd435d15ba4b5ce67241d8f8b524c6d1d11b1cf9", "912a777161e50bfc80cb7ac39712c1299aa7a169bd3ddbf90a7effbaf6f35462", "1e63829c48fed1ab637ef6a5eb8381988864930adbe51f19920a2ea2342f1d0e"),
-    ("duty_cycle", "dp3t"): ("2232a6be17216c42805ff8de577cb44f49dc2e8ec2319a8d9f9021d521530e05", "016dda263df8ed260b051f5afde1231b2946e9f1fc3c154e87a83fdffe04e1e8", "e7cdc1bb5aa5fa987817925b878dda5164613b8606f01c81b2c43bcd7c393dbb"),
-    ("duty_cycle", "tracetogether"): ("6ba25804c5e2f1a2cb26d07a34b17da1fbd1ca59053db758283d6986ffd69e9e", "4851e81e273bec109178d60ab1ff0917e3836bcc15e5ddff96e8f89d87fe3c32", "e7cdc1bb5aa5fa987817925b878dda5164613b8606f01c81b2c43bcd7c393dbb"),
-    ("population_small", "venue"): ("14e6999a0ac05ef9516d48dca315f1cc2d2b5ad5f8014c433e7597c92d92207e", "cb524bc38cc71f989ac71f28ac1a0c0aa3a16845543840f76cb1b648c8373a3e", "e368a0d4cfd8b89e6c24d26982259327b73959362b00e78f2d654895ebfcf87e"),
-    ("population_small", "dp3t"): ("4472477c86f41b6cc1627c5e0141cde568156758eeb5b037808d45dd62741f6e", "efd7682876c367b8905b9309a894830e6f0dc2e6a02080d41bc090483bfd6ef3", "8df3eaed0338cd70fd6db2949d9565f929a768399a16967cf194e9f1ed9643fb"),
-    ("population_small", "tracetogether"): ("b4a4732c6ee55f2432279cc70d05f71705aae2c9dd94ef84ec29526937b3537e", "69fe075597496d2adc84d31c39e14224563e7610721ccae80e3bfd58f5e27731", "c1accb018a23f7527f4e4e2cdc746d81b56d77e1c86501e976ba70f2e7607e1e"),
-    ("relay_attack", "venue"): ("4fdec887f59498050974c784a06ab2c84f3927c9f63c01dcfb2f370ea714fb99", "5dcad84a952e0f29a00b1b5d667084d0d061347a7dc5cebb09e4c732f1976f8a", "c70a66486449a36537bf2b7e8833d9c969f8a4fb9bef958e728941b7107988ca"),
-    ("relay_attack", "dp3t"): ("4a7fb5b4be20c02b5720d6a15dda31b4edfa2d9fc1aa96ff7030a4bb769ec2c4", "c76c9050bfe3bcfb2c18397021678c3c2d950b2ac5a6f2a247b61c8f7ec72406", "247c4e6a0a8a0062503e0322cdfa04fbe21bbb7ae8dd5089b131e186506acebf"),
-    ("relay_attack", "tracetogether"): ("5e9d7b70300e4c55edde56433d9d2b1eee6cbb399c30b494e28bb2471adc56f6", "6daa91b262f8ae3bc02ab41086da9c72519a2cfd116cec112fff31be85f138e4", "0644e8e540aa750fd59264b8248f15e937da9272c3b0291d97e96949ef3d352e"),
-    ("relay_baseline", "venue"): ("c88e5d8eda041725dcce4e415f3e7f505f9ddbc07dd9adde7266a1fc294f18b0", "0c7e51042281e40bd0cc5470f325c0f9e2cb05b6dbae98b3f37fae979b0ff426", "851a011ce43accfef26423e5f2e3720fa833203e3ae504c708ee1137874cbc6c"),
-    ("relay_baseline", "dp3t"): ("6547c29ccf7a93adff63317d035e43911a772fc58bbde600a215cca4385ef4a4", "76cf24e695ba9cd4024ea13444da04608d47e6d38343f9f39b091461145e9edf", "14b3e8ac0509f98e77443615093abfd91ba9cec41aee67104b50804c00f146b1"),
-    ("relay_baseline", "tracetogether"): ("bbcb9f0ffffdfae7076e824230c67889ed319f461f9b90de1d828ab7dea549dc", "2cca3de2929f7c7879c75b6e29a536ebef722512e78349a4cec08c9790fa7cfa", "245a04e460003eb1d2bfcba180d382cf4e22679d7e8d143c3e86bbf71877e255"),
-    ("street_encounter", "venue"): ("0938380e385177b1caf1fc02185204b45cdef4137c834f56311b2f8b832ef000", "9f6b02bbb49b71d76626273340b80a78df8d7fabc2913e6dbbd9964ebf95a1b0", "98936e6e3a1249f4442704002bb9a95d99e0ef6f22f0f3d09dfe7c7568199e6f"),
-    ("street_encounter", "dp3t"): ("42e4e9aa063ff4f7b10edf7ac5996c6312a988f16b7d541dced703d38fe35bef", "69f91bcce614190bf181da2e427c76a79713520fbf317103ac01cd53fae767cb", "7e3d06b84e6e32eb392fb44916b3cfb36795b789dff07455b42c0b0a0e330722"),
-    ("street_encounter", "tracetogether"): ("8052c0670e9107d5432f3c4596186885cb886d7f5a1a25519c7ee74b409895aa", "b74b2dfcb97593bd328a1d8686edbf9666d8be36c7091bbfd1c24a84fe32f4b7", "eacc3f9d570f093b7e40bf1818caa186a3485212dd22a042863474bfd9bdf708"),
+    ("duty_cycle", "venue"): ("e3af2d2614b626b41c9000f54768203bfea08404287a1812a90a3af682c0d62d", "912a777161e50bfc80cb7ac39712c1299aa7a169bd3ddbf90a7effbaf6f35462", "1e63829c48fed1ab637ef6a5eb8381988864930adbe51f19920a2ea2342f1d0e"),
+    ("duty_cycle", "dp3t"): ("c27082af4eac3ec2f254f5ed7e56469de855cf95faa3b5cdd40cc19ffa607f4e", "016dda263df8ed260b051f5afde1231b2946e9f1fc3c154e87a83fdffe04e1e8", "e7cdc1bb5aa5fa987817925b878dda5164613b8606f01c81b2c43bcd7c393dbb"),
+    ("duty_cycle", "tracetogether"): ("79544d51b8cecb5ee5f86b1b72d5c3727e1cb6cc83cae707c0b6ba20a77cfde0", "4851e81e273bec109178d60ab1ff0917e3836bcc15e5ddff96e8f89d87fe3c32", "e7cdc1bb5aa5fa987817925b878dda5164613b8606f01c81b2c43bcd7c393dbb"),
+    ("population_small", "venue"): ("8a67dbcad6562ac9d5a67b64467ce834e4e1b0cc7cad10ad4bda2c4c8c67d665", "cb524bc38cc71f989ac71f28ac1a0c0aa3a16845543840f76cb1b648c8373a3e", "e368a0d4cfd8b89e6c24d26982259327b73959362b00e78f2d654895ebfcf87e"),
+    ("population_small", "dp3t"): ("b8cde6c878ca45816a0cce5fb16e0c65957dfebc8310d4e5c16f7d55c06872dd", "efd7682876c367b8905b9309a894830e6f0dc2e6a02080d41bc090483bfd6ef3", "8df3eaed0338cd70fd6db2949d9565f929a768399a16967cf194e9f1ed9643fb"),
+    ("population_small", "tracetogether"): ("8baa6d6dac850db12ab4708c04df3bc6c54269c43ae6b2ea939bba3dfe1afbd7", "69fe075597496d2adc84d31c39e14224563e7610721ccae80e3bfd58f5e27731", "c1accb018a23f7527f4e4e2cdc746d81b56d77e1c86501e976ba70f2e7607e1e"),
+    ("relay_attack", "venue"): ("4f8df3ac00be3a914f33af99012e6718361ca57d8ed267b9452e8ea8b15df334", "5dcad84a952e0f29a00b1b5d667084d0d061347a7dc5cebb09e4c732f1976f8a", "c70a66486449a36537bf2b7e8833d9c969f8a4fb9bef958e728941b7107988ca"),
+    ("relay_attack", "dp3t"): ("d0f6df711dc19a3187e68ae5af13c894ad939bcdbffd7a926fb306542ae8d733", "c76c9050bfe3bcfb2c18397021678c3c2d950b2ac5a6f2a247b61c8f7ec72406", "247c4e6a0a8a0062503e0322cdfa04fbe21bbb7ae8dd5089b131e186506acebf"),
+    ("relay_attack", "tracetogether"): ("884926c5f4005913127f5c6ee9cdc060ed317c80b53e76303c0158b61cb77301", "6daa91b262f8ae3bc02ab41086da9c72519a2cfd116cec112fff31be85f138e4", "0644e8e540aa750fd59264b8248f15e937da9272c3b0291d97e96949ef3d352e"),
+    ("relay_baseline", "venue"): ("40547fff41111ec4382b2db692e9270d44affd739341e684aca04eb98bf13eb1", "0c7e51042281e40bd0cc5470f325c0f9e2cb05b6dbae98b3f37fae979b0ff426", "851a011ce43accfef26423e5f2e3720fa833203e3ae504c708ee1137874cbc6c"),
+    ("relay_baseline", "dp3t"): ("779d3324f20eab125d478ddc8b6e3ccf3279b82e8405ad54c3371f8074806980", "76cf24e695ba9cd4024ea13444da04608d47e6d38343f9f39b091461145e9edf", "14b3e8ac0509f98e77443615093abfd91ba9cec41aee67104b50804c00f146b1"),
+    ("relay_baseline", "tracetogether"): ("49c8e69516ef42df07d96015d5141c97a530c3179616db1ec66f4012b08fc9f4", "2cca3de2929f7c7879c75b6e29a536ebef722512e78349a4cec08c9790fa7cfa", "245a04e460003eb1d2bfcba180d382cf4e22679d7e8d143c3e86bbf71877e255"),
+    ("street_encounter", "venue"): ("6a94a9120135e0d67046f4ee76ea079a77028b65fae1da522b95671a0d123141", "9f6b02bbb49b71d76626273340b80a78df8d7fabc2913e6dbbd9964ebf95a1b0", "98936e6e3a1249f4442704002bb9a95d99e0ef6f22f0f3d09dfe7c7568199e6f"),
+    ("street_encounter", "dp3t"): ("2ecd5a4c3b8e9f69b4086ac27204bc3ca876df443e8eaa049f31071290fb2dc0", "69f91bcce614190bf181da2e427c76a79713520fbf317103ac01cd53fae767cb", "7e3d06b84e6e32eb392fb44916b3cfb36795b789dff07455b42c0b0a0e330722"),
+    ("street_encounter", "tracetogether"): ("58222380db0274a13699b2d9d4e6b5739ad4442f70177c63a67eeca02cbd20da", "b74b2dfcb97593bd328a1d8686edbf9666d8be36c7091bbfd1c24a84fe32f4b7", "eacc3f9d570f093b7e40bf1818caa186a3485212dd22a042863474bfd9bdf708"),
 }
 
 NOISY_CHANNEL = {"noise_sigma_db": 4.0, "reception_prob": 0.7}
 NOISY_GOLDEN = {
-    ("population_small", "venue"): ("b67e6e30b197bcf94d8d4e7c208e4aa39b9592bde3210194b39a3d0a45197e23", "129a1c3ccd1bc83b8201bbf3726b14ba0d5b7ab21c814a6fa8c1240a15e27bd6", "e368a0d4cfd8b89e6c24d26982259327b73959362b00e78f2d654895ebfcf87e"),
-    ("population_small", "dp3t"): ("44c2ae31d92fa068adb968dc84b82c6e105a2e0711984c48c3a343edcf77f703", "35426b508832267523d330d0067fb877f93798c9d92035d7b658484f2e92a81b", "8df3eaed0338cd70fd6db2949d9565f929a768399a16967cf194e9f1ed9643fb"),
-    ("population_small", "tracetogether"): ("a8569f5178bccf5b4bc9a79091152bebb9e666154732cdb7fe54fe55ada00798", "69fe075597496d2adc84d31c39e14224563e7610721ccae80e3bfd58f5e27731", "c1accb018a23f7527f4e4e2cdc746d81b56d77e1c86501e976ba70f2e7607e1e"),
-    ("street_encounter", "venue"): ("572c431801b13f73530ba675a0b93cf349a30a4c56f5993e894edec2d0c6ef04", "9f6b02bbb49b71d76626273340b80a78df8d7fabc2913e6dbbd9964ebf95a1b0", "98936e6e3a1249f4442704002bb9a95d99e0ef6f22f0f3d09dfe7c7568199e6f"),
-    ("street_encounter", "dp3t"): ("a40041dc22e3fc9c8e7fdee29a7c7be6995b9d7e7b7164ece115c311e64f9b33", "45ee2dacfe4a3922de900822f8c2bd7e7cc085e7820155fc5a4fe3ba22e73346", "7e3d06b84e6e32eb392fb44916b3cfb36795b789dff07455b42c0b0a0e330722"),
-    ("street_encounter", "tracetogether"): ("e56a1ecdba607a19d4fa707e5f502fa27949ac6e6d37e8caff679f3147202b15", "b74b2dfcb97593bd328a1d8686edbf9666d8be36c7091bbfd1c24a84fe32f4b7", "eacc3f9d570f093b7e40bf1818caa186a3485212dd22a042863474bfd9bdf708"),
+    ("population_small", "venue"): ("e18f73b30df7edfc9619a2c435c004f39254e6f40e81e01e7e03eb7483d14c2c", "129a1c3ccd1bc83b8201bbf3726b14ba0d5b7ab21c814a6fa8c1240a15e27bd6", "e368a0d4cfd8b89e6c24d26982259327b73959362b00e78f2d654895ebfcf87e"),
+    ("population_small", "dp3t"): ("2c5bf7837d6303dcc07621658219b1c046abecbde9974e65975a890079bd42da", "35426b508832267523d330d0067fb877f93798c9d92035d7b658484f2e92a81b", "8df3eaed0338cd70fd6db2949d9565f929a768399a16967cf194e9f1ed9643fb"),
+    ("population_small", "tracetogether"): ("f2458e523069c3e2ee21beb3e7de321119caa96d561da578cca7465e20770aad", "69fe075597496d2adc84d31c39e14224563e7610721ccae80e3bfd58f5e27731", "c1accb018a23f7527f4e4e2cdc746d81b56d77e1c86501e976ba70f2e7607e1e"),
+    ("street_encounter", "venue"): ("cec2fc2c918e8a265eee9e785b7fbc7db1fd3b16377948441be1d8bc6e414636", "9f6b02bbb49b71d76626273340b80a78df8d7fabc2913e6dbbd9964ebf95a1b0", "98936e6e3a1249f4442704002bb9a95d99e0ef6f22f0f3d09dfe7c7568199e6f"),
+    ("street_encounter", "dp3t"): ("535b5d1067216d38f8946c67aaecf0a1b613d9994945620cdaea5ff824281c28", "45ee2dacfe4a3922de900822f8c2bd7e7cc085e7820155fc5a4fe3ba22e73346", "7e3d06b84e6e32eb392fb44916b3cfb36795b789dff07455b42c0b0a0e330722"),
+    ("street_encounter", "tracetogether"): ("b8272796c6ab4c80512156a902c56939e0956327b729127b8321a2d4552cd9eb", "b74b2dfcb97593bd328a1d8686edbf9666d8be36c7091bbfd1c24a84fe32f4b7", "eacc3f9d570f093b7e40bf1818caa186a3485212dd22a042863474bfd9bdf708"),
 }
 
 
 # (protocol, noisy channel) -> sha256 of (trace.ndjson, metrics.json,
 # events.ndjson) for the scenario ``_adversary_scenario`` builds
 ADVERSARY_GOLDEN = {
-    ("venue", False): ("2e514b6b12c12504ca6b1d07ae294373aac8654d7c4bff1989eaa1e34ad76110", "ac00c1ff058afb71fe07176f6ebede292ce9150a611abc9a731ee5300f1739d4", "9e98f75f2f16ffeb6f227cc2341f4467649fe71b4169a757c139c40bc9c43ff6"),
-    ("dp3t", False): ("01ad9f08c4617fcf4fc21ef253e2a800298a2f64a080c5af7f53e6a7786b4ecd", "732c33cb8ed5c23488a759403df260e4d4aa153f3706aa23232ed1f1c4a873c0", "1627f910e5756d3ffe49dc9544ea253b31ac56125d88324a2914ffb7d90c709c"),
-    ("tracetogether", False): ("ae271baff8fdfcb759037eb63adbfbe153246abb7f8b1c8af25292f074914774", "d98694bd83b70906be1f659074b32f9c6eda99bcdae528ff99ceb2e7ce337ab0", "0422a9ef5fcdcda16d435946f978d6596284093cb7ec84523693a346b367f28a"),
-    ("venue", True): ("bb3ab3f010aa7a0d433ac5cc8a2842dbc1cc5aa6bbf5a6290611f12240aeb73a", "21d8da4701750cc16734841913e0aad0eb1ad99483aae1093ed9b59d3f44e135", "9e98f75f2f16ffeb6f227cc2341f4467649fe71b4169a757c139c40bc9c43ff6"),
-    ("dp3t", True): ("7d20fca12397425fd0e9280a9add848bd8f3bdeae89fb8be133d43bcb74cbb4a", "3c7c5cf933a1d5386f5813e976ba395ec7525953b861df0284ac23a32dfd88ab", "1627f910e5756d3ffe49dc9544ea253b31ac56125d88324a2914ffb7d90c709c"),
-    ("tracetogether", True): ("ada491f86d6e61b7cd14c62b5a93bea997caac79ce9dafb2149a00ac058f65cf", "0108643b22c3758c0ed160d3efa60346a03c2339a45a08cda9514bc5ee29102a", "0422a9ef5fcdcda16d435946f978d6596284093cb7ec84523693a346b367f28a"),
+    ("venue", False): ("198673f82223bf4a954f4ac00749ffa595515842a953b8c439202820ba897d36", "ac00c1ff058afb71fe07176f6ebede292ce9150a611abc9a731ee5300f1739d4", "9e98f75f2f16ffeb6f227cc2341f4467649fe71b4169a757c139c40bc9c43ff6"),
+    ("dp3t", False): ("0002ea655023fc064fe05ce2f3dabd5a7162f91bc96fce4f5776256b56a98a94", "732c33cb8ed5c23488a759403df260e4d4aa153f3706aa23232ed1f1c4a873c0", "1627f910e5756d3ffe49dc9544ea253b31ac56125d88324a2914ffb7d90c709c"),
+    ("tracetogether", False): ("670a206f5a8f868cd77b7a053649dcb82e78fd344ac13e08d5dba78f3910c16c", "d98694bd83b70906be1f659074b32f9c6eda99bcdae528ff99ceb2e7ce337ab0", "0422a9ef5fcdcda16d435946f978d6596284093cb7ec84523693a346b367f28a"),
+    ("venue", True): ("01d62acffbe02f81bf9850edea652617275b80f8b36c8fbcc6563c9ea7397551", "21d8da4701750cc16734841913e0aad0eb1ad99483aae1093ed9b59d3f44e135", "9e98f75f2f16ffeb6f227cc2341f4467649fe71b4169a757c139c40bc9c43ff6"),
+    ("dp3t", True): ("87603c8938759e2663605e0d14620d4493cafe6aea579275795e7136f0a77ce5", "3c7c5cf933a1d5386f5813e976ba395ec7525953b861df0284ac23a32dfd88ab", "1627f910e5756d3ffe49dc9544ea253b31ac56125d88324a2914ffb7d90c709c"),
+    ("tracetogether", True): ("b5a1d599230045b388285f9de87c63628db0b9ea0aab01ea768d6a04e5ee8705", "0108643b22c3758c0ed160d3efa60346a03c2339a45a08cda9514bc5ee29102a", "0422a9ef5fcdcda16d435946f978d6596284093cb7ec84523693a346b367f28a"),
+}
+
+# (scenario stem or "adversary", protocol, noisy channel) -> sha256 of the
+# case's trace.ndjson at TRACE_VERSION 5
+V5_TRACE = {
+    ("duty_cycle", "dp3t", False): "2232a6be17216c42805ff8de577cb44f49dc2e8ec2319a8d9f9021d521530e05",
+    ("duty_cycle", "tracetogether", False): "6ba25804c5e2f1a2cb26d07a34b17da1fbd1ca59053db758283d6986ffd69e9e",
+    ("duty_cycle", "venue", False): "f6696a97dc468d3c8b4b7c21cd435d15ba4b5ce67241d8f8b524c6d1d11b1cf9",
+    ("population_small", "dp3t", False): "4472477c86f41b6cc1627c5e0141cde568156758eeb5b037808d45dd62741f6e",
+    ("population_small", "tracetogether", False): "b4a4732c6ee55f2432279cc70d05f71705aae2c9dd94ef84ec29526937b3537e",
+    ("population_small", "venue", False): "14e6999a0ac05ef9516d48dca315f1cc2d2b5ad5f8014c433e7597c92d92207e",
+    ("relay_attack", "dp3t", False): "4a7fb5b4be20c02b5720d6a15dda31b4edfa2d9fc1aa96ff7030a4bb769ec2c4",
+    ("relay_attack", "tracetogether", False): "5e9d7b70300e4c55edde56433d9d2b1eee6cbb399c30b494e28bb2471adc56f6",
+    ("relay_attack", "venue", False): "4fdec887f59498050974c784a06ab2c84f3927c9f63c01dcfb2f370ea714fb99",
+    ("relay_baseline", "dp3t", False): "6547c29ccf7a93adff63317d035e43911a772fc58bbde600a215cca4385ef4a4",
+    ("relay_baseline", "tracetogether", False): "bbcb9f0ffffdfae7076e824230c67889ed319f461f9b90de1d828ab7dea549dc",
+    ("relay_baseline", "venue", False): "c88e5d8eda041725dcce4e415f3e7f505f9ddbc07dd9adde7266a1fc294f18b0",
+    ("street_encounter", "dp3t", False): "42e4e9aa063ff4f7b10edf7ac5996c6312a988f16b7d541dced703d38fe35bef",
+    ("street_encounter", "tracetogether", False): "8052c0670e9107d5432f3c4596186885cb886d7f5a1a25519c7ee74b409895aa",
+    ("street_encounter", "venue", False): "0938380e385177b1caf1fc02185204b45cdef4137c834f56311b2f8b832ef000",
+    ("adversary", "dp3t", False): "01ad9f08c4617fcf4fc21ef253e2a800298a2f64a080c5af7f53e6a7786b4ecd",
+    ("adversary", "tracetogether", False): "ae271baff8fdfcb759037eb63adbfbe153246abb7f8b1c8af25292f074914774",
+    ("adversary", "venue", False): "2e514b6b12c12504ca6b1d07ae294373aac8654d7c4bff1989eaa1e34ad76110",
+    ("population_small", "dp3t", True): "44c2ae31d92fa068adb968dc84b82c6e105a2e0711984c48c3a343edcf77f703",
+    ("population_small", "tracetogether", True): "a8569f5178bccf5b4bc9a79091152bebb9e666154732cdb7fe54fe55ada00798",
+    ("population_small", "venue", True): "b67e6e30b197bcf94d8d4e7c208e4aa39b9592bde3210194b39a3d0a45197e23",
+    ("street_encounter", "dp3t", True): "a40041dc22e3fc9c8e7fdee29a7c7be6995b9d7e7b7164ece115c311e64f9b33",
+    ("street_encounter", "tracetogether", True): "e56a1ecdba607a19d4fa707e5f502fa27949ac6e6d37e8caff679f3147202b15",
+    ("street_encounter", "venue", True): "572c431801b13f73530ba675a0b93cf349a30a4c56f5993e894edec2d0c6ef04",
+    ("adversary", "dp3t", True): "7d20fca12397425fd0e9280a9add848bd8f3bdeae89fb8be133d43bcb74cbb4a",
+    ("adversary", "tracetogether", True): "ada491f86d6e61b7cd14c62b5a93bea997caac79ce9dafb2149a00ac058f65cf",
+    ("adversary", "venue", True): "bb3ab3f010aa7a0d433ac5cc8a2842dbc1cc5aa6bbf5a6290611f12240aeb73a",
 }
 
 # (scenario stem or "adversary", protocol, noisy channel) -> sha256 of the
@@ -197,6 +232,17 @@ def _hex(text: str) -> str:
     return b64decode(text, validate=True).hex()
 
 
+def _v5_data(data):
+    """The data of ``data``'s trace as format version 5 held them: in
+    ``broadcasts``, each payload as its own base64 string and each emitter
+    index in full, one per row."""
+    data = copy.deepcopy(data)
+    broadcasts = data["broadcasts"]
+    broadcasts["payload"] = [b64(payload) for payload, in select(broadcasts, "payload")]
+    broadcasts["emitter"] = [index for index, in select(broadcasts, "emitter")]
+    return data
+
+
 def _v4_data(data):
     """The data of ``data``'s trace as format version 4 held them: no
     ``elements`` section, each element index replaced by its element, the
@@ -273,12 +319,15 @@ def test_every_bundled_scenario_is_locked():
 
 @pytest.mark.parametrize("case,protocol,noisy", sorted(V4_TRACE))
 def test_v5_data_expands_to_the_v4_and_v3_traces(case, protocol, noisy, tmp_path):
-    assert V4_TRACE.keys() == V3_TRACE.keys()
+    """Version-6 data give the version-5 trace, whose data give the version-4 and version-3 traces."""
+    assert V5_TRACE.keys() == V4_TRACE.keys() == V3_TRACE.keys()
     scenario = _adversary_scenario() if case == "adversary" else bundled(case)
     if noisy:
         scenario.params = {**scenario.params, "channel": NOISY_CHANNEL}
     trace = run(scenario, protocol, 0)
-    v4 = _v4_data(trace.data)
+    v5 = _v5_data(trace.data)
+    assert _sha256(_file(5, tuple(LAYOUT), v5)) == V5_TRACE[(case, protocol, noisy)]
+    v4 = _v4_data(v5)
     v4_sections = ("config", "presence", "broadcasts", "emitters", "records", "events", "outcomes")
     assert _sha256(_file(4, v4_sections, v4)) == V4_TRACE[(case, protocol, noisy)]
     assert _sha256(_v3_bytes(v4)) == V3_TRACE[(case, protocol, noisy)]

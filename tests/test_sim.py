@@ -114,7 +114,7 @@ class TestSameSecond:
         sim = Simulation(small_scenario(), SimParams.build(small_scenario(), "dp3t", 0))
         first_key = sim.driver.users["u01"].daily_keys[0]
         sent = [b["payload"] for b in broadcast_rows(sim.run().data) if (b["emitter"], b["t"]) == ("u01", DAY)]
-        day1 = {b64(ephid) for ephid in dp3t_derive_ephids(dp3t_next_daily_key(first_key), 96)}
+        day1 = set(dp3t_derive_ephids(dp3t_next_daily_key(first_key), 96))
         assert len(sent) == 1 and sent[0] in day1
 
     def test_dp3t_exchange_in_the_second_that_opens_a_day_sends_that_days_identifiers(self):
@@ -211,7 +211,7 @@ class TestWorldModel:
         on_premise = {
             b["payload"] for b in broadcast_rows(trace.data) if b["location"] == "v0"
         }
-        stored = {b64(e[0]) for e in sim.driver.venues["v0"].heard_log}
+        stored = {e[0] for e in sim.driver.venues["v0"].heard_log}
         assert on_premise == stored
 
     def test_visit_nonces_unique_across_population(self):
@@ -264,7 +264,7 @@ class TestAdversaries:
             b["payload"] for b in broadcast_rows(trace.data)
             if b["location"] == "v0" and not b["injected"]
         }
-        v1_heard = {b64(e[0]) for e in sim.driver.venues["v1"].heard_log}
+        v1_heard = {e[0] for e in sim.driver.venues["v1"].heard_log}
         assert src_payloads & v1_heard  # "useless information" stored at v1
 
     def test_replay_same_venue_counted(self):
@@ -667,7 +667,7 @@ def test_suppression_mid_run_drops_only_the_suppressed_sends(protocol):
     assert any(row["emitter"] == "u03" for row in quiet)  # on air outside the window
     assert quiet == [row for row in plain if not silenced(row)]
     gone = {row["payload"] for row in plain if silenced(row)}
-    kept = [d for d in plain_heard if not (start <= d[3] <= end and b64(d[1]) in gone)]
+    kept = [d for d in plain_heard if not (start <= d[3] <= end and d[1] in gone)]
     assert len(kept) < len(plain_heard)
     assert quiet_heard == kept
 
@@ -694,7 +694,7 @@ def test_relay_reaches_a_listener_alone_in_its_block():
         if row["injected"] and row["location"] == "v1"
     }
     assert relayed
-    assert relayed == {b64(payload) for user, payload, _, _ in heard if user == "u02"}
+    assert relayed == {payload for user, payload, _, _ in heard if user == "u02"}
 
 
 def _run_logged(sim_class, sc, params):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from venuetrace.trace import add_run, check, columns, length, rows, select
+from venuetrace.trace import add_ranges, add_run, b64, check, columns, length, packed, rows, select
 
 # few key names, so rows share some keys and not others; the names the
 # mixed layout uses for itself are among them
@@ -89,3 +89,45 @@ def test_check_names_a_bad_run_column():
     with pytest.raises(ValueError, match="every column holds runs"):
         check({"a": {"runs": [["x", 10**12]]}, "b": {"runs": [[0, 10**12]]}})
     check({"a": {"runs": [["x", 3]]}, "b": [1, 2, 3]})  # one list bounds the runs
+
+
+# the payloads of a TraceTogether run with a flood: 60-byte tokens and 16-byte flood payloads
+PAYLOADS = st.lists(st.binary(min_size=16, max_size=16) | st.binary(min_size=60, max_size=60), max_size=30)
+# emitter indexes per call: consecutive runs as a DP-3T tick sends them, and any others, gaps and repeats
+INDEX_CALLS = st.lists(st.builds(lambda first, n: list(range(first, first + n)), st.integers(0, 30),
+                                 st.integers(0, 6)) | st.lists(st.integers(0, 30), max_size=5), max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(PAYLOADS, INDEX_CALLS)
+@example([b"a" * 16, b"b" * 60, b"c" * 60, b"d" * 60, b"e" * 16], [[0, 1, 2], [3, 4], [0, 1, 2], [2, 5]])
+@example([], [[], [7], [8, 9], [11], [3, 2], [5, 5]])
+def test_packed_and_ranges_give_back_each_value(x, index_calls):
+    payloads, indexes = packed(x), {"ranges": []}
+    for call in index_calls:
+        add_ranges(indexes, call)
+    y = [index for call in index_calls for index in call]
+    # one entry per width change; one item per call of consecutive indexes, else one per index
+    assert [width for width, _ in payloads["packed"]] == [len(p) for i, p in enumerate(x)
+                                                          if not i or len(p) != len(x[i - 1])]
+    whole = [len(call) > 1 and call == [*range(call[0], call[0] + len(call))] for call in index_calls]
+    assert len(indexes["ranges"]) == sum(1 if one else len(call) for one, call in zip(whole, index_calls))
+    stored = {"packed": [[width, b64(raw)] for width, raw in payloads["packed"]]}
+    for table, key, want in (({"p": stored, "n": list(range(len(x)))}, "p", x),
+                             ({"r": indexes, "n": list(range(len(y)))}, "r", y)):
+        on_disk = json.loads(json.dumps(table))
+        check(on_disk)
+        assert length(on_disk) == len(want)
+        assert [value for value, in select(on_disk, key)] == want
+        assert rows(on_disk) == [{key: value, "n": i} for i, value in enumerate(want)]
+        mixed = {"columns": on_disk, "keys": [["n", key]], "schema": [0] * len(want)}
+        check(mixed)
+        assert [value for value, in select(mixed, key)] == want
+
+
+def test_packed_bytes_bound_the_row_count():
+    check({"a": {"runs": [["x", 2]]}, "p": {"packed": [[16, b64(bytes(32))]]}})
+    with pytest.raises(ValueError, match="column 'p' has 3 values, not 2"):
+        check({"a": {"runs": [["x", 2]]}, "p": {"packed": [[16, b64(bytes(48))]]}})
+    with pytest.raises(ValueError, match="every column holds ranges or runs"):
+        check({"a": {"runs": [["x", 10**12]]}, "r": {"ranges": [[0, 10**12]]}})
