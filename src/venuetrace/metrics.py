@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 from typing import Any
 
 from .channel import cell_width
-from .trace import INDEXES, by_key, length, select
+from .trace import COLUMNS, by_key, length, select
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,7 @@ def _of_kind(log: dict[str, Any], kind: str, key: str) -> list[Any]:
 def _resolved(trace_data: dict[str, Any], table: str, log: dict[str, Any]) -> dict[str, list[Any]]:
     """Actor log ``log``, declared as ``table``, as columns of a value per row (None
     where a row has none), each index replaced by the value it stands for."""
-    indexed = INDEXES.get(table, {})
+    indexed = {key: section for key, (_, section) in COLUMNS.get(table, {}).items() if section}
     return {key: [v if v is None or key not in indexed else trace_data[indexed[key]][v]
                   for v, in select(log, key)] for key in by_key(log)}
 

@@ -59,13 +59,10 @@ from .channel import ChannelModel, cell_width
 from .messages import InfectionCertificate, ReportBundle
 from .scenario import EVENT_DEFAULTS, Scenario, ScenarioError, ScenarioEvent, validate_scenario
 from .schedule import DEFAULT_EPOCH_SECONDS, DEFAULT_WINDOW_SECONDS, SECONDS_PER_DAY, SchedulingParams
-from .trace import add_ranges, add_run, b64, packed, store
+from .trace import COLUMNS, add_ranges, add_run, b64, packed, store
 
 PROTOCOLS = ("venue", "dp3t", "tracetogether")
 STREET = None  # location key for the shared off-premise space
-# the columns of the broadcasts section and their forms; ``emitter`` holds indexes into ``emitters``
-BROADCAST_KEYS = {"t": "runs", "emitter": "ranges", "location": "runs", "payload": "packed",
-                  "tx_dbm": "runs", "injected": "runs", "tag": "runs"}
 
 
 @dataclass
@@ -351,7 +348,7 @@ class _VenueDriver(_Driver):
             lists = self.backend.answer_trace(visit.receipt, now)
             keys = [_record_key(l) for l in lists]
             self.sim.outcomes["deliveries"].append({"user": user, "venue": visit.venue_id,
-                                                    "record_keys": keys,  # interned by ``run``
+                                                    "record_keys": keys,  # interned by ``trace.store``
                                                     "n_ephids": sum(len(l) for l in lists), "t": now})
             assessments = app.evaluate_risk(visit, lists, self.risk)
             for a, key in zip(assessments, keys):
@@ -485,7 +482,7 @@ class Simulation:
         self.presence: list[dict[str, Any]] = []
         # in columns as it is sent, so ``store`` only encodes payloads: a pass at the end made DP-3T slower;
         # the payloads are kept as sent and packed once by ``run``: per ``emit`` call, venue runs took 5% longer
-        self.broadcasts: dict[str, Any] = {key: {form: []} for key, form in BROADCAST_KEYS.items()}
+        self.broadcasts: dict[str, Any] = {key: {form: []} for key, (form, _) in COLUMNS["broadcasts"].items()}
         self._payloads: list[bytes] = []
         self._emitter_index: dict[str, int] = {}  # emitter -> index, in order of first broadcast
         self.events_log: list[dict[str, Any]] = []

@@ -6,11 +6,12 @@ the rows that have that key, in row order. When every row has the same set
 of keys, the table is just ``{key: values}``. Otherwise it is ``{"columns":
 {key: values}, "keys": [sorted key set, ...], "schema": [key set index per
 row]}``, told apart by the dict under ``columns``. A key a row lacks stays
-absent, and ``rows(columns(x)) == x``; the empty list is ``{}``. A column
-may also hold a form, read here as it lies (never under the key ``columns``):
-runs ``{"runs": [[value, count], ...]}`` (``add_run``), ranges ``{"ranges":
+absent, and ``rows(columns(x)) == x``; the empty list is ``{}``. ``COLUMNS``
+declares each column that indexes a list section or holds a form, read here as
+it lies: runs ``{"runs": [[value, count], ...]}`` (``add_run``), ranges ``{"ranges":
 [index or [first, count >= 2], ...]}`` (``add_ranges``) or ``bytes`` values
 ``{"packed": [[width, base64 of rows that many bytes each], ...]}`` (``packed``).
+``check`` holds each table to it, and every column it leaves out to a list.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ TRACE_FORMAT = "venuetrace-trace"
 # in ``events``, and group elements as indexes into ``elements``; no other version loads
 TRACE_VERSION = 6
 # each section in file order and what it holds: "list", "object", "table", or an object
-# whose entries are declared in turn ("*": every entry; one declared may be absent)
+# whose entries are declared in turn ("*": every entry, a table; one declared may be absent)
 LAYOUT: dict[str, Any] = {
     "config": "object", "presence": "table", "broadcasts": "table", "emitters": "list",
     "records": "list", "elements": "list", "events": "table",
@@ -43,14 +44,15 @@ LAYOUT: dict[str, Any] = {
         "venue_anomalies": {"*": "table"}, "venue_notices": {"*": "table"},
     },
 }
-# the columns that hold each value as its index into a list section: table as
-# ``LAYOUT`` declares it -> {column: section}; a list holds indexes, None none
-INDEXES: dict[str, dict[str, str]] = {
-    "broadcasts": {"emitter": "emitters"},
-    "outcomes.deliveries": {"record_keys": "records"}, "outcomes.assessments": {"record_key": "records"},
-    "outcomes.actor_observed.backend": {"rid": "elements", "nonce": "elements"},
-    "outcomes.actor_observed.test_center": {"rid": "elements"},
-    "outcomes.actor_observed.venues.*": {"nonce": "elements"},
+# table as ``LAYOUT`` declares it -> {column: (its form, None for a list; the list section it indexes, or None)}
+COLUMNS: dict[str, dict[str, tuple[str | None, str | None]]] = {
+    "broadcasts": {"t": ("runs", None), "emitter": ("ranges", "emitters"), "location": ("runs", None),
+                   "payload": ("packed", None), **dict.fromkeys(("tx_dbm", "injected", "tag"), ("runs", None))},
+    "outcomes.deliveries": {"record_keys": (None, "records")},
+    "outcomes.assessments": {"record_key": (None, "records")},
+    "outcomes.actor_observed.backend": {"rid": (None, "elements"), "nonce": (None, "elements")},
+    "outcomes.actor_observed.test_center": {"rid": (None, "elements")},
+    "outcomes.actor_observed.venues.*": {"nonce": (None, "elements")},
 }
 _SLICE = 512  # the most list items that ``write_trace`` encodes, and packed values ``_values`` splits, at once
 _CHUNK = 1 << 14  # the most characters of one string that ``write_trace`` encodes at once
@@ -162,8 +164,9 @@ def rows(table: Table) -> list[dict[str, Any]]:
 
 
 def length(table: Table) -> int:
-    """The number of rows."""
-    return len(table["schema"]) if _mixed(table) else _count(next(iter(table.values()), ()))
+    """The number of rows, counted by the first list or runs column if there is one: ranges need a type pass."""
+    cheap = min(table.values(), key=lambda column: type(column) is not list and "runs" not in column, default=())
+    return len(table["schema"]) if _mixed(table) else _count(cheap)
 
 
 def by_key(table: Table) -> dict[str, Any]:
@@ -187,10 +190,14 @@ def select(table: Table, *keys: str) -> Iterator[tuple[Any, ...]]:
     return zip(*map(column, keys))
 
 
-def check(table: Table) -> None:
-    """Raise ValueError naming a key whose column holds the wrong number of values or an item its
-    form refuses. Runs and ranges alone bound no row count: a few bytes claim any number."""
+def check(table: Table, declared: dict[str, tuple[str | None, str | None]]) -> None:
+    """Raise ValueError naming a key whose column is not in the form ``declared`` gives it, or a list
+    (which may be absent) where it gives none, or holds an item its form refuses or a wrong count."""
     have = by_key(table)
+    for key in {**declared, **have}:
+        form, column = declared.get(key, (None,))[0], have.get(key, [])
+        if not (type(column) is dict and [*column] == [form] if form else type(column) is list):
+            raise ValueError(f"column {key!r} is {'not' if key in have else 'missing, not'} {form or 'a list'}")
     counts = {key: _count(column, key) for key, column in have.items()}
     if _mixed(table):
         want: Counter[str] = Counter()
@@ -198,48 +205,44 @@ def check(table: Table) -> None:
             if not isinstance(i, int) or not 0 <= i < len(table["keys"]):
                 raise ValueError(f"row shape {i!r} is not one of {len(table['keys'])}")
             want.update(dict.fromkeys(table["keys"][i], n))
-    elif have and all(isinstance(column, dict) and "packed" not in column for column in have.values()):
-        forms = " or ".join(sorted({next(iter(column)) for column in have.values()}))
-        raise ValueError(f"every column holds {forms}, so no list bounds the row count")
-    else:
+    else:  # every form's items are checked, and a declared packed column's bytes bound the count
         want = Counter(dict.fromkeys(table, next(iter(counts.values()), 0)))
     for key in {**want, **have}:
         if (count := counts.get(key, 0)) != want[key]:
             raise ValueError(f"column {key!r} has {count} values, not {want[key]}")
 
 
-def tables(data: dict[str, Any], layout: dict[str, Any] = LAYOUT, prefix: str = "",
-           declared: str = "") -> Iterator[tuple]:
-    """(dotted name, mapping, key, declared name: ``*`` for an entry) of each table
-    ``layout`` declares in ``data``; raises IntegrityError at a declared object that is not one."""
+def tables(data: dict[str, Any], layout: dict[str, Any] = LAYOUT, prefix: str = "") -> Iterator[tuple]:
+    """(dotted name, mapping, key, its ``COLUMNS`` entry, named as declared: ``*`` for an entry) of each
+    table ``layout`` declares in ``data``; raises IntegrityError at a declared object that is not one."""
     for entry, kind in layout.items():
         for key in data if entry == "*" else [entry] if entry in data else ():
             if kind == "table":
-                yield prefix + key, data, key, declared + entry
+                yield prefix + key, data, key, COLUMNS.get(prefix + entry, {})
             elif isinstance(kind, dict):
                 if not isinstance(value := data[key], dict):
                     raise IntegrityError(f"section {prefix}{key} holds {type(value).__name__}, not dict")
-                yield from tables(value, kind, f"{prefix}{key}.", f"{declared}{entry}.")
+                yield from tables(value, kind, f"{prefix}{key}.")
 
 
 def store(data: dict[str, Any]) -> dict[str, Any]:
     """A run's plain ``data`` in stored form, made in place: each event of ``config.scenario`` as its
     index among the scripted rows of ``events``; each declared list of rows as a table, the list
-    emptied; each ``INDEXES`` value in a list column as its index into the list section its column
-    names, in order of first appearance after the items ``data`` gives it; other bytes as base64."""
+    emptied; each value of a list column ``COLUMNS`` declares an index column as its index into its
+    list section, in order of first appearance after the items ``data`` gives it; other bytes as base64."""
     scenario = data["config"]["scenario"]
     ran = sorted(range(len(times := [event["time"] for event in scenario["events"]])), key=times.__getitem__)
     scenario["events"] = sorted(range(len(ran)), key=ran.__getitem__)
-    found = {s: {v: i for i, v in enumerate(data.get(s, ()))} for of in INDEXES.values() for s in of.values()}
+    found = {s: {v: i for i, v in enumerate(data.get(s, ()))} for t in COLUMNS.values() for _, s in t.values() if s}
     for _, mapping, key, declared in tables(data):
         if isinstance(row_list := mapping[key], list):
             mapping[key] = columns(row_list)
             row_list.clear()
-        have, indexed = by_key(mapping[key]), INDEXES.get(declared, {})
-        for column, section in indexed.items():  # in declared order: it fixes the indexes
-            if isinstance(have.get(column), list):  # not a form, which holds its indexes already
+        have = by_key(mapping[key])
+        for column, (_, section) in declared.items():  # in declared order: it fixes the indexes
+            if section and isinstance(have.get(column), list):  # not a form, which holds its indexes already
                 have[column] = [_index(value, found[section]) for value in have[column]]
-        for column in have.keys() - indexed.keys():
+        for column in have:  # indexes hold no bytes and stay as they are
             have[column] = _stored(have[column])
     data.update((section, _stored(list(index))) for section, index in found.items())
     return data
@@ -383,17 +386,16 @@ def read_trace(path: Path) -> dict[str, Any]:
         raise IntegrityError("trace integrity hash mismatch")
     if fault:
         raise fault
-    missing = [s for s in LAYOUT if s not in data]
-    if missing:
+    if missing := [s for s in LAYOUT if s not in data]:
         raise IntegrityError(f"trace is missing sections: {missing}")
     for name, mapping, key, declared in tables(data):
         try:
-            check(mapping[key])
-            for column, section in INDEXES.get(declared, {}).items():
-                values = by_key(mapping[key]).get(column, ())
-                if isinstance(values, dict) and "ranges" in values:  # checked: the largest index will do
+            check(mapping[key], declared)
+            for column, (_, section) in declared.items():
+                values = by_key(mapping[key]).get(column, ()) if section else ()
+                if isinstance(values, dict):  # ranges, checked: the largest index will do
                     values = [max(_values(values), default=None)]
-                for value in _values(values):
+                for value in values:
                     for i in value if isinstance(value, list) else [value]:
                         if i is not None and (type(i) is not int or not 0 <= i < len(data[section])):
                             raise ValueError(f"column {column!r} holds {i!r}, not an index into {section}")

@@ -427,19 +427,24 @@ def _longer_first_run(broadcasts):
 
 
 def _all_runs(broadcasts):
-    n = length(broadcasts)
-    for key in ("emitter", "payload"):
-        broadcasts[key] = {"runs": [[0, n]]}
+    """An edit that makes every column one run that claims 10**12 rows."""
+    for key in broadcasts:
+        broadcasts[key] = {"runs": [[0, 10**12]]}
 
 
-def _payload_runs(broadcasts):
-    broadcasts["payload"] = {"runs": [["", length(broadcasts)]]}
+def _runs_and_ranges(broadcasts):
+    """An edit that leaves runs and ranges alone, each claiming 10**12 rows: the packed payloads go."""
+    _all_runs(broadcasts)
+    broadcasts["emitter"] = {"ranges": [[0, 10**12]]}
+    del broadcasts["payload"]
 
 
-def _emitter_list(index):
-    """An edit that writes the emitter column as a list whose first index is ``index``."""
+def _last_index(index):
+    """An edit that sets the last item of the emitter ranges, a lone index, to ``index``."""
     def edit(broadcasts):
-        broadcasts["emitter"] = [index, *(i for i, in select(broadcasts, "emitter"))][:-1]
+        items = broadcasts["emitter"]["ranges"]
+        assert type(items[-1]) is int
+        items[-1] = index
     return edit
 
 
@@ -483,14 +488,12 @@ def _element_index(*path):
     *[("broadcasts", _split_first_run(count),
        "section broadcasts: column 'tx_dbm' has a run count that is not a positive integer")
       for count in (0, -1, 1.0, True, "1")],
-    ("broadcasts", _all_runs,
-     "section broadcasts: every column holds runs, so no list bounds the row count"),
-    ("broadcasts", _payload_runs,
-     "section broadcasts: every column holds ranges or runs, so no list bounds the row count"),
-    ("broadcasts", _emitter_list(10**6),
+    ("broadcasts", _all_runs, "section broadcasts: column 'emitter' is not ranges"),
+    ("broadcasts", _runs_and_ranges, "section broadcasts: column 'payload' is missing, not packed"),
+    ("broadcasts", _last_index(10**6),
      "section broadcasts: column 'emitter' holds 1000000, not an index into emitters"),
-    ("broadcasts", _emitter_list(-1),
-     "section broadcasts: column 'emitter' holds -1, not an index into emitters"),
+    ("broadcasts", _last_index(-1),
+     "section broadcasts: column 'emitter' has a range item -1 that is not an index or [first, count >= 2]"),
     ("broadcasts", _first_range([10**6, 4]),
      "section broadcasts: column 'emitter' holds 1000003, not an index into emitters"),
     ("broadcasts", _first_range([2, 4]),
@@ -537,9 +540,9 @@ def _element_index(*path):
 def test_bad_format_5_columns_rejected(section, edit, message, tmp_path):
     """Runs whose counts do not add up or are not positive integers, a
     section of runs alone or runs and ranges, emitter, record and element
-    indexes outside their sections (the emitter's as a list and as ranges),
-    malformed range items and packed entries, and a block of ``outcomes`` of
-    the wrong type fail the read under a valid trailer."""
+    indexes outside their sections (the emitter's as lone indexes and as
+    ranges), malformed range items and packed entries, and a block of
+    ``outcomes`` of the wrong type fail the read under a valid trailer."""
     path = tmp_path / "t.ndjson"
     data = run(bundled("relay_attack"), "venue", seed=1).data
     assert len(data["records"]) == 1 and len(data["elements"]) == 5
@@ -713,6 +716,23 @@ class TestReplay:
         capsys.readouterr()
         assert main(["replay", "--trace", str(out / "trace.ndjson")]) == 2
         assert "unsupported trace version 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,column,edit,message", [
+        ("presence", "start", lambda p: p.update(start={"runs": [[t, 1] for t in p["start"]]}), "is not a list"),
+        ("presence", "end", lambda p: p.update(end={"ranges": p["end"]}), "is not a list"),
+        ("broadcasts", "emitter", lambda b: b.update(emitter=[i for i, in select(b, "emitter")]), "is not ranges"),
+        ("broadcasts", "t", dict.clear, "is missing, not runs"),
+    ], ids=["start-as-runs", "end-as-ranges", "emitter-as-list", "broadcasts-empty"])
+    def test_replay_column_in_an_undeclared_form_exits_two(self, section, column, edit, message, tmp_path, capsys):
+        """A column in a form ``trace.COLUMNS`` does not declare for it, each row kept, or a
+        declared form left out, under a recomputed trailer, fails the read and names the section
+        and key: the writer never makes one."""
+        path = tmp_path / "t.ndjson"
+        write_trace(run(bundled("relay_attack"), "venue", seed=1).data, path)
+        _edit_section(path, section, edit)
+        capsys.readouterr()
+        assert main(["replay", "--trace", str(path)]) == 2
+        assert f"integrity error: section {section}: column {column!r} {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("where,cut", [
         (("broadcasts",), ("payload",)),  # a one-shape section

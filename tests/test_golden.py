@@ -4,7 +4,9 @@ Each (scenario, protocol) pair runs at seed 0 and is written through
 ``cli._write_outputs``; the SHA-256 of ``trace.ndjson``, ``metrics.json``
 and ``events.ndjson`` must match the tables below. A change that alters
 trace bytes on purpose bumps ``trace.TRACE_VERSION`` and updates these
-tables.
+tables. Each case's trace also re-derives itself byte for byte from the
+``config`` section read back from it, so ``config`` records every input
+that shaped the run.
 
 ``NOISY_GOLDEN`` runs two scenarios over a lossy, noisy channel. No bundled
 scenario draws from the RNG per reception, so only these digests catch a
@@ -34,12 +36,13 @@ from base64 import b64decode
 
 import pytest
 
+from venuetrace.channel import ChannelModel
 from venuetrace.cli import _write_outputs
 from venuetrace.scenario import Scenario, ScenarioEvent, VenueSpec, build_population_scenario
-from venuetrace.sim import run
+from venuetrace.sim import SimParams, Simulation, run
 from venuetrace.trace import (
-    INDEXES, LAYOUT, TRACE_FORMAT, _canonical, b64, by_key, columns, read_trace, rows, scenario_dict, select,
-    tables, write_trace,
+    LAYOUT, TRACE_FORMAT, _canonical, b64, by_key, read_trace, rows, scenario_dict, select, tables,
+    write_trace,
 )
 
 from bundled import SCENARIOS, bundled
@@ -243,21 +246,27 @@ def _v5_data(data):
     return data
 
 
+def _expand(data, section: str, items: list) -> None:
+    """Replace each index into list section ``section`` that a column of ``data`` holds, as
+    ``trace.COLUMNS`` declares them, with its item in ``items``: in a list, each; None stays."""
+    for _, mapping, key, declared in tables(data):
+        have = by_key(mapping[key])
+        for column in have.keys() & {c for c, (_, s) in declared.items() if s == section}:
+            have[column] = [[items[i] for i in v] if isinstance(v, list) else v if v is None else items[v]
+                            for v in have[column]]
+
+
 def _v4_data(data):
     """The data of ``data``'s trace as format version 4 held them: no
     ``elements`` section, each element index replaced by its element, the
     scenario's events back in ``config``, and every value in base64 in hex."""
     data = copy.deepcopy(data)
     data["config"]["scenario"] = scenario_dict(data)
-    elements = [_hex(e) for e in data.pop("elements")]
+    _expand(data, "elements", [_hex(e) for e in data.pop("elements")])
     data["records"] = [_hex(key) for key in data["records"]]
     data["broadcasts"]["payload"] = [_hex(p) for p in data["broadcasts"]["payload"]]
     outcomes = data["outcomes"]
     outcomes["record_reporters"] = {_hex(k): user for k, user in outcomes["record_reporters"].items()}
-    for _, mapping, key, declared in tables(data):
-        have = by_key(mapping[key])
-        for column in have.keys() & {c for c, s in INDEXES.get(declared, {}).items() if s == "elements"}:
-            have[column] = [elements[i] for i in have[column]]
     if "ids" in (ha := by_key(outcomes.get("actor_observed", {}).get("ha", {}))):
         ha["ids"] = [[_hex(i) for i in ids] for ids in ha["ids"]]
     if "key" in (published := outcomes.get("published_keys", {})):
@@ -270,22 +279,23 @@ def _v3_bytes(data) -> bytes:
     ``records`` section, each record index replaced by its key, every run
     column expanded to one value per row, and ``rejected_queries`` back."""
     data = copy.deepcopy(data)
-    records = data.pop("records")
+    _expand(data, "records", data.pop("records"))
     data["broadcasts"] = {key: [value for value, in select(data["broadcasts"], key)]
                           for key in data["broadcasts"]}
-    outcomes = data["outcomes"]
-    for row in (deliveries := rows(outcomes["deliveries"])):
-        row["record_keys"] = [records[i] for i in row["record_keys"]]
-    for row in (assessments := rows(outcomes["assessments"])):
-        if row["record_key"] is not None:
-            row["record_key"] = records[row["record_key"]]
-    outcomes["deliveries"], outcomes["assessments"] = columns(deliveries), columns(assessments)
-    outcomes["rejected_queries"] = {}  # always empty, and gone since version 4
+    data["outcomes"]["rejected_queries"] = {}  # always empty, and gone since version 4
     return _file(3, ("config", "presence", "broadcasts", "emitters", "events", "outcomes"), data)
 
 
 def _digests(scenario, protocol, out_dir):
+    """The digests of a run's outputs, once its trace has re-derived itself byte for byte from
+    nothing but its own ``config``: a run is a function of the scenario and params it stores."""
     _write_outputs(run(scenario, protocol, 0).data, out_dir)
+    data = read_trace(out_dir / "trace.ndjson")
+    params = data["config"]["params"]
+    rerun = Simulation(Scenario.from_dict(scenario_dict(data)),
+                       SimParams(**{**params, "channel": ChannelModel(**params["channel"])})).run()
+    write_trace(rerun.data, out_dir / "rerun.ndjson")
+    assert (out_dir / "rerun.ndjson").read_bytes() == (out_dir / "trace.ndjson").read_bytes()
     return tuple(
         hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
         for name in ("trace.ndjson", "metrics.json", "events.ndjson")

@@ -16,7 +16,7 @@ from venuetrace.scenario import (
 )
 from venuetrace.schedule import dp3t_derive_ephids, dp3t_next_daily_key
 from venuetrace.sim import SimParams, Simulation, run
-from venuetrace.trace import INDEXES, _canonical, b64, check, length, rows, select, tables
+from venuetrace.trace import COLUMNS, _canonical, b64, by_key, check, length, rows, select, tables
 
 from bundled import SCENARIOS, broadcast_rows, bundled, nudge
 
@@ -426,7 +426,7 @@ class TestCapabilityMatrix:
         observed = trace.data["outcomes"]["actor_observed"]
         users = set(sc.users)
         elements = trace.data["elements"]
-        indexed = INDEXES["outcomes.actor_observed.backend"]
+        indexed = COLUMNS["outcomes.actor_observed.backend"]
         backend = [{k: elements[v] if k in indexed else v for k, v in row.items()}
                    for row in rows(observed["backend"])]
         for entry in [*backend, *rows(observed["ha"])]:
@@ -531,7 +531,8 @@ def test_layout_names_every_table_a_run_writes(stem, protocol):
     """After a run no list of rows is left outside the scenario as given
     (``config``) and the adversary's block, so ``trace.LAYOUT`` declares
     every table; no byte string is left at any depth; and each table it
-    names passes the reader's check."""
+    names passes the reader's check against its ``trace.COLUMNS`` entry,
+    with every form declared for ``broadcasts`` present."""
     sc = bundled(stem)
     data = Simulation(sc, SimParams.build(sc, protocol, 0)).run().data
     left = [path for name, section in data.items() if name != "config"
@@ -540,8 +541,10 @@ def test_layout_names_every_table_a_run_writes(stem, protocol):
     assert list(_paths(data, "data", lambda obj: isinstance(obj, bytes))) == []
     named = list(tables(data))
     assert {"presence", "broadcasts", "events", "outcomes.reports"} <= {name for name, *_ in named}
-    for _, mapping, key, _ in named:
-        check(mapping[key])
+    for _, mapping, key, declared in named:
+        check(mapping[key], declared)
+    forms = {column for column, (form, _) in COLUMNS["broadcasts"].items() if form}
+    assert forms and forms <= by_key(data["broadcasts"]).keys()
 
 
 # ---------------------------------------------------------------------------
